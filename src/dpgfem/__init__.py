@@ -20,7 +20,6 @@ from .meshes import (
     SimplicialMesh,
     build_structured,
     check_conforming,
-    facet_topology,
     read_mesh,
     refine_marked,
     refine_uniform,
@@ -62,7 +61,6 @@ __all__ = [
     "SimplicialMesh",
     "build_structured",
     "check_conforming",
-    "facet_topology",
     "read_mesh",
     "refine_marked",
     "refine_uniform",

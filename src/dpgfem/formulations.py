@@ -1,7 +1,27 @@
-"""Formulation catalog: spaces, bilinear forms, loads, manufactured cases.
+"""Formulation catalog: slots, term tables, loads, manufactured cases.
 
 Each formulation couples field slots (volume unknowns), interface slots
-(skeleton unknowns) and broken test slots.  Conventions used throughout:
+(skeleton unknowns) and broken test slots.  It is one catalog entry: its
+slots and a table of terms, which one generic evaluator integrates cell
+by cell.  The term kinds are
+
+* volume terms (coef, trial operand, test operand), integrating
+  coef T x . conj(S y) over the cell;
+* one pairing per interface slot (coef, slot, test trace, exact trace),
+  integrating coef xhat . conj(trace of y) over each facet;
+* loads (coef, test operand, case field), integrating coef f . conj(S y).
+
+An operand is a slot name, alone for its values or after the word for
+its family derivative ("grad u", "div tau", "curl E").  A test trace is
+the test slot's value ("v"), its normal component ("n.tau") or its
+tangential cross product ("nx S") with the outward normal.  The exact
+trace names the manufactured field that the interface slot carries, with
+its sign, and "n." for the normal component of a flux.  A coefficient is
+a product of space-separated factors: "1", "i", a parameter name, or
+"1/" and a name to divide; a leading "-" negates a factor.  The vector
+beta multiplies a scalar operand or is dotted with a vector one.
+
+Conventions used throughout:
 
 * forms are sesquilinear with conjugation on the test argument;
 * scalar-flux interfaces store the flux with respect to the canonical
@@ -12,28 +32,20 @@ Each formulation couples field slots (volume unknowns), interface slots
 
 The diffusion-convection-reaction operator is
 A(sigma, u) = (alpha sigma - grad u - beta u, div sigma - gamma u)
-with formal adjoint
-A*(tau, v) = (alpha tau - grad v, div tau - beta . tau - gamma v),
-and the Maxwell operator is
-A(H, E) = (i omega mu H - curl E, i omega eps E + curl H) with adjoint
-A*(R, S) = (-i omega mu R + curl S, -i omega eps S - curl R).
+with alpha = 1/a, and the Maxwell operator is
+A(H, E) = (i omega mu H - curl E, i omega eps E + curl H).
+The first-order forms write each of the two equations either strong or
+integrated by parts ("weak"); the ultraweak forms integrate both, so
+their volume terms are (x, A* y), and their graph test norm
+||y||^2 + ||A* y||^2 reads the adjoint rows off the same terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
-
-FORMULATION_IDS = (
-    "primal_poisson", "primal_dcr", "ultraweak_dcr", "mixed_dcr",
-    "dual_mixed_dcr", "strong_dcr", "maxwell_primal_E", "maxwell_primal_H",
-    "maxwell_ultraweak", "maxwell_mixed", "maxwell_dual_mixed",
-    "maxwell_strong",
-)
-
-MAXWELL_IDS = tuple(i for i in FORMULATION_IDS if i.startswith("maxwell"))
-DCR_IDS = tuple(i for i in FORMULATION_IDS if not i.startswith("maxwell"))
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,13 @@ class Slot:
     deriv_in_norm: bool = True
 
 
+# Parsed terms.  Operands are (slot, 'val' | 'der'); coefficients are
+# (constant, names multiplied, names divided).
+Block = namedtuple("Block", "test trial sum_trial groups")
+Pairing = namedtuple("Pairing", "coef slot facet test trace exact")
+Load = namedtuple("Load", "coef test field")
+
+
 @dataclass(frozen=True)
 class Formulation:
     id: str
@@ -64,10 +83,15 @@ class Formulation:
     trial_slots: tuple
     interface_slots: tuple
     test_slots: tuple
-    y_norm: str  # 'natural' | 'graph_dcr' | 'graph_maxwell'
+    y_norm: str  # 'natural' | 'graph'
     # per test slot: None (no conforming subspace restriction, i.e. the
     # L2 case) or (family, zero_boundary) of the conforming subspace
     y0_rule: tuple = ()
+    blocks: tuple = ()
+    pairings: tuple = ()
+    loads: tuple = ()
+    # graph norm: per trial slot, the ((coef, test operand), ...) of A* y
+    adjoint_rows: tuple = ()
 
     @property
     def is_complex(self):
@@ -84,12 +108,118 @@ class Formulation:
         raise KeyError(name)
 
 
+# -- the catalog ---------------------------------------------------------
+#
+# Each first-order problem is two equations.  A piece is one equation,
+# tested strongly or integrated by parts, as (volume, pairings, loads).
+
+_DCR1 = {  # alpha sigma - grad u - beta u = 0, tested with tau
+    "strong": ((("1/a", "sigma", "tau"), ("-1", "grad u", "tau"),
+                ("-beta", "u", "tau")), (), ()),
+    "weak": ((("1/a", "sigma", "tau"), ("-beta", "u", "tau"),
+              ("1", "u", "div tau")), (("-1", "uhat", "n.tau", "u"),), ()),
+}
+_DCR2 = {  # div sigma - gamma u = -f2, tested with v
+    "strong": ((("1", "div sigma", "v"), ("-gamma", "u", "v")), (),
+               (("-1", "v", "f2"),)),
+    "weak": ((("-1", "sigma", "grad v"), ("-gamma", "u", "v")),
+             (("1", "sighat", "v", "n.sigma"),), (("-1", "v", "f2"),)),
+}
+_MAXWELL1 = {  # i omega mu H - curl E = 0, tested with R
+    "strong": ((("i omega mu", "H", "R"), ("-1", "curl E", "R")), (), ()),
+    "weak": ((("i omega mu", "H", "R"), ("-1", "E", "curl R")),
+             (("1", "Ehat", "nx R", "E"),), ()),
+}
+# the ultraweak form stores -E in Ehat
+_MAXWELL1["ultraweak"] = (_MAXWELL1["weak"][0],
+                          (("-1", "Ehat", "nx R", "-E"),), ())
+_MAXWELL2 = {  # i omega eps E + curl H = J, tested with S
+    "strong": ((("1", "curl H", "S"), ("i omega eps", "E", "S")), (),
+               (("1", "S", "J"),)),
+    "weak": ((("1", "H", "curl S"), ("i omega eps", "E", "S")),
+             (("1", "Hhat", "nx S", "-H"),), (("1", "S", "J"),)),
+}
+# The primal forms eliminate one field: -div(a grad u + a beta u)
+# + gamma u = f2, and curl(curl E / mu) - omega^2 eps E = i omega J or
+# curl(curl H / eps) - omega^2 mu H = curl(J / eps).
+_PRIMAL_DCR = ((("a", "grad u", "grad v"), ("a beta", "u", "grad v"),
+                ("gamma", "u", "v")),
+               (("1", "sighat", "v", "-n.sigma"),), (("1", "v", "f2"),))
+_PRIMAL_E = ((("1/mu", "curl E", "curl F"), ("-omega omega eps", "E", "F")),
+             (("-i omega", "Hhat", "nx F", "H"),), (("i omega", "F", "J"),))
+_PRIMAL_H = ((("1/eps", "curl H", "curl F"), ("-omega omega mu", "H", "F")),
+             (("i omega", "Ehat", "nx F", "E"),), (("1/eps", "curl F", "J"),))
+
+# Slots: trial and interface (name, family, degree - p, continuity[,
+# zero_boundary]); test (name, family, y0) of degree q = p + delta, where
+# y0 None marks an L2-type slot (no derivative in its norm, no conforming
+# subspace) and otherwise says whether the conforming subspace vanishes
+# on the boundary.  In guaranteed mode the conforming Maxwell fields
+# "hcurl" become full vector H1 ("vec"), their interface parents one
+# degree higher.
+_SIGHAT = ("sighat", "l2", 0, "facet")
+_UHAT = ("uhat", "h1", 1, "skeleton", True)
+_HHAT = ("Hhat", "hcurl", 0, "skeleton")
+_EHAT = ("Ehat", "hcurl", 0, "skeleton", True)
+
+_PRIMAL = ([("u", "h1", 1, "conforming", True)], [_SIGHAT],
+           [("v", "h1", True)], [_PRIMAL_DCR])
+
+_CATALOG = {
+    "primal_poisson": _PRIMAL,
+    "primal_dcr": _PRIMAL,
+    "ultraweak_dcr": ([("sigma", "vec", -1, "broken"),
+                       ("u", "l2", -1, "broken")], [_UHAT, _SIGHAT],
+                      [("tau", "hdiv", False), ("v", "h1", True)],
+                      [_DCR1["weak"], _DCR2["weak"]]),
+    "mixed_dcr": ([("sigma", "vec", -1, "broken"),
+                   ("u", "h1", 1, "conforming", True)], [_SIGHAT],
+                  [("tau", "vec", None), ("v", "h1", True)],
+                  [_DCR1["strong"], _DCR2["weak"]]),
+    "dual_mixed_dcr": ([("sigma", "hdiv", 1, "conforming"),
+                        ("u", "l2", 0, "broken")], [_UHAT],
+                       [("tau", "hdiv", False), ("v", "l2", None)],
+                       [_DCR1["weak"], _DCR2["strong"]]),
+    "strong_dcr": ([("sigma", "hdiv", 1, "conforming"),
+                    ("u", "h1", 1, "conforming", True)], [],
+                   [("tau", "vec", None), ("v", "l2", None)],
+                   [_DCR1["strong"], _DCR2["strong"]]),
+    "maxwell_primal_E": ([("E", "hcurl", 0, "conforming", True)], [_HHAT],
+                         [("F", "hcurl", True)], [_PRIMAL_E]),
+    "maxwell_primal_H": ([("H", "hcurl", 0, "conforming")], [_EHAT],
+                         [("F", "hcurl", False)], [_PRIMAL_H]),
+    "maxwell_ultraweak": ([("H", "vec", -1, "broken"),
+                           ("E", "vec", -1, "broken")], [_HHAT, _EHAT],
+                          [("R", "hcurl", False), ("S", "hcurl", True)],
+                          [_MAXWELL1["ultraweak"], _MAXWELL2["weak"]]),
+    "maxwell_mixed": ([("H", "vec", -1, "broken"),
+                       ("E", "hcurl", 0, "conforming", True)], [_HHAT],
+                      [("R", "vec", None), ("S", "hcurl", True)],
+                      [_MAXWELL1["strong"], _MAXWELL2["weak"]]),
+    "maxwell_dual_mixed": ([("H", "hcurl", 0, "conforming"),
+                            ("E", "vec", -1, "broken")], [_EHAT],
+                           [("R", "hcurl", False), ("S", "vec", None)],
+                           [_MAXWELL1["weak"], _MAXWELL2["strong"]]),
+    "maxwell_strong": ([("H", "hcurl", 0, "conforming"),
+                        ("E", "hcurl", 0, "conforming", True)], [],
+                       [("R", "vec", None), ("S", "vec", None)],
+                       [_MAXWELL1["strong"], _MAXWELL2["strong"]]),
+}
+
+FORMULATION_IDS = tuple(_CATALOG)
+MAXWELL_IDS = tuple(i for i in FORMULATION_IDS if i.startswith("maxwell"))
+DCR_IDS = tuple(i for i in FORMULATION_IDS if not i.startswith("maxwell"))
+
+_DEFAULTS = {"a": 1.0, "gamma": 0.0, "eps": 1.0, "mu": 1.0, "omega": 1.0}
+
+
 def make_formulation(id, p, delta=3, dim=None, params=None, mode="guaranteed"):
     """Build a formulation from the catalog.
 
     Parameters: diffusion problems take a (scalar diffusion), beta
     (convection vector) and gamma (reaction); Maxwell problems take
     eps, mu, omega.  All are constants (or per-cell constant arrays).
+    Only the names that the formulation's terms read are accepted.
     """
     if id not in FORMULATION_IDS:
         raise ValueError(f"unknown formulation id {id!r}")
@@ -106,645 +236,314 @@ def make_formulation(id, p, delta=3, dim=None, params=None, mode="guaranteed"):
         raise ValueError("Maxwell formulations are three-dimensional")
     if not maxwell and dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    params = dict(params or {})
-    if maxwell:
-        params.setdefault("eps", 1.0)
-        params.setdefault("mu", 1.0)
-        params.setdefault("omega", 1.0)
-        if np.min(params["eps"]) <= 0 or np.min(params["mu"]) <= 0:
-            raise ValueError("eps and mu must be positive")
-        if params["omega"] <= 0:
-            raise ValueError("omega must be positive")
-    else:
-        params.setdefault("a", 1.0)
-        params.setdefault("beta", np.zeros(dim))
-        params.setdefault("gamma", 0.0)
-        params["beta"] = np.asarray(params["beta"], dtype=float)
-        if np.min(params["a"]) <= 0:
-            raise ValueError("diffusion coefficient a must be positive")
-        if np.min(params["gamma"]) < 0:
-            raise ValueError("reaction coefficient gamma must be nonnegative")
+    trial, interface, test, pieces = _CATALOG[id]
+    volume, pairings, loads = (sum((piece[k] for piece in pieces), ())
+                               for k in range(3))
     q = p + delta
-    build = _BUILDERS[id]
-    trial, interface, test, y_norm, y0 = build(p, q, dim, mode)
-    return Formulation(id, dim, p, delta, mode, params, tuple(trial),
-                       tuple(interface), tuple(test), y_norm, tuple(y0))
+    trial = tuple(_slot(s, p, dim, mode) for s in trial)
+    interface = tuple(_slot(s, p, dim, mode) for s in interface)
+    y0 = tuple(None if zero is None else (family, zero)
+               for _, family, zero in test)
+    test = tuple(Slot(name, family, q, "broken", _ncomp(family, dim),
+                      deriv_in_norm=zero is not None)
+                 for name, family, zero in test)
+    terms = [(_coef(c), _operand(t), _operand(s)) for c, t, s in volume]
+    # interface columns follow the slot order
+    order = [s.name for s in interface]
+    facet = {s.name for s in interface if s.continuity == "facet"}
+    pairings = tuple(Pairing(_coef(c), slot, slot in facet, *_trace(trace),
+                             _exact(exact))
+                     for c, slot, trace, exact in
+                     sorted(pairings, key=lambda pr: order.index(pr[1])))
+    loads = tuple(Load(_coef(c), _operand(s), field) for c, s, field in loads)
+    coefs = [t[0] for t in terms] + [t.coef for t in pairings + loads]
+    params = _check_params(params, {k for c in coefs for k in c[1] + c[2]},
+                           dim)
+    # a form that takes no trial derivative is ultraweak: its volume
+    # terms are (x, A* y), and its test norm the graph norm
+    graph = all(x[1] == "val" for _, x, _ in terms)
+    rows = tuple((s.name, tuple((c, y) for c, x, y in terms
+                                if x == (s.name, "val")))
+                 for s in trial) if graph else ()
+    return Formulation(id, dim, p, delta, mode, params, trial, interface,
+                       test, "graph" if graph else "natural", y0,
+                       _blocks(terms), pairings, loads, rows)
 
 
-# -- catalog builders --------------------------------------------------
+def _check_params(params, names, dim):
+    params = dict(params or {})
+    for key in params:
+        if key not in names:
+            raise ValueError(f"unknown coefficient {key!r}; this formulation "
+                             f"takes {', '.join(sorted(names))}")
+    for key in names:
+        params.setdefault(key, np.zeros(dim) if key == "beta"
+                          else _DEFAULTS[key])
+    if "beta" in params:
+        params["beta"] = np.asarray(params["beta"], dtype=float)
+        if params["beta"].shape[-1:] != (dim,):
+            raise ValueError(f"coefficient 'beta' must have {dim} components "
+                             f"in its last axis")
+    for key in names - {"beta"}:
+        low = np.min(params[key])
+        if key == "gamma" and low < 0:
+            raise ValueError("coefficient 'gamma' must be nonnegative")
+        if key != "gamma" and low <= 0:
+            raise ValueError(f"coefficient {key!r} must be positive")
+    return params
 
 
-def _facet_flux_slot(name, p, dim, zero_boundary=False):
-    # normal trace of R_{p+1}: degree-p polynomial per facet
-    return Slot(name, "l2", p, "facet", 1, zero_boundary)
+def _ncomp(family, dim):
+    return 1 if family in ("h1", "l2") else dim
 
 
-def _primal_poisson(p, q, dim, mode):
-    trial = [Slot("u", "h1", p + 1, "conforming", 1, True)]
-    interface = [_facet_flux_slot("sighat", p, dim)]
-    test = [Slot("v", "h1", q, "broken")]
-    return trial, interface, test, "natural", [("h1", True)]
+def _slot(spec, p, dim, mode):
+    name, family, degree, continuity, *zero = spec
+    degree += p
+    if mode == "guaranteed" and family == "hcurl" and continuity != "broken":
+        family, degree = "vec", degree + (continuity == "skeleton")
+    return Slot(name, family, degree, continuity, _ncomp(family, dim),
+                bool(zero and zero[0]))
 
 
-def _primal_dcr(p, q, dim, mode):
-    return _primal_poisson(p, q, dim, mode)
+def _coef(text):
+    const, mul, div = 1.0, [], []
+    for word in text.split():
+        if word.startswith("-"):
+            const, word = -const, word[1:]
+        if word == "i":
+            const = const * 1j
+        elif word.startswith("1/"):
+            div.append(word[2:])
+        elif word != "1":
+            mul.append(word)
+    return const, tuple(mul), tuple(div)
 
 
-def _ultraweak_dcr(p, q, dim, mode):
-    trial = [Slot("sigma", "vec", p - 1, "broken", dim),
-             Slot("u", "l2", p - 1, "broken")]
-    interface = [Slot("uhat", "h1", p + 1, "skeleton", 1, True),
-                 _facet_flux_slot("sighat", p, dim)]
-    test = [Slot("tau", "hdiv", q, "broken", dim),
-            Slot("v", "h1", q, "broken")]
-    return trial, interface, test, "graph_dcr", [("hdiv", False), ("h1", True)]
+def _operand(text):
+    words = text.split()
+    return words[-1], "der" if len(words) == 2 else "val"
 
 
-def _mixed_dcr(p, q, dim, mode):
-    trial = [Slot("sigma", "vec", p - 1, "broken", dim),
-             Slot("u", "h1", p + 1, "conforming", 1, True)]
-    interface = [_facet_flux_slot("sighat", p, dim)]
-    test = [Slot("tau", "vec", q, "broken", dim, deriv_in_norm=False),
-            Slot("v", "h1", q, "broken")]
-    return trial, interface, test, "natural", [None, ("h1", True)]
+def _trace(text):
+    for kind in ("n.", "nx "):
+        if text.startswith(kind):
+            return text[len(kind):], kind.strip()
+    return text, ""
 
 
-def _dual_mixed_dcr(p, q, dim, mode):
-    trial = [Slot("sigma", "hdiv", p + 1, "conforming", dim),
-             Slot("u", "l2", p, "broken")]
-    interface = [Slot("uhat", "h1", p + 1, "skeleton", 1, True)]
-    test = [Slot("tau", "hdiv", q, "broken", dim),
-            Slot("v", "l2", q, "broken", 1, deriv_in_norm=False)]
-    return trial, interface, test, "natural", [("hdiv", False), None]
+def _exact(text):
+    sign = -1.0 if text.startswith("-") else 1.0
+    field, normal = _trace(text.lstrip("-"))
+    return sign, normal == "n.", field
 
 
-def _strong_dcr(p, q, dim, mode):
-    trial = [Slot("sigma", "hdiv", p + 1, "conforming", dim),
-             Slot("u", "h1", p + 1, "conforming", 1, True)]
-    test = [Slot("tau", "vec", q, "broken", dim, deriv_in_norm=False),
-            Slot("v", "l2", q, "broken", 1, deriv_in_norm=False)]
-    return trial, [], test, "natural", [None, None]
-
-
-def _maxwell_trial_family(mode):
-    return "vec" if mode == "guaranteed" else "hcurl"
-
-
-def _maxwell_iface(mode, p):
-    if mode == "guaranteed":
-        return ("vec", p + 1)
-    return ("hcurl", p)
-
-
-def _maxwell_primal_E(p, q, dim, mode):
-    fam = _maxwell_trial_family(mode)
-    ifam, ideg = _maxwell_iface(mode, p)
-    trial = [Slot("E", fam, p, "conforming", 3, True)]
-    interface = [Slot("Hhat", ifam, ideg, "skeleton", 3)]
-    test = [Slot("F", "hcurl", q, "broken", 3)]
-    return trial, interface, test, "natural", [("hcurl", True)]
-
-
-def _maxwell_primal_H(p, q, dim, mode):
-    fam = _maxwell_trial_family(mode)
-    ifam, ideg = _maxwell_iface(mode, p)
-    trial = [Slot("H", fam, p, "conforming", 3)]
-    interface = [Slot("Ehat", ifam, ideg, "skeleton", 3, True)]
-    test = [Slot("F", "hcurl", q, "broken", 3)]
-    return trial, interface, test, "natural", [("hcurl", False)]
-
-
-def _maxwell_ultraweak(p, q, dim, mode):
-    ifam, ideg = _maxwell_iface(mode, p)
-    trial = [Slot("H", "vec", p - 1, "broken", 3),
-             Slot("E", "vec", p - 1, "broken", 3)]
-    interface = [Slot("Hhat", ifam, ideg, "skeleton", 3),
-                 Slot("Ehat", ifam, ideg, "skeleton", 3, True)]
-    test = [Slot("R", "hcurl", q, "broken", 3),
-            Slot("S", "hcurl", q, "broken", 3)]
-    return trial, interface, test, "graph_maxwell", [("hcurl", False),
-                                                     ("hcurl", True)]
-
-
-def _maxwell_mixed(p, q, dim, mode):
-    fam = _maxwell_trial_family(mode)
-    ifam, ideg = _maxwell_iface(mode, p)
-    trial = [Slot("H", "vec", p - 1, "broken", 3),
-             Slot("E", fam, p, "conforming", 3, True)]
-    interface = [Slot("Hhat", ifam, ideg, "skeleton", 3)]
-    test = [Slot("R", "vec", q, "broken", 3, deriv_in_norm=False),
-            Slot("S", "hcurl", q, "broken", 3)]
-    return trial, interface, test, "natural", [None, ("hcurl", True)]
-
-
-def _maxwell_dual_mixed(p, q, dim, mode):
-    fam = _maxwell_trial_family(mode)
-    ifam, ideg = _maxwell_iface(mode, p)
-    trial = [Slot("H", fam, p, "conforming", 3),
-             Slot("E", "vec", p - 1, "broken", 3)]
-    interface = [Slot("Ehat", ifam, ideg, "skeleton", 3, True)]
-    test = [Slot("R", "hcurl", q, "broken", 3),
-            Slot("S", "vec", q, "broken", 3, deriv_in_norm=False)]
-    return trial, interface, test, "natural", [("hcurl", False), None]
-
-
-def _maxwell_strong(p, q, dim, mode):
-    fam = _maxwell_trial_family(mode)
-    trial = [Slot("H", fam, p, "conforming", 3),
-             Slot("E", fam, p, "conforming", 3, True)]
-    test = [Slot("R", "vec", q, "broken", 3, deriv_in_norm=False),
-            Slot("S", "vec", q, "broken", 3, deriv_in_norm=False)]
-    return trial, [], test, "natural", [None, None]
-
-
-_BUILDERS = {
-    "primal_poisson": _primal_poisson,
-    "primal_dcr": _primal_dcr,
-    "ultraweak_dcr": _ultraweak_dcr,
-    "mixed_dcr": _mixed_dcr,
-    "dual_mixed_dcr": _dual_mixed_dcr,
-    "strong_dcr": _strong_dcr,
-    "maxwell_primal_E": _maxwell_primal_E,
-    "maxwell_primal_H": _maxwell_primal_H,
-    "maxwell_ultraweak": _maxwell_ultraweak,
-    "maxwell_mixed": _maxwell_mixed,
-    "maxwell_dual_mixed": _maxwell_dual_mixed,
-    "maxwell_strong": _maxwell_strong,
-}
+def _blocks(terms):
+    """Group volume terms by (test, trial) slot block.  Within a block the
+    terms that share an operand are summed on the other side first, on
+    whichever side needs fewer integrations."""
+    blocks = {}
+    for c, x, y in terms:
+        blocks.setdefault((y[0], x[0]), []).append((c, x, y))
+    out = []
+    for (test, trial), block in blocks.items():
+        by_test, by_trial = {}, {}
+        for c, x, y in block:
+            by_test.setdefault(y, []).append((c, x))
+            by_trial.setdefault(x, []).append((c, y))
+        sum_trial = len(by_test) <= len(by_trial)
+        groups = by_test if sum_trial else by_trial
+        out.append(Block(test, trial, sum_trial,
+                         tuple((k, tuple(v)) for k, v in groups.items())))
+    return tuple(out)
 
 
 # -- per-cell form evaluation -------------------------------------------
 #
 # The context object (built in the system module) provides per-slot
 # tables: ctx.vals(name, ci), ctx.ders(name, ci), volume weights
-# ctx.w(ci), facet data ctx.facet(name, ci, lf) and ctx.fw(ci, lf),
-# outward normals ctx.normal(ci, lf), facet-flux basis values
-# ctx.flux_basis(name), and coefficient lookup ctx.coef(key, ci).
+# ctx.w(ci) and points ctx.points(ci), facet data ctx.facet(name, ci, lf)
+# and ctx.fw(ci, lf), outward normals ctx.normal(ci, lf), facet-flux
+# basis values ctx.flux_basis(name), parent traces of skeleton slots
+# ctx.skeleton_facets(name, ci), the test layout ctx.ntest_local and
+# ctx.test_offset(name), and coefficient lookup ctx.coef(key, ci).
 
 
-def _mass(w, a_vals, b_vals, coef=1.0):
-    """int coef * a . conj(b);  a indexes columns (trial), b rows."""
-    blk = np.einsum("jpc,ipc,p->ij", a_vals, b_vals.conj(), w)
-    return coef * blk
+class _Cell:
+    """Tables and coefficients of one cell, each fetched once."""
+
+    def __init__(self, ctx, ci):
+        self.ctx, self.ci, self._tables, self._coefs = ctx, ci, {}, {}
+
+    def __call__(self, operand):
+        tab = self._tables.get(operand)
+        if tab is None:
+            name, op = operand
+            fetch = self.ctx.ders if op == "der" else self.ctx.vals
+            tab = self._tables[operand] = fetch(name, self.ci)
+        return tab
+
+    def _param(self, key):
+        val = self._coefs.get(key)
+        if val is None:
+            val = self._coefs[key] = self.ctx.coef(key, self.ci)
+        return val
+
+    def coef(self, coef):
+        """The value of a parsed coefficient, None where it is zero."""
+        const, mul, div = coef
+        for key in mul:
+            const = const * self._param(key)
+        for key in div:
+            const = const / self._param(key)
+        if isinstance(const, np.ndarray):
+            return const if const.any() else None
+        return const if const != 0 else None
+
+
+def _scaled(c, tab):
+    """c times a (n, nq, ncomp) table; a vector c multiplies a scalar
+    table and is dotted with a vector one."""
+    if np.ndim(c) == 0:
+        return c * tab
+    if tab.shape[2] == 1:
+        return tab * c
+    return (tab @ c)[:, :, None]
+
+
+def _integrate(x, y, w):
+    """sum_q w_q x_j . conj(y_i) as an (ny, nx) matrix, by one GEMM."""
+    yw = (y.conj() * w[:, None]).reshape(len(y), -1)
+    return yw @ x.reshape(len(x), -1).T
+
+
+def _combine(cell, pairs, conj):
+    out = None
+    for coef, operand in pairs:
+        c = cell.coef(coef)
+        if c is None:
+            continue
+        term = _scaled(np.conj(c) if conj else c, cell(operand))
+        out = term if out is None else out + term
+    return out
 
 
 def y_gram(form, ctx, ci):
     """Hermitian positive definite Gram of the Y inner product."""
-    blocks = []
-    if form.y_norm == "natural":
-        for s in form.test_slots:
-            w = ctx.w(ci)
-            v = ctx.vals(s.name, ci)
-            G = np.einsum("ipc,jpc,p->ij", v, v.conj(), w)
-            if s.deriv_in_norm:
-                d = ctx.ders(s.name, ci)
-                G = G + np.einsum("ipc,jpc,p->ij", d, d.conj(), w)
-            blocks.append(G)
-        n = sum(b.shape[0] for b in blocks)
-        out = np.zeros((n, n), dtype=form.dtype)
-        at = 0
-        for b in blocks:
-            out[at:at + b.shape[0], at:at + b.shape[0]] = b
-            at += b.shape[0]
-    elif form.y_norm == "graph_dcr":
-        out = _graph_gram_dcr(form, ctx, ci)
-    elif form.y_norm == "graph_maxwell":
-        out = _graph_gram_maxwell(form, ctx, ci)
-    else:
-        raise ValueError(form.y_norm)
-    out = 0.5 * (out + out.conj().T)
-    return out
-
-
-def _graph_gram_dcr(form, ctx, ci):
-    # ||tau||^2 + ||v||^2 + ||A*(tau, v)||^2 with
-    # A*(tau, v) = (alpha tau - grad v, div tau - beta.tau - gamma v)
-    alpha = 1.0 / ctx.coef("a", ci)
-    beta = ctx.coef("beta", ci)
-    gamma = ctx.coef("gamma", ci)
+    cell = _Cell(ctx, ci)
     w = ctx.w(ci)
-    tau = ctx.vals("tau", ci)
-    divtau = ctx.ders("tau", ci)[:, :, 0]
-    v = ctx.vals("v", ci)[:, :, 0]
-    gradv = ctx.ders("v", ci)
-    nt, nv = tau.shape[0], v.shape[0]
-    n = nt + nv
-    # first adjoint component per basis function, shape (n, nq, dim)
-    A1 = np.zeros((n, tau.shape[1], tau.shape[2]))
-    A1[:nt] = alpha * tau
-    A1[nt:] = -gradv
-    # second adjoint component, shape (n, nq)
-    A2 = np.zeros((n, tau.shape[1]))
-    A2[:nt] = divtau - np.einsum("fpc,c->fp", tau, beta)
-    A2[nt:] = -gamma * v
-    G = np.zeros((n, n))
-    G[:nt, :nt] = np.einsum("ipc,jpc,p->ij", tau, tau, w)
-    G[nt:, nt:] = np.einsum("ip,jp,p->ij", v, v, w)
-    G += np.einsum("ipc,jpc,p->ij", A1, A1, w)
-    G += np.einsum("ip,jp,p->ij", A2, A2, w)
-    return G
-
-
-def _graph_gram_maxwell(form, ctx, ci):
-    # ||R||^2 + ||S||^2 + ||A*(R, S)||^2 with
-    # A*(R, S) = (-i w mu R + curl S, -i w eps S - curl R)
-    eps = ctx.coef("eps", ci)
-    mu = ctx.coef("mu", ci)
-    om = ctx.coef("omega", ci)
-    w = ctx.w(ci)
-    R = ctx.vals("R", ci)
-    S = ctx.vals("S", ci)
-    curlR = ctx.ders("R", ci)
-    curlS = ctx.ders("S", ci)
-    nr, ns = R.shape[0], S.shape[0]
-    n = nr + ns
-    nq = R.shape[1]
-    A1 = np.zeros((n, nq, 3), dtype=complex)
-    A1[:nr] = -1j * om * mu * R
-    A1[nr:] = curlS
-    A2 = np.zeros((n, nq, 3), dtype=complex)
-    A2[:nr] = -curlR
-    A2[nr:] = -1j * om * eps * S
-    G = np.zeros((n, n), dtype=complex)
-    G[:nr, :nr] = np.einsum("ipc,jpc,p->ij", R, R, w)
-    G[nr:, nr:] = np.einsum("ipc,jpc,p->ij", S, S, w)
-    # G[i, j] = (y_j, y_i)_Y, conjugate on the second (test row) slot
-    G += np.einsum("jpc,ipc,p->ij", A1, A1.conj(), w)
-    G += np.einsum("jpc,ipc,p->ij", A2, A2.conj(), w)
-    return G
+    n = ctx.ntest_local
+    G = np.zeros((n, n), dtype=form.dtype)
+    for s in form.test_slots:
+        at = ctx.test_offset(s.name)
+        parts = [cell((s.name, "val"))]
+        if s.deriv_in_norm and form.y_norm == "natural":
+            parts.append(cell((s.name, "der")))
+        for v in parts:
+            G[at:at + len(v), at:at + len(v)] += _integrate(v, v, w)
+    # ||A* y||^2, one row of the adjoint per trial slot
+    for name, entries in form.adjoint_rows:
+        A = np.zeros((n, len(w), form.slot(name).ncomp), dtype=form.dtype)
+        for coef, operand in entries:
+            at = ctx.test_offset(operand[0])
+            part = _combine(cell, [(coef, operand)], conj=True)
+            if part is not None:
+                A[at:at + len(part)] += part
+        G += _integrate(A, A, w)
+    return 0.5 * (G + G.conj().T)
 
 
 def b0_block(form, ctx, ci):
     """Volume part of the mixed form: rows test dofs, cols field dofs."""
-    fid = form.id
+    cell = _Cell(ctx, ci)
     w = ctx.w(ci)
-    if fid in ("primal_poisson", "primal_dcr"):
-        a = ctx.coef("a", ci)
-        beta = ctx.coef("beta", ci)
-        gamma = ctx.coef("gamma", ci)
-        u = ctx.vals("u", ci)[:, :, 0]
-        gu = ctx.ders("u", ci)
-        v = ctx.vals("v", ci)[:, :, 0]
-        gv = ctx.ders("v", ci)
-        # (a grad u + a beta u, grad v) + (gamma u, v)
-        flux = a * gu + a * np.einsum("jp,c->jpc", u, beta)
-        blk = np.einsum("jpc,ipc,p->ij", flux, gv, w)
-        if np.any(gamma != 0):
-            blk += gamma * np.einsum("jp,ip,p->ij", u, v, w)
-        return blk
-    if fid == "ultraweak_dcr":
-        alpha = 1.0 / ctx.coef("a", ci)
-        beta = ctx.coef("beta", ci)
-        gamma = ctx.coef("gamma", ci)
-        sig = ctx.vals("sigma", ci)
-        uu = ctx.vals("u", ci)[:, :, 0]
-        tau = ctx.vals("tau", ci)
-        divtau = ctx.ders("tau", ci)[:, :, 0]
-        v = ctx.vals("v", ci)[:, :, 0]
-        gradv = ctx.ders("v", ci)
-        nt, nv = tau.shape[0], v.shape[0]
-        nsig, nu = sig.shape[0], uu.shape[0]
-        blk = np.zeros((nt + nv, nsig + nu))
-        # (sigma, alpha tau - grad v)
-        blk[:nt, :nsig] = alpha * np.einsum("jpc,ipc,p->ij", sig, tau, w)
-        blk[nt:, :nsig] = -np.einsum("jpc,ipc,p->ij", sig, gradv, w)
-        # (u, div tau - beta.tau - gamma v)
-        bt = divtau - np.einsum("ipc,c->ip", tau, beta)
-        blk[:nt, nsig:] = np.einsum("jp,ip,p->ij", uu, bt, w)
-        blk[nt:, nsig:] = -gamma * np.einsum("jp,ip,p->ij", uu, v, w)
-        return blk
-    if fid == "mixed_dcr":
-        alpha = 1.0 / ctx.coef("a", ci)
-        beta = ctx.coef("beta", ci)
-        gamma = ctx.coef("gamma", ci)
-        sig = ctx.vals("sigma", ci)
-        uu = ctx.vals("u", ci)[:, :, 0]
-        gu = ctx.ders("u", ci)
-        tau = ctx.vals("tau", ci)
-        v = ctx.vals("v", ci)[:, :, 0]
-        gradv = ctx.ders("v", ci)
-        nt, nv = tau.shape[0], v.shape[0]
-        nsig, nu = sig.shape[0], uu.shape[0]
-        blk = np.zeros((nt + nv, nsig + nu))
-        # (alpha sigma, tau) - (sigma, grad v)
-        blk[:nt, :nsig] = alpha * np.einsum("jpc,ipc,p->ij", sig, tau, w)
-        blk[nt:, :nsig] = -np.einsum("jpc,ipc,p->ij", sig, gradv, w)
-        # -(grad u + beta u, tau) - (gamma u, v)
-        gub = gu + np.einsum("jp,c->jpc", uu, beta)
-        blk[:nt, nsig:] = -np.einsum("jpc,ipc,p->ij", gub, tau, w)
-        blk[nt:, nsig:] = -gamma * np.einsum("jp,ip,p->ij", uu, v, w)
-        return blk
-    if fid == "dual_mixed_dcr":
-        alpha = 1.0 / ctx.coef("a", ci)
-        beta = ctx.coef("beta", ci)
-        gamma = ctx.coef("gamma", ci)
-        sig = ctx.vals("sigma", ci)
-        divsig = ctx.ders("sigma", ci)[:, :, 0]
-        uu = ctx.vals("u", ci)[:, :, 0]
-        tau = ctx.vals("tau", ci)
-        divtau = ctx.ders("tau", ci)[:, :, 0]
-        v = ctx.vals("v", ci)[:, :, 0]
-        nt, nv = tau.shape[0], v.shape[0]
-        nsig, nu = sig.shape[0], uu.shape[0]
-        blk = np.zeros((nt + nv, nsig + nu))
-        blk[:nt, :nsig] = alpha * np.einsum("jpc,ipc,p->ij", sig, tau, w)
-        blk[nt:, :nsig] = np.einsum("jp,ip,p->ij", divsig, v, w)
-        bt = np.einsum("ipc,c->ip", tau, beta)
-        blk[:nt, nsig:] = np.einsum("jp,ip,p->ij", uu, divtau - bt, w)
-        blk[nt:, nsig:] = -gamma * np.einsum("jp,ip,p->ij", uu, v, w)
-        return blk
-    if fid == "strong_dcr":
-        alpha = 1.0 / ctx.coef("a", ci)
-        beta = ctx.coef("beta", ci)
-        gamma = ctx.coef("gamma", ci)
-        sig = ctx.vals("sigma", ci)
-        divsig = ctx.ders("sigma", ci)[:, :, 0]
-        uu = ctx.vals("u", ci)[:, :, 0]
-        gu = ctx.ders("u", ci)
-        tau = ctx.vals("tau", ci)
-        v = ctx.vals("v", ci)[:, :, 0]
-        nt, nv = tau.shape[0], v.shape[0]
-        nsig, nu = sig.shape[0], uu.shape[0]
-        blk = np.zeros((nt + nv, nsig + nu))
-        blk[:nt, :nsig] = alpha * np.einsum("jpc,ipc,p->ij", sig, tau, w)
-        blk[nt:, :nsig] = np.einsum("jp,ip,p->ij", divsig, v, w)
-        gub = gu + np.einsum("jp,c->jpc", uu, beta)
-        blk[:nt, nsig:] = -np.einsum("jpc,ipc,p->ij", gub, tau, w)
-        blk[nt:, nsig:] = -gamma * np.einsum("jp,ip,p->ij", uu, v, w)
-        return blk
-    if fid == "maxwell_primal_E":
-        mu = ctx.coef("mu", ci)
-        eps = ctx.coef("eps", ci)
-        om = ctx.coef("omega", ci)
-        E = ctx.vals("E", ci)
-        curlE = ctx.ders("E", ci)
-        F = ctx.vals("F", ci)
-        curlF = ctx.ders("F", ci)
-        blk = (1.0 / mu) * np.einsum("jpc,ipc,p->ij", curlE, curlF, w)
-        blk = blk - om ** 2 * eps * np.einsum("jpc,ipc,p->ij", E, F, w)
-        return blk.astype(complex)
-    if fid == "maxwell_primal_H":
-        mu = ctx.coef("mu", ci)
-        eps = ctx.coef("eps", ci)
-        om = ctx.coef("omega", ci)
-        H = ctx.vals("H", ci)
-        curlH = ctx.ders("H", ci)
-        F = ctx.vals("F", ci)
-        curlF = ctx.ders("F", ci)
-        blk = (1.0 / eps) * np.einsum("jpc,ipc,p->ij", curlH, curlF, w)
-        blk = blk - om ** 2 * mu * np.einsum("jpc,ipc,p->ij", H, F, w)
-        return blk.astype(complex)
-    if fid == "maxwell_ultraweak":
-        mu = ctx.coef("mu", ci)
-        eps = ctx.coef("eps", ci)
-        om = ctx.coef("omega", ci)
-        Hv = ctx.vals("H", ci)
-        Ev = ctx.vals("E", ci)
-        R = ctx.vals("R", ci)
-        S = ctx.vals("S", ci)
-        curlR = ctx.ders("R", ci)
-        curlS = ctx.ders("S", ci)
-        nr, ns = R.shape[0], S.shape[0]
-        nh, ne = Hv.shape[0], Ev.shape[0]
-        blk = np.zeros((nr + ns, nh + ne), dtype=complex)
-        # (H, -i w mu R + curl S): conj of adjoint coefficient
-        blk[:nr, :nh] = np.einsum("jpc,ipc,p->ij", Hv, R, w) * np.conj(-1j * om * mu)
-        blk[nr:, :nh] = np.einsum("jpc,ipc,p->ij", Hv, curlS, w)
-        # (E, -i w eps S - curl R)
-        blk[:nr, nh:] = -np.einsum("jpc,ipc,p->ij", Ev, curlR, w)
-        blk[nr:, nh:] = np.einsum("jpc,ipc,p->ij", Ev, S, w) * np.conj(-1j * om * eps)
-        return blk
-    if fid == "maxwell_mixed":
-        mu = ctx.coef("mu", ci)
-        eps = ctx.coef("eps", ci)
-        om = ctx.coef("omega", ci)
-        Hv = ctx.vals("H", ci)
-        Ev = ctx.vals("E", ci)
-        curlE = ctx.ders("E", ci)
-        R = ctx.vals("R", ci)
-        S = ctx.vals("S", ci)
-        curlS = ctx.ders("S", ci)
-        nr, ns = R.shape[0], S.shape[0]
-        nh, ne = Hv.shape[0], Ev.shape[0]
-        blk = np.zeros((nr + ns, nh + ne), dtype=complex)
-        blk[:nr, :nh] = 1j * om * mu * np.einsum("jpc,ipc,p->ij", Hv, R, w)
-        blk[nr:, :nh] = np.einsum("jpc,ipc,p->ij", Hv, curlS, w)
-        blk[:nr, nh:] = -np.einsum("jpc,ipc,p->ij", curlE, R, w)
-        blk[nr:, nh:] = 1j * om * eps * np.einsum("jpc,ipc,p->ij", Ev, S, w)
-        return blk
-    if fid == "maxwell_dual_mixed":
-        mu = ctx.coef("mu", ci)
-        eps = ctx.coef("eps", ci)
-        om = ctx.coef("omega", ci)
-        Hv = ctx.vals("H", ci)
-        curlH = ctx.ders("H", ci)
-        Ev = ctx.vals("E", ci)
-        R = ctx.vals("R", ci)
-        curlR = ctx.ders("R", ci)
-        S = ctx.vals("S", ci)
-        nr, ns = R.shape[0], S.shape[0]
-        nh, ne = Hv.shape[0], Ev.shape[0]
-        blk = np.zeros((nr + ns, nh + ne), dtype=complex)
-        blk[:nr, :nh] = 1j * om * mu * np.einsum("jpc,ipc,p->ij", Hv, R, w)
-        blk[nr:, :nh] = np.einsum("jpc,ipc,p->ij", curlH, S, w)
-        blk[:nr, nh:] = -np.einsum("jpc,ipc,p->ij", Ev, curlR, w)
-        blk[nr:, nh:] = 1j * om * eps * np.einsum("jpc,ipc,p->ij", Ev, S, w)
-        return blk
-    if fid == "maxwell_strong":
-        mu = ctx.coef("mu", ci)
-        eps = ctx.coef("eps", ci)
-        om = ctx.coef("omega", ci)
-        Hv = ctx.vals("H", ci)
-        curlH = ctx.ders("H", ci)
-        Ev = ctx.vals("E", ci)
-        curlE = ctx.ders("E", ci)
-        R = ctx.vals("R", ci)
-        S = ctx.vals("S", ci)
-        nr, ns = R.shape[0], S.shape[0]
-        nh, ne = Hv.shape[0], Ev.shape[0]
-        blk = np.zeros((nr + ns, nh + ne), dtype=complex)
-        blk[:nr, :nh] = 1j * om * mu * np.einsum("jpc,ipc,p->ij", Hv, R, w)
-        blk[nr:, :nh] = np.einsum("jpc,ipc,p->ij", curlH, S, w)
-        blk[:nr, nh:] = -np.einsum("jpc,ipc,p->ij", curlE, R, w)
-        blk[nr:, nh:] = 1j * om * eps * np.einsum("jpc,ipc,p->ij", Ev, S, w)
-        return blk
-    raise ValueError(fid)
+    cols, at = {}, 0
+    for s in form.trial_slots:
+        cols[s.name] = at
+        at += len(cell((s.name, "val")))
+    blk = np.zeros((ctx.ntest_local, at), dtype=form.dtype)
+    for b in form.blocks:
+        r0, c0 = ctx.test_offset(b.test), cols[b.trial]
+        for shared, pairs in b.groups:
+            summed = _combine(cell, pairs, conj=not b.sum_trial)
+            if summed is None:
+                continue
+            x, y = (summed, cell(shared)) if b.sum_trial else \
+                (cell(shared), summed)
+            blk[r0:r0 + len(y), c0:c0 + len(x)] += _integrate(x, y, w)
+    return blk
 
 
 def bhat_block(form, ctx, ci):
     """Interface part of the mixed form: rows test dofs, cols interface
     dofs (local layout per cell).  Orientation factors are applied by
     the caller through the dof maps."""
-    fid = form.id
-    if not form.interface_slots:
-        nt = ctx.ntest(ci)
-        return np.zeros((nt, 0), dtype=form.dtype)
-    cols = []
-    for s in form.interface_slots:
-        if s.continuity == "facet":
-            cols.append(_flux_pairing(form, ctx, ci, s))
-        else:
-            cols.append(_skeleton_pairing(form, ctx, ci, s))
-    return np.concatenate(cols, axis=1)
-
-
-def _flux_pairing(form, ctx, ci, slot):
-    """<sighat, v>_h columns: per facet, canonical scalar basis against
-    the scalar test slot 'v'."""
-    nt = ctx.ntest(ci)
-    vname = "v"
-    off = ctx.test_offset(vname)
-    nb = ctx.flux_facet_values(slot.name, ci, 0).shape[0]
+    cell = _Cell(ctx, ci)
     nfac = form.dim + 1
-    blk = np.zeros((nt, nfac * nb), dtype=form.dtype)
+    cols, at = [], 0
+    for pr in form.pairings:
+        if pr.facet:
+            basis = ctx.flux_basis(pr.slot)[:, :, None]
+            xs, step = [basis] * nfac, len(basis)
+        else:
+            xs, step = ctx.skeleton_facets(pr.slot, ci), 0
+        cols.append((pr, cell.coef(pr.coef), xs, at, step))
+        at += nfac * step or len(xs[0])
+    blk = np.zeros((ctx.ntest_local, at), dtype=form.dtype)
+    normals = any(pr.trace for pr in form.pairings)
     for lf in range(nfac):
         wf = ctx.fw(ci, lf)
-        cvals = ctx.flux_facet_values(slot.name, ci, lf)  # (nb, nqf)
-        v = ctx.facet(vname, ci, lf)[:, :, 0]
-        pair = np.einsum("jq,iq,q->ij", cvals, v.conj(), wf)
-        blk[off:off + v.shape[0], lf * nb:(lf + 1) * nb] = pair
+        n = ctx.normal(ci, lf) if normals else None
+        for pr, c, xs, c0, step in cols:
+            if c is None:
+                continue
+            y = ctx.facet(pr.test, ci, lf)
+            if pr.trace == "n.":
+                y = (y @ n)[:, :, None]
+            elif pr.trace == "nx":
+                y = np.cross(np.broadcast_to(n, y.shape), y, axis=2)
+            r0, c0 = ctx.test_offset(pr.test), c0 + lf * step
+            blk[r0:r0 + len(y), c0:c0 + len(xs[lf])] += _integrate(
+                xs[lf], y, c * wf)
     return blk
-
-
-def _skeleton_pairing(form, ctx, ci, slot):
-    fid = form.id
-    nt = ctx.ntest(ci)
-    parent_vals = ctx.skeleton_facets(slot.name, ci)  # per lf: (nloc, nq, c)
-    nloc = parent_vals[0].shape[0]
-    blk = np.zeros((nt, nloc), dtype=form.dtype)
-    om = ctx.coef("omega", ci) if form.is_complex else None
-    nfac = form.dim + 1
-    if fid in ("ultraweak_dcr", "dual_mixed_dcr") and slot.name == "uhat":
-        # -<uhat, n.tau>_h
-        off = ctx.test_offset("tau")
-        for lf in range(nfac):
-            wf = ctx.fw(ci, lf)
-            n = ctx.normal(ci, lf)
-            tau = ctx.facet("tau", ci, lf)
-            ntau = np.einsum("ipc,c->ip", tau, n)
-            u = parent_vals[lf][:, :, 0]
-            pair = -np.einsum("jq,iq,q->ij", u, ntau.conj(), wf)
-            blk[off:off + tau.shape[0]] += pair
-        return blk
-    if fid in ("maxwell_primal_E", "maxwell_primal_H"):
-        # s * i w <What, F>_h with <W, F> = int (n x W) . conj(F);
-        # the sign follows from int_K curl W . conj(F) =
-        # int_K W . conj(curl F) + int_bdK (n x W) . conj(F)
-        sign = 1.0 if fid == "maxwell_primal_E" else -1.0
-        off = ctx.test_offset("F")
-        for lf in range(nfac):
-            wf = ctx.fw(ci, lf)
-            n = ctx.normal(ci, lf)
-            W = parent_vals[lf]
-            nxW = np.cross(np.broadcast_to(n, W.shape), W, axis=2)
-            F = ctx.facet("F", ci, lf)
-            pair = np.einsum("jqc,iqc,q->ij", nxW, F.conj(), wf)
-            blk[off:off + F.shape[0]] += sign * 1j * om * pair
-        return blk
-    if fid in ("maxwell_ultraweak", "maxwell_mixed") and slot.name == "Hhat":
-        # +<Hhat, n x S>_h with <W, n x S> = int W . conj(n x S)
-        off = ctx.test_offset("S")
-        for lf in range(nfac):
-            wf = ctx.fw(ci, lf)
-            n = ctx.normal(ci, lf)
-            W = parent_vals[lf]
-            S = ctx.facet("S", ci, lf)
-            nxS = np.cross(np.broadcast_to(n, S.shape), S, axis=2)
-            pair = np.einsum("jqc,iqc,q->ij", W, nxS.conj(), wf)
-            blk[off:off + S.shape[0]] += pair
-        return blk
-    if fid in ("maxwell_ultraweak", "maxwell_dual_mixed") and slot.name == "Ehat":
-        # -<Ehat, n x R>_h for the ultraweak form, +<Ehat, n x R>_h for
-        # the dual mixed form
-        sign = -1.0 if fid == "maxwell_ultraweak" else 1.0
-        off = ctx.test_offset("R")
-        for lf in range(nfac):
-            wf = ctx.fw(ci, lf)
-            n = ctx.normal(ci, lf)
-            W = parent_vals[lf]
-            R = ctx.facet("R", ci, lf)
-            nxR = np.cross(np.broadcast_to(n, R.shape), R, axis=2)
-            pair = np.einsum("jqc,iqc,q->ij", W, nxR.conj(), wf)
-            blk[off:off + R.shape[0]] += sign * pair
-        return blk
-    raise ValueError(f"no pairing rule for slot {slot.name!r} in {fid}")
 
 
 def load_vector(form, ctx, ci, case):
     """Test-slot load functional from a manufactured case."""
-    fid = form.id
-    w = ctx.w(ci)
-    x = ctx.points(ci)
-    nt = ctx.ntest(ci)
-    l = np.zeros(nt, dtype=form.dtype)
+    l = np.zeros(ctx.ntest_local, dtype=form.dtype)
     if case is None:
         return l
-    if fid in ("primal_poisson", "primal_dcr"):
-        f2 = case.fields["f2"](x)
-        v = ctx.vals("v", ci)[:, :, 0]
-        off = ctx.test_offset("v")
-        l[off:off + v.shape[0]] = np.einsum("ip,p,p->i", v.conj(), f2, w)
-        return l
-    if fid in ("ultraweak_dcr", "mixed_dcr", "dual_mixed_dcr", "strong_dcr"):
-        # load is (A x_exact, y) = (0, tau) + (-f2, v)
-        f2 = case.fields["f2"](x)
-        v = ctx.vals("v", ci)[:, :, 0]
-        off = ctx.test_offset("v")
-        l[off:off + v.shape[0]] = -np.einsum("ip,p,p->i", v.conj(), f2, w)
-        return l
-    if fid == "maxwell_primal_E":
-        om = ctx.coef("omega", ci)
-        J = case.fields["J"](x)
-        F = ctx.vals("F", ci)
-        off = ctx.test_offset("F")
-        l[off:off + F.shape[0]] = 1j * om * np.einsum("ipc,pc,p->i", F.conj(), J, w)
-        return l
-    if fid == "maxwell_primal_H":
-        eps = ctx.coef("eps", ci)
-        J = case.fields["J"](x)
-        curlF = ctx.ders("F", ci)
-        off = ctx.test_offset("F")
-        l[off:off + curlF.shape[0]] = (1.0 / eps) * np.einsum(
-            "ipc,pc,p->i", curlF.conj(), J, w)
-        return l
-    if fid in ("maxwell_ultraweak", "maxwell_mixed", "maxwell_dual_mixed",
-               "maxwell_strong"):
-        J = case.fields["J"](x)
-        S = ctx.vals("S", ci)
-        off = ctx.test_offset("S")
-        l[off:off + S.shape[0]] = np.einsum("ipc,pc,p->i", S.conj(), J, w)
-        return l
-    raise ValueError(fid)
+    cell = _Cell(ctx, ci)
+    w = ctx.w(ci)
+    x = ctx.points(ci)
+    for ld in form.loads:
+        c = cell.coef(ld.coef)
+        if c is None:
+            continue
+        f = np.asarray(case.fields[ld.field](x)).reshape(len(x), -1)
+        S = cell(ld.test)
+        at = ctx.test_offset(ld.test[0])
+        l[at:at + len(S)] += np.einsum("ipc,pc,p->i", S.conj(), c * f, w)
+    return l
 
 
 # -- exact interface traces ---------------------------------------------
-#
-# For each interface slot, the exact value implied by the manufactured
-# fields and the sign conventions of bhat_block.  Facet slots return a
-# callable (x, n_canonical) -> scalar values; skeleton slots return the
-# name of the exact volume field whose trace (possibly negated) the
-# interface carries.
 
 
 def exact_interface(form, case, slot_name):
-    fid = form.id
-    f = case.fields
-    if slot_name == "sighat":
-        if fid in ("primal_poisson", "primal_dcr"):
-            return lambda x, n: -np.einsum("pc,pc->p", f["sigma"](x), n)
-        # ultraweak and mixed carry +n.sigma
-        return lambda x, n: np.einsum("pc,pc->p", f["sigma"](x), n)
-    if slot_name == "uhat":
-        return ("volume", f["u"], 1.0)
-    if slot_name == "Hhat":
-        if fid in ("maxwell_primal_E",):
-            return ("volume", f["H"], 1.0)
-        # ultraweak and mixed tangential traces carry -H
-        return ("volume", f["H"], -1.0)
-    if slot_name == "Ehat":
-        if fid == "maxwell_ultraweak":
-            return ("volume", f["E"], -1.0)
-        return ("volume", f["E"], 1.0)
+    """Exact value of an interface slot, by the sign in its pairing.
+
+    Facet slots return a callable (x, n_canonical) -> scalar values;
+    skeleton slots return ('volume', field, sign) for the exact volume
+    field whose trace, times sign, the interface carries.
+    """
+    for pr in form.pairings:
+        if pr.slot == slot_name:
+            sign, normal, name = pr.exact
+            field = case.fields[name]
+            if normal:
+                return lambda x, n: sign * np.einsum("pc,pc->p", field(x), n)
+            return ("volume", field, sign)
     raise KeyError(slot_name)
 
 

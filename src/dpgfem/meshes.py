@@ -199,31 +199,6 @@ class SimplicialMesh:
                 f"ncells={self.ncells}, nfacets={self.nfacets})")
 
 
-def facet_topology(mesh):
-    """Facet table with adjacency and orientation signs.
-
-    Returns a list of dicts, one per facet, with keys ``vertices``,
-    ``cells`` (adjacent cell ids, -1 padded), ``local`` (local facet
-    indices) and ``signs`` (orientation of each cell's outward normal
-    relative to the canonical facet normal).
-    """
-    out = []
-    for fid in range(mesh.nfacets):
-        cells = mesh.facet_cells[fid]
-        locals_ = mesh.facet_local[fid]
-        signs = [0, 0]
-        for k, (ci, li) in enumerate(zip(cells, locals_)):
-            if ci != -1:
-                signs[k] = int(mesh.cell_facet_signs[ci, li])
-        out.append({
-            "vertices": tuple(int(v) for v in mesh.facets[fid]),
-            "cells": (int(cells[0]), int(cells[1])),
-            "local": (int(locals_[0]), int(locals_[1])),
-            "signs": (signs[0], signs[1]),
-        })
-    return out
-
-
 def shape_regularity(mesh):
     """Max over cells of diameter divided by inradius."""
     vols = mesh.cell_volumes

@@ -71,16 +71,3 @@ def fitted_rate(hs, errors, all_levels=False):
         slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
         return float(slope)
     return float(np.log(errors[-2] / errors[-1]) / np.log(hs[-2] / hs[-1]))
-
-
-def estimator_rows(eta_cells):
-    """Per-cell estimator dump rows (cell id, eta_K)."""
-    return [{"cell": int(ci), "eta_K": float(v)}
-            for ci, v in enumerate(np.asarray(eta_cells, dtype=float))]
-
-
-def solution_rows(x):
-    """Coefficient dump rows (dof id, real, imag)."""
-    x = np.asarray(x)
-    return [{"dof": int(i), "real": float(np.real(v)), "imag": float(np.imag(v))}
-            for i, v in enumerate(x)]

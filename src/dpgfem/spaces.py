@@ -22,9 +22,7 @@ from scipy import sparse
 from .quadrature import reference_volume, simplex_rule
 from .reference import (
     MeshGeometry,
-    conforming_basis,
     facet_points,
-    modal_basis,
     push_derivs,
     push_values,
 )
@@ -54,12 +52,9 @@ class ElementTables:
         self._ref_val = basis.values(self.vrule.points)
         self._ref_der = basis.derivs(self.vrule.points)
         self._ref_fval = []
-        self._ref_fder = []
         for lf in local_facets(dim):
             pts = facet_points(dim, lf, self.frule.points)
             self._ref_fval.append(basis.values(pts))
-            self._ref_fder.append(basis.derivs(pts))
-        self._fscale = [facet_measure(dim, lf) for lf in local_facets(dim)]
 
     def volume_weights(self, ci):
         return self.vrule.weights * self.geo.absdet[ci]
@@ -80,11 +75,6 @@ class ElementTables:
     def facet_values(self, ci, lf):
         g = self.geo
         return push_values(self.family, self._ref_fval[lf], g.J[ci], g.Jinv[ci],
-                           g.det[ci])
-
-    def facet_derivs(self, ci, lf):
-        g = self.geo
-        return push_derivs(self.family, self._ref_fder[lf], g.J[ci], g.Jinv[ci],
                            g.det[ci])
 
     def physical_points(self, ci):
@@ -448,28 +438,4 @@ def skeleton_quotient_gram(tables, skel_map, include_deriv=True):
         f = skel_map.cell_factors[ci]
         idx = skel_map.cell_dofs[ci]
         S[np.ix_(idx, idx)] += Ms * np.outer(f, f)
-    return S
-
-
-def schur_interface_gram(parent_gram, skeleton_index, interior_blocks):
-    """Quotient (minimum-energy-extension) Gram on skeleton dofs.
-
-    ``parent_gram`` is the dense or sparse Gram of the parent space over
-    its free dofs, ``skeleton_index`` the parent indices forming the
-    interface numbering (in interface dof order), ``interior_blocks`` a
-    list of per-cell arrays of interior parent indices (mutually
-    disjoint).  Returns the dense Schur complement
-    S = M_ss - M_si M_ii^{-1} M_is, exploiting block-diagonal M_ii.
-    """
-    M = parent_gram.tocsc() if sparse.issparse(parent_gram) else sparse.csc_matrix(parent_gram)
-    s = np.asarray(skeleton_index, dtype=int)
-    S = np.asarray(M[np.ix_(s, s)].todense()) if sparse.issparse(M) else M[np.ix_(s, s)]
-    S = np.array(S, dtype=M.dtype)
-    for blk in interior_blocks:
-        if len(blk) == 0:
-            continue
-        b = np.asarray(blk, dtype=int)
-        Mis = np.asarray(M[np.ix_(b, s)].todense())
-        Mii = np.asarray(M[np.ix_(b, b)].todense())
-        S -= Mis.conj().T @ np.linalg.solve(Mii, Mis)
     return S

@@ -155,18 +155,11 @@ class Discretization:
     def flux_basis(self, name):
         return self._flux_vals[name]
 
-    def flux_facet_values(self, name, ci, lf):
-        # canonical per-facet polynomials, identical on every facet
-        return self._flux_vals[name]
-
     def skeleton_facets(self, name, ci):
         use = self._maps[name].local_functions
         tab = self._tables[name]
         return [tab.facet_values(ci, lf)[use]
                 for lf in range(self.mesh.dim + 1)]
-
-    def ntest(self, ci):
-        return self.ntest_local
 
     def test_offset(self, name):
         return self._test_offsets[name]

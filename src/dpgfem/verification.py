@@ -21,8 +21,10 @@ from .reference import conforming_basis
 from .spaces import ElementTables, conforming_map
 from .system import Discretization
 
-DCR_IDS = ("primal_dcr", "ultraweak_dcr", "mixed_dcr", "dual_mixed_dcr",
-           "strong_dcr")
+# the diffusion forms of the inf-sup survey (primal_poisson is primal_dcr
+# with the default coefficients)
+INFSUP_DCR_IDS = ("primal_dcr", "ultraweak_dcr", "mixed_dcr",
+                  "dual_mixed_dcr", "strong_dcr")
 
 _PAIRINGS = {
     "grad/div": ("h1", "hdiv"),
@@ -506,7 +508,7 @@ def _infsup_suite(seed):
     del seed
     recs = []
     tri = build_structured("unit-square", 2)
-    for rep in infsup_survey(DCR_IDS, tri, p=1):
+    for rep in infsup_survey(INFSUP_DCR_IDS, tri, p=1):
         recs.append(("infsup", f"{rep.formulation}-{rep.mesh}", rep.infsup,
                      0.0, rep.infsup > 0.0))
     cube = build_structured("unit-cube", 1)

@@ -16,7 +16,7 @@ from dpgfem.fortin import default_samples, fortin_build, fortin_commuting, \
     fortin_moments, perp_dimensions
 from dpgfem.meshes import build_structured, refine_uniform
 from dpgfem.system import Discretization
-from dpgfem.verification import DCR_IDS, annihilation_check, \
+from dpgfem.verification import INFSUP_DCR_IDS, annihilation_check, \
     broken_stability_bound, duality_suite, infsup_survey
 
 
@@ -168,7 +168,7 @@ def test_criterion_07_maxwell_primal_convergence():
 
 def test_criterion_08_infsup_survey():
     gate = _Gate(8, "inf-sup survey over all formulations", 300.0)
-    reports = infsup_survey(DCR_IDS, build_structured("unit-square", 2), p=1)
+    reports = infsup_survey(INFSUP_DCR_IDS, build_structured("unit-square", 2), p=1)
     reports += infsup_survey(MAXWELL_IDS, build_structured("unit-cube", 1),
                              p=1)
     vals = {r.formulation: r.infsup for r in reports}

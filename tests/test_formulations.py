@@ -90,6 +90,12 @@ def test_invalid_inputs_rejected():
         make_formulation("maxwell_primal_E", 1, params={"omega": -1.0})
     with pytest.raises(ValueError):
         manufactured_case("unknown_case")
+    with pytest.raises(ValueError, match="'gama'"):
+        make_formulation("ultraweak_dcr", 1, params={"gama": 0.5})
+    with pytest.raises(ValueError, match="'gamma'"):
+        make_formulation("maxwell_primal_E", 1, params={"gamma": 0.5})
+    with pytest.raises(ValueError, match="'beta'"):
+        make_formulation("primal_dcr", 1, params={"beta": [0.3, -0.2, 0.1]})
 
 
 def test_poisson_sine_load(rng):

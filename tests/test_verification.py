@@ -6,7 +6,7 @@ import pytest
 from dpgfem.fortin import PolySample
 from dpgfem.meshes import build_structured, refine_uniform
 from dpgfem.polynomials import space_dimension
-from dpgfem.verification import DCR_IDS, ScalarTrace, annihilation_check, \
+from dpgfem.verification import INFSUP_DCR_IDS, ScalarTrace, annihilation_check, \
     broken_stability_bound, duality_gap, duality_suite, infsup_survey, \
     verify_records
 from dpgfem.formulations import MAXWELL_IDS
@@ -93,7 +93,7 @@ _MAXWELL_INFSUP = {
 
 
 def test_infsup_survey_dcr(eight_tri):
-    for rep in infsup_survey(DCR_IDS, eight_tri, p=1):
+    for rep in infsup_survey(INFSUP_DCR_IDS, eight_tri, p=1):
         assert rep.infsup > 0.0
         assert rep.infsup == pytest.approx(_DCR_INFSUP[rep.formulation],
                                            rel=1e-4)
