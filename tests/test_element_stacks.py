@@ -1,0 +1,114 @@
+"""Mesh-level assembly and estimate against the one-cell element systems.
+
+``assemble`` and ``estimate`` must agree with the sums built from
+``element_system(ci, case)`` cell by cell, on setups whose coefficients,
+cell order and load would expose a mix-up: per-cell diffusion with
+convection and reaction, complex Maxwell with non-default parameters in
+economy mode, and a locally refined L-shape at p=2.  The same results
+must come out of a Discretization that has already served other cases.
+"""
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from dpgfem.formulations import make_formulation, manufactured_case
+from dpgfem.meshes import build_structured, refine_marked
+from dpgfem.system import Discretization, condense
+
+DCR = {"beta": np.array([0.3, -0.2]), "gamma": 0.5}
+MAXWELL = {"eps": 2.0, "mu": 0.5, "omega": 1.5}
+
+
+def _setup(name):
+    """(formulation, mesh, case) of one named setup."""
+    if name in ("primal_dcr", "ultraweak_dcr"):
+        mesh = build_structured("unit-square", 2)
+        a = 1.0 + 0.25 * np.arange(mesh.ncells)
+        form = make_formulation(name, 1, params=dict(DCR, a=a))
+        return form, mesh, manufactured_case("dcr_sine_2d")
+    if name == "maxwell_primal_E":
+        mesh = build_structured("unit-cube", 1)
+        form = make_formulation(name, 1, delta=2, params=MAXWELL,
+                                mode="economy")
+        return form, mesh, manufactured_case("maxwell_sine_3d")
+    mesh = build_structured("l-shape", 2)
+    mesh = refine_marked(mesh, {0, 5, mesh.ncells - 1})
+    form = make_formulation("primal_poisson", 2)
+    return form, mesh, manufactured_case("poisson_sine_2d")
+
+
+SETUPS = ["primal_dcr", "ultraweak_dcr", "maxwell_primal_E",
+          "primal_poisson_lshape"]
+
+
+def _probe(disc, seed=7):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(disc.ndof)
+    if disc.form.is_complex:
+        x = x + 1j * rng.standard_normal(disc.ndof)
+    return x
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("name", SETUPS)
+def test_assemble_matches_condensed_element_systems(name):
+    form, mesh, case = _setup(name)
+    disc = Discretization(form, mesh)
+    rows, cols, vals = [], [], []
+    f_ref = np.zeros(disc.ndof, dtype=form.dtype)
+    for ci in range(mesh.ncells):
+        A_K, f_K = condense(*disc.element_system(ci, case))
+        idx, _ = disc.cell_columns(ci)
+        rows.append(np.repeat(idx, len(idx)))
+        cols.append(np.tile(idx, len(idx)))
+        vals.append(A_K.ravel())
+        f_ref[idx] += f_K
+    A_ref = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(disc.ndof, disc.ndof)).toarray()
+    A, f = disc.assemble(case)
+    assert _rel(A.toarray(), A_ref) < 1e-12
+    assert _rel(f, f_ref) < 1e-12
+
+
+@pytest.mark.parametrize("name", SETUPS)
+def test_estimate_matches_element_residuals(name):
+    form, mesh, case = _setup(name)
+    disc = Discretization(form, mesh)
+    x = _probe(disc)
+    eta2 = np.zeros(mesh.ncells)
+    for ci in range(mesh.ncells):
+        G, B, l = disc.element_system(ci, case)
+        idx, _ = disc.cell_columns(ci)
+        eps = np.linalg.solve(G, l - B @ x[idx])
+        eta2[ci] = np.real(np.vdot(eps, G @ eps))
+    est = disc.estimate(x, case)
+    np.testing.assert_allclose(est.eta_cells, np.sqrt(eta2), rtol=1e-12)
+
+
+def test_results_do_not_depend_on_earlier_calls(eight_tri):
+    """A Discretization that has assembled one case estimates another,
+    and the unloaded problem, exactly as a fresh one does."""
+    form = make_formulation("primal_poisson", 1)
+    case_a = manufactured_case("poisson_sine_2d")
+    case_b = manufactured_case("poisson_lshape_singular")
+
+    def fresh():
+        return Discretization(form, eight_tri)
+
+    disc = fresh()
+    A, f = disc.assemble(case_a)
+    x = disc.solve(A, f)
+    A0, f0 = fresh().assemble(case_a)
+    assert np.array_equal(A.toarray(), A0.toarray())
+    assert np.array_equal(f, f0)
+    for case in (case_b, None):
+        est = disc.estimate(x, case)
+        ref = fresh().estimate(x, case)
+        assert np.array_equal(est.eta_cells, ref.eta_cells)
+        assert est.orthogonality == ref.orthogonality
+    assert disc.opnorm() == pytest.approx(fresh().opnorm(), rel=1e-10)
