@@ -2,8 +2,8 @@
 
 Each formulation couples field slots (volume unknowns), interface slots
 (skeleton unknowns) and broken test slots.  It is one catalog entry: its
-slots and a table of terms, which one generic evaluator integrates cell
-by cell.  The term kinds are
+slots and a table of terms, which one generic evaluator integrates on
+all cells of a group at once.  The term kinds are
 
 * volume terms (coef, trial operand, test operand), integrating
   coef T x . conj(S y) over the cell;
@@ -358,127 +358,121 @@ def _blocks(terms):
     return tuple(out)
 
 
-# -- per-cell form evaluation -------------------------------------------
+# -- form evaluation on a group of cells --------------------------------
 #
-# The context object (built in the system module) provides per-slot
-# tables: ctx.vals(name, ci), ctx.ders(name, ci), volume weights
-# ctx.w(ci) and points ctx.points(ci), facet data ctx.facet(name, ci, lf)
-# and ctx.fw(ci, lf), outward normals ctx.normal(ci, lf), facet-flux
-# basis values ctx.flux_basis(name), parent traces of skeleton slots
-# ctx.skeleton_facets(name, ci), the test layout ctx.ntest_local and
-# ctx.test_offset(name), and coefficient lookup ctx.coef(key, ci).
+# The context object (the system module's _CellGroup) stands for
+# ctx.ncells = K cells of one mesh, evaluated together.  It provides
+# Piola-pushed tables ctx.table((name, 'val' | 'der')), each pushed once
+# per group, of shape (K, n, nq, c), or (n, nq, c) where the same on
+# every cell; volume weights ctx.w (K, nq) and points ctx.points
+# (K, nq, dim); facet values ctx.facet(name, lf), weights ctx.fw(lf)
+# (K, nfq) and outward normals ctx.normal(lf) (K, dim); facet-flux basis
+# values ctx.flux_basis(name); parent traces of skeleton slots
+# ctx.skeleton_facets(name); the test layout ctx.ntest_local and
+# ctx.test_offset(name); and coefficients ctx.coef(key), a constant or a
+# per-cell array shaped to broadcast against the tables ((K, 1, 1, 1),
+# or (K, 1, 1, dim) for beta).  Every kernel returns a stack with the
+# cells on its first axis.
 
 
-class _Cell:
-    """Tables and coefficients of one cell, each fetched once."""
-
-    def __init__(self, ctx, ci):
-        self.ctx, self.ci, self._tables, self._coefs = ctx, ci, {}, {}
-
-    def __call__(self, operand):
-        tab = self._tables.get(operand)
-        if tab is None:
-            name, op = operand
-            fetch = self.ctx.ders if op == "der" else self.ctx.vals
-            tab = self._tables[operand] = fetch(name, self.ci)
-        return tab
-
-    def _param(self, key):
-        val = self._coefs.get(key)
-        if val is None:
-            val = self._coefs[key] = self.ctx.coef(key, self.ci)
-        return val
-
-    def coef(self, coef):
-        """The value of a parsed coefficient, None where it is zero."""
-        const, mul, div = coef
-        for key in mul:
-            const = const * self._param(key)
-        for key in div:
-            const = const / self._param(key)
-        if isinstance(const, np.ndarray):
-            return const if const.any() else None
-        return const if const != 0 else None
+def _coef_value(ctx, coef):
+    """The value of a parsed coefficient, None where it is zero."""
+    const, mul, div = coef
+    for key in mul:
+        const = const * ctx.coef(key)
+    for key in div:
+        const = const / ctx.coef(key)
+    if isinstance(const, np.ndarray):
+        return const if const.any() else None
+    return const if const != 0 else None
 
 
 def _scaled(c, tab):
-    """c times a (n, nq, ncomp) table; a vector c multiplies a scalar
+    """c times a (..., n, nq, ncomp) table; a vector c multiplies a scalar
     table and is dotted with a vector one."""
-    if np.ndim(c) == 0:
+    if np.ndim(c) == 0 or np.shape(c)[-1] == 1:
         return c * tab
-    if tab.shape[2] == 1:
+    if tab.shape[-1] == 1:
         return tab * c
-    return (tab @ c)[:, :, None]
+    return (tab * c).sum(axis=-1, keepdims=True)
 
 
 def _integrate(x, y, w):
-    """sum_q w_q x_j . conj(y_i) as an (ny, nx) matrix, by one GEMM."""
-    yw = (y.conj() * w[:, None]).reshape(len(y), -1)
-    return yw @ x.reshape(len(x), -1).T
+    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack, by one
+    batched GEMM; w is (K, 1, nq, 1), x and y may lack the cell axis."""
+    yw = y.conj() * w
+    yw = yw.reshape(yw.shape[:-2] + (-1,))
+    return yw @ np.swapaxes(x.reshape(x.shape[:-2] + (-1,)), -1, -2)
 
 
-def _combine(cell, pairs, conj):
+def _combine(ctx, pairs, conj):
     out = None
     for coef, operand in pairs:
-        c = cell.coef(coef)
+        c = _coef_value(ctx, coef)
         if c is None:
             continue
-        term = _scaled(np.conj(c) if conj else c, cell(operand))
+        term = _scaled(np.conj(c) if conj else c, ctx.table(operand))
         out = term if out is None else out + term
     return out
 
 
-def y_gram(form, ctx, ci):
-    """Hermitian positive definite Gram of the Y inner product."""
-    cell = _Cell(ctx, ci)
-    w = ctx.w(ci)
+def _weights(w):
+    return w[:, None, :, None]
+
+
+def y_gram(form, ctx):
+    """Hermitian positive definite Grams of the Y inner product, real
+    for the natural norm."""
+    w = _weights(ctx.w)
     n = ctx.ntest_local
-    G = np.zeros((n, n), dtype=form.dtype)
+    G = np.zeros((ctx.ncells, n, n),
+                 dtype=form.dtype if form.adjoint_rows else float)
     for s in form.test_slots:
         at = ctx.test_offset(s.name)
-        parts = [cell((s.name, "val"))]
+        parts = [ctx.table((s.name, "val"))]
         if s.deriv_in_norm and form.y_norm == "natural":
-            parts.append(cell((s.name, "der")))
+            parts.append(ctx.table((s.name, "der")))
         for v in parts:
-            G[at:at + len(v), at:at + len(v)] += _integrate(v, v, w)
+            m = v.shape[-3]
+            G[:, at:at + m, at:at + m] += _integrate(v, v, w)
     # ||A* y||^2, one row of the adjoint per trial slot
     for name, entries in form.adjoint_rows:
-        A = np.zeros((n, len(w), form.slot(name).ncomp), dtype=form.dtype)
+        A = np.zeros((ctx.ncells, n, w.shape[2], form.slot(name).ncomp),
+                     dtype=form.dtype)
         for coef, operand in entries:
             at = ctx.test_offset(operand[0])
-            part = _combine(cell, [(coef, operand)], conj=True)
+            part = _combine(ctx, [(coef, operand)], conj=True)
             if part is not None:
-                A[at:at + len(part)] += part
+                A[:, at:at + part.shape[-3]] += part
         G += _integrate(A, A, w)
-    return 0.5 * (G + G.conj().T)
+    return 0.5 * (G + np.swapaxes(G.conj(), -1, -2))
 
 
-def b0_block(form, ctx, ci):
+def b0_block(form, ctx):
     """Volume part of the mixed form: rows test dofs, cols field dofs."""
-    cell = _Cell(ctx, ci)
-    w = ctx.w(ci)
+    w = _weights(ctx.w)
     cols, at = {}, 0
     for s in form.trial_slots:
         cols[s.name] = at
-        at += len(cell((s.name, "val")))
-    blk = np.zeros((ctx.ntest_local, at), dtype=form.dtype)
+        at += ctx.table((s.name, "val")).shape[-3]
+    blk = np.zeros((ctx.ncells, ctx.ntest_local, at), dtype=form.dtype)
     for b in form.blocks:
         r0, c0 = ctx.test_offset(b.test), cols[b.trial]
         for shared, pairs in b.groups:
-            summed = _combine(cell, pairs, conj=not b.sum_trial)
+            summed = _combine(ctx, pairs, conj=not b.sum_trial)
             if summed is None:
                 continue
-            x, y = (summed, cell(shared)) if b.sum_trial else \
-                (cell(shared), summed)
-            blk[r0:r0 + len(y), c0:c0 + len(x)] += _integrate(x, y, w)
+            x, y = (summed, ctx.table(shared)) if b.sum_trial else \
+                (ctx.table(shared), summed)
+            blk[:, r0:r0 + y.shape[-3], c0:c0 + x.shape[-3]] += _integrate(
+                x, y, w)
     return blk
 
 
-def bhat_block(form, ctx, ci):
+def bhat_block(form, ctx):
     """Interface part of the mixed form: rows test dofs, cols interface
     dofs (local layout per cell).  Orientation factors are applied by
     the caller through the dof maps."""
-    cell = _Cell(ctx, ci)
     nfac = form.dim + 1
     cols, at = [], 0
     for pr in form.pairings:
@@ -486,44 +480,44 @@ def bhat_block(form, ctx, ci):
             basis = ctx.flux_basis(pr.slot)[:, :, None]
             xs, step = [basis] * nfac, len(basis)
         else:
-            xs, step = ctx.skeleton_facets(pr.slot, ci), 0
-        cols.append((pr, cell.coef(pr.coef), xs, at, step))
-        at += nfac * step or len(xs[0])
-    blk = np.zeros((ctx.ntest_local, at), dtype=form.dtype)
+            xs, step = ctx.skeleton_facets(pr.slot), 0
+        cols.append((pr, _coef_value(ctx, pr.coef), xs, at, step))
+        at += nfac * step or xs[0].shape[-3]
+    blk = np.zeros((ctx.ncells, ctx.ntest_local, at), dtype=form.dtype)
     normals = any(pr.trace for pr in form.pairings)
     for lf in range(nfac):
-        wf = ctx.fw(ci, lf)
-        n = ctx.normal(ci, lf) if normals else None
+        wf = _weights(ctx.fw(lf))
+        n = ctx.normal(lf)[:, None, None, :] if normals else None
         for pr, c, xs, c0, step in cols:
             if c is None:
                 continue
-            y = ctx.facet(pr.test, ci, lf)
+            y = ctx.facet(pr.test, lf)
             if pr.trace == "n.":
-                y = (y @ n)[:, :, None]
+                y = (y * n).sum(axis=-1, keepdims=True)
             elif pr.trace == "nx":
-                y = np.cross(np.broadcast_to(n, y.shape), y, axis=2)
+                y = np.cross(n, y)
             r0, c0 = ctx.test_offset(pr.test), c0 + lf * step
-            blk[r0:r0 + len(y), c0:c0 + len(xs[lf])] += _integrate(
-                xs[lf], y, c * wf)
+            blk[:, r0:r0 + y.shape[-3], c0:c0 + xs[lf].shape[-3]] += \
+                _integrate(xs[lf], y, c * wf)
     return blk
 
 
-def load_vector(form, ctx, ci, case):
-    """Test-slot load functional from a manufactured case."""
-    l = np.zeros(ctx.ntest_local, dtype=form.dtype)
+def load_vector(form, ctx, case):
+    """Test-slot load functionals from a manufactured case, (K, ntest)."""
+    l = np.zeros((ctx.ncells, ctx.ntest_local), dtype=form.dtype)
     if case is None:
         return l
-    cell = _Cell(ctx, ci)
-    w = ctx.w(ci)
-    x = ctx.points(ci)
+    w = _weights(ctx.w)
+    x = ctx.points
     for ld in form.loads:
-        c = cell.coef(ld.coef)
+        c = _coef_value(ctx, ld.coef)
         if c is None:
             continue
-        f = np.asarray(case.fields[ld.field](x)).reshape(len(x), -1)
-        S = cell(ld.test)
+        f = np.asarray(case.fields[ld.field](x.reshape(-1, x.shape[-1])))
+        f = f.reshape(len(x), 1, x.shape[1], -1)
+        S = ctx.table(ld.test)
         at = ctx.test_offset(ld.test[0])
-        l[at:at + len(S)] += np.einsum("ipc,pc,p->i", S.conj(), c * f, w)
+        l[:, at:at + S.shape[-3]] += _integrate(c * f, S, w)[..., 0]
     return l
 
 

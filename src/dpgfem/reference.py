@@ -697,7 +697,11 @@ def exact_sequence_check(p, dim):
 
 
 class MeshGeometry:
-    """Affine cell maps and pullback data for a mesh."""
+    """Affine cell maps and pullback data for a mesh.
+
+    Per-cell lookups take one cell index or a slice of cells; a slice
+    adds a leading cell axis to the result.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -709,40 +713,52 @@ class MeshGeometry:
         self.absdet = np.abs(self.det)
 
     def map_points(self, ci, ref_points):
-        return self.origin[ci][None, :] + ref_points @ self.J[ci].T
+        return self.origin[ci][..., None, :] + ref_points @ np.swapaxes(
+            self.J[ci], -1, -2)
 
     def outward_normal(self, ci, lf):
         fid = self.mesh.cell_facet_ids[ci, lf]
         sign = self.mesh.cell_facet_signs[ci, lf]
-        return sign * self.mesh.facet_normals[fid]
+        return sign[..., None] * self.mesh.facet_normals[fid]
+
+
+def _transform(M, tab):
+    """Apply M (..., d, c) to the last axis of an (nf, nq, c) table, one
+    matrix product per cell: (..., nf, nq, d)."""
+    out = tab.reshape(-1, tab.shape[-1]) @ np.swapaxes(M, -1, -2)
+    return out.reshape(M.shape[:-2] + tab.shape[:-1] + M.shape[-2:-1])
 
 
 def push_values(family, vals, J, Jinv, det):
-    """Push reference basis values to a physical cell.
+    """Push reference basis values to a physical cell, or to a stack of
+    cells given (K, d, d) maps and (K,) determinants.
 
     h1 composes, l2 scales by 1/det, hcurl/vec map covariantly and hdiv
-    contravariantly (with 1/det).
+    contravariantly (with 1/det).  h1 values are the same on every cell
+    and keep their reference shape.
     """
+    det = np.asarray(det)[..., None, None, None]
     if family in ("h1",):
         return vals
     if family == "l2":
         return vals / det
     if family in ("hcurl", "vec"):
-        return np.einsum("dc,fpc->fpd", Jinv.T, vals)
+        return _transform(np.swapaxes(Jinv, -1, -2), vals)
     if family == "hdiv":
-        return np.einsum("dc,fpc->fpd", J, vals) / det
+        return _transform(J, vals) / det
     raise ValueError(family)
 
 
 def push_derivs(family, der, J, Jinv, det):
     """Push family derivatives: grad covariantly, div and 2D curl by
     1/det, 3D curl contravariantly."""
+    det = np.asarray(det)[..., None, None, None]
     if family in ("h1", "l2"):
-        return np.einsum("dc,fpc->fpd", Jinv.T, der)
+        return _transform(np.swapaxes(Jinv, -1, -2), der)
     if family == "hdiv":
         return der / det
     if family in ("hcurl", "vec"):
-        if J.shape[0] == 3:
-            return np.einsum("dc,fpc->fpd", J, der) / det
+        if J.shape[-1] == 3:
+            return _transform(J, der) / det
         return der / det
     raise ValueError(family)

@@ -37,6 +37,9 @@ class ElementTables:
 
     Reference values are computed once; each cell applies its own
     pullback.  ``basis`` may be a modal or a conforming basis object.
+    Per-cell lookups take one cell index or a slice of cells; a slice
+    adds a leading cell axis (h1 values, the same on every cell, keep
+    their reference shape).
     """
 
     def __init__(self, mesh, basis, geometry=None, volume_order=None,
@@ -57,7 +60,7 @@ class ElementTables:
             self._ref_fval.append(basis.values(pts))
 
     def volume_weights(self, ci):
-        return self.vrule.weights * self.geo.absdet[ci]
+        return self.geo.absdet[ci][..., None] * self.vrule.weights
 
     def values(self, ci):
         g = self.geo
@@ -69,8 +72,8 @@ class ElementTables:
 
     def facet_weights(self, ci, lf):
         fid = self.mesh.cell_facet_ids[ci, lf]
-        area = self.mesh.facet_areas[fid]
-        return self.frule.weights * (area / reference_volume(self.mesh.dim - 1))
+        area = self.mesh.facet_areas[fid] / reference_volume(self.mesh.dim - 1)
+        return area[..., None] * self.frule.weights
 
     def facet_values(self, ci, lf):
         g = self.geo

@@ -1,18 +1,28 @@
 """Element-level optimal-test algebra, global assembly, solve, estimate.
 
-The discrete system is built cell by cell.  On each cell the broken
-test space carries a Gram matrix G, the mixed form a rectangular block
-B (test rows, trial columns) and the load a vector l.  The trial-side
-normal equations
+On each cell the broken test space carries a Gram matrix G, the mixed
+form a rectangular block B (test rows, trial columns) and the load a
+vector l.  The trial-side normal equations
 
     A_K = B^H G^{-1} B,    f_K = B^H G^{-1} l
 
 are accumulated into a Hermitian global system.  The same element data
 drives the residual error estimator: with eps_K = G^{-1}(l - B x) the
 local indicator is eta_K^2 = eps_K^H G eps_K.
+
+All cells share the local sizes, so the form evaluators work on stacks
+of cells, in groups whose tables fit a fixed memory budget.  A
+Discretization builds the case-independent stacks once, on first use:
+the inverse Cholesky factors L^{-1} of G = L L^H and the whitened
+blocks W = L^{-1} B.  With them A_K = W^H W, f_K = W^H L^{-1} l, and
+eta_K is the norm of L^{-1} l - W x_K = L^H eps_K.  Assembly, the
+estimator, the operator norm and the dense diagnostics read the
+stacks; only the load is evaluated per case.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -34,6 +44,13 @@ from .spaces import (
     trace_mass,
     trace_rhs,
 )
+
+
+# Cells are evaluated in groups: a group's real test-function table, one
+# value per quadrature point, test function and space direction, stays
+# under this many bytes.  A group's temporaries are a few such tables,
+# some complex; larger groups gain no speed and raise the peak memory.
+_GROUP_BYTES = 2 ** 21
 
 
 def _lusolve(lu, b):
@@ -65,13 +82,20 @@ def _exact_names(slot_name):
 class Discretization:
     """One formulation realized on one mesh.
 
-    Also serves as the assembly context consumed by the form evaluators
-    in the formulations module.
+    Coefficients given as arrays hold one value (one vector for beta)
+    per cell.  The element stacks are built on first use and kept.
     """
 
     def __init__(self, formulation, mesh, volume_order=None, facet_order=None):
         if mesh.dim != formulation.dim:
             raise ValueError("mesh dimension does not match the formulation")
+        for key, val in formulation.params.items():
+            per_cell = np.ndim(val) - (key == "beta")
+            if per_cell > 1 or (per_cell == 1 and len(val) != mesh.ncells):
+                raise ValueError(
+                    f"coefficient {key!r} must be a constant or hold one "
+                    f"entry per cell ({mesh.ncells}), not shape "
+                    f"{np.shape(val)}")
         self.form = formulation
         self.mesh = mesh
         self.geo = MeshGeometry(mesh)
@@ -129,90 +153,89 @@ class Discretization:
     def dofmap(self, name):
         return self._maps[name]
 
-    # -- assembly-context protocol (used by the form evaluators) -------
-
-    def w(self, ci):
-        return self._ref_tables.volume_weights(ci)
-
-    def points(self, ci):
-        return self._ref_tables.physical_points(ci)
-
-    def vals(self, name, ci):
-        return self._tables[name].values(ci)
-
-    def ders(self, name, ci):
-        return self._tables[name].derivs(ci)
-
-    def facet(self, name, ci, lf):
-        return self._tables[name].facet_values(ci, lf)
-
-    def fw(self, ci, lf):
-        return self._ref_tables.facet_weights(ci, lf)
-
-    def normal(self, ci, lf):
-        return self.geo.outward_normal(ci, lf)
-
     def flux_basis(self, name):
         return self._flux_vals[name]
-
-    def skeleton_facets(self, name, ci):
-        use = self._maps[name].local_functions
-        tab = self._tables[name]
-        return [tab.facet_values(ci, lf)[use]
-                for lf in range(self.mesh.dim + 1)]
 
     def test_offset(self, name):
         return self._test_offsets[name]
 
-    def coef(self, key, ci):
-        val = np.asarray(self.form.params[key])
-        if key == "beta":
-            return val if val.ndim == 1 else val[ci]
-        return float(val) if val.ndim == 0 else float(val[ci])
-
     # -- element systems ------------------------------------------------
+
+    @cached_property
+    def _columns(self):
+        """(ncells, nloc) global column dofs and factors, field slots
+        first."""
+        slots = self.form.trial_slots + self.form.interface_slots
+        dofs = [self.slot_offset[s.name] + self._maps[s.name].cell_dofs
+                for s in slots]
+        facs = [self._maps[s.name].cell_factors for s in slots]
+        return np.concatenate(dofs, axis=1), np.concatenate(facs, axis=1)
 
     def cell_columns(self, ci):
         """Global column dofs and factors of one cell, field slots first."""
-        dofs, facs = [], []
-        for s in self.form.trial_slots + self.form.interface_slots:
-            m = self._maps[s.name]
-            dofs.append(self.slot_offset[s.name] + m.cell_dofs[ci])
-            facs.append(m.cell_factors[ci])
-        return np.concatenate(dofs), np.concatenate(facs)
+        dofs, facs = self._columns
+        return dofs[ci], facs[ci]
+
+    def _groups(self):
+        """Slices of consecutive cells, each evaluated as one stack."""
+        nq = len(self._ref_tables.vrule.weights)
+        size = max(1, _GROUP_BYTES // (8 * nq * self.ntest_local
+                                       * self.mesh.dim))
+        nc = self.mesh.ncells
+        return [slice(s, min(s + size, nc)) for s in range(0, nc, size)]
+
+    def _evaluate(self, group):
+        """(G, B) stacks of a cell group, B in global coefficients."""
+        form = self.form
+        G = fm.y_gram(form, group)
+        B = np.concatenate([fm.b0_block(form, group),
+                            fm.bhat_block(form, group)], axis=-1)
+        return G, B * self._columns[1][group.cells][:, None, :]
 
     def element_system(self, ci, case=None):
         """(G, B, l) on one cell, trial columns in global coefficients."""
-        form = self.form
-        G = fm.y_gram(form, self, ci)
-        B0 = fm.b0_block(form, self, ci)
-        Bh = fm.bhat_block(form, self, ci)
-        B = np.concatenate([np.asarray(B0, dtype=form.dtype),
-                            np.asarray(Bh, dtype=form.dtype)], axis=1)
-        _, facs = self.cell_columns(ci)
-        B = B * facs[None, :]
-        l = fm.load_vector(form, self, ci, case)
-        return G, B, l
+        group = _CellGroup(self, slice(ci, ci + 1))
+        G, B = self._evaluate(group)
+        l = fm.load_vector(self.form, group, case)
+        return G[0], B[0], l[0]
+
+    @cached_property
+    def element_stacks(self):
+        """The case-independent element stacks of all cells."""
+        return _ElementStacks(self)
+
+    def _loads(self, case):
+        """(ncells, ntest_local) load vectors of one case."""
+        l = np.zeros((self.mesh.ncells, self.ntest_local),
+                     dtype=self.form.dtype)
+        if case is not None:
+            for cells in self._groups():
+                l[cells] = fm.load_vector(self.form,
+                                          _CellGroup(self, cells), case)
+        return l
+
+    def _scatter(self, vals):
+        """Sum (ncells, nloc) per-cell column values into a global vector."""
+        out = np.zeros(self.ndof, dtype=vals.dtype)
+        np.add.at(out, self._columns[0], vals)
+        return out
 
     # -- global system ---------------------------------------------------
 
+    def _matrix(self):
+        """Sparse sum of the condensed element matrices."""
+        W, dofs = self.element_stacks.W, self._columns[0]
+        m = dofs.shape[1]
+        rows, cols = np.repeat(dofs, m, axis=1), np.tile(dofs, (1, m))
+        return sparse.coo_matrix(
+            ((_adjoint(W) @ W).ravel(), (rows.ravel(), cols.ravel())),
+            shape=(self.ndof, self.ndof), dtype=self.form.dtype).tocsc()
+
     def assemble(self, case=None):
         """Hermitian condensed system (A, f), cells in ascending order."""
-        dtype = self.form.dtype
-        rows, cols, vals = [], [], []
-        f = np.zeros(self.ndof, dtype=dtype)
-        for ci in range(self.mesh.ncells):
-            G, B, l = self.element_system(ci, case)
-            A_K, f_K = condense(G, B, l)
-            idx, _ = self.cell_columns(ci)
-            rows.append(np.repeat(idx, len(idx)))
-            cols.append(np.tile(idx, len(idx)))
-            vals.append(A_K.ravel())
-            f[idx] += f_K
-        A = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.ndof, self.ndof), dtype=dtype).tocsc()
-        return A, f
+        st = self.element_stacks
+        f_K = _matvec(_adjoint(st.W), _matvec(st.Linv, self._loads(case)))
+        return self._matrix(), self._scatter(f_K)
 
     def constrained_dofs(self):
         """Mask of dofs removed by homogeneous essential conditions."""
@@ -275,18 +298,13 @@ class Discretization:
 
     def estimate(self, x, case=None):
         """Residual error indicators and the Riesz orthogonality check."""
-        eta2 = np.zeros(self.mesh.ncells)
-        resid = np.zeros(self.ndof, dtype=self.form.dtype)
-        fvec = np.zeros(self.ndof, dtype=self.form.dtype)
-        for ci in range(self.mesh.ncells):
-            G, B, l = self.element_system(ci, case)
-            idx, _ = self.cell_columns(ci)
-            r = l - B @ x[idx]
-            cho = cho_factor(G, lower=True)
-            eps = cho_solve(cho, r)
-            eta2[ci] = max(float(np.real(np.vdot(eps, r))), 0.0)
-            resid[idx] += B.conj().T @ eps
-            fvec[idx] += B.conj().T @ cho_solve(cho, l)
+        st = self.element_stacks
+        z = _matvec(st.Linv, self._loads(case))
+        e = z - _matvec(st.W, x[self._columns[0]])
+        eta2 = np.sum(np.abs(e) ** 2, axis=1)
+        Wh = _adjoint(st.W)
+        resid = self._scatter(_matvec(Wh, e))
+        fvec = self._scatter(_matvec(Wh, z))
         free = ~self.constrained_dofs()
         scale = np.max(np.abs(fvec[free])) if np.any(free) else 0.0
         if scale == 0.0:
@@ -399,15 +417,7 @@ class Discretization:
         norms (quotient norms on interfaces) and the broken Y norm.
         """
         xs = self.xnorm_solver()
-        chos = []
-        blocks = []
-        indices = []
-        for ci in range(self.mesh.ncells):
-            G, B, _ = self.element_system(ci)
-            chos.append(cho_factor(G, lower=True))
-            blocks.append(B)
-            idx, _ = self.cell_columns(ci)
-            indices.append(idx)
+        A = self._matrix()
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(self.ndof)
         if self.form.is_complex:
@@ -415,17 +425,9 @@ class Discretization:
         v /= np.sqrt(np.real(np.vdot(v, xs.apply(v))))
         val = 0.0
         for _ in range(niter):
-            # y-residual application: w = B^H G^{-1} B v, cellwise
-            w = np.zeros(self.ndof, dtype=complex)
-            num = 0.0
-            for cho, B, idx in zip(chos, blocks, indices):
-                r = B @ v[idx]
-                e = cho_solve(cho, r)
-                num += float(np.real(np.vdot(e, r)))
-                w[idx] += B.conj().T @ e
-            if not self.form.is_complex:
-                w = np.real(w)
-            new = np.sqrt(num)
+            # y-residual application: A v = sum over cells B^H G^{-1} B v
+            w = A @ v
+            new = np.sqrt(max(float(np.real(np.vdot(v, w))), 0.0))
             v = xs.solve(w)
             nv = np.sqrt(np.real(np.vdot(v, xs.apply(v))))
             if nv == 0:
@@ -445,16 +447,104 @@ class EstimateResult:
         self.orthogonality = orthogonality
 
 
+def _adjoint(M):
+    return np.swapaxes(M.conj(), -1, -2)
+
+
+def _matvec(M, v):
+    """Stacked matrix-vector products: (..., n, m) times (..., m)."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _inverse_cholesky(G):
+    """L^{-1} for the lower Cholesky factor L of one Gram or a stack,
+    so that G^{-1} = L^{-H} L^{-1}."""
+    return np.linalg.inv(np.linalg.cholesky(G))
+
+
 def condense(G, B, l=None):
     """Element normal equations: A = B^H G^{-1} B, f = B^H G^{-1} l."""
-    cho = cho_factor(G, lower=True)
-    X = cho_solve(cho, B)
-    A = B.conj().T @ X
-    A = 0.5 * (A + A.conj().T)
+    Linv = _inverse_cholesky(G)
+    W = Linv @ B
+    A = _adjoint(W) @ W
     if l is None:
         return A
-    f = X.conj().T @ l
-    return A, f
+    return A, _matvec(_adjoint(W), _matvec(Linv, l))
+
+
+class _ElementStacks:
+    """Case-independent element data of every cell of a Discretization:
+    the global columns cols (ncells, nloc), the inverse Cholesky factors
+    Linv = L^{-1} of the test Grams G = L L^H and the whitened blocks
+    W = L^{-1} B, whose products A_K = W^H W are the condensed element
+    matrices."""
+
+    def __init__(self, disc):
+        self.cols = disc._columns[0]
+        nc, m = disc.mesh.ncells, self.cols.shape[1]
+        self.Linv = self.W = None
+        for cells in disc._groups():
+            G, B = disc._evaluate(_CellGroup(disc, cells))
+            Linv = _inverse_cholesky(G)
+            if self.Linv is None:
+                self.Linv = np.empty((nc,) + Linv.shape[1:], dtype=G.dtype)
+                self.W = np.empty((nc, len(G[0]), m), dtype=B.dtype)
+            self.Linv[cells] = Linv
+            self.W[cells] = Linv @ B
+
+    def gram_and_block(self):
+        """(G, B) stacks, recovered from the factors."""
+        L = np.linalg.inv(self.Linv)
+        return L @ _adjoint(L), L @ self.W
+
+
+class _CellGroup:
+    """The form evaluators' context for a slice of consecutive cells:
+    tables, weights and coefficients of those cells, each table pushed
+    once per group."""
+
+    def __init__(self, disc, cells):
+        self.disc, self.cells = disc, cells
+        self.ncells = len(range(*cells.indices(disc.mesh.ncells)))
+        self.ntest_local = disc.ntest_local
+        self.test_offset, self.flux_basis = disc.test_offset, disc.flux_basis
+        self.w = disc._ref_tables.volume_weights(cells)
+        self.points = disc._ref_tables.physical_points(cells)
+        self._pushed = {}
+
+    def table(self, operand):
+        tab = self._pushed.get(operand)
+        if tab is None:
+            name, op = operand
+            tables = self.disc._tables[name]
+            tab = self._pushed[operand] = (
+                tables.derivs(self.cells) if op == "der"
+                else tables.values(self.cells))
+        return tab
+
+    def facet(self, name, lf):
+        return self.disc._tables[name].facet_values(self.cells, lf)
+
+    def fw(self, lf):
+        return self.disc._ref_tables.facet_weights(self.cells, lf)
+
+    def normal(self, lf):
+        return self.disc.geo.outward_normal(self.cells, lf)
+
+    def skeleton_facets(self, name):
+        use = self.disc.dofmap(name).local_functions
+        tab = self.disc._tables[name]
+        return [tab.facet_values(self.cells, lf)[..., use, :, :]
+                for lf in range(self.disc.mesh.dim + 1)]
+
+    def coef(self, key):
+        """A constant, or per-cell values shaped to broadcast against
+        (K, n, nq, ncomp) tables."""
+        val = np.asarray(self.disc.form.params[key], dtype=float)
+        if key == "beta":
+            return val if val.ndim == 1 else val[self.cells, None, None, :]
+        return float(val) if val.ndim == 0 else \
+            val[self.cells, None, None, None]
 
 
 def _smallest_ritz(A):

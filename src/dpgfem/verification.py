@@ -244,17 +244,14 @@ def duality_suite(p=1, seed=0, count=5, qs=None):
 
 def _dense_system(disc):
     """Dense broken-test operator, test Gram and free-trial-dof data."""
-    mesh = disc.mesh
-    nt = disc.ntest_local
-    ny = nt * mesh.ncells
-    B = np.zeros((ny, disc.ndof), dtype=disc.form.dtype)
-    Gy = np.zeros((ny, ny), dtype=disc.form.dtype)
-    for ci in range(mesh.ncells):
-        G, Bk, _ = disc.element_system(ci)
-        dofs, _ = disc.cell_columns(ci)
-        rows = np.arange(ci * nt, (ci + 1) * nt)
-        B[np.ix_(rows, dofs)] += Bk
-        Gy[np.ix_(rows, rows)] = G
+    st = disc.element_stacks
+    G, Bk = st.gram_and_block()
+    nc, nt = G.shape[:2]
+    rows = np.arange(nc * nt).reshape(nc, nt)
+    B = np.zeros((nc * nt, disc.ndof), dtype=disc.form.dtype)
+    Gy = np.zeros((nc * nt, nc * nt), dtype=disc.form.dtype)
+    B[rows[:, :, None], st.cols[:, None, :]] = Bk
+    Gy[rows[:, :, None], rows[:, None, :]] = G
     free = np.where(~disc.constrained_dofs())[0]
     return B, Gy, free
 

@@ -236,3 +236,15 @@ def test_continuity_norm_snapshot(fid, p, mesh_name, value):
     mesh = build_structured(mesh_name, 1)
     disc = Discretization(make_formulation(fid, p), mesh)
     assert disc.opnorm() == pytest.approx(value, rel=1e-5)
+
+
+@pytest.mark.parametrize("params", [
+    {"a": np.ones(100)},
+    {"a": np.ones(3)},
+    {"beta": np.ones((3, 2))},
+])
+def test_per_cell_coefficient_of_wrong_length_rejected(eight_tri, params):
+    form = make_formulation("primal_dcr", 1, params=params)
+    key = next(iter(params))
+    with pytest.raises(ValueError, match=repr(key)):
+        Discretization(form, eight_tri)
