@@ -722,11 +722,11 @@ class MeshGeometry:
         return sign[..., None] * self.mesh.facet_normals[fid]
 
 
-def _transform(M, tab):
-    """Apply M (..., d, c) to the last axis of an (nf, nq, c) table, one
+def _times(tab, M):
+    """An (nf, nq, c) table times M (..., c, d) on its last axis, one
     matrix product per cell: (..., nf, nq, d)."""
-    out = tab.reshape(-1, tab.shape[-1]) @ np.swapaxes(M, -1, -2)
-    return out.reshape(M.shape[:-2] + tab.shape[:-1] + M.shape[-2:-1])
+    out = tab.reshape(-1, tab.shape[-1]) @ M
+    return out.reshape(M.shape[:-2] + tab.shape[:-1] + M.shape[-1:])
 
 
 def push_values(family, vals, J, Jinv, det):
@@ -743,9 +743,9 @@ def push_values(family, vals, J, Jinv, det):
     if family == "l2":
         return vals / det
     if family in ("hcurl", "vec"):
-        return _transform(np.swapaxes(Jinv, -1, -2), vals)
+        return _times(vals, Jinv)
     if family == "hdiv":
-        return _transform(J, vals) / det
+        return _times(vals, np.swapaxes(J, -1, -2)) / det
     raise ValueError(family)
 
 
@@ -754,11 +754,11 @@ def push_derivs(family, der, J, Jinv, det):
     1/det, 3D curl contravariantly."""
     det = np.asarray(det)[..., None, None, None]
     if family in ("h1", "l2"):
-        return _transform(np.swapaxes(Jinv, -1, -2), der)
+        return _times(der, Jinv)
     if family == "hdiv":
         return der / det
     if family in ("hcurl", "vec"):
         if J.shape[-1] == 3:
-            return _transform(J, der) / det
+            return _times(der, np.swapaxes(J, -1, -2)) / det
         return der / det
     raise ValueError(family)
