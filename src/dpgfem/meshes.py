@@ -167,27 +167,23 @@ class SimplicialMesh:
     @cached_property
     def cell_facet_signs(self):
         """+1 where the canonical facet normal points out of the cell."""
-        signs = np.zeros((self.ncells, self.dim + 1), dtype=int)
-        lf = local_facets(self.dim)
+        fids = self.cell_facet_ids
+        # local facet lf of a cell leaves out one local vertex
+        opposite = [next(v for v in range(self.dim + 1) if v not in f)
+                    for f in local_facets(self.dim)]
         centroids = self.vertices[self.facets].mean(axis=1)
-        for fid, (cells, locals_) in enumerate(zip(self.facet_cells, self.facet_local)):
-            for ci, li in zip(cells, locals_):
-                if ci == -1:
-                    continue
-                cell = self.cells[ci]
-                opp = [v for v in cell if v not in set(self.facets[fid])][0]
-                outward = centroids[fid] - self.vertices[opp]
-                s = np.dot(self.facet_normals[fid], outward)
-                signs[ci, li] = 1 if s > 0 else -1
-        return signs
+        outward = centroids[fids] - self.vertices[self.cells[:, opposite]]
+        s = np.sum(self.facet_normals[fids] * outward, axis=-1)
+        return np.where(s > 0, 1, -1)
 
     @cached_property
     def cell_facet_ids(self):
         ids = np.zeros((self.ncells, self.dim + 1), dtype=int)
-        lf = local_facets(self.dim)
-        for ci, cell in enumerate(self.cells):
-            for li, combo in enumerate(lf):
-                ids[ci, li] = self._facet_index[tuple(cell[list(combo)])]
+        fids = np.arange(self.nfacets)
+        for side in (0, 1):
+            cells = self.facet_cells[:, side]
+            on = cells >= 0
+            ids[cells[on], self.facet_local[on, side]] = fids[on]
         return ids
 
     @cached_property

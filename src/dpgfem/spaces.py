@@ -29,6 +29,20 @@ from .reference import (
 from .simplex import facet_measure, local_edges, local_facets
 
 
+# Cells (or facets) are evaluated in groups: a group's real table, one
+# value per quadrature point, function and space direction, stays under
+# this many bytes.  A group's temporaries are a few such tables, some
+# complex; larger groups gain no speed and raise the peak memory.
+_GROUP_BYTES = 2 ** 21
+
+
+def cell_groups(ncells, cell_bytes):
+    """Slices of consecutive cells whose tables, cell_bytes per cell,
+    stay under the group budget."""
+    size = max(1, _GROUP_BYTES // cell_bytes)
+    return [slice(s, min(s + size, ncells)) for s in range(0, ncells, size)]
+
+
 # -- element tables ----------------------------------------------------
 
 
@@ -37,9 +51,9 @@ class ElementTables:
 
     Reference values are computed once; each cell applies its own
     pullback.  ``basis`` may be a modal or a conforming basis object.
-    Per-cell lookups take one cell index or a slice of cells; a slice
-    adds a leading cell axis (h1 values, the same on every cell, keep
-    their reference shape).
+    Per-cell lookups take one cell index, a slice or an index array of
+    cells; the latter two add a leading cell axis (h1 values, the same
+    on every cell, keep their reference shape).
     """
 
     def __init__(self, mesh, basis, geometry=None, volume_order=None,
@@ -58,6 +72,12 @@ class ElementTables:
         for lf in local_facets(dim):
             pts = facet_points(dim, lf, self.frule.points)
             self._ref_fval.append(basis.values(pts))
+
+    def groups(self):
+        """Slices of consecutive cells, each small enough to evaluate as
+        one stack."""
+        return cell_groups(self.mesh.ncells,
+                           max(self._ref_val.nbytes, self._ref_der.nbytes))
 
     def volume_weights(self, ci):
         return self.geo.absdet[ci][..., None] * self.vrule.weights
@@ -87,25 +107,6 @@ class ElementTables:
         dim = self.mesh.dim
         pts = facet_points(dim, local_facets(dim)[lf], self.frule.points)
         return self.geo.map_points(ci, pts)
-
-
-# -- boundary entity sets ----------------------------------------------
-
-
-def boundary_entities(mesh):
-    """Vertex ids, edge pairs and face triples lying on the boundary."""
-    verts = set()
-    edges = set()
-    faces = set()
-    for fid in mesh.boundary_facets:
-        fv = tuple(int(v) for v in mesh.facets[fid])
-        verts.update(fv)
-        if mesh.dim == 2:
-            edges.add(fv)
-        else:
-            faces.add(fv)
-            edges.update({(fv[0], fv[1]), (fv[0], fv[2]), (fv[1], fv[2])})
-    return verts, edges, faces
 
 
 # -- dof maps ----------------------------------------------------------
@@ -145,102 +146,150 @@ def broken_map(mesh, nb):
     return DofMap(nc * nb, cell_dofs, factors, boundary)
 
 
-def _entity_keys(mesh, ci, basis):
-    """Global entity key per conforming basis function of one cell."""
-    dim = mesh.dim
-    cell = mesh.cells[ci]
-    lfacets = local_facets(dim)
-    ledges = local_edges(dim)
-    keys = []
-    for kind, loc, j in basis.dof_entities():
-        if kind == "vertex":
-            keys.append(("v", (int(cell[loc]),), j))
-        elif kind == "edge":
-            if dim == 2:
-                e = lfacets[loc]
-            else:
-                e = ledges[loc]
-            keys.append(("e", (int(cell[e[0]]), int(cell[e[1]])), j))
-        elif kind == "face":
-            f = lfacets[loc]
-            keys.append(("f", tuple(int(x) for x in cell[list(f)]), j))
-        else:
-            keys.append(("i", (int(ci),), j))
-    return keys
+def _local_vertices(dim, kind, loc):
+    """Local vertex tuple of a cell's local entity, None for the interior."""
+    if kind == "vertex":
+        return (loc,)
+    if kind == "edge":
+        return local_edges(dim)[loc]
+    if kind == "face":
+        return local_facets(dim)[loc]
+    return None
 
 
-def _hdiv_factor(mesh, geo, ci, kind, loc):
+def _global_entities(mesh):
+    """Per entity kind: the (ncells, nlocal) global ids of every cell's
+    local entities of that kind (one interior per cell), and the
+    boundary mask over the global ids."""
+    dim, nv, nc = mesh.dim, mesh.nvertices, mesh.ncells
+    bfacets = mesh.facets[mesh.boundary_facets]
+    bverts = np.zeros(nv, dtype=bool)
+    bverts[bfacets.ravel()] = True
+    # edges are keyed by their sorted vertex pair
+    ledges = np.array(local_edges(dim))
+    ekeys, eids = np.unique(mesh.cells[:, ledges[:, 0]] * nv
+                            + mesh.cells[:, ledges[:, 1]],
+                            return_inverse=True)
+    fedges = np.array(local_edges(dim - 1))
+    bedges = np.isin(ekeys, bfacets[:, fedges[:, 0]] * nv
+                     + bfacets[:, fedges[:, 1]])
+    return {"vertex": (mesh.cells, bverts),
+            "edge": (eids.reshape(nc, len(ledges)), bedges),
+            "face": (mesh.cell_facet_ids, mesh.facet_cells[:, 1] < 0),
+            "interior": (np.arange(nc)[:, None], np.zeros(nc, dtype=bool))}
+
+
+def _hdiv_factors(mesh, geo, ents):
+    """(ncells, len(ents)) orientation factors of H(div) functions:
+    sign(det) on every function, times the facet sign over the reference
+    facet measure on facet functions."""
     dim = mesh.dim
     facet_kind = "edge" if dim == 2 else "face"
-    if kind != facet_kind:
-        return float(np.sign(geo.det[ci]))
-    sgn = mesh.cell_facet_signs[ci, loc]
-    return float(sgn * np.sign(geo.det[ci]) / facet_measure(dim, local_facets(dim)[loc]))
+    measure = [facet_measure(dim, f) for f in local_facets(dim)]
+    sdet = np.sign(geo.det)
+    out = np.repeat(sdet[:, None], len(ents), axis=1)
+    for col, (kind, loc, _) in enumerate(ents):
+        if kind == facet_kind:
+            out[:, col] = mesh.cell_facet_signs[:, loc] * sdet / measure[loc]
+    return out
 
 
 def conforming_map(mesh, basis, geometry=None, skeleton=False):
     """Numbering of a conforming space; ``skeleton=True`` keeps only the
-    non-interior (boundary-trace carrying) functions."""
+    non-interior (boundary-trace carrying) functions.
+
+    Global dofs are numbered in order of first appearance, cells in
+    ascending order and each cell's functions in local order.
+    """
     geo = geometry if geometry is not None else MeshGeometry(mesh)
-    bverts, bedges, bfaces = boundary_entities(mesh)
-    numbering = {}
-    nc = mesh.ncells
     ents = basis.dof_entities()
     use = [k for k, (kind, _, _) in enumerate(ents)
            if not (skeleton and kind == "interior")]
-    nloc = len(use)
-    cell_dofs = np.zeros((nc, nloc), dtype=int)
-    factors = np.ones((nc, nloc))
-    bnd_flags = []
-    hdiv = basis.family == "hdiv"
-    for ci in range(nc):
-        keys = _entity_keys(mesh, ci, basis)
-        for col, k in enumerate(use):
-            key = keys[k]
-            gid = numbering.get(key)
-            if gid is None:
-                gid = len(numbering)
-                numbering[key] = gid
-                tag, ent, _ = key
-                if tag == "v":
-                    bnd_flags.append(ent[0] in bverts)
-                elif tag == "e":
-                    bnd_flags.append(ent in bedges)
-                elif tag == "f":
-                    bnd_flags.append(ent in bfaces)
-                else:
-                    bnd_flags.append(False)
-            cell_dofs[ci, col] = gid
-            if hdiv:
-                kind, loc, _ = ents[k]
-                factors[ci, col] = _hdiv_factor(mesh, geo, ci, kind, loc)
-    boundary = np.array(bnd_flags, dtype=bool)
+    glob = _global_entities(mesh)
+    kinds = list(glob)
+    eids = np.stack([glob[ents[k][0]][0][:, ents[k][1]] for k in use], axis=1)
+    on_bnd = np.stack([glob[ents[k][0]][1][eids[:, col]]
+                       for col, k in enumerate(use)], axis=1)
+    j = np.array([ents[k][2] for k in use])
+    code = np.array([kinds.index(ents[k][0]) for k in use])
+    # one integer per (entity kind, entity, index within the entity)
+    key = (eids * (j.max() + 1) + j) * len(kinds) + code
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    cell_dofs = rank[inv].reshape(key.shape)
+    boundary = np.zeros(len(first), dtype=bool)
+    boundary[cell_dofs] = on_bnd
+    factors = (_hdiv_factors(mesh, geo, [ents[k] for k in use])
+               if basis.family == "hdiv" else np.ones(key.shape))
     local = use if skeleton else None
-    return DofMap(len(numbering), cell_dofs, factors, boundary, local)
+    return DofMap(len(first), cell_dofs, factors, boundary, local)
 
 
 def facet_map(mesh, nb_per_facet):
     """One independent polynomial block per facet, oriented canonically."""
+    nb = nb_per_facet
     nc = mesh.ncells
-    dim = mesh.dim
-    nfac = dim + 1
-    nloc = nfac * nb_per_facet
-    cell_dofs = np.zeros((nc, nloc), dtype=int)
-    factors = np.ones((nc, nloc))
-    for ci in range(nc):
-        for lf in range(nfac):
-            fid = mesh.cell_facet_ids[ci, lf]
-            sgn = mesh.cell_facet_signs[ci, lf]
-            sl = slice(lf * nb_per_facet, (lf + 1) * nb_per_facet)
-            cell_dofs[ci, sl] = fid * nb_per_facet + np.arange(nb_per_facet)
-            factors[ci, sl] = sgn
-    boundary = np.zeros(mesh.nfacets * nb_per_facet, dtype=bool)
-    for fid in mesh.boundary_facets:
-        boundary[fid * nb_per_facet:(fid + 1) * nb_per_facet] = True
-    return DofMap(mesh.nfacets * nb_per_facet, cell_dofs, factors, boundary)
+    cell_dofs = (mesh.cell_facet_ids[:, :, None] * nb
+                 + np.arange(nb)).reshape(nc, -1)
+    factors = np.repeat(mesh.cell_facet_signs, nb, axis=1).astype(float)
+    boundary = np.zeros(mesh.nfacets, dtype=bool)
+    boundary[mesh.boundary_facets] = True
+    return DofMap(mesh.nfacets * nb, cell_dofs, factors,
+                  np.repeat(boundary, nb))
+
+
+def _facet_functions(basis, dim, use=None):
+    """Per local facet, the positions in ``use`` (default: all functions)
+    of the conforming functions whose entity lies in the facet's
+    closure; every other function has a zero trace on that facet."""
+    ents = basis.dof_entities()
+    use = range(len(ents)) if use is None else use
+    verts = [_local_vertices(dim, *ents[k][:2]) for k in use]
+    return [np.array([col for col, v in enumerate(verts)
+                      if v is not None and set(v) <= set(f)], dtype=int)
+            for f in local_facets(dim)]
 
 
 # -- slot gram matrices -------------------------------------------------
+
+
+def _triplets(blocks, rows, cols):
+    """Flat (row, column, value) entries of (K, m, n) blocks placed at
+    rows (K, m) and columns (K, n)."""
+    m, n = blocks.shape[-2:]
+    return (np.repeat(rows, n, axis=1).ravel(),
+            np.tile(cols, (1, m)).ravel(), blocks.ravel())
+
+
+def _block_matrix(parts, shape, dtype=float):
+    """Sparse sum, in CSC form, of the blocks of (blocks, rows, cols)
+    parts."""
+    r, c, v = (np.concatenate(a) for a in zip(*(_triplets(*p)
+                                                 for p in parts)))
+    return sparse.coo_matrix((v, (r, c)), shape=shape, dtype=dtype).tocsc()
+
+
+def _product(a, b, w):
+    """sum over points and components of w a_i . b_j: (K, na, nb) from
+    (K, na, nq, c) and (K, nb, nq, c) tables (either may lack the cell
+    axis) and (K, nq) weights; nothing is conjugated."""
+    aw = a * w[:, None, :, None]
+    return aw.reshape(aw.shape[:-2] + (-1,)) @ np.swapaxes(
+        b.reshape(b.shape[:-2] + (-1,)), -1, -2)
+
+
+def _cell_grams(tables, cells, include_deriv=True, use=None):
+    """(K, n, n) Grams of the values, plus the family derivatives when
+    ``include_deriv``, of the functions ``use`` on a slice of cells."""
+    w = tables.volume_weights(cells)
+    M = 0.0
+    for tab in (tables.values(cells),) + (
+            (tables.derivs(cells),) if include_deriv else ()):
+        if use is not None:
+            tab = tab[..., use, :, :]
+        M = M + _product(tab, tab, w)
+    return M
 
 
 def natural_gram(tables, dofmap, include_deriv=True, dtype=float):
@@ -249,41 +298,31 @@ def natural_gram(tables, dofmap, include_deriv=True, dtype=float):
     L2 norm of the values plus, when ``include_deriv``, the L2 norm of
     the family derivative (giving H1/H(curl)/H(div) graph norms).
     """
-    mesh = tables.mesh
-    rows, cols, vals = [], [], []
-    for ci in range(mesh.ncells):
-        w = tables.volume_weights(ci)
-        v = tables.values(ci)
-        if dofmap.local_functions is not None:
-            v = v[dofmap.local_functions]
-        M = np.einsum("ipc,jpc,p->ij", v, v, w)
-        if include_deriv:
-            d = tables.derivs(ci)
-            if dofmap.local_functions is not None:
-                d = d[dofmap.local_functions]
-            M = M + np.einsum("ipc,jpc,p->ij", d, d, w)
-        f = dofmap.cell_factors[ci]
-        M = M * np.outer(f, f)
-        idx = dofmap.cell_dofs[ci]
-        rows.append(np.repeat(idx, len(idx)))
-        cols.append(np.tile(idx, len(idx)))
-        vals.append(M.ravel())
-    G = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.ndofs, dofmap.ndofs), dtype=dtype).tocsc()
-    return G
+    f = dofmap.cell_factors
+    blocks = np.empty(f.shape + f.shape[-1:])
+    for cells in tables.groups():
+        blocks[cells] = (_cell_grams(tables, cells, include_deriv,
+                                     dofmap.local_functions)
+                         * f[cells, :, None] * f[cells, None, :])
+    return _block_matrix([(blocks, dofmap.cell_dofs, dofmap.cell_dofs)],
+                         (dofmap.ndofs, dofmap.ndofs), dtype)
 
 
 def facet_owners(mesh):
     """First (cell, local facet) pair owning each facet, ascending cell id."""
-    owner = np.full((mesh.nfacets, 2), -1, dtype=int)
-    nfac = mesh.dim + 1
-    for ci in range(mesh.ncells):
-        for lf in range(nfac):
-            fid = mesh.cell_facet_ids[ci, lf]
-            if owner[fid, 0] < 0:
-                owner[fid] = (ci, lf)
-    return owner
+    # cells are visited in ascending order when facets are numbered
+    return np.stack([mesh.facet_cells[:, 0], mesh.facet_local[:, 0]], axis=1)
+
+
+def _owner_groups(mesh, tables):
+    """(lf, cells) groups of facets: each facet once, through its owner,
+    the owners seeing it as local facet lf, in groups of bounded size."""
+    owners = facet_owners(mesh)
+    nbytes = max(t.nbytes for t in tables._ref_fval)
+    for lf in range(mesh.dim + 1):
+        cells = owners[owners[:, 1] == lf, 0]
+        for part in cell_groups(len(cells), nbytes):
+            yield lf, cells[part]
 
 
 class TraceField:
@@ -301,36 +340,49 @@ class TraceField:
         self.kind = kind
         self.tables = tables
         self.flux_values = flux_values
+        nfac = mesh.dim + 1
         if kind == "flux":
             self.ncomp = 1
-            self._nb = flux_values.shape[0]
+            nb = flux_values.shape[0]
+            self._active = [np.arange(lf * nb, (lf + 1) * nb)
+                            for lf in range(nfac)]
         else:
+            if kind not in ("value", "normal", "tangential"):
+                raise ValueError(kind)
             self.ncomp = 3 if kind == "tangential" else 1
+            self._active = _facet_functions(tables.basis, mesh.dim,
+                                           dofmap.local_functions)
 
-    def trace(self, ci, lf):
-        """(nloc, nq, ncomp) trace values of the cell's local functions."""
+    def facet_trace(self, cells, lf):
+        """Traces on local facet lf of ``cells`` (an index array) of the
+        local functions supported there: (F, na, nq, ncomp) values and
+        the (F, na) global dofs they multiply."""
+        act = self._active[lf]
+        dofs = self.dofmap.cell_dofs[cells][:, act]
         if self.kind == "flux":
-            nb = self._nb
-            nq = self.flux_values.shape[1]
-            out = np.zeros(((self.mesh.dim + 1) * nb, nq, 1))
-            out[lf * nb:(lf + 1) * nb, :, 0] = self.flux_values
-            return out
-        v = self.tables.facet_values(ci, lf)
+            vals = self.flux_values[:, :, None]
+            return np.broadcast_to(vals, (len(cells),) + vals.shape), dofs
         use = self.dofmap.local_functions
-        if use is not None:
-            v = v[use]
-        fid = self.mesh.cell_facet_ids[ci, lf]
-        n = self.mesh.facet_normals[fid]
+        v = self.tables.facet_values(cells, lf)[
+            ..., act if use is None else np.asarray(use)[act], :, :]
         if self.kind == "value":
             out = v
-        elif self.kind == "normal":
-            out = np.einsum("fpc,c->fp", v, n)[:, :, None]
-        elif self.kind == "tangential":
-            vn = np.einsum("fpc,c->fp", v, n)
-            out = v - vn[:, :, None] * n[None, None, :]
         else:
-            raise ValueError(self.kind)
-        return out * self.dofmap.cell_factors[ci][:, None, None]
+            n = self.mesh.facet_normals[self.mesh.cell_facet_ids[cells, lf]]
+            n = n[:, None, None, :]
+            vn = np.sum(v * n, axis=-1, keepdims=True)
+            out = vn if self.kind == "normal" else v - vn * n
+        return out * self.dofmap.cell_factors[cells][:, act, None, None], dofs
+
+
+def _facet_blocks(mesh, tables, A, B):
+    """Per owner group: the (F, na, nb) facet products of the traces of
+    A and B, with A's and B's (F, na) and (F, nb) global dofs."""
+    for lf, cells in _owner_groups(mesh, tables):
+        wf = tables.facet_weights(cells, lf)
+        ta, ia = A.facet_trace(cells, lf)
+        tb, ib = (ta, ia) if B is A else B.facet_trace(cells, lf)
+        yield _product(ta, tb, wf), ia, ib
 
 
 def trace_mass(mesh, tables, A, B=None):
@@ -341,104 +393,90 @@ def trace_mass(mesh, tables, A, B=None):
     fields must produce single-valued traces there.  ``tables`` supplies
     the facet quadrature (any tables built with the shared facet rule).
     """
-    if B is None:
-        B = A
-    owners = facet_owners(mesh)
-    rows, cols, vals = [], [], []
-    for fid in range(mesh.nfacets):
-        ci, lf = owners[fid]
-        wf = tables.facet_weights(ci, lf)
-        ta = A.trace(ci, lf)
-        tb = B.trace(ci, lf)
-        blk = np.einsum("ipc,jpc,p->ij", ta, tb, wf)
-        ia = A.dofmap.cell_dofs[ci]
-        ib = B.dofmap.cell_dofs[ci]
-        rows.append(np.repeat(ia, len(ib)))
-        cols.append(np.tile(ib, len(ia)))
-        vals.append(blk.ravel())
-    M = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(A.dofmap.ndofs, B.dofmap.ndofs)).tocsc()
-    return M
+    B = A if B is None else B
+    return _block_matrix(_facet_blocks(mesh, tables, A, B),
+                         (A.dofmap.ndofs, B.dofmap.ndofs))
+
+
+def trace_embedding(mesh, tables, P, I):
+    """Sparse V whose columns are the P coefficients with the traces of
+    the I functions: on each facet, the L2 projection of I's traces onto
+    P's, solved from that facet's mass blocks.  A P dof shared by several
+    facets gets the same value from each, up to rounding; the copies are
+    averaged.  The projection is exact where I's traces lie in P's trace
+    space, which the caller checks."""
+    parts = [_triplets(np.linalg.solve(Mq, C), ip, ii)
+             for (Mq, ip, _), (C, _, ii) in zip(
+                 _facet_blocks(mesh, tables, P, P),
+                 _facet_blocks(mesh, tables, P, I))]
+    r, c, v = (np.concatenate(a) for a in zip(*parts))
+    ni = I.dofmap.ndofs
+    key, inv = np.unique(r * ni + c, return_inverse=True)
+    val = np.bincount(inv, v) / np.bincount(inv)
+    return sparse.csc_matrix((val, (key // ni, key % ni)),
+                             shape=(P.dofmap.ndofs, ni))
 
 
 def trace_rhs(mesh, tables, A, target):
-    """Projection rhs b_i = sum over facets of int target . conj(tr phi_i)
-    together with the squared trace norm of the target.
+    """Projection rhs b_i = sum over facets of int target . conj(tr phi_i).
 
     With the real-valued trace basis this is the right-hand side of the
     facet least-squares fit M c = b whose solution represents target.
-    ``target(fid, ci, lf, x, n)`` returns (nq, ncomp) values at the
-    physical facet quadrature points x with canonical facet normal n.
+    ``target(x, n)`` returns (P,) or (P, ncomp) values at P physical
+    facet quadrature points x (P, dim) with canonical facet normals n
+    (P, dim).
     """
-    owners = facet_owners(mesh)
-    b = None
-    tnorm2 = 0.0
-    for fid in range(mesh.nfacets):
-        ci, lf = owners[fid]
-        wf = tables.facet_weights(ci, lf)
-        x = tables.physical_facet_points(ci, lf)
-        n = mesh.facet_normals[fid]
-        t = np.asarray(target(fid, ci, lf, x, n))
-        if t.ndim == 1:
-            t = t[:, None]
-        ta = A.trace(ci, lf)
-        contrib = np.einsum("ipc,pc,p->i", ta, t, wf)
-        if b is None:
-            b = np.zeros(A.dofmap.ndofs, dtype=contrib.dtype)
-        elif contrib.dtype.kind == "c" and b.dtype.kind != "c":
-            b = b.astype(complex)
-        np.add.at(b, A.dofmap.cell_dofs[ci], contrib)
-        tnorm2 += float(np.real(np.einsum("pc,pc,p->", t, t.conj(), wf)))
-    return b, tnorm2
+    idx, vals = [], []
+    nq = len(tables.frule.weights)
+    for lf, cells in _owner_groups(mesh, tables):
+        x = tables.physical_facet_points(cells, lf).reshape(-1, mesh.dim)
+        n = mesh.facet_normals[mesh.cell_facet_ids[cells, lf]]
+        t = np.asarray(target(x, np.repeat(n, nq, axis=0)))
+        ta, ia = A.facet_trace(cells, lf)
+        wf = tables.facet_weights(cells, lf)
+        t = t.reshape(len(cells), 1, nq, A.ncomp)
+        idx.append(ia.ravel())
+        vals.append(_product(ta, t, wf).ravel())
+    vals = np.concatenate(vals)
+    b = np.zeros(A.dofmap.ndofs, dtype=vals.dtype)
+    np.add.at(b, np.concatenate(idx), vals)
+    return b
 
 
-def _local_graph_gram(tables, ci, include_deriv=True):
-    w = tables.volume_weights(ci)
-    v = tables.values(ci)
-    M = np.einsum("ipc,jpc,p->ij", v, v, w)
-    if include_deriv:
-        d = tables.derivs(ci)
-        M = M + np.einsum("ipc,jpc,p->ij", d, d, w)
-    return M
+def skeleton_schur(tables, skel_map, include_deriv=True):
+    """(ncells, ns, ns) Schur complements of the parent graph Grams onto
+    the skeleton functions, interior functions eliminated, in global
+    coefficients (orientation factors applied)."""
+    use = list(skel_map.local_functions)
+    interior = [k for k in range(tables.basis.nfuncs) if k not in set(use)]
+    f = skel_map.cell_factors
+    out = np.empty(f.shape + f.shape[-1:])
+    for cells in tables.groups():
+        M = _cell_grams(tables, cells, include_deriv)
+        S = M[:, use][:, :, use]
+        if interior:
+            Mis = M[:, interior][:, :, use]
+            S = S - np.swapaxes(Mis, -1, -2) @ np.linalg.solve(
+                M[:, interior][:, :, interior], Mis)
+        out[cells] = S * f[cells, :, None] * f[cells, None, :]
+    return out
 
 
-def _local_skeleton_schur(tables, skel_map, ci, include_deriv=True):
-    """Per-cell Schur complement of the parent graph Gram onto the
-    non-interior (skeleton) functions, interior functions eliminated."""
-    M = _local_graph_gram(tables, ci, include_deriv)
-    use = skel_map.local_functions
-    n = M.shape[0]
-    interior = [k for k in range(n) if k not in set(use)]
-    Ms = M[np.ix_(use, use)]
-    if interior:
-        Mis = M[np.ix_(interior, use)]
-        Mii = M[np.ix_(interior, interior)]
-        Ms = Ms - Mis.T @ np.linalg.solve(Mii, Mis)
-    return Ms
-
-
-def skeleton_quotient_apply(tables, skel_map, v, include_deriv=True):
+def skeleton_quotient_apply(schur, skel_map, v):
     """Minimum-energy-extension energy of a skeleton coefficient vector.
 
     The parent graph norm is minimized over all interior completions;
-    interior dofs are cell-local, so the minimization splits per cell.
+    interior dofs are cell-local, so the minimization splits per cell
+    into the Schur complements ``schur`` of ``skeleton_schur``.
     """
-    energy = 0.0
-    for ci in range(tables.mesh.ncells):
-        Ms = _local_skeleton_schur(tables, skel_map, ci, include_deriv)
-        c = v[skel_map.cell_dofs[ci]] * skel_map.cell_factors[ci]
-        energy += float(np.real(c.conj() @ (Ms @ c)))
+    c = v[skel_map.cell_dofs]
+    energy = float(np.real(np.sum(c.conj() * (schur @ c[..., None])[..., 0])))
     return max(energy, 0.0)
 
 
-def skeleton_quotient_gram(tables, skel_map, include_deriv=True):
-    """Dense quotient-norm Gram on skeleton dofs (small meshes)."""
+def skeleton_quotient_gram(schur, skel_map):
+    """Sparse quotient-norm Gram on skeleton dofs: the sum of the per-cell
+    Schur complements ``schur`` of ``skeleton_schur``."""
     n = skel_map.ndofs
-    S = np.zeros((n, n))
-    for ci in range(tables.mesh.ncells):
-        Ms = _local_skeleton_schur(tables, skel_map, ci, include_deriv)
-        f = skel_map.cell_factors[ci]
-        idx = skel_map.cell_dofs[ci]
-        S[np.ix_(idx, idx)] += Ms * np.outer(f, f)
-    return S
+    return _block_matrix([(schur, skel_map.cell_dofs, skel_map.cell_dofs)],
+                         (n, n))

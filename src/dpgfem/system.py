@@ -36,21 +36,17 @@ from .spaces import (
     ElementTables,
     TraceField,
     broken_map,
+    cell_groups,
     conforming_map,
     facet_map,
     natural_gram,
     skeleton_quotient_apply,
     skeleton_quotient_gram,
+    skeleton_schur,
+    trace_embedding,
     trace_mass,
     trace_rhs,
 )
-
-
-# Cells are evaluated in groups: a group's real test-function table, one
-# value per quadrature point, test function and space direction, stays
-# under this many bytes.  A group's temporaries are a few such tables,
-# some complex; larger groups gain no speed and raise the peak memory.
-_GROUP_BYTES = 2 ** 21
 
 
 def _lusolve(lu, b):
@@ -177,12 +173,11 @@ class Discretization:
         return dofs[ci], facs[ci]
 
     def _groups(self):
-        """Slices of consecutive cells, each evaluated as one stack."""
+        """Slices of consecutive cells, each evaluated as one stack, sized
+        by the real test-function table."""
         nq = len(self._ref_tables.vrule.weights)
-        size = max(1, _GROUP_BYTES // (8 * nq * self.ntest_local
-                                       * self.mesh.dim))
-        nc = self.mesh.ncells
-        return [slice(s, min(s + size, nc)) for s in range(0, nc, size)]
+        return cell_groups(self.mesh.ncells,
+                           8 * nq * self.ntest_local * self.mesh.dim)
 
     def _evaluate(self, group):
         """(G, B) stacks of a cell group, B in global coefficients."""
@@ -345,6 +340,7 @@ class Discretization:
     # -- errors against manufactured solutions ----------------------------
 
     def field_coefficients(self, x, name, ci):
+        """Local coefficients of a slot on one cell or a slice of cells."""
         m = self._maps[name]
         return x[self.slot_offset[name] + m.cell_dofs[ci]] * m.cell_factors[ci]
 
@@ -359,33 +355,35 @@ class Discretization:
         """
         if not case.has_exact:
             raise ValueError(f"case {case.name!r} has no exact solution")
+        rtab = self._ref_tables
+        w = rtab.volume_weights(slice(None))
+        pts = rtab.physical_points(slice(None))
+        nc, nq, dim = pts.shape
+        # (slot, 'val' | 'der') -> exact values at every quadrature point
+        exact = {}
+        for s in self.form.trial_slots:
+            fname, dname = _exact_names(s.name)
+            fields = {"val": case.fields[fname]}
+            if (s.continuity == "conforming"
+                    and case.fields.get(dname) is not None):
+                fields["der"] = case.fields[dname]
+            for op, field in fields.items():
+                ex = np.asarray(field(pts.reshape(-1, dim)))
+                exact[s.name, op] = ex.reshape(nc, nq, -1)
+        sq = dict.fromkeys(exact, 0.0)
+        for cells in self._groups():
+            group = _CellGroup(self, cells)
+            for (name, op), ex in exact.items():
+                c = self.field_coefficients(x, name, cells)
+                tab = group.table((name, op))
+                vals = c[:, None, :] @ tab.reshape(tab.shape[:-2] + (-1,))
+                diff = vals.reshape(ex[cells].shape) - ex[cells]
+                sq[name, op] += float(np.sum(w[cells, :, None]
+                                             * np.abs(diff) ** 2))
         out = {}
         total2 = 0.0
         for s in self.form.trial_slots:
-            fname, dname = _exact_names(s.name)
-            fex = case.fields[fname]
-            dex = case.fields.get(dname)
-            conf = s.continuity == "conforming"
-            e2 = 0.0
-            d2 = 0.0
-            tab = self._tables[s.name]
-            for ci in range(self.mesh.ncells):
-                w = tab.volume_weights(ci)
-                pts = tab.physical_points(ci)
-                c = self.field_coefficients(x, s.name, ci)
-                vals = np.einsum("f,fpc->pc", c, tab.values(ci))
-                ex = np.asarray(fex(pts))
-                if ex.ndim == 1:
-                    ex = ex[:, None]
-                diff = vals - ex
-                e2 += float(np.real(np.einsum("pc,pc,p->", diff, diff.conj(), w)))
-                if conf and dex is not None:
-                    dh = np.einsum("f,fpc->pc", c, tab.derivs(ci))
-                    de = np.asarray(dex(pts))
-                    if de.ndim == 1:
-                        de = de[:, None]
-                    dd = dh - de
-                    d2 += float(np.real(np.einsum("pc,pc,p->", dd, dd.conj(), w)))
+            e2, d2 = sq[s.name, "val"], sq.get((s.name, "der"), 0.0)
             out[s.name] = {"l2": np.sqrt(e2), "natural": np.sqrt(e2 + d2)}
             total2 += e2 + d2
         for s in self.form.interface_slots:
@@ -401,7 +399,7 @@ class Discretization:
         return self._iface_norms[slot.name]
 
     def interface_quotient_gram(self, slot_name):
-        """Dense minimum-energy-extension Gram of one interface slot."""
+        """Sparse minimum-energy-extension Gram of one interface slot."""
         slot = self.form.slot(slot_name)
         return self._interface_norm(slot).quotient_gram()
 
@@ -565,7 +563,15 @@ def _smallest_ritz(A):
 
 
 class _InterfaceNorm:
-    """Projection and quotient-norm machinery for one interface slot."""
+    """Projection and quotient-norm machinery for one interface slot.
+
+    The slot is measured in the quotient norm of its conforming parent
+    space at the test degree: a slot function's trace is lifted into the
+    parent skeleton by the sparse trace embedding V, and the lift is
+    measured by the per-cell Schur complements of the parent graph Gram
+    onto the skeleton functions.  V, the Schur complements and the facet
+    masses are built on first use and kept.
+    """
 
     def __init__(self, disc, slot):
         self.disc = disc
@@ -591,56 +597,63 @@ class _InterfaceNorm:
         else:
             self.itrace = TraceField(mesh, imap, ikind,
                                      tables=disc._tables[slot.name])
-        self._mi = None
-        self._mq = None
-        self._cx = None
 
-    def _factorized(self):
+    @cached_property
+    def _mass(self):
+        """The slot's facet trace mass matrix."""
+        return trace_mass(self.disc.mesh, self.ptables, self.itrace)
+
+    @cached_property
+    def _mass_lu(self):
+        return splu(self._mass)
+
+    @cached_property
+    def embedding(self):
+        """Sparse V: parent skeleton coefficients with the traces of the
+        slot functions, checked to reproduce them (Mq V = Cx)."""
         mesh, tab = self.disc.mesh, self.ptables
-        if self._mi is None:
-            self._mi_mat = trace_mass(mesh, tab, self.itrace).tocsc()
-            self._mq_mat = trace_mass(mesh, tab, self.ptrace).tocsc()
-            self._mi = splu(self._mi_mat)
-            self._mq = splu(self._mq_mat)
-            self._cx = trace_mass(mesh, tab, self.ptrace, self.itrace)
-        return self._mi, self._mq, self._cx
+        V = trace_embedding(mesh, tab, self.ptrace, self.itrace)
+        Mq = trace_mass(mesh, tab, self.ptrace)
+        Cx = trace_mass(mesh, tab, self.ptrace, self.itrace)
+        # squared trace residual of every slot function; the parent trace
+        # reproduces it exactly by degree nesting
+        tn2 = self._mass.diagonal()
+        r2 = (np.asarray(V.multiply(Mq @ V).sum(axis=0)).ravel()
+              - 2.0 * np.asarray(V.multiply(Cx).sum(axis=0)).ravel() + tn2)
+        excess = r2 - 1e-8 * np.maximum(tn2, 1e-30) - 1e-13
+        j = int(np.argmax(excess))
+        if excess[j] > 0:
+            raise RuntimeError(
+                f"interface trace not recoverable in the parent space "
+                f"(residual {r2[j]:.3e} vs norm {tn2[j]:.3e})")
+        return V
+
+    @cached_property
+    def schur(self):
+        """Per-cell Schur complements onto the parent skeleton."""
+        return skeleton_schur(self.ptables, self.pskel)
 
     def project_exact(self, case):
         """Facet L2 projection of the exact trace onto the slot space."""
-        mi, _, _ = self._factorized()
         spec = fm.exact_interface(self.disc.form, case, self.slot.name)
-        mesh = self.disc.mesh
         if self.slot.continuity == "facet":
-            target = lambda fid, ci, lf, x, n: spec(x, np.broadcast_to(
-                n, x.shape))
+            target = spec
         else:
             _, field, sign = spec
             if self.ikind == "value":
-                def target(fid, ci, lf, x, n):
-                    return sign * np.asarray(field(x))[:, None]
+                def target(x, n):
+                    return sign * np.asarray(field(x))
             else:
-                def target(fid, ci, lf, x, n):
+                def target(x, n):
                     v = sign * np.asarray(field(x))
-                    vn = v @ n
-                    return v - vn[:, None] * n[None, :]
-        b, _ = trace_rhs(mesh, self.ptables, self.itrace, target)
-        return _lusolve(mi, b)
+                    return v - np.sum(v * n, axis=1)[:, None] * n
+        b = trace_rhs(self.disc.mesh, self.ptables, self.itrace, target)
+        return _lusolve(self._mass_lu, b)
 
     def extension_energy(self, delta):
         """Graph-norm energy of the minimal extension of a slot function."""
-        _, mq, cx = self._factorized()
-        rhs = cx @ delta
-        v = _lusolve(mq, rhs)
-        # feasibility: the parent trace must reproduce delta's trace,
-        # which holds exactly by degree nesting
-        tn2 = float(np.real(np.vdot(delta, self._mi_mat @ delta)))
-        r2 = (float(np.real(np.vdot(v, self._mq_mat @ v)))
-              - 2.0 * float(np.real(np.vdot(v, rhs))) + tn2)
-        if r2 > 1e-8 * max(tn2, 1e-30) + 1e-13:
-            raise RuntimeError(
-                f"interface trace not recoverable in the parent space "
-                f"(residual {r2:.3e} vs norm {tn2:.3e})")
-        return skeleton_quotient_apply(self.ptables, self.pskel, v)
+        return skeleton_quotient_apply(self.schur, self.pskel,
+                                       self.embedding @ delta)
 
     def error(self, x, case):
         c = self.project_exact(case)
@@ -649,62 +662,53 @@ class _InterfaceNorm:
         return float(np.sqrt(self.extension_energy(delta)))
 
     def quotient_gram(self):
-        """Dense interface Gram V^H S V with V the trace-matching
-        embedding into the parent skeleton."""
-        _, mq, cx = self._factorized()
-        V = mq.solve(np.asarray(cx.todense()))
-        S = skeleton_quotient_gram(self.ptables, self.pskel)
-        G = V.conj().T @ (S @ V)
-        return 0.5 * (G + G.conj().T)
+        """Sparse interface Gram V^T S V, with V the (real) trace embedding
+        into the parent skeleton and S the parent skeleton quotient
+        Gram."""
+        V = self.embedding
+        S = skeleton_quotient_gram(self.schur, self.pskel)
+        G = V.T @ (S @ V)
+        return (0.5 * (G + G.T)).tocsc()
 
 
 class _XNormSolver:
     """Blockwise trial-norm Gram: apply and solve.
 
     Conforming field slots use their family graph norm, broken slots
-    the L2 norm, interface slots the dense quotient Gram.
+    the L2 norm, interface slots the sparse quotient Gram; every block
+    is sparse and factorized by sparse LU.
     """
 
     def __init__(self, disc):
         self.disc = disc
+        form = disc.form
+        grams = [(s, natural_gram(disc._tables[s.name], disc.dofmap(s.name),
+                                  include_deriv=s.continuity == "conforming"))
+                 for s in form.trial_slots]
+        grams += [(s, disc.interface_quotient_gram(s.name))
+                  for s in form.interface_slots]
         self.blocks = []
-        for s in disc.form.trial_slots:
-            tab = disc._tables[s.name]
-            dmap = disc.dofmap(s.name)
-            G = natural_gram(tab, dmap,
-                             include_deriv=s.continuity == "conforming")
+        for s, G in grams:
             sl = slice(disc.slot_offset[s.name],
                        disc.slot_offset[s.name] + disc.slot_size[s.name])
-            self.blocks.append((sl, G, splu(G.tocsc()), True))
-        for s in disc.form.interface_slots:
-            G = disc.interface_quotient_gram(s.name)
-            sl = slice(disc.slot_offset[s.name],
-                       disc.slot_offset[s.name] + disc.slot_size[s.name])
-            self.blocks.append((sl, G, cho_factor(G, lower=True), False))
+            self.blocks.append((sl, G, splu(G.tocsc())))
 
     def apply(self, v):
-        out = np.zeros_like(v, dtype=complex)
-        for sl, G, _, is_sparse in self.blocks:
+        out = np.zeros_like(v)
+        for sl, G, _ in self.blocks:
             out[sl] = G @ v[sl]
-        return out if np.iscomplexobj(v) else np.real(out)
+        return out
 
     def solve(self, w):
-        out = np.zeros_like(w, dtype=complex)
-        for sl, _, fac, is_sparse in self.blocks:
-            if is_sparse:
-                if np.iscomplexobj(w):
-                    out[sl] = fac.solve(np.real(w[sl])) + 1j * fac.solve(
-                        np.imag(w[sl]))
-                else:
-                    out[sl] = fac.solve(w[sl])
-            else:
-                out[sl] = cho_solve(fac, w[sl])
-        return out if np.iscomplexobj(w) else np.real(out)
+        out = np.zeros_like(w)
+        for sl, _, lu in self.blocks:
+            out[sl] = _lusolve(lu, w[sl])
+        return out
 
     def dense(self):
         """Dense Gram over all trial dofs (small meshes only)."""
         n = self.disc.ndof
         X = np.zeros((n, n), dtype=self.disc.form.dtype)
-        for sl, G, _, is_sparse in self.blocks:
-            X[sl, sl] = np.asarray(G.todense()) if sparse.issparse(G) else G
+        for sl, G, _ in self.blocks:
+            X[sl, sl] = G.toarray()
         return X

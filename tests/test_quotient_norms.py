@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from dpgfem import system
 from dpgfem.formulations import make_formulation, manufactured_case
 from dpgfem.meshes import build_structured, refine_uniform
 from dpgfem.system import Discretization
@@ -92,3 +93,18 @@ def test_quotient_norms_match_pinned_values(name):
     assert sorted(got) == sorted(want)
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-10), key
+
+
+def test_unrecoverable_trace_is_rejected(monkeypatch, eight_tri):
+    """A lift that does not reproduce the slot traces fails loudly."""
+    embed = system.trace_embedding
+
+    def perturbed(*args):
+        V = embed(*args).tocsc(copy=True)
+        V.data[::7] *= 1.001
+        return V
+
+    monkeypatch.setattr(system, "trace_embedding", perturbed)
+    disc = Discretization(make_formulation("ultraweak_dcr", 1), eight_tri)
+    with pytest.raises(RuntimeError, match="not recoverable"):
+        disc.interface_quotient_gram("uhat")

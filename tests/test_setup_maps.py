@@ -14,7 +14,7 @@ from scipy import sparse
 
 from dpgfem.meshes import build_structured, refine_marked, refine_uniform
 from dpgfem.reference import MeshGeometry, conforming_basis
-from dpgfem.simplex import facet_measure, local_facets
+from dpgfem.simplex import facet_measure, local_edges, local_facets
 from dpgfem.spaces import (
     ElementTables,
     conforming_map,
@@ -76,6 +76,34 @@ def _reference_facet_map(mesh, nb):
     return cell_dofs, factors, boundary
 
 
+def _reference_numbering(mesh, basis, use):
+    """Global dofs numbered by first appearance over cells in ascending
+    order, and the boundary flag of each dof's entity."""
+    dim = mesh.dim
+    bfacets = [tuple(mesh.facets[fid]) for fid in mesh.boundary_facets]
+    on_boundary = {"vertex": {(v,) for f in bfacets for v in f},
+                   "edge": {(f[a], f[b]) for f in bfacets
+                            for a, b in local_edges(dim - 1)}
+                   if dim == 3 else set(bfacets),
+                   "face": set(bfacets), "interior": set()}
+    ents = basis.dof_entities()
+    numbering, boundary = {}, []
+    cell_dofs = np.zeros((mesh.ncells, len(use)), dtype=int)
+    for ci, cell in enumerate(mesh.cells):
+        for col, k in enumerate(use):
+            kind, loc, j = ents[k]
+            verts = {"vertex": lambda: (loc,),
+                     "edge": lambda: local_edges(dim)[loc],
+                     "face": lambda: local_facets(dim)[loc]}.get(kind)
+            ent = (tuple(int(cell[v]) for v in verts()) if verts
+                   else (ci,))
+            if (kind, ent, j) not in numbering:
+                numbering[kind, ent, j] = len(numbering)
+                boundary.append(ent in on_boundary[kind])
+            cell_dofs[ci, col] = numbering[kind, ent, j]
+    return cell_dofs, np.array(boundary, dtype=bool)
+
+
 def _reference_hdiv_factors(mesh, basis, use):
     det = MeshGeometry(mesh).det
     facet_kind = "edge" if mesh.dim == 2 else "face"
@@ -116,6 +144,25 @@ def test_hdiv_factors_match_reference(mesh_name, skeleton):
            else range(len(basis.dof_entities())))
     assert np.array_equal(cmap.cell_factors,
                           _reference_hdiv_factors(mesh, basis, list(use)))
+
+
+@pytest.mark.parametrize("mesh_name,family,degree", [
+    ("lshape", "h1", 3), ("lshape", "hdiv", 2),
+    ("cube", "h1", 4), ("cube", "hcurl", 2), ("cube", "hdiv", 2),
+])
+@pytest.mark.parametrize("skeleton", [False, True])
+def test_conforming_numbering_matches_reference(mesh_name, family, degree,
+                                                skeleton):
+    mesh = MESHES[mesh_name]()
+    basis = conforming_basis(family, degree, mesh.dim)
+    cmap = conforming_map(mesh, basis, skeleton=skeleton)
+    use = (cmap.local_functions if skeleton
+           else range(len(basis.dof_entities())))
+    cell_dofs, boundary = _reference_numbering(mesh, basis, list(use))
+    assert cmap.ndofs == len(boundary)
+    assert cmap.cell_dofs.dtype == cell_dofs.dtype
+    assert np.array_equal(cmap.cell_dofs, cell_dofs)
+    assert np.array_equal(cmap.boundary, boundary)
 
 
 def _reference_gram(tables, dofmap, include_deriv):
