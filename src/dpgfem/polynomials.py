@@ -187,17 +187,20 @@ class CompiledPolys:
     def __len__(self):
         return self.coeffs.shape[0]
 
-    def eval(self, points):
-        """Values with shape (nfunc, npts, ncomp)."""
+    def monomials(self, points):
+        """The monomials of all terms at the points, (npts, nterms)."""
         points = np.asarray(points, dtype=float)
-        npts = points.shape[0]
-        mono = np.ones((npts, self.exponents.shape[0]))
+        mono = np.ones((points.shape[0], self.exponents.shape[0]))
         for axis in range(self.dim):
             exps = self.exponents[:, axis]
             nz = exps > 0
             if nz.any():
                 mono[:, nz] *= points[:, axis, None] ** exps[None, nz]
-        return np.einsum("fct,pt->fpc", self.coeffs, mono)
+        return mono
+
+    def eval(self, points):
+        """Values with shape (nfunc, npts, ncomp)."""
+        return np.einsum("fct,pt->fpc", self.coeffs, self.monomials(points))
 
 
 def scalar_monomials(dim, degree):

@@ -119,6 +119,17 @@ class ModalBasis:
             self._cache[key] = out
         return out
 
+    def tabulate(self, points, deriv=False):
+        """Values (or family derivatives) at the points, uncached, as one
+        product of the combined term coefficients W C with the monomial
+        table.  Equal to values()/derivs() up to rounding, which the
+        einsum of those two keeps fixed for the solver's bases."""
+        compiled = self._gen_deriv if deriv else self._gen_values
+        nf, (_, nc, nt) = len(self.W), compiled.coeffs.shape
+        terms = (self.W @ compiled.coeffs.reshape(len(compiled), -1))
+        out = terms.reshape(nf * nc, nt) @ compiled.monomials(points).T
+        return out.reshape(nf, nc, -1).transpose(0, 2, 1)
+
     def values(self, points):
         """Basis values, shape (nfuncs, npts, ncomp)."""
         return self._eval(self._gen_values, np.asarray(points, dtype=float))

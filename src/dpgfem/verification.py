@@ -11,11 +11,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, lstsq, solve, \
-    solve_triangular, svd
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular, svd
 
-from .formulations import MAXWELL_IDS, make_formulation
-from .fortin import REFERENCE_TET, TetQuadrature, _BoundarySpace, _Span, \
+from .formulations import MAXWELL_IDS, _integrate, make_formulation
+from .fortin import REFERENCE_TET, TetQuadrature, _BoundarySpace, \
     default_samples
 from .reference import conforming_basis
 from .spaces import ElementTables, conforming_map
@@ -32,7 +31,15 @@ _PAIRINGS = {
     "curlT/curlD": ("hcurl", "hcurl"),
     "curlD/curlT": ("hcurl", "hcurl"),
 }
-_DERIV = {"h1": "grad", "hdiv": "div", "hcurl": "curl"}
+
+# TetQuadrature.trace modes of the extension and the dual field of each
+# pairing: the dual field enters through the complementary trace
+_MODES = {
+    "grad/div": ("value", "ndot"),
+    "div/grad": ("ndot", "value"),
+    "curlT/curlD": ("flat", "nx"),
+    "curlD/curlT": ("nx", "flat"),
+}
 
 
 # -- trace samples -------------------------------------------------------
@@ -41,29 +48,22 @@ _DERIV = {"h1": "grad", "hdiv": "div", "hcurl": "curl"}
 class ScalarTrace:
     """Boundary values of a scalar field given as a point callable."""
 
+    mode = "value"
+
     def __init__(self, fn):
         self.fn = fn
 
     def values(self, quad):
-        out = []
-        for fi in range(4):
-            v = np.asarray(self.fn(quad.face_points[fi]), dtype=float)
-            out.append(v[:, 0] if v.ndim == 2 else v)
-        return np.stack(out)
+        return quad.trace(quad.sample([self.fn])[1], self.mode)[0]
 
 
-class NormalTrace:
+class NormalTrace(ScalarTrace):
     """n . tau of a vector field, one scalar block per face."""
 
-    def __init__(self, fn):
-        self.fn = fn
-
-    def values(self, quad):
-        return np.stack([np.asarray(self.fn(quad.face_points[fi]))
-                         @ quad.face_normals[fi] for fi in range(4)])
+    mode = "ndot"
 
 
-class TangentialTrace:
+class TangentialTrace(ScalarTrace):
     """Tangential boundary data of a vector field.
 
     flavor 'D' is the rotated trace n x E, flavor 'T' the flat
@@ -73,101 +73,46 @@ class TangentialTrace:
     def __init__(self, fn, flavor):
         if flavor not in ("T", "D"):
             raise ValueError("flavor must be 'T' or 'D'")
-        self.fn = fn
+        super().__init__(fn)
         self.flavor = flavor
-
-    def values(self, quad):
-        out = []
-        for fi in range(4):
-            n = quad.face_normals[fi]
-            v = np.asarray(self.fn(quad.face_points[fi]), dtype=float)
-            if self.flavor == "D":
-                out.append(np.cross(n, v))
-            else:
-                out.append(v - (v @ n)[:, None] * n)
-        return np.stack(out)
-
-
-class ConstantNormalTrace:
-    """The same constant on every face, e.g. sighat_n = 1."""
-
-    def __init__(self, value=1.0):
-        self.value = float(value)
-
-    def values(self, quad):
-        nq = quad.face_params.shape[0]
-        return np.full((4, nq), self.value)
+        self.mode = "nx" if flavor == "D" else "flat"
 
 
 # -- duality gap ---------------------------------------------------------
 
 
 class _DualityWorkspace:
-    """Cached spans, graph Grams and trace matrices for one (pairing, q)."""
+    """Graph Grams and trace maps for one (pairing, q), factored once.
+
+    C maps extension coefficients to the orthonormal trace basis; the
+    workspace keeps its pseudo-inverse, its null space N and the
+    Cholesky factors of N^T G_ext N and of the dual graph Gram, so that
+    a trace costs matrix-vector products and triangular solves.
+    """
 
     def __init__(self, pairing, q):
         ext_family, dual_family = _PAIRINGS[pairing]
-        self.pairing = pairing
-        self.quad = TetQuadrature(REFERENCE_TET, 2 * (q + 2))
-        self.ext = _Span(ext_family, q, self.quad, deriv=_DERIV[ext_family])
-        if dual_family == ext_family:
-            self.dual = self.ext
-        else:
-            self.dual = _Span(dual_family, q, self.quad,
-                              deriv=_DERIV[dual_family])
-        w = self.quad.vol_weights
-        self.G_ext = np.einsum("ipc,jpc,p->ij", self.ext.vol_vals,
-                               self.ext.vol_vals, w) \
-            + np.einsum("ipc,jpc,p->ij", self.ext.vol_deriv,
-                        self.ext.vol_deriv, w)
-        G_dual = np.einsum("ipc,jpc,p->ij", self.dual.vol_vals,
-                           self.dual.vol_vals, w) \
-            + np.einsum("ipc,jpc,p->ij", self.dual.vol_deriv,
-                        self.dual.vol_deriv, w)
-        self.dual_chol = cho_factor(G_dual)
-        self.ext_trace = self._surface(self.ext, self._ext_mode())
-        self.dual_trace = self._surface(self.dual, self._dual_mode())
-        onb = _BoundarySpace(self.quad, self.ext_trace).orthonormalized()
-        self.trace_onb = onb
-        self.C = onb.moment_matrix(self.ext_trace)
+        ext_mode, dual_mode = _MODES[pairing]
+        self.quad = quad = TetQuadrature(REFERENCE_TET, 2 * (q + 2))
+        self.G_ext = self._graph_gram(ext_family, q)
+        self.dual_chol = cho_factor(self._graph_gram(dual_family, q))
+        ext_trace = quad.trace(quad.span(ext_family, q, quad.face_ref),
+                               ext_mode)
+        self.dual_trace = _BoundarySpace(quad, quad.trace(
+            quad.span(dual_family, q, quad.face_ref), dual_mode))
+        self.trace_onb = _BoundarySpace(quad, ext_trace).orthonormalized()
+        U, sv, Vt = svd(self.trace_onb.moment_matrix(ext_trace))
+        rank = int((sv > 1e-12 * sv[0]).sum())
+        self.pinv = (Vt[:rank].T / sv[:rank]) @ U[:, :rank].T
+        self.N = Vt[rank:].T
+        self.null_chol = cho_factor(self.N.T @ self.G_ext @ self.N)
 
-    def _ext_mode(self):
-        return {"grad/div": "value", "div/grad": "ndot",
-                "curlT/curlD": "flat", "curlD/curlT": "nx"}[self.pairing]
-
-    def _dual_mode(self):
-        # the dual field enters the pairing through the complementary trace
-        return {"grad/div": "ndot", "div/grad": "value",
-                "curlT/curlD": "nx", "curlD/curlT": "flat"}[self.pairing]
-
-    def _surface(self, span, mode):
+    def _graph_gram(self, family, q):
         quad = self.quad
-        fv = span.face_vals()
-        out = []
-        for fi in range(4):
-            n = quad.face_normals[fi]
-            v = fv[fi]
-            if mode == "value":
-                out.append(v[:, :, 0])
-            elif mode == "ndot":
-                out.append(v @ n)
-            elif mode == "nx":
-                out.append(np.cross(n, v))
-            else:
-                out.append(v - (v @ n)[..., None] * n)
-        return np.stack(out, axis=1)  # (nspan, 4, nq[, 3])
-
-    def surface_norm2(self, t):
-        wf = np.stack(self.quad.face_weights)
-        if t.ndim == 2:
-            return float(np.einsum("fq,fq,fq->", t, t, wf))
-        return float(np.einsum("fqc,fqc,fq->", t, t, wf))
-
-    def pair_with_dual(self, t):
-        wf = np.stack(self.quad.face_weights)
-        if t.ndim == 2:
-            return np.einsum("nfq,fq,fq->n", self.dual_trace, t, wf)
-        return np.einsum("nfqc,fqc,fq->n", self.dual_trace, t, wf)
+        w = quad.vol_weights[:, None]
+        v = quad.span(family, q, quad.vol_ref)
+        d = quad.span(family, q, quad.vol_ref, deriv=True)
+        return _integrate(v, v, w) + _integrate(d, d, w)
 
 
 _WORKSPACES = {}
@@ -185,24 +130,20 @@ def duality_norms(pairing, q, trace):
     if pairing not in _PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
     ws = _workspace(pairing, q)
-    t = trace.values(ws.quad) if hasattr(trace, "values") else \
-        np.asarray(trace, dtype=float)
-    tn2 = ws.surface_norm2(t)
+    t = trace.values(ws.quad) if hasattr(trace, "values") else trace
+    t = np.asarray(t, dtype=float).reshape(ws.quad.face_weights.shape + (-1,))
+    tn2 = float(_BoundarySpace(ws.quad, t[None]).inner()[0, 0])
     if tn2 < 1e-28:
         return 0.0, 0.0
-    b = ws.pair_with_dual(t)
+    b = ws.dual_trace.moments(t)
     dual = float(np.sqrt(max(b @ cho_solve(ws.dual_chol, b), 0.0)))
     r = ws.trace_onb.moments(t)
     if tn2 - r @ r > 1e-10 * tn2:
         raise RuntimeError(
             f"trace is not attainable in the degree-{q} extension space "
             f"(unmatched surface energy {tn2 - r @ r:.3e})")
-    x0 = lstsq(ws.C, r)[0]
-    _, sv, Vt = svd(ws.C)
-    rank = int((sv > 1e-12 * sv[0]).sum())
-    N = Vt[rank:].T
-    z = solve(N.T @ ws.G_ext @ N, -N.T @ (ws.G_ext @ x0), assume_a="pos")
-    x = x0 + N @ z
+    x0 = ws.pinv @ r
+    x = x0 - ws.N @ cho_solve(ws.null_chol, ws.N.T @ (ws.G_ext @ x0))
     quot = float(np.sqrt(max(x @ ws.G_ext @ x, 0.0)))
     return quot, dual
 
@@ -296,17 +237,16 @@ def conforming_test_embedding(disc):
         cmap = conforming_map(mesh, basis_c, disc.geo)
         tab_c = ElementTables(mesh, basis_c, disc.geo, disc.volume_order,
                               disc.facet_order)
+        cells = slice(None)
+        Vb = tab_b.values(cells)
+        w = tab_b.volume_weights(cells)[:, None, :, None]
+        T = np.linalg.solve(_integrate(Vb, Vb, w),
+                            _integrate(tab_c.values(cells), Vb, w))
         C = np.zeros((ny, cmap.ndofs))
         for ci in range(mesh.ncells):
-            Vb = tab_b.values(ci)
-            Vc = tab_c.values(ci)
-            w = tab_b.volume_weights(ci)
-            M = np.einsum("ipc,jpc,p->ij", Vb, Vb, w)
-            R = np.einsum("ipc,jpc,p->ij", Vb, Vc, w)
-            T = solve(M, R, assume_a="pos")
             r0 = ci * nt + off
             C[r0:r0 + nb, cmap.cell_dofs[ci]] += \
-                T * cmap.cell_factors[ci][None, :]
+                T[ci] * cmap.cell_factors[ci][None, :]
         if zero_b:
             C = C[:, ~cmap.boundary]
         pieces.append(C)

@@ -47,6 +47,12 @@ def test_commuting_identities(p):
     assert fortin_commuting(p, systems=systems) < 1e-10
 
 
+@pytest.mark.parametrize("lam", [1e-2, 10.0])
+@pytest.mark.parametrize("shape", ["sheared", "aspect10"])
+def test_commuting_identities_off_reference(shape, lam):
+    assert fortin_commuting(1, vertices=SHAPE_FAMILY[shape] * lam) < 1e-9
+
+
 @pytest.mark.parametrize("kind", ["grad", "curl", "div"])
 def test_interpolant_is_idempotent(kind):
     sys_ = _system(kind, 1)
@@ -69,7 +75,7 @@ def test_weighted_bound_is_dilation_invariant():
     assert cf.max() / cf.min() - 1.0 > 1e-2
 
 
-@pytest.mark.parametrize("kind", ["grad", "div"])
+@pytest.mark.parametrize("kind", ["grad", "curl", "div"])
 def test_reference_shape_beats_flat_tet(kind):
     records = fortin_bound_sweep(
         1, kinds=(kind,), lambdas=(1.0,),
