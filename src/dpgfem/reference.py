@@ -120,13 +120,16 @@ class ModalBasis:
         return out
 
     def tabulate(self, points, deriv=False):
-        """Values (or family derivatives) at the points, uncached, as one
-        product of the combined term coefficients W C with the monomial
-        table.  Equal to values()/derivs() up to rounding, which the
-        einsum of those two keeps fixed for the solver's bases."""
+        """Values (or family derivatives) at the points, uncached: the
+        monomial table times the basis's term coefficients W C, one
+        matrix product.  Equal to values()/derivs() up to rounding.  The
+        solver's tables keep those two and their einsum: the conforming
+        bases are picked inside degenerate eigenspaces of Grams built
+        from the modal values, so a change in their last digits rotates
+        the conforming functions."""
         compiled = self._gen_deriv if deriv else self._gen_values
         nf, (_, nc, nt) = len(self.W), compiled.coeffs.shape
-        terms = (self.W @ compiled.coeffs.reshape(len(compiled), -1))
+        terms = self.W @ compiled.coeffs.reshape(len(compiled), -1)
         out = terms.reshape(nf * nc, nt) @ compiled.monomials(points).T
         return out.reshape(nf, nc, -1).transpose(0, 2, 1)
 
