@@ -63,12 +63,6 @@ def _as_field(a):
     return a[:, None] if a.ndim == 1 else a
 
 
-def _lin(C, tab):
-    """Coefficients C (k, n) times a table (n, ...) -> (k, ...)."""
-    return (C @ tab.reshape(tab.shape[0], -1)).reshape(
-        (C.shape[0],) + tab.shape[1:])
-
-
 def _flat(blocks):
     """Surface blocks (n, 4, nq, c) as point tables (n, 4 nq, c)."""
     return blocks.reshape(blocks.shape[0], -1, blocks.shape[-1])
@@ -138,7 +132,9 @@ class TetQuadrature:
         """The modal basis of a family pushed to this tetrahedron, or its
         family derivative, at reference points of any leading shape:
         (nfuncs,) + ref.shape[:-1] + (ncomp,)."""
-        tab = modal_basis(family, degree, 3).tabulate(ref.reshape(-1, 3), deriv)
+        basis = modal_basis(family, degree, 3)
+        pts = ref.reshape(-1, 3)
+        tab = basis.derivs(pts) if deriv else basis.values(pts)
         push = push_derivs if deriv else push_values
         tab = push(family, tab, self.J, self.Jinv, self.det)
         return tab.reshape(tab.shape[:1] + ref.shape[:-1] + tab.shape[-1:])
@@ -202,8 +198,9 @@ class _BoundarySpace:
         if expected is not None and int(keep.sum()) != expected:
             raise RuntimeError(
                 f"boundary space rank {int(keep.sum())}, expected {expected}")
+        C = (U[:, keep] / sv[keep]).T
         return _BoundarySpace(self.quad,
-                              _lin((U[:, keep] / sv[keep]).T, self.blocks))
+                              np.tensordot(C, self.blocks, axes=1))
 
     def complement_of(self, sub, expected=None):
         """Orthogonal complement of span(sub) inside this span."""
@@ -213,7 +210,8 @@ class _BoundarySpace:
         if expected is not None and U.shape[1] - rank != expected:
             raise RuntimeError(
                 f"complement dimension {U.shape[1] - rank}, expected {expected}")
-        return _BoundarySpace(self.quad, _lin(U[:, rank:].T, onb.blocks))
+        return _BoundarySpace(self.quad,
+                              np.tensordot(U[:, rank:].T, onb.blocks, axes=1))
 
 
 def _piecewise_boundary(quad, m):
@@ -351,7 +349,8 @@ class FortinSystem:
             self._vol_test = quad.span("vec", p + 1, quad.vol_ref)
             self._face_test = _scalar_volume_traces(quad, p + 2)
         B = self.bcoeff.T
-        M = self._moments(_lin(B, self.vol_vals), _lin(B, self.face_vals))
+        M = self._moments(np.tensordot(B, self.vol_vals, axes=1),
+                          np.tensordot(B, self.face_vals, axes=1))
         if M.shape[0] != M.shape[1]:
             raise RuntimeError(
                 f"moment system is {M.shape[0]}x{M.shape[1]}, expected square")
@@ -391,8 +390,9 @@ class FortinSystem:
     def volume_tables(self, coeff, mean):
         """Values and family derivatives (m, nv, c) at the volume points of
         the interpolants given by solve()."""
-        return (_lin(coeff.T, self.vol_vals) + mean[:, None, None],
-                _lin(coeff.T, self.vol_derivs))
+        vals = np.tensordot(coeff.T, self.vol_vals, axes=1)
+        return (vals + mean[:, None, None],
+                np.tensordot(coeff.T, self.vol_derivs, axes=1))
 
     def apply(self, fn):
         """Interpolate a callable (points -> values)."""
@@ -404,7 +404,8 @@ class FortinSystem:
         vol, face = self.quad.sample(fns)
         coeff, mean = self.solve(vol, face)
         ivol, _ = self.volume_tables(coeff, mean)
-        iface = _lin(coeff.T, self.face_vals) + mean[:, None, None, None]
+        iface = (np.tensordot(coeff.T, self.face_vals, axes=1)
+                 + mean[:, None, None, None])
         worst = np.abs(self._moments(ivol - vol, iface - face)).max(axis=0)
         scale = np.sqrt(np.sum(vol * vol, axis=2) @ self.quad.vol_weights)
         return worst / np.maximum(scale, 1e-30)
@@ -562,7 +563,7 @@ def fortin_commuting(p, samples=None, vertices=None, systems=None):
     proj = quad.span("h1", p + 2, quad.vol_ref)
     pc = np.linalg.solve(_integrate(proj, proj, w[:, None]),
                          _integrate(dvals, proj, w[:, None]))
-    worst.append(rel(lhs - _lin(pc.T, proj), dvals))
+    worst.append(rel(lhs - np.tensordot(pc.T, proj, axes=1), dvals))
     return float(np.concatenate(worst).max())
 
 

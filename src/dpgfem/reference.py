@@ -119,20 +119,6 @@ class ModalBasis:
             self._cache[key] = out
         return out
 
-    def tabulate(self, points, deriv=False):
-        """Values (or family derivatives) at the points, uncached: the
-        monomial table times the basis's term coefficients W C, one
-        matrix product.  Equal to values()/derivs() up to rounding.  The
-        solver's tables keep those two and their einsum: the conforming
-        bases are picked inside degenerate eigenspaces of Grams built
-        from the modal values, so a change in their last digits rotates
-        the conforming functions."""
-        compiled = self._gen_deriv if deriv else self._gen_values
-        nf, (_, nc, nt) = len(self.W), compiled.coeffs.shape
-        terms = self.W @ compiled.coeffs.reshape(len(compiled), -1)
-        out = terms.reshape(nf * nc, nt) @ compiled.monomials(points).T
-        return out.reshape(nf, nc, -1).transpose(0, 2, 1)
-
     def values(self, points):
         """Basis values, shape (nfuncs, npts, ncomp)."""
         return self._eval(self._gen_values, np.asarray(points, dtype=float))
