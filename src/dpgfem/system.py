@@ -416,6 +416,9 @@ class Discretization:
 
         Power iteration on G_X^{-1} B^H G_Y^{-1} B with the trial graph
         norms (quotient norms on interfaces) and the broken Y norm.
+        The result is the Rayleigh quotient after at most ``niter``
+        steps, a lower bound of ||b||: when the top of the spectrum is
+        clustered the iteration stops before it converges.
         """
         xs = self.xnorm_solver()
         A = self._matrix()
