@@ -14,7 +14,8 @@ seeded probe v^H G v.
 its value is a lower bound that depends on how the start vector meets
 the top eigenspace, and with it on the bases.  The pinned norm of b is
 instead the square root of the converged top eigenvalue of the pencil
-(A, G_X), computed here with ``eigsh``; ``opnorm`` must not exceed it.
+(A, G_X), computed here with ``eigsh``; ``opnorm`` must not exceed it
+and must come within 1 % of it.
 """
 
 import numpy as np
@@ -115,7 +116,7 @@ def test_opnorm_is_below_the_converged_norm_of_b(name):
     disc = Discretization(form, mesh)
     top = converged_opnorm(disc)
     assert top == pytest.approx(CONVERGED_OPNORM[name], rel=1e-10)
-    assert disc.opnorm(seed=0) <= top * (1 + 1e-12)
+    assert 0.99 * top <= disc.opnorm(seed=0) <= top * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
