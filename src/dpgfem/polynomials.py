@@ -200,7 +200,8 @@ class CompiledPolys:
 
     def eval(self, points):
         """Values with shape (nfunc, npts, ncomp)."""
-        return np.einsum("fct,pt->fpc", self.coeffs, self.monomials(points))
+        mono = self.monomials(points)
+        return np.tensordot(self.coeffs, mono, axes=([2], [1])).transpose(0, 2, 1)
 
 
 def scalar_monomials(dim, degree):

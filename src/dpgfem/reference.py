@@ -6,19 +6,25 @@ family.  Conforming bases are built on top of the modal ones by
 prescribing canonical traces on vertices, edges and faces; because cells
 store ascending vertex ids, one reference construction serves every cell
 and neighbouring cells automatically agree on shared traces.
+
+Every basis is canonical: wherever a construction could pick vectors
+inside a degenerate eigenspace it instead keeps independent candidates
+in a fixed order and orthonormalizes them by the inverse square root of
+their Gram, so rounding in the inputs moves the bases only by rounding.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from numpy.linalg import lstsq
 from scipy.linalg import cholesky, eigh, solve_triangular
 
 from .polynomials import CompiledPolys, family_generator_groups, space_dimension
-from .quadrature import reference_volume, simplex_rule
+from .quadrature import simplex_rule
 from .simplex import (
     REF_VERTICES,
-    facet_measure,
     facet_parametrization,
     local_edges,
     local_facets,
@@ -41,7 +47,10 @@ class ModalBasis:
     ncomp : int
         1 for scalar families, dim otherwise.
     W : ndarray (nfuncs, ngens)
-        Coefficients over the raw monomial generators.
+        Coefficients over the raw monomial generators, which are taken in
+        coordinates centred at the simplex centroid: there their Gram is
+        far better conditioned than at the vertex (by 1e2 to 1e3 at
+        degree 7 in 3D), and so is W under rounding.
     """
 
     def __init__(self, family, degree, dim):
@@ -50,30 +59,19 @@ class ModalBasis:
         self.dim = dim
         groups = family_generator_groups(family, degree, dim)
         gens = [g for group in groups for g in group]
-        slices = []
-        start = 0
-        for group in groups:
-            slices.append(slice(start, start + len(group)))
-            start += len(group)
+        ends = np.cumsum([0] + [len(group) for group in groups])
+        self._slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
         self._gen_values = CompiledPolys(gens)
         self.ncomp = self._gen_values.ncomp
         if family in ("h1", "l2"):
-            self._gen_deriv = CompiledPolys([g.grad() for g in gens])
+            ders = [g.grad() for g in gens]
         elif family == "hdiv":
-            self._gen_deriv = CompiledPolys([g.div() for g in gens])
-        elif family == "hcurl":
-            if dim == 3:
-                self._gen_deriv = CompiledPolys([g.curl3d() for g in gens])
-            else:
-                self._gen_deriv = CompiledPolys([g.rot2d() for g in gens])
-        elif family == "vec":
-            if dim == 3:
-                self._gen_deriv = CompiledPolys([g.curl3d() for g in gens])
-            else:
-                self._gen_deriv = CompiledPolys([g.rot2d() for g in gens])
+            ders = [g.div() for g in gens]
         else:
-            raise ValueError(f"unknown family {family!r}")
-        self.W = self._orthonormalize(slices)
+            ders = [g.curl3d() if dim == 3 else g.rot2d() for g in gens]
+        self._gen_deriv = CompiledPolys(ders)
+        self._centroid = np.full(dim, 1.0 / (dim + 1))
+        self.W = self._orthonormalize(self._gram())
         self.nfuncs = self.W.shape[0]
         expected = space_dimension(family, degree, dim)
         if self.nfuncs != expected:
@@ -82,40 +80,41 @@ class ModalBasis:
                 f"expected {expected}")
         self._cache = {}
 
-    def _orthonormalize(self, slices):
+    def _gram(self):
+        """L2 Gram of the raw generators."""
         rule = simplex_rule(self.dim, 2 * max(self.degree, 1))
-        V = self._gen_values.eval(rule.points)
-        M = np.einsum("ipc,jpc,p->ij", V, V, rule.weights)
-        rows = []
-        for sl in slices:
-            Mgg = M[sl, sl]
-            have_prev = bool(rows)
-            if have_prev:
-                B = np.array(rows)
-                P = B @ M[:, sl]
-                R = Mgg - P.T @ P
-            else:
-                R = Mgg.copy()
-            lam, U = eigh(R)
-            keep = lam > _RANK_TOL * max(lam.max(), 1e-30)
-            for i in np.flatnonzero(keep):
-                coeff = np.zeros(M.shape[0])
-                coeff[sl] = U[:, i]
-                if have_prev:
-                    coeff -= (U[:, i] @ P.T) @ B
-                rows.append(coeff / np.sqrt(lam[i]))
-        W = np.array(rows)
+        V = self._gen_values.eval(rule.points - self._centroid)
+        M = _inner(V, V, rule.weights)
+        return 0.5 * (M + M.T)
+
+    def _orthonormalize(self, M):
+        """Coefficients of the graded orthonormal basis from the Gram M.
+
+        Each group keeps its independent generators in generator order,
+        projects out the earlier groups and is orthonormalized by the
+        inverse square root of its Gram; none of these steps picks
+        vectors inside an eigenspace, so the basis moves with its inputs
+        only by rounding.
+        """
+        rows = np.zeros((0, M.shape[0]))
+        for sl in self._slices:
+            P = rows @ M[:, sl]
+            keep, S = _symmetric_orthonormal(M[sl, sl] - P.T @ P,
+                                             _RANK_TOL * np.diag(M)[sl])
+            E = np.eye(M.shape[0])[sl][keep]
+            rows = np.vstack([rows, S @ (E - P[:, keep].T @ rows)])
         # one symmetric correction pass restores orthonormality lost to
         # cancellation in the graded sweep without disturbing prefix spans
-        Mon = W @ M @ W.T
-        L = cholesky(Mon, lower=True)
-        return solve_triangular(L, W, lower=True)
+        Mon = rows @ M @ rows.T
+        L = cholesky(0.5 * (Mon + Mon.T), lower=True)
+        return solve_triangular(L, rows, lower=True)
 
     def _eval(self, compiled, points):
         key = (id(compiled), points.tobytes())
         out = self._cache.get(key)
         if out is None:
-            out = np.einsum("fg,gpc->fpc", self.W, compiled.eval(points))
+            gens = compiled.eval(points - self._centroid)
+            out = np.tensordot(self.W, gens, axes=1)
             self._cache[key] = out
         return out
 
@@ -127,6 +126,32 @@ class ModalBasis:
         """Family derivative: grad for scalars, div for hdiv, curl for
         hcurl/vec (scalar in 2D).  Shape (nfuncs, npts, k)."""
         return self._eval(self._gen_deriv, np.asarray(points, dtype=float))
+
+
+def _inner(A, B, weights):
+    """Weighted L2 inner products of two (n, npts, ncomp) tables."""
+    wk = np.repeat(weights, A.shape[2])
+    return (A.reshape(A.shape[0], -1) * wk) @ B.reshape(B.shape[0], -1).T
+
+
+def _symmetric_orthonormal(G, floor):
+    """Independent columns of a Gram matrix, orthonormalized symmetrically.
+
+    Column j is kept when its squared distance from the span of the
+    columns kept before it exceeds ``floor[j]``.  Returns the kept
+    indices and S = G_kk^{-1/2}; S does not depend on the eigenvectors
+    that represent it, so repeated eigenvalues leave it well defined.
+    """
+    keep = []
+    R = G.copy()
+    for j in range(G.shape[0]):
+        # R holds G with the kept columns eliminated, so R[j, j] is the
+        # squared distance (a Cholesky pivot taken in order)
+        if R[j, j] > floor[j]:
+            keep.append(j)
+            R -= np.outer(R[:, j], R[j] / R[j, j])
+    lam, U = eigh(G[np.ix_(keep, keep)])
+    return keep, (U / np.sqrt(lam)) @ U.T
 
 
 _MODAL_CACHE = {}
@@ -204,90 +229,59 @@ def legendre01(k, s):
     return vals * scale[:, None]
 
 
-class _Canonical1D:
-    """Canonical polynomial bases on the unit interval.
-
-    ``full(m)`` returns an evaluator for the orthonormal Legendre basis of
-    degree < m; ``bubble(k)`` for an orthonormal basis of degree <= k
-    polynomials vanishing at both endpoints.
-    """
-
-    def __init__(self):
-        self._bubbles = {}
-
-    def full(self, m):
-        return lambda s: legendre01(m - 1, s)
-
-    def bubble(self, k):
-        coeff = self._bubbles.get(k)
-        if coeff is None:
-            if k < 2:
-                coeff = np.zeros((0, k + 1))
-            else:
-                rule = simplex_rule(1, 2 * k + 2)
-                s = rule.points[:, 0]
-                full = legendre01(k, s)
-                ends = legendre01(k, np.array([0.0, 1.0]))
-                # null space of endpoint evaluation
-                _, sv, Vt = np.linalg.svd(ends.T, full_matrices=True)
-                null = Vt[2:]
-                vals = null @ full
-                G = np.einsum("ip,jp,p->ij", vals, vals, rule.weights)
-                lam, U = eigh(G)
-                coeff = (U / np.sqrt(lam)).T @ null
-            self._bubbles[k] = coeff
-        return lambda s: coeff @ legendre01(k, s)
-
-
-_CANON1D = _Canonical1D()
+def _bubble01(k, s):
+    """Orthonormal basis of the degree <= k polynomials on (0,1) that
+    vanish at both ends, at s; shape (max(k - 1, 0), len(s))."""
+    # Legendre coefficients are orthonormal, so the null space of the
+    # endpoint evaluations is an orthonormal bubble basis
+    ends = legendre01(k, np.array([0.0, 1.0])).T
+    return _orthonormal_nullspace(ends) @ legendre01(k, s)
 
 
 # -- canonical facet (triangle) bases ---------------------------------
 
 
+def _edge_traces(basis, s, tangential):
+    """Values (scalar) or tangential components (vector) of a triangle
+    basis at parameters s of every edge, as (3 * len(s), nfuncs)."""
+    rows = []
+    for edge in local_edges(2):
+        vals = basis.values(edge_points(2, edge, s))
+        rows.append(vals @ edge_tangent(2, edge) if tangential else vals[:, :, 0])
+    return np.concatenate(rows, axis=1).T
+
+
 def _tri_scalar_bubble(k):
     """Orthonormal basis of degree <= k triangle polynomials vanishing on
     the boundary, as coefficients over the 2D scalar modal basis."""
-    basis = modal_basis("l2", k, 2)
-    rows = []
-    rule1 = simplex_rule(1, 2 * k + 2)
-    s = rule1.points[:, 0]
-    for edge in local_edges(2):
-        pts = edge_points(2, edge, s)
-        rows.append(basis.values(pts)[:, :, 0])
-    C = np.concatenate(rows, axis=1).T  # (neval, nb)
-    return _orthonormal_nullspace(C, np.eye(basis.nfuncs))
+    s = simplex_rule(1, 2 * k + 2).points[:, 0]
+    return _orthonormal_nullspace(_edge_traces(modal_basis("l2", k, 2), s, False))
 
 
 def _tri_vector_bubble(family2d, k):
     """Orthonormal tangential-bubble basis of a 2D vector family: fields
     with zero tangential component on all three triangle edges."""
-    basis = modal_basis(family2d, k, 2)
-    rule1 = simplex_rule(1, 2 * k + 4)
-    s = rule1.points[:, 0]
-    rows = []
-    for edge in local_edges(2):
-        pts = edge_points(2, edge, s)
-        t = edge_tangent(2, edge)
-        vals = basis.values(pts)
-        rows.append(np.einsum("fpc,c->fp", vals, t))
-    C = np.concatenate(rows, axis=1).T
-    return _orthonormal_nullspace(C, np.eye(basis.nfuncs))
+    s = simplex_rule(1, 2 * k + 4).points[:, 0]
+    return _orthonormal_nullspace(_edge_traces(modal_basis(family2d, k, 2), s, True))
 
 
-def _orthonormal_nullspace(C, gram):
-    """Orthonormal (wrt gram) basis of the null space of C."""
+def _orthonormal_nullspace(C):
+    """Orthonormal basis of the null space of C, as rows.
+
+    The projections of the coordinate vectors onto null(C) (columns of
+    the unique projector) are picked in coordinate order and
+    orthonormalized symmetrically.
+    """
+    n = C.shape[1]
     if C.shape[0] == 0:
-        null = np.eye(C.shape[1])
+        null = np.eye(n)
     else:
         _, sv, Vt = np.linalg.svd(C, full_matrices=True)
         rank = int((sv > _RANK_TOL * max(sv[0], 1e-30)).sum()) if len(sv) else 0
         null = Vt[rank:]
-    if null.shape[0] == 0:
-        return null
-    G = null @ gram @ null.T
-    lam, U = eigh(G)
-    return (U / np.sqrt(lam)).T @ null
+    P = null.T @ null
+    keep, S = _symmetric_orthonormal(P, np.full(n, _RANK_TOL))
+    return S @ P[keep]
 
 
 # -- conforming bases -------------------------------------------------
@@ -311,10 +305,10 @@ class ConformingBasis:
         self.modal = modal_basis(family, degree, dim)
 
     def values(self, points):
-        return np.einsum("cm,mpk->cpk", self.coeffs, self.modal.values(points))
+        return np.tensordot(self.coeffs, self.modal.values(points), axes=1)
 
     def derivs(self, points):
-        return np.einsum("cm,mpk->cpk", self.coeffs, self.modal.derivs(points))
+        return np.tensordot(self.coeffs, self.modal.derivs(points), axes=1)
 
     def dof_entities(self):
         """Expanded per-function (kind, local_index, index_within_entity)."""
@@ -325,95 +319,70 @@ class ConformingBasis:
         return out
 
 
-def _boundary_trace_rows(basis, dim, facet_order):
-    """Per-facet relevant-trace evaluation of every modal function.
+def _boundary_traces(basis, dim, facet_order):
+    """Relevant-trace evaluation of every modal function on every facet.
 
-    Returns (rows_per_facet, meta) where each entry is an array
-    (nb, neval) stacking the trace values used for conformity: scalar
-    values for h1, tangential parameter components for hcurl/vec, outward
-    normal components for hdiv.
+    Returns (C, rule) with C of shape (neval, nb) stacking, facet by
+    facet, the trace values used for conformity: scalar values for h1,
+    tangential parameter components for hcurl/vec, outward normal
+    components for hdiv.
     """
     rule = simplex_rule(dim - 1, facet_order)
     rows = []
     for lf in local_facets(dim):
-        pts = facet_points(dim, lf, rule.points)
-        vals = basis.values(pts)
+        vals = basis.values(facet_points(dim, lf, rule.points))
         if basis.family in ("h1", "l2"):
             rows.append(vals[:, :, 0])
         elif basis.family == "hdiv":
-            n = facet_outward_normal(dim, lf)
-            rows.append(np.einsum("fpc,c->fp", vals, n))
+            rows.append(vals @ facet_outward_normal(dim, lf))
         elif basis.family in ("hcurl", "vec"):
             A, _ = facet_parametrization(dim, lf)
-            tang = np.einsum("fpc,ck->fpk", vals, A)
-            rows.append(tang.reshape(basis.nfuncs, -1))
+            rows.append((vals @ A).reshape(basis.nfuncs, -1))
         else:
             raise ValueError(basis.family)
-    return rows, rule
+    return np.concatenate(rows, axis=1).T, rule
 
 
-def _lift(modal_rowblocks, targets):
-    """Minimum-L2-norm element of the modal span matching boundary data.
+def _on_facet(nfacets, fi, vals):
+    """Boundary data equal to each row of vals on facet fi and zero on
+    the others: (len(vals), nfacets, *vals.shape[1:])."""
+    T = np.zeros((len(vals), nfacets) + vals.shape[1:])
+    T[:, fi] = vals
+    return T
 
-    ``modal_rowblocks`` are the per-facet trace arrays of the modal basis,
-    ``targets`` the prescribed values per facet (same shapes minus the
-    function axis).  The modal basis is orthonormal, so the least-norm
-    coefficient vector is the least-norm function.
+
+def _lift(C, T):
+    """Minimum-L2-norm elements of the modal span with prescribed traces.
+
+    ``C`` stacks the traces of the modal basis as from
+    ``_boundary_traces``, ``T`` holds one function's boundary data per
+    leading index, in the same facet-major layout.  The modal basis is
+    orthonormal, so the least-norm coefficient rows are the least-norm
+    functions.
     """
-    C = np.concatenate(modal_rowblocks, axis=1).T
-    t = np.concatenate([np.ravel(x) for x in targets])
-    sol, *_ = lstsq(C, t, rcond=None)
-    resid = np.linalg.norm(C @ sol - t)
-    scale = max(np.linalg.norm(t), 1.0)
-    if resid > 1e-8 * scale:
-        raise RuntimeError(f"inconsistent trace prescription: residual {resid:.2e}")
-    return sol
+    T = T.reshape(len(T), -1).T
+    sol, *_ = lstsq(C, T, rcond=_RANK_TOL)
+    resid = np.linalg.norm(C @ sol - T, axis=0)
+    if np.any(resid > 1e-8 * np.maximum(np.linalg.norm(T, axis=0), 1.0)):
+        raise RuntimeError(
+            f"inconsistent trace prescription: residual {resid.max():.2e}")
+    return sol.T
 
 
-def _face_scalar_lift(k, which_edge, edge_fn_index):
-    """Triangle lift of a 1D edge bubble: degree <= k scalar with the
-    given bubble on one edge and zero on the other two (min norm)."""
-    basis = modal_basis("l2", k, 2)
-    rule1 = simplex_rule(1, 2 * k + 2)
-    s = rule1.points[:, 0]
-    blocks = []
-    targets = []
-    bub = _CANON1D.bubble(k)(s)
-    for ei, edge in enumerate(local_edges(2)):
-        pts = edge_points(2, edge, s)
-        blocks.append(basis.values(pts)[:, :, 0])
-        if ei == which_edge:
-            targets.append(bub[edge_fn_index])
-        else:
-            targets.append(np.zeros(len(s)))
-    return _lift(blocks, targets)
-
-
-def _face_tangential_lift(family2d, k, m_edge, which_edge, edge_fn_index):
-    """Triangle vector lift: tangential component equal to a Legendre
-    polynomial on one edge, zero on the others (min norm)."""
-    basis = modal_basis(family2d, k, 2)
-    rule1 = simplex_rule(1, 2 * k + 4)
-    s = rule1.points[:, 0]
-    leg = _CANON1D.full(m_edge)(s)
-    blocks = []
-    targets = []
-    for ei, edge in enumerate(local_edges(2)):
-        pts = edge_points(2, edge, s)
-        t = edge_tangent(2, edge)
-        blocks.append(np.einsum("fpc,c->fp", basis.values(pts), t))
-        if ei == which_edge:
-            targets.append(leg[edge_fn_index])
-        else:
-            targets.append(np.zeros(len(s)))
-    return _lift(blocks, targets)
+def _face_lifts(basis, s, tangential, data):
+    """Triangle lifts of 1D edge data: for each edge and each row of
+    ``data`` (values at s), the min-norm element of ``basis`` whose trace
+    (tangential for vector families) is that row on the edge and zero on
+    the other two edges; shape (3, len(data), nfuncs)."""
+    T = np.concatenate([_on_facet(3, ei, data) for ei in range(3)])
+    lifts = _lift(_edge_traces(basis, s, tangential), T)
+    return lifts.reshape(3, len(data), -1)
 
 
 def _project_scalar(basis, poly_vals, rule):
     """L2 projection onto an orthonormal modal basis from values at the
     points of ``rule`` (exact for polynomials in the span)."""
-    V = basis.values(rule.points)
-    return np.einsum("fpc,pc,p->f", V, poly_vals, rule.weights)
+    return _inner(basis.values(rule.points), poly_vals[None], rule.weights)[:, 0]
 
 
 _CONF_CACHE = {}
@@ -453,80 +422,60 @@ def _verify_conforming(basis):
         raise RuntimeError("conforming basis is numerically dependent")
 
 
+def _finish_conforming(family, k, dim, C, head, data, entity):
+    """Head rows, the lifts of the boundary data, then the interior: the
+    orthonormal null space of all boundary traces."""
+    null = _orthonormal_nullspace(C)
+    if null.shape[0]:
+        entity.append(("interior", 0, null.shape[0]))
+    lifts = _lift(C, np.array(data)) if data else np.zeros((0, C.shape[1]))
+    return ConformingBasis(family, k, dim, np.vstack([head, lifts, null]),
+                           entity)
+
+
+def _edge_data(dim, le, edge_vals):
+    """Boundary data of the functions of one edge; ``edge_vals[w]`` is
+    their trace on a facet whose w-th own edge is le."""
+    return sum(_on_facet(dim + 1, fi, edge_vals[_face_edge_map(lf).index(le)])
+               for fi, lf in enumerate(local_facets(dim)) if set(le) <= set(lf))
+
+
 def _build_h1(degree, dim):
     k = degree
     modal = modal_basis("h1", k, dim)
-    facet_order = 2 * k + 2
-    trace_rows, frule = _boundary_trace_rows(modal, dim, facet_order)
+    C, frule = _boundary_traces(modal, dim, 2 * k + 2)
     rule = simplex_rule(dim, 2 * k)
-    rows = []
-    entity = []
     # vertex functions: barycentric coordinates
-    verts = REF_VERTICES[dim]
-    lam_vals = np.ones((dim + 1, rule.npoints, 1))
-    lam_vals[0, :, 0] = 1.0 - rule.points.sum(axis=1)
-    for i in range(dim):
-        lam_vals[i + 1, :, 0] = rule.points[:, i]
-    for v in range(dim + 1):
-        rows.append(_project_scalar(modal, lam_vals[v], rule))
-        entity.append(("vertex", v, 1))
-    # edge functions
+    lam_vals = np.concatenate([1.0 - rule.points.sum(axis=1, keepdims=True),
+                               rule.points], axis=1).T[:, :, None]
+    head = [_project_scalar(modal, lam, rule) for lam in lam_vals]
+    entity = [("vertex", v, 1) for v in range(dim + 1)]
+    data = []
+    # edge functions: the 1D bubbles on an edge, lifted into each face
     nbub = max(k - 1, 0)
-    s1 = frule.points[:, 0] if dim == 2 else simplex_rule(1, 2 * k + 2).points[:, 0]
-    for le_index, le in enumerate(local_edges(dim)):
-        if nbub == 0:
-            break
-        for j in range(nbub):
-            if dim == 2:
-                targets = []
-                bub = _CANON1D.bubble(k)(frule.points[:, 0])
-                for fi, lf in enumerate(local_facets(2)):
-                    if tuple(lf) == tuple(le):
-                        targets.append(bub[j])
-                    else:
-                        targets.append(np.zeros(frule.npoints))
-                rows.append(_lift(trace_rows, targets))
-            else:
-                targets = []
-                for lf in local_facets(3):
-                    if set(le) <= set(lf):
-                        which = local_edges(2)[
-                            [tuple(e) for e in _face_edge_map(lf)].index(tuple(le))]
-                        which_idx = [tuple(e) for e in _face_edge_map(lf)].index(tuple(le))
-                        lift = _face_scalar_lift(k, which_idx, j)
-                        tri = modal_basis("l2", k, 2)
-                        targets.append(lift @ tri.values(frule.points)[:, :, 0])
-                    else:
-                        targets.append(np.zeros(frule.npoints))
-                rows.append(_lift(trace_rows, targets))
+    s = simplex_rule(1, 2 * k + 2).points[:, 0]
+    if nbub and dim == 2:
+        edge_vals = [_bubble01(k, frule.points[:, 0])]
+    elif nbub:
+        tri = modal_basis("l2", k, 2)
+        lifts = _face_lifts(tri, s, False, _bubble01(k, s))
+        edge_vals = lifts @ tri.values(frule.points)[:, :, 0]
+    for le_index, le in enumerate(local_edges(dim) if nbub else []):
+        data.extend(_edge_data(dim, le, edge_vals))
         entity.append(("edge", le_index, nbub))
     # face functions (3D)
     if dim == 3:
-        bub = _tri_scalar_bubble(k)
-        nface = bub.shape[0]
-        if nface:
-            tri = modal_basis("l2", k, 2)
-            bvals = np.einsum("bm,mpk->bpk", bub, tri.values(frule.points))[:, :, 0]
-            for lf_index, lf in enumerate(local_facets(3)):
-                for j in range(nface):
-                    targets = [bvals[j] if fi == lf_index else np.zeros(frule.npoints)
-                               for fi in range(4)]
-                    rows.append(_lift(trace_rows, targets))
-                entity.append(("face", lf_index, nface))
-    # interior: null space of all boundary traces
-    C = np.concatenate(trace_rows, axis=1).T
-    null = _orthonormal_nullspace(C, np.eye(modal.nfuncs))
-    for r in null:
-        rows.append(r)
-    if null.shape[0]:
-        entity.append(("interior", 0, null.shape[0]))
-    return ConformingBasis("h1", k, dim, np.array(rows), entity)
+        tri = modal_basis("l2", k, 2)
+        bvals = _tri_scalar_bubble(k) @ tri.values(frule.points)[:, :, 0]
+        for lf_index in range(4 if len(bvals) else 0):
+            data.extend(_on_facet(4, lf_index, bvals))
+            entity.append(("face", lf_index, len(bvals)))
+    return _finish_conforming("h1", k, dim, C, head, data, entity)
 
 
 def _face_edge_map(lf):
     """Edges of a local face in the face's own (sorted) vertex order."""
-    a, b, c = lf
-    return [(a, b), (a, c), (b, c)]
+    return list(itertools.combinations(lf, 2))
 
 
 def _build_tangential(family, degree):
@@ -537,73 +486,41 @@ def _build_tangential(family, degree):
     traces.
     """
     k = degree
-    dim = 3
-    modal = modal_basis(family, k, dim)
+    modal = modal_basis(family, k, 3)
     m_edge = k if family == "hcurl" else k + 1
-    face_family = family
-    facet_order = 2 * k + 4
-    trace_rows, frule = _boundary_trace_rows(modal, dim, facet_order)
-    rows = []
-    entity = []
-    tri = modal_basis(face_family, k, 2)
+    C, frule = _boundary_traces(modal, 3, 2 * k + 4)
+    tri = modal_basis(family, k, 2)
     tri_vals = tri.values(frule.points)  # (nf2d, nq, 2)
-    # edge functions
+    data, entity = [], []
+    # edge functions: Legendre tangential data lifted into each face
+    s = simplex_rule(1, 2 * k + 4).points[:, 0]
+    lifts = _face_lifts(tri, s, True, legendre01(m_edge - 1, s))
+    edge_vals = np.tensordot(lifts, tri_vals, axes=1)
     for le_index, le in enumerate(local_edges(3)):
-        for j in range(m_edge):
-            targets = []
-            for lf in local_facets(3):
-                if set(le) <= set(lf):
-                    which_idx = [tuple(e) for e in _face_edge_map(lf)].index(tuple(le))
-                    lift = _face_tangential_lift(face_family, k, m_edge, which_idx, j)
-                    tang = np.einsum("f,fpk->pk", lift, tri_vals)
-                    targets.append(tang)
-                else:
-                    targets.append(np.zeros((frule.npoints, 2)))
-            rows.append(_lift(trace_rows, targets))
+        data.extend(_edge_data(3, le, edge_vals))
         entity.append(("edge", le_index, m_edge))
     # face functions
-    bub = _tri_vector_bubble(face_family, k)
-    nface = bub.shape[0]
-    if nface:
-        bvals = np.einsum("bm,mpk->bpk", bub, tri_vals)
-        for lf_index in range(4):
-            for j in range(nface):
-                targets = [bvals[j] if fi == lf_index else np.zeros((frule.npoints, 2))
-                           for fi in range(4)]
-                rows.append(_lift(trace_rows, targets))
-            entity.append(("face", lf_index, nface))
-    C = np.concatenate(trace_rows, axis=1).T
-    null = _orthonormal_nullspace(C, np.eye(modal.nfuncs))
-    for r in null:
-        rows.append(r)
-    if null.shape[0]:
-        entity.append(("interior", 0, null.shape[0]))
-    return ConformingBasis(family, k, dim, np.array(rows), entity)
+    bvals = np.tensordot(_tri_vector_bubble(family, k), tri_vals, axes=1)
+    for lf_index in range(4 if len(bvals) else 0):
+        data.extend(_on_facet(4, lf_index, bvals))
+        entity.append(("face", lf_index, len(bvals)))
+    return _finish_conforming(family, k, 3, C, np.zeros((0, modal.nfuncs)),
+                              data, entity)
 
 
 def _build_hdiv(degree, dim):
     k = degree
     modal = modal_basis("hdiv", k, dim)
-    facet_order = 2 * k + 2
-    trace_rows, frule = _boundary_trace_rows(modal, dim, facet_order)
+    C, frule = _boundary_traces(modal, dim, 2 * k + 2)
     tr = modal_basis("l2", k - 1, dim - 1)
     tvals = tr.values(frule.points)[:, :, 0]
-    rows = []
-    entity = []
+    data, entity = [], []
     kind = "edge" if dim == 2 else "face"
     for lf_index in range(dim + 1):
-        for j in range(tr.nfuncs):
-            targets = [tvals[j] if fi == lf_index else np.zeros(frule.npoints)
-                       for fi in range(dim + 1)]
-            rows.append(_lift(trace_rows, targets))
+        data.extend(_on_facet(dim + 1, lf_index, tvals))
         entity.append((kind, lf_index, tr.nfuncs))
-    C = np.concatenate(trace_rows, axis=1).T
-    null = _orthonormal_nullspace(C, np.eye(modal.nfuncs))
-    for r in null:
-        rows.append(r)
-    if null.shape[0]:
-        entity.append(("interior", 0, null.shape[0]))
-    return ConformingBasis("hdiv", k, dim, np.array(rows), entity)
+    return _finish_conforming("hdiv", k, dim, C, np.zeros((0, modal.nfuncs)),
+                              data, entity)
 
 
 # -- facet trace matrices ---------------------------------------------
@@ -629,21 +546,17 @@ def facet_trace_matrix(family, degree, dim, local_facet):
     pts = facet_points(dim, lf, rule.points)
     vals = basis.values(pts)
     if family == "h1":
-        tr = vals[:, :, 0][:, :, None]
+        tr = vals
     elif family == "hdiv":
-        n = facet_outward_normal(dim, lf)
-        tr = np.einsum("fpc,c->fp", vals, n)[:, :, None]
+        tr = (vals @ facet_outward_normal(dim, lf))[:, :, None]
     else:
-        A, _ = facet_parametrization(dim, lf)
-        tr = np.einsum("fpc,ck->fpk", vals, A)
-    G = np.einsum("ipk,jpk,p->ij", tr, tr, rule.weights)
-    lam, U = eigh(G)
-    keep = lam > _RANK_TOL * lam.max()
-    # orthonormal basis of the trace space, expressed through the volume
-    # functions that generate it
-    Q = (U[:, keep] / np.sqrt(lam[keep])).T  # (ntrace, nfuncs)
-    T = Q @ G
-    return T, Q.shape[0]
+        tr = vals @ facet_parametrization(dim, lf)[0]
+    G = _inner(tr, tr, rule.weights)
+    # orthonormal basis of the trace space, expressed through the traces
+    # of the volume functions that generate it, picked in order
+    keep, S = _symmetric_orthonormal(0.5 * (G + G.T),
+                                     np.full(len(G), _RANK_TOL * G.max()))
+    return S @ G[keep], len(keep)
 
 
 # -- exact sequence check ---------------------------------------------
@@ -662,19 +575,15 @@ def exact_sequence_check(p, dim):
     w = rule.weights
 
     def proj_residual(fields, target_vals):
-        G = np.einsum("ipk,jpk,p->ij", target_vals, target_vals, w)
-        worst = 0.0
-        for f in fields:
-            rhs = np.einsum("jpk,pk,p->j", target_vals, f, w)
-            coef = np.linalg.solve(G, rhs)
-            err = f - np.einsum("j,jpk->pk", coef, target_vals)
-            num = np.sqrt(np.einsum("pk,pk,p->", err, err, w))
-            # the source fields are L2-normalized, so scale against the
-            # larger of the derivative norm and one; dividing by a tiny
-            # derivative norm would only amplify roundoff
-            den = max(np.sqrt(np.einsum("pk,pk,p->", f, f, w)), 1.0)
-            worst = max(worst, num / den)
-        return worst
+        coef = np.linalg.solve(_inner(target_vals, target_vals, w),
+                               _inner(target_vals, fields, w))
+        err = fields - np.tensordot(coef.T, target_vals, axes=1)
+        num = np.sqrt(np.diag(_inner(err, err, w)))
+        # the source fields are L2-normalized, so scale against the
+        # larger of the derivative norm and one; dividing by a tiny
+        # derivative norm would only amplify roundoff
+        den = np.maximum(np.sqrt(np.diag(_inner(fields, fields, w))), 1.0)
+        return float(np.max(num / den))
 
     out = {}
     h1 = modal_basis("h1", p, dim)
@@ -682,14 +591,14 @@ def exact_sequence_check(p, dim):
     rt = modal_basis("hdiv", p, dim)
     scal = modal_basis("l2", max(p - 1, 0), dim)
     grads = h1.derivs(rule.points)
-    out["grad_in_hcurl"] = proj_residual(list(grads), ned.values(rule.points))
+    out["grad_in_hcurl"] = proj_residual(grads, ned.values(rule.points))
     curls = ned.derivs(rule.points)
     if dim == 3:
-        out["curl_in_hdiv"] = proj_residual(list(curls), rt.values(rule.points))
+        out["curl_in_hdiv"] = proj_residual(curls, rt.values(rule.points))
     else:
-        out["rot_in_scalar"] = proj_residual(list(curls), scal.values(rule.points))
+        out["rot_in_scalar"] = proj_residual(curls, scal.values(rule.points))
     divs = rt.derivs(rule.points)
-    out["div_in_scalar"] = proj_residual(list(divs), scal.values(rule.points))
+    out["div_in_scalar"] = proj_residual(divs, scal.values(rule.points))
     return out
 
 

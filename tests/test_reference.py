@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from dpgfem import reference
 from dpgfem.quadrature import simplex_rule
 from dpgfem.reference import (
+    ModalBasis,
     conforming_basis,
     exact_sequence_check,
     facet_outward_normal,
     facet_points,
     facet_trace_matrix,
+    modal_basis,
     push_derivs,
     push_values,
     reference_basis,
@@ -191,3 +194,64 @@ def test_conforming_interior_functions_have_zero_trace():
         vals = basis.values(pts)
         for i in interior:
             assert np.max(np.abs(vals[i])) < 1e-10
+
+
+# Every basis that `dpgfem verify` and the form-table setups build.
+MODAL_KEYS = [
+    ("h1", 0, 3), ("h1", 2, 2), ("h1", 2, 3), ("h1", 3, 3), ("h1", 4, 2),
+    ("h1", 4, 3), ("h1", 5, 3), ("h1", 7, 3), ("hcurl", 1, 2),
+    ("hcurl", 1, 3), ("hcurl", 3, 2), ("hcurl", 3, 3), ("hcurl", 4, 2),
+    ("hcurl", 4, 3), ("hcurl", 5, 3), ("hcurl", 7, 3), ("hdiv", 2, 2),
+    ("hdiv", 3, 3), ("hdiv", 4, 2), ("hdiv", 4, 3), ("hdiv", 5, 3),
+    ("hdiv", 7, 3), ("l2", 0, 2), ("l2", 0, 3), ("l2", 1, 1), ("l2", 1, 2),
+    ("l2", 2, 2), ("l2", 3, 1), ("l2", 3, 2), ("l2", 4, 2), ("vec", 0, 2),
+    ("vec", 0, 3), ("vec", 1, 2), ("vec", 1, 3), ("vec", 2, 2),
+    ("vec", 2, 3), ("vec", 4, 2), ("vec", 4, 3),
+]
+CONFORMING_KEYS = [
+    ("h1", 2, 2), ("h1", 2, 3), ("h1", 4, 2), ("h1", 4, 3), ("hcurl", 1, 3),
+    ("hcurl", 3, 3), ("hcurl", 4, 3), ("hdiv", 2, 2), ("hdiv", 4, 2),
+    ("hdiv", 4, 3), ("vec", 1, 3), ("vec", 2, 3),
+]
+
+
+def _relative_change(new, old):
+    return np.abs(new - old).max() / np.abs(old).max()
+
+
+@pytest.mark.parametrize("key", MODAL_KEYS)
+def test_modal_basis_is_stable_to_rounding(key):
+    """A relative change of 1e-14 in the generator Gram moves the modal
+    coefficients by rounding only: no basis is picked inside a
+    degenerate eigenspace.
+
+    The degree-7 generators in 3D are monomials whose parts orthogonal
+    to degree 6 are about 6e-6 of their norm, so any orthonormal basis
+    of that group moves with the Gram by up to 6e-8 (measured: h1 2e-8,
+    hcurl 6e-8, hdiv 1.4e-8); those keys get 1e-7.
+    """
+    basis = modal_basis(*key)
+    M = basis._gram()
+    E = np.random.default_rng(0).standard_normal(M.shape)
+    W = basis._orthonormalize(M * (1 + 0.5e-14 * (E + E.T)))
+    assert W.shape == basis.W.shape
+    assert _relative_change(W, basis.W) <= (1e-8 if key[1] < 7 else 1e-7)
+
+
+@pytest.mark.parametrize("key", CONFORMING_KEYS)
+def test_conforming_basis_is_stable_to_rounding(key, monkeypatch):
+    """A relative change of 1e-14 in the modal values moves the
+    conforming coefficients by rounding only."""
+    ref = conforming_basis(*key)
+    rng = np.random.default_rng(0)
+    values = ModalBasis.values
+
+    def perturbed(self, points):
+        vals = values(self, points)
+        return vals * (1 + 1e-14 * rng.standard_normal(vals.shape))
+
+    monkeypatch.setattr(ModalBasis, "values", perturbed)
+    monkeypatch.setattr(reference, "_CONF_CACHE", {})
+    got = conforming_basis(*key)
+    assert got.entity_dofs == ref.entity_dofs
+    assert _relative_change(got.coeffs, ref.coeffs) <= 1e-8
