@@ -99,9 +99,10 @@ class ModalBasis:
         rows = np.zeros((0, M.shape[0]))
         for sl in self._slices:
             P = rows @ M[:, sl]
-            keep, S = _symmetric_orthonormal(M[sl, sl] - P.T @ P,
-                                             _RANK_TOL * np.diag(M)[sl])
+            R = M[sl, sl] - P.T @ P
+            keep = _independent(R, _RANK_TOL * np.diag(M)[sl])
             E = np.eye(M.shape[0])[sl][keep]
+            S = _inv_sqrt(R[np.ix_(keep, keep)])
             rows = np.vstack([rows, S @ (E - P[:, keep].T @ rows)])
         # one symmetric correction pass restores orthonormality lost to
         # cancellation in the graded sweep without disturbing prefix spans
@@ -134,13 +135,11 @@ def _inner(A, B, weights):
     return (A.reshape(A.shape[0], -1) * wk) @ B.reshape(B.shape[0], -1).T
 
 
-def _symmetric_orthonormal(G, floor):
-    """Independent columns of a Gram matrix, orthonormalized symmetrically.
+def _independent(G, floor):
+    """Columns of a Gram matrix independent of the columns before them.
 
     Column j is kept when its squared distance from the span of the
-    columns kept before it exceeds ``floor[j]``.  Returns the kept
-    indices and S = G_kk^{-1/2}; S does not depend on the eigenvectors
-    that represent it, so repeated eigenvalues leave it well defined.
+    kept columns before it exceeds ``floor[j]``.
     """
     keep = []
     R = G.copy()
@@ -150,8 +149,15 @@ def _symmetric_orthonormal(G, floor):
         if R[j, j] > floor[j]:
             keep.append(j)
             R -= np.outer(R[:, j], R[j] / R[j, j])
-    lam, U = eigh(G[np.ix_(keep, keep)])
-    return keep, (U / np.sqrt(lam)) @ U.T
+    return keep
+
+
+def _inv_sqrt(G):
+    """G^{-1/2} of a symmetric positive definite matrix.  Unlike an
+    eigenbasis of G it does not depend on how repeated eigenvalues are
+    resolved, so the symmetric orthonormalization it gives is canonical."""
+    lam, U = eigh(G)
+    return (U / np.sqrt(lam)) @ U.T
 
 
 _MODAL_CACHE = {}
@@ -280,8 +286,8 @@ def _orthonormal_nullspace(C):
         rank = int((sv > _RANK_TOL * max(sv[0], 1e-30)).sum()) if len(sv) else 0
         null = Vt[rank:]
     P = null.T @ null
-    keep, S = _symmetric_orthonormal(P, np.full(n, _RANK_TOL))
-    return S @ P[keep]
+    keep = _independent(P, np.full(n, _RANK_TOL))
+    return _inv_sqrt(P[np.ix_(keep, keep)]) @ P[keep]
 
 
 # -- conforming bases -------------------------------------------------
@@ -435,8 +441,10 @@ def _finish_conforming(family, k, dim, C, head, data, entity):
 
 def _edge_data(dim, le, edge_vals):
     """Boundary data of the functions of one edge; ``edge_vals[w]`` is
-    their trace on a facet whose w-th own edge is le."""
-    return sum(_on_facet(dim + 1, fi, edge_vals[_face_edge_map(lf).index(le)])
+    their trace on a facet whose w-th own edge, in the facet's sorted
+    vertex order, is le."""
+    return sum(_on_facet(dim + 1, fi,
+                         edge_vals[list(itertools.combinations(lf, 2)).index(le)])
                for fi, lf in enumerate(local_facets(dim)) if set(le) <= set(lf))
 
 
@@ -453,16 +461,17 @@ def _build_h1(degree, dim):
     data = []
     # edge functions: the 1D bubbles on an edge, lifted into each face
     nbub = max(k - 1, 0)
-    s = simplex_rule(1, 2 * k + 2).points[:, 0]
-    if nbub and dim == 2:
-        edge_vals = [_bubble01(k, frule.points[:, 0])]
-    elif nbub:
-        tri = modal_basis("l2", k, 2)
-        lifts = _face_lifts(tri, s, False, _bubble01(k, s))
-        edge_vals = lifts @ tri.values(frule.points)[:, :, 0]
-    for le_index, le in enumerate(local_edges(dim) if nbub else []):
-        data.extend(_edge_data(dim, le, edge_vals))
-        entity.append(("edge", le_index, nbub))
+    if nbub:
+        if dim == 2:
+            edge_vals = [_bubble01(k, frule.points[:, 0])]
+        else:
+            tri = modal_basis("l2", k, 2)
+            s = simplex_rule(1, 2 * k + 2).points[:, 0]
+            lifts = _face_lifts(tri, s, False, _bubble01(k, s))
+            edge_vals = lifts @ tri.values(frule.points)[:, :, 0]
+        for le_index, le in enumerate(local_edges(dim)):
+            data.extend(_edge_data(dim, le, edge_vals))
+            entity.append(("edge", le_index, nbub))
     # face functions (3D)
     if dim == 3:
         tri = modal_basis("l2", k, 2)
@@ -471,11 +480,6 @@ def _build_h1(degree, dim):
             data.extend(_on_facet(4, lf_index, bvals))
             entity.append(("face", lf_index, len(bvals)))
     return _finish_conforming("h1", k, dim, C, head, data, entity)
-
-
-def _face_edge_map(lf):
-    """Edges of a local face in the face's own (sorted) vertex order."""
-    return list(itertools.combinations(lf, 2))
 
 
 def _build_tangential(family, degree):
@@ -552,11 +556,13 @@ def facet_trace_matrix(family, degree, dim, local_facet):
     else:
         tr = vals @ facet_parametrization(dim, lf)[0]
     G = _inner(tr, tr, rule.weights)
-    # orthonormal basis of the trace space, expressed through the traces
-    # of the volume functions that generate it, picked in order
-    keep, S = _symmetric_orthonormal(0.5 * (G + G.T),
-                                     np.full(len(G), _RANK_TOL * G.max()))
-    return S @ G[keep], len(keep)
+    G = 0.5 * (G + G.T)
+    lam, U = eigh(G)
+    U = U[:, lam > _RANK_TOL * lam.max()]
+    # orthonormal basis of the trace space through the traces of volume
+    # functions, picked in order by the unique projector onto range(G)
+    keep = _independent(U @ U.T, np.full(len(G), _RANK_TOL))
+    return _inv_sqrt(G[np.ix_(keep, keep)]) @ G[keep], len(keep)
 
 
 # -- exact sequence check ---------------------------------------------
