@@ -48,9 +48,9 @@ class ModalBasis:
         1 for scalar families, dim otherwise.
     W : ndarray (nfuncs, ngens)
         Coefficients over the raw monomial generators, which are taken in
-        coordinates centred at the simplex centroid: there their Gram is
-        far better conditioned than at the vertex (by 1e2 to 1e3 at
-        degree 7 in 3D), and so is W under rounding.
+        coordinates centred at the simplex centroid: at degree 7 in 3D a
+        rounding-level change of their Gram moves W 170 to 300 times less
+        there than with monomials centred at a vertex.
     """
 
     def __init__(self, family, degree, dim):
