@@ -1,11 +1,13 @@
 """Structured mesh construction, refinement and conformity."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 
 from dpgfem.meshes import (
+    SimplicialMesh,
     build_structured,
     check_conforming,
     read_mesh,
@@ -134,3 +136,44 @@ def test_mesh_io_roundtrip(eight_tri):
     assert np.allclose(back.vertices, eight_tri.vertices)
     assert np.array_equal(back.cells, eight_tri.cells)
     assert back.boundary_tags == eight_tri.boundary_tags
+
+
+def _plain(message):
+    """The message with numpy scalar reprs written as plain integers."""
+    return re.sub(r"np\.int64\((-?\d+)\)", r"\1", message)
+
+
+def test_three_cells_on_one_facet_rejected():
+    verts = [(0, 1), (0, 0), (1, 0), (0, -1), (1, 1)]
+    with pytest.raises(ValueError) as info:
+        SimplicialMesh(2, verts, [(0, 1, 2), (1, 2, 3), (1, 2, 4)])
+    assert _plain(str(info.value)) == "non-manifold facet (1, 2)"
+
+
+def test_cell_with_repeated_vertex_rejected():
+    verts = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    with pytest.raises(ValueError, match="repeated vertex"):
+        SimplicialMesh(2, verts, [(0, 1, 2), (1, 3, 3)])
+
+
+def test_tag_on_interior_facet_rejected(eight_tri):
+    fid = int(eight_tri.interior_facets[0])
+    with pytest.raises(ValueError, match="tag on interior facet"):
+        SimplicialMesh(2, eight_tri.vertices, eight_tri.cells,
+                       boundary_tags={fid: 1})
+
+
+@pytest.mark.parametrize("domain,n", [("l-shape", 2), ("unit-cube", 1)])
+def test_mesh_io_roundtrip_keeps_facet_ids_and_tags(domain, n):
+    mesh = build_structured(domain, n)
+    mesh = refine_marked(mesh, {0, mesh.ncells - 1})
+    mesh = refine_marked(mesh, {1, 2})
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    buf.seek(0)
+    back = read_mesh(buf)
+    for name in ("vertices", "cells", "facets", "facet_cells", "facet_local"):
+        assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
+    assert back.boundary_tags == mesh.boundary_tags
+    for fid in (0, mesh.nfacets // 2, mesh.nfacets - 1):
+        assert back.facet_id(mesh.facets[fid][::-1]) == fid

@@ -253,3 +253,37 @@ def test_per_cell_coefficient_of_wrong_length_rejected(eight_tri, params):
     key = next(iter(params))
     with pytest.raises(ValueError, match=repr(key)):
         Discretization(form, eight_tri)
+
+
+def test_solve_errors_on_zeroed_free_dof(eight_tri):
+    form = make_formulation("primal_poisson", 2)
+    disc = Discretization(form, eight_tri)
+    A, f = disc.assemble(manufactured_case("poisson_sine_2d"))
+    dof = int(np.flatnonzero(~disc.constrained_dofs())[3])
+    keep = np.ones(disc.ndof)
+    keep[dof] = 0.0
+    D = sparse.diags(keep)
+    A = (D @ A @ D).tocsc()
+    f = f.copy()
+    f[dof] = 1.0
+    with pytest.raises((SingularSystemError, RuntimeError)):
+        disc.solve(A, f)
+
+
+@pytest.mark.parametrize("fid,case_name,mesh_name", [
+    ("maxwell_primal_E", "maxwell_sine_3d", "five_tet"),
+    ("ultraweak_dcr", "dcr_sine_2d", "eight_tri"),
+])
+def test_solve_matches_default_sparse_lu(fid, case_name, mesh_name, request):
+    from scipy.sparse.linalg import splu
+
+    mesh = request.getfixturevalue(mesh_name)
+    disc = Discretization(make_formulation(fid, 2), mesh)
+    A, f = disc.assemble(manufactured_case(case_name))
+    assert np.iscomplexobj(A.data) == fid.startswith("maxwell")
+    x = disc.solve(A, f)
+    free = np.flatnonzero(~disc.constrained_dofs())
+    Aff = A[np.ix_(free, free)].tocsc()
+    ref = splu(Aff).solve(f[free])
+    assert np.linalg.norm(x[free] - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert not x[disc.constrained_dofs()].any()
