@@ -8,12 +8,13 @@ opposite orientation signs.
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import cached_property
 
 import numpy as np
 
-from .simplex import local_facets
+from .simplex import local_edges, local_facets
 
 _STRUCTURED_DOMAINS = ("unit-square", "unit-cube", "l-shape")
 
@@ -33,7 +34,8 @@ class SimplicialMesh:
     parents : array_like, optional
         For refined meshes, the generating cell id in the previous mesh.
     refinement_edges : array_like, optional
-        Per-cell bisection edge as a sorted global vertex pair (2D only).
+        Per-cell bisection edge as a sorted global vertex pair (2D only);
+        defaults to each cell's longest edge.
     """
 
     def __init__(self, dim, vertices, cells, boundary_tags=None, parents=None,
@@ -49,54 +51,50 @@ class SimplicialMesh:
             raise ValueError("cells must have shape (ncells, dim + 1)")
         if cells.size and (cells.min() < 0 or cells.max() >= len(self.vertices)):
             raise ValueError("cell vertex id out of range")
-        for row in cells:
-            if len(set(row.tolist())) != dim + 1:
-                raise ValueError("cell with repeated vertex")
         self.cells = np.sort(cells, axis=1)
+        if np.any(np.diff(self.cells, axis=1) == 0):
+            raise ValueError("cell with repeated vertex")
         self._build_facets()
-        vols = self.cell_volumes
-        if np.any(vols <= 0.0):
+        if np.any(self.cell_volumes <= 0.0):
             raise ValueError("degenerate cell with zero volume")
-        if boundary_tags is None:
-            boundary_tags = {}
-        self.boundary_tags = dict(boundary_tags)
-        for fid in self.boundary_tags:
-            if self.facet_cells[fid, 1] != -1:
-                raise ValueError("tag on interior facet")
+        self._set_tags({} if boundary_tags is None else boundary_tags)
         if parents is None:
             parents = np.arange(len(self.cells))
         self.parents = np.asarray(parents, dtype=int)
         if refinement_edges is not None:
             refinement_edges = np.asarray(refinement_edges, dtype=int)
+        elif dim == 2:
+            refinement_edges = _longest_edges(self.vertices, self.cells)
         self.refinement_edges = refinement_edges
         for arr in (self.vertices, self.cells, self.facets, self.facet_cells,
                     self.facet_local, self.parents):
             arr.flags.writeable = False
 
     def _build_facets(self):
-        lf = local_facets(self.dim)
-        index = {}
-        facets = []
-        facet_cells = []
-        facet_local = []
-        for ci, cell in enumerate(self.cells):
-            for li, combo in enumerate(lf):
-                key = tuple(cell[list(combo)])
-                fid = index.get(key)
-                if fid is None:
-                    index[key] = len(facets)
-                    facets.append(key)
-                    facet_cells.append([ci, -1])
-                    facet_local.append([li, -1])
-                else:
-                    if facet_cells[fid][1] != -1:
-                        raise ValueError(f"non-manifold facet {key}")
-                    facet_cells[fid][1] = ci
-                    facet_local[fid][1] = li
-        self.facets = np.array(facets, dtype=int).reshape(len(facets), self.dim)
-        self.facet_cells = np.array(facet_cells, dtype=int)
-        self.facet_local = np.array(facet_local, dtype=int)
-        self._facet_index = index
+        """Number the facets in order of first appearance among the cells'
+        local facets; each has one (boundary) or two (cell, local facet)."""
+        nlf = self.dim + 1
+        keys = self.cells[:, local_facets(self.dim)].reshape(-1, self.dim)
+        first, count, fid = _first_seen(keys)
+        if np.any(count > 2):
+            bad = keys[first[np.argmax(count > 2)]]
+            raise ValueError(f"non-manifold facet {tuple(bad.tolist())}")
+        # local facet rows grouped by facet, each group in cell order
+        rows = np.argsort(fid, kind="stable")
+        start = np.cumsum(count) - count
+        side = np.stack([rows[start], rows[np.minimum(start + 1, len(rows) - 1)]],
+                        axis=1)
+        side[count == 1, 1] = -1
+        self.facets = keys[first]
+        self.facet_cells = np.where(side >= 0, side // nlf, -1)
+        self.facet_local = np.where(side >= 0, side % nlf, -1)
+
+    def _set_tags(self, tags):
+        """Attach boundary tags; called once, while the mesh is built."""
+        fids = np.fromiter(tags, dtype=int, count=len(tags))
+        if np.any(self.facet_cells[fids, 1] != -1):
+            raise ValueError("tag on interior facet")
+        self.boundary_tags = dict(tags)
 
     # -- basic counts -------------------------------------------------
 
@@ -113,7 +111,10 @@ class SimplicialMesh:
         return len(self.facets)
 
     def facet_id(self, vertex_tuple):
-        return self._facet_index[tuple(sorted(vertex_tuple))]
+        fid = int(_find_rows(self.facets, np.sort(vertex_tuple)[None])[0])
+        if fid < 0:
+            raise KeyError(tuple(sorted(vertex_tuple)))
+        return fid
 
     @cached_property
     def boundary_facets(self):
@@ -200,12 +201,44 @@ def shape_regularity(mesh):
     vols = mesh.cell_volumes
     if np.any(vols <= 0.0):
         raise ValueError("degenerate cell")
-    surf = np.zeros(mesh.ncells)
-    areas = mesh.facet_areas
-    for ci in range(mesh.ncells):
-        surf[ci] = areas[mesh.cell_facet_ids[ci]].sum()
+    surf = mesh.facet_areas[mesh.cell_facet_ids].sum(axis=1)
     inradius = mesh.dim * vols / surf
     return float((mesh.cell_diameters / inradius).max())
+
+
+def _first_seen(keys):
+    """Number the distinct rows of ``keys`` in order of first appearance.
+
+    Returns the first row of each, how often each occurs, and the number
+    of every row.
+    """
+    _, first, inverse, count = np.unique(keys, axis=0, return_index=True,
+                                         return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], count[order], rank[inverse.ravel()]
+
+
+def _find_rows(table, rows):
+    """Index of each of ``rows`` in ``table`` (distinct rows), -1 if absent."""
+    _, inverse = np.unique(np.concatenate([table, rows]), axis=0,
+                           return_inverse=True)
+    inverse = inverse.ravel()
+    where = np.full(len(inverse), -1)
+    where[inverse[:len(table)]] = np.arange(len(table))
+    return where[inverse[len(table):]]
+
+
+def _longest_edges(vertices, cells):
+    """Per-cell longest edge as a sorted vertex pair; ties pick the
+    lexicographically smallest pair.  ``cells`` rows are ascending."""
+    pairs = np.array(local_edges(cells.shape[1] - 1))
+    ends = cells[:, pairs]
+    d = vertices[ends[..., 0]] - vertices[ends[..., 1]]
+    # local edges are in lexicographic order, so argmax breaks ties
+    pick = np.argmax(np.sqrt(np.sum(d * d, axis=-1)), axis=1)
+    return ends[np.arange(len(cells)), pick]
 
 
 # -- structured generators -------------------------------------------
@@ -213,68 +246,31 @@ def shape_regularity(mesh):
 
 def _tag_boundary(mesh, domain):
     """Tag boundary facets by the axis-aligned plane they lie on."""
-    tags = {}
-    tol = 1e-12
-    for fid in mesh.boundary_facets:
-        c = mesh.vertices[mesh.facets[fid]].mean(axis=0)
-        tag = 0
-        planes = [(0, 0.0, 1), (0, 1.0, 2), (1, 0.0, 3), (1, 1.0, 4)]
-        if mesh.dim == 3:
-            planes += [(2, 0.0, 5), (2, 1.0, 6)]
-        if domain == "l-shape":
-            planes += [(0, 0.5, 7), (1, 0.5, 8)]
-        pts = mesh.vertices[mesh.facets[fid]]
-        for axis, value, t in planes:
-            if np.all(np.abs(pts[:, axis] - value) < tol):
-                tag = t
-                break
-        if tag == 0:
-            raise ValueError("boundary facet off the expected planes")
-        tags[int(fid)] = tag
-    return tags
+    planes = [(0, 0.0, 1), (0, 1.0, 2), (1, 0.0, 3), (1, 1.0, 4)]
+    if mesh.dim == 3:
+        planes += [(2, 0.0, 5), (2, 1.0, 6)]
+    if domain == "l-shape":
+        planes += [(0, 0.5, 7), (1, 0.5, 8)]
+    fids = mesh.boundary_facets
+    pts = mesh.vertices[mesh.facets[fids]]
+    on = np.stack([np.all(np.abs(pts[:, :, axis] - value) < 1e-12, axis=1)
+                   for axis, value, _ in planes], axis=1)
+    if not np.all(on.any(axis=1)):
+        raise ValueError("boundary facet off the expected planes")
+    tags = np.array([t for _, _, t in planes])[np.argmax(on, axis=1)]
+    return dict(zip(fids.tolist(), tags.tolist()))
 
 
-def _square_cells(nx, ny, vid):
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i, j + 1)
-            d = vid(i + 1, j + 1)
-            cells.append((a, b, d))
-            cells.append((a, d, c))
-    return cells
-
-
-def _cube_five_tets(corner_ids, flip):
-    """Split a cube into five tetrahedra.
-
-    ``corner_ids[i][j][k]`` are the vertex ids of the unit cube corners.
-    Four tetrahedra sit at alternating corners of the cube and one fills
-    the centre.  ``flip`` mirrors the split so that face diagonals match
-    between neighbouring cubes.
-    """
-    def cid(i, j, k):
-        if flip:
-            i = 1 - i
-        return corner_ids[i][j][k]
-
-    c000 = cid(0, 0, 0)
-    c100 = cid(1, 0, 0)
-    c010 = cid(0, 1, 0)
-    c110 = cid(1, 1, 0)
-    c001 = cid(0, 0, 1)
-    c101 = cid(1, 0, 1)
-    c011 = cid(0, 1, 1)
-    c111 = cid(1, 1, 1)
-    return [
-        (c100, c000, c110, c101),
-        (c010, c000, c110, c011),
-        (c001, c000, c101, c011),
-        (c111, c110, c101, c011),
-        (c000, c110, c101, c011),
-    ]
+# the five tetrahedra of a unit cube as corner offsets (i, j, k): four at
+# alternating corners and one in the centre; mirrored in i on odd cubes so
+# that face diagonals match between neighbours
+_CUBE_TETS = np.array([
+    [(1, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0, 1)],
+    [(0, 1, 0), (0, 0, 0), (1, 1, 0), (0, 1, 1)],
+    [(0, 0, 1), (0, 0, 0), (1, 0, 1), (0, 1, 1)],
+    [(1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)],
+    [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)],
+])
 
 
 def build_structured(domain, n):
@@ -288,99 +284,74 @@ def build_structured(domain, n):
         raise ValueError(f"unknown domain {domain!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if domain == "unit-square":
-        nv = n + 1
-        verts = [(i / n, j / n) for j in range(nv) for i in range(nv)]
-        vid = lambda i, j: j * nv + i
-        cells = _square_cells(n, n, vid)
-        mesh = SimplicialMesh(2, verts, cells)
-    elif domain == "l-shape":
-        if n % 2 != 0:
-            raise ValueError("l-shape needs even n for an exact quadrant cut")
-        nv = n + 1
-        half = n // 2
-        keep = {}
-        verts = []
-        for j in range(nv):
-            for i in range(nv):
-                if i > half and j > half:
-                    continue
-                keep[(i, j)] = len(verts)
-                verts.append((i / n, j / n))
-        cells = []
-        for j in range(n):
-            for i in range(n):
-                if i >= half and j >= half:
-                    continue
-                a = keep[(i, j)]
-                b = keep[(i + 1, j)]
-                c = keep[(i, j + 1)]
-                d = keep[(i + 1, j + 1)]
-                cells.append((a, b, d))
-                cells.append((a, d, c))
-        mesh = SimplicialMesh(2, verts, cells)
-    else:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        nv = n + 1
-        verts = [(i / n, j / n, k / n)
-                 for k in range(nv) for j in range(nv) for i in range(nv)]
-        vid = lambda i, j, k: (k * nv + j) * nv + i
-        cells = []
-        for k in range(n):
-            for j in range(n):
-                for i in range(n):
-                    ids = [[[vid(i + a, j + b, k + c) for c in (0, 1)]
-                            for b in (0, 1)] for a in (0, 1)]
-                    flip = (i + j + k) % 2 == 1
-                    cells.extend(_cube_five_tets(ids, flip))
+    if domain == "l-shape" and n % 2 != 0:
+        raise ValueError("l-shape needs even n for an exact quadrant cut")
+    nv = n + 1
+    if domain == "unit-cube":
+        # vertex (i, j, k) is (k nv + j) nv + i; cubes run k, j, i
+        k, j, i = np.unravel_index(np.arange(nv ** 3), (nv, nv, nv))
+        verts = np.stack([i, j, k], axis=1) / n
+        ck, cj, ci = np.unravel_index(np.arange(n ** 3), (n, n, n))
+        flip = ((ci + cj + ck) % 2 == 1)[:, None, None]
+        oi, oj, ok = np.moveaxis(_CUBE_TETS, -1, 0)
+        oi = np.where(flip, 1 - oi, oi)
+        cells = (((ck[:, None, None] + ok) * nv + cj[:, None, None] + oj) * nv
+                 + ci[:, None, None] + oi).reshape(-1, 4)
         mesh = SimplicialMesh(3, verts, cells)
-    tags = _tag_boundary(mesh, domain)
-    return SimplicialMesh(mesh.dim, mesh.vertices, mesh.cells, boundary_tags=tags,
-                          refinement_edges=_longest_edges(mesh) if mesh.dim == 2 else None)
+    else:
+        # vertex (i, j) is j nv + i before the l-shape drops its quadrant;
+        # squares run j, i and split along their (a, d) diagonal
+        j, i = np.divmod(np.arange(nv * nv), nv)
+        keep = np.ones(nv * nv, dtype=bool)
+        sj, si = np.divmod(np.arange(n * n), n)
+        squares = np.ones(n * n, dtype=bool)
+        if domain == "l-shape":
+            keep = (i <= n // 2) | (j <= n // 2)
+            squares = (si < n // 2) | (sj < n // 2)
+        vid = np.cumsum(keep) - 1
+        a = (sj * nv + si)[squares]
+        a, b, c, d = vid[a], vid[a + 1], vid[a + nv], vid[a + nv + 1]
+        cells = np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
+        mesh = SimplicialMesh(2, np.stack([i, j], axis=1)[keep] / n, cells)
+    mesh._set_tags(_tag_boundary(mesh, domain))
+    return mesh
 
 
-def _longest_edges(mesh):
-    """Per-cell longest edge as a sorted vertex pair; ties pick the
-    lexicographically smallest pair."""
-    out = np.zeros((mesh.ncells, 2), dtype=int)
-    for ci, cell in enumerate(mesh.cells):
-        best = None
-        n = len(cell)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = int(cell[i]), int(cell[j])
-                length = np.linalg.norm(mesh.vertices[a] - mesh.vertices[b])
-                key = (-length, a, b)
-                if best is None or key < best:
-                    best = key
-                    out[ci] = (a, b)
-    return out
+def _inherit_tags(old, new, roots):
+    """Carry boundary tags through one refinement.
+
+    ``roots[v]`` lists the old vertices new vertex ``v`` descends from,
+    padded with -1.  A boundary facet of the new mesh takes the tag of
+    the old facet its vertices' roots span.
+    """
+    fids = new.boundary_facets
+    r = np.sort(roots[new.facets[fids]].reshape(len(fids), -1), axis=1)
+    fresh = r >= 0
+    fresh[:, 1:] &= r[:, 1:] != r[:, :-1]
+    spans = fresh.sum(axis=1) == old.dim
+    tagged = np.fromiter(old.boundary_tags, dtype=int,
+                         count=len(old.boundary_tags))
+    hit = np.full(len(fids), -1)
+    hit[spans] = _find_rows(old.facets[tagged],
+                            r[spans][fresh[spans]].reshape(-1, old.dim))
+    if old.boundary_tags and np.any(hit < 0):
+        raise ValueError("boundary facet lost its tag during refinement")
+    tag = np.array(list(old.boundary_tags.values()), dtype=int)
+    return dict(zip(fids[hit >= 0].tolist(), tag[hit[hit >= 0]].tolist()))
 
 
-def _inherit_tags(old, new_mesh, midpoint_parents):
-    """Propagate boundary tags through one refinement call."""
-
-    def roots(v, seen=None):
-        if v in midpoint_parents:
-            a, b = midpoint_parents[v]
-            return roots(a) | roots(b)
-        return {v}
-
-    old_tags = {}
-    for fid, tag in old.boundary_tags.items():
-        old_tags[tuple(old.facets[fid])] = tag
-    tags = {}
-    for fid in new_mesh.boundary_facets:
-        rs = set()
-        for v in new_mesh.facets[fid]:
-            rs |= roots(int(v))
-        key = tuple(sorted(rs))
-        if len(key) == old.dim and key in old_tags:
-            tags[int(fid)] = old_tags[key]
-        elif old.boundary_tags:
-            raise ValueError("boundary facet lost its tag during refinement")
-    return tags
+# red refinement: children as columns of [cell vertices, edge midpoints],
+# with the midpoints in local edge order
+_RED_2D = np.array([(0, 3, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)])
+_RED_3D_CORNERS = np.array([(0, 4, 5, 6), (1, 4, 7, 8), (2, 5, 7, 9),
+                            (3, 6, 8, 9)])
+# the octahedron's three diagonals as local edge pairs, and for each the
+# other four midpoints in cyclic order (neighbours share a cell vertex)
+_OCT_DIAGONALS = np.array([(0, 5), (1, 4), (2, 3)])
+_OCT_RINGS = np.array([(1, 2, 4, 3), (0, 2, 5, 3), (0, 1, 5, 4)])
+_RED_3D_OCTS = 4 + np.stack([
+    np.column_stack([np.repeat(diag[None], 4, axis=0), ring, np.roll(ring, -1)])
+    for diag, ring in zip(_OCT_DIAGONALS, _OCT_RINGS)])
 
 
 def refine_uniform(mesh):
@@ -389,88 +360,40 @@ def refine_uniform(mesh):
     In 3D the interior octahedron is split along its shortest diagonal
     (ties broken by diagonal index) so children stay shape regular.
     """
-    verts = list(map(tuple, mesh.vertices))
-    midpoint = {}
-    midpoint_parents = {}
-
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        vid = midpoint.get(key)
-        if vid is None:
-            vid = len(verts)
-            verts.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
-            midpoint[key] = vid
-            midpoint_parents[vid] = key
-        return vid
-
-    cells = []
-    parents = []
-    ref_edges = [] if mesh.dim == 2 else None
-    for ci, cell in enumerate(mesh.cells):
-        if mesh.dim == 2:
-            a, b, c = (int(v) for v in cell)
-            mab, mac, mbc = mid(a, b), mid(a, c), mid(b, c)
-            kids = [(a, mab, mac), (b, mab, mbc), (c, mac, mbc), (mab, mac, mbc)]
-            cells.extend(kids)
-            parents.extend([ci] * 4)
-        else:
-            a, b, c, d = (int(v) for v in cell)
-            m = {}
-            vs = [a, b, c, d]
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    m[(i, j)] = mid(vs[i], vs[j])
-            corners = [
-                (a, m[(0, 1)], m[(0, 2)], m[(0, 3)]),
-                (b, m[(0, 1)], m[(1, 2)], m[(1, 3)]),
-                (c, m[(0, 2)], m[(1, 2)], m[(2, 3)]),
-                (d, m[(0, 3)], m[(1, 3)], m[(2, 3)]),
-            ]
-            diagonals = [
-                ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)),
-            ]
-            lengths = []
-            for pa, pb in diagonals:
-                va = np.asarray(verts[m[pa]])
-                vb = np.asarray(verts[m[pb]])
-                lengths.append(np.dot(va - vb, va - vb))
-            pick = int(np.argmin(lengths))
-            pa, pb = diagonals[pick]
-            axis0, axis1 = m[pa], m[pb]
-            others = [m[key] for key in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-                      if m[key] not in (axis0, axis1)]
-            # order the equatorial midpoints into a cycle around the axis;
-            # octahedron midpoints are adjacent iff they share a parent vertex
-            ring = [others[0]]
-            rest = others[1:]
-
-            def share(u, v):
-                pu = set(midpoint_parents.get(u, (u,)))
-                pv = set(midpoint_parents.get(v, (v,)))
-                return len(pu & pv) > 0
-            while rest:
-                for k, cand in enumerate(rest):
-                    if share(ring[-1], cand):
-                        ring.append(cand)
-                        rest.pop(k)
-                        break
-                else:
-                    raise RuntimeError("octahedron ring construction failed")
-            octs = [(axis0, axis1, ring[k], ring[(k + 1) % 4]) for k in range(4)]
-            cells.extend(corners)
-            cells.extend(octs)
-            parents.extend([ci] * 8)
-    new_mesh = SimplicialMesh(mesh.dim, verts, cells, parents=parents)
-    tags = _inherit_tags(mesh, new_mesh, midpoint_parents)
-    refinement = _longest_edges(new_mesh) if mesh.dim == 2 else None
-    return SimplicialMesh(mesh.dim, verts, cells, boundary_tags=tags,
-                          parents=parents, refinement_edges=refinement)
+    dim, nv, nc = mesh.dim, mesh.nvertices, mesh.ncells
+    ends = mesh.cells[:, np.array(local_edges(dim))]
+    # midpoints numbered in order of first appearance
+    first, _, mid_id = _first_seen(ends.reshape(-1, 2))
+    parent = ends.reshape(-1, 2)[first]
+    mids = mesh.vertices[parent]
+    verts = np.concatenate([mesh.vertices, 0.5 * (mids[:, 0] + mids[:, 1])])
+    points = np.concatenate([mesh.cells, nv + mid_id.reshape(nc, -1)], axis=1)
+    if dim == 2:
+        cells = points[:, _RED_2D]
+    else:
+        m = verts[points[:, 4:]]
+        d = m[:, _OCT_DIAGONALS[:, 0]] - m[:, _OCT_DIAGONALS[:, 1]]
+        pick = np.argmin(np.sum(d * d, axis=-1), axis=1)
+        cells = np.concatenate([
+            points[:, _RED_3D_CORNERS],
+            np.take_along_axis(points[:, None, :], _RED_3D_OCTS[pick], axis=2)],
+            axis=1)
+    roots = np.full((len(verts), 2), -1)
+    roots[:nv, 0] = np.arange(nv)
+    roots[nv:] = parent
+    new_mesh = SimplicialMesh(dim, verts, cells.reshape(-1, dim + 1),
+                              parents=np.repeat(np.arange(nc), len(cells[0])))
+    new_mesh._set_tags(_inherit_tags(mesh, new_mesh, roots))
+    return new_mesh
 
 
 def refine_marked(mesh, marked):
     """Bisect the marked cells and close the mesh so it stays conforming.
 
-    2D uses newest-vertex bisection; 3D bisects the longest edge.
+    2D uses newest-vertex bisection; 3D bisects the longest edge.  The
+    closure sweeps the live cells in order, bisecting each one that has
+    an edge with a midpoint, until a sweep bisects none; an edge-to-cells
+    map finds the cells that a new midpoint leaves hanging.
     """
     marked = sorted(set(int(m) for m in marked))
     for m in marked:
@@ -479,108 +402,114 @@ def refine_marked(mesh, marked):
     if not marked:
         return mesh
 
-    verts = list(map(tuple, mesh.vertices))
-    midpoint = {}
-    midpoint_parents = {}
+    dim, nv = mesh.dim, mesh.nvertices
+    pairs = local_edges(dim)
+    points = []       # coordinates of the new vertices
+    roots = []        # the old vertices each new vertex descends from
+    midpoint = {}     # sorted edge -> midpoint vertex id
+    new_on_edge = {}  # sorted edge -> new cells on it
+    # old cells on an edge: local edge rows sorted by the edge's code
+    ends = mesh.cells[:, np.array(pairs)]
+    codes = (ends[..., 0] * nv + ends[..., 1]).ravel()
+    by_code = np.argsort(codes, kind="stable")
+    codes = codes[by_code]
+
+    # working cells: vertices, root parent, refinement edge
+    edges = (mesh.refinement_edges.tolist() if mesh.refinement_edges is not None
+             else [None] * mesh.ncells)
+    work = [(tuple(cell), ci, None if edge is None else tuple(edge))
+            for ci, (cell, edge) in enumerate(zip(mesh.cells.tolist(), edges))]
+    alive = [True] * len(work)
+    # a closure sweep bisects, in index order, the hanging cells in
+    # (at, limit); cells that start hanging outside it wait in ``later``
+    at, limit, heap, later, queued = -1, 0, [], set(), set()
+
+    def coord(v):
+        return mesh.vertices[v] if v < nv else points[v - nv]
+
+    def root(v):
+        return roots[v - nv] if v >= nv else (v,)
+
+    def hang(idx):
+        if alive[idx] and idx not in queued:
+            queued.add(idx)
+            if at < idx < limit:
+                heapq.heappush(heap, idx)
+            else:
+                later.add(idx)
 
     def mid(a, b):
-        key = (min(a, b), max(a, b))
-        vid = midpoint.get(key)
-        if vid is None:
-            vid = len(verts)
-            verts.append(tuple(0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))))
-            midpoint[key] = vid
-            midpoint_parents[vid] = key
-        return vid
+        m = midpoint.get((a, b))
+        if m is None:
+            m = nv + len(points)
+            points.append(0.5 * (coord(a) + coord(b)))
+            roots.append(tuple(sorted(set(root(a)) | set(root(b)))))
+            midpoint[(a, b)] = m
+            if b < nv:
+                lo, hi = np.searchsorted(codes, [a * nv + b, a * nv + b + 1])
+                for row in by_code[lo:hi].tolist():
+                    hang(row // len(pairs))
+            for idx in new_on_edge.get((a, b), ()):
+                hang(idx)
+        return m
 
-    # working cell records: [vertices tuple, root parent, refinement edge]
-    work = []
-    for ci, cell in enumerate(mesh.cells):
-        edge = tuple(mesh.refinement_edges[ci]) if mesh.refinement_edges is not None \
-            else None
-        work.append([tuple(int(v) for v in cell), ci, edge])
-    alive = [True] * len(work)
-
-    def longest_edge(vs):
-        best = None
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                a, b = sorted((vs[i], vs[j]))
-                length = np.dot(np.asarray(verts[a]) - np.asarray(verts[b]),
-                                np.asarray(verts[a]) - np.asarray(verts[b]))
-                key = (-length, a, b)
-                if best is None or key < best:
-                    best = key
-                    pick = (a, b)
-        return pick
+    def add(vs, root_cell, edge):
+        idx = len(work)
+        work.append((vs, root_cell, edge))
+        alive.append(True)
+        edges = [(vs[i], vs[j]) for i, j in pairs]
+        for e in edges:
+            new_on_edge.setdefault(e, []).append(idx)
+        if any(e in midpoint for e in edges):
+            hang(idx)
 
     def bisect(idx):
-        vs, root, edge = work[idx]
+        vs, root_cell, edge = work[idx]
         if edge is None:
-            edge = longest_edge(vs)
+            i, j = _longest_edges(np.array([coord(v) for v in vs]),
+                                  np.arange(dim + 1)[None])[0]
+            edge = (vs[i], vs[j])
         u, v = edge
         others = tuple(w for w in vs if w not in (u, v))
-        m = mid(u, v)
         alive[idx] = False
-        if mesh.dim == 2:
+        later.discard(idx)
+        m = mid(u, v)
+        if dim == 2:
             w = others[0]
-            kid_edge_u = tuple(sorted((u, w)))
-            kid_edge_v = tuple(sorted((v, w)))
-            work.append([tuple(sorted((u, w, m))), root, kid_edge_u])
-            alive.append(True)
-            work.append([tuple(sorted((v, w, m))), root, kid_edge_v])
-            alive.append(True)
+            add(tuple(sorted((u, w, m))), root_cell, tuple(sorted((u, w))))
+            add(tuple(sorted((v, w, m))), root_cell, tuple(sorted((v, w))))
         else:
-            w1, w2 = others
-            work.append([tuple(sorted((u, m, w1, w2))), root, None])
-            alive.append(True)
-            work.append([tuple(sorted((v, m, w1, w2))), root, None])
-            alive.append(True)
+            add(tuple(sorted((u, m) + others)), root_cell, None)
+            add(tuple(sorted((v, m) + others)), root_cell, None)
 
     for ci in marked:
         bisect(ci)
 
     cap = 200 * mesh.ncells + 10000
     steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(work)):
-            if not alive[idx]:
-                continue
-            vs = work[idx][0]
-            hang = False
-            for i in range(len(vs)):
-                for j in range(i + 1, len(vs)):
-                    key = (min(vs[i], vs[j]), max(vs[i], vs[j]))
-                    if key in midpoint:
-                        hang = True
-                        break
-                if hang:
-                    break
-            if hang:
-                bisect(idx)
-                changed = True
-                steps += 1
-                if steps > cap:
-                    raise RuntimeError("refinement closure failed to terminate")
+    while later:
+        at, limit, heap = -1, len(work), sorted(later)
+        later.clear()
+        while heap:
+            at = heapq.heappop(heap)
+            bisect(at)
+            steps += 1
+            if steps > cap:
+                raise RuntimeError("refinement closure failed to terminate")
 
-    cells = []
-    parents = []
-    edges = [] if mesh.dim == 2 else None
-    for idx in range(len(work)):
-        if not alive[idx]:
-            continue
-        vs, root, edge = work[idx]
-        cells.append(vs)
-        parents.append(root)
-        if mesh.dim == 2:
-            edges.append(edge if edge is not None else longest_edge(vs))
-    new_mesh = SimplicialMesh(mesh.dim, verts, cells, parents=parents)
-    tags = _inherit_tags(mesh, new_mesh, midpoint_parents)
-    return SimplicialMesh(mesh.dim, verts, cells, boundary_tags=tags,
-                          parents=parents,
-                          refinement_edges=edges if mesh.dim == 2 else None)
+    live = [rec for rec, on in zip(work, alive) if on]
+    cells = [vs for vs, _, _ in live]
+    new_mesh = SimplicialMesh(
+        dim, np.concatenate([mesh.vertices, np.reshape(points, (-1, dim))]),
+        cells, parents=[r for _, r, _ in live],
+        refinement_edges=[e for _, _, e in live] if dim == 2 else None)
+    width = max(len(r) for r in roots)
+    table = np.full((new_mesh.nvertices, width), -1)
+    table[:nv, 0] = np.arange(nv)
+    for k, r in enumerate(roots):
+        table[nv + k, :len(r)] = r
+    new_mesh._set_tags(_inherit_tags(mesh, new_mesh, table))
+    return new_mesh
 
 
 def check_conforming(mesh, tol=1e-10):
@@ -681,12 +610,16 @@ def read_mesh(path):
         cells.append([int(x) for x in parts])
         row += 1
     mesh = SimplicialMesh(dim, verts, cells)
-    tags = {}
+    keys, tags = [], []
     for ln in lines[row:]:
         parts = ln.split()
         if parts[0] != "tag" or len(parts) != dim + 2:
             raise ValueError(f"bad tag line: {ln!r}")
-        key = tuple(sorted(int(x) for x in parts[1:-1]))
-        tags[mesh.facet_id(key)] = int(parts[-1])
-    return SimplicialMesh(dim, verts, cells, boundary_tags=tags,
-                          refinement_edges=_longest_edges(mesh) if dim == 2 else None)
+        keys.append(sorted(int(x) for x in parts[1:-1]))
+        tags.append(int(parts[-1]))
+    fids = _find_rows(mesh.facets, np.array(keys, dtype=int).reshape(-1, dim))
+    if np.any(fids < 0):
+        raise ValueError(f"tag on a vertex set that is no facet: "
+                         f"{keys[int(np.argmax(fids < 0))]}")
+    mesh._set_tags(dict(zip(fids.tolist(), tags)))
+    return mesh

@@ -49,6 +49,18 @@ from .spaces import (
 )
 
 
+def _factor(A):
+    """Sparse LU of a Hermitian positive definite matrix.
+
+    Every matrix factorized here is HPD by construction, so the
+    diagonal is a stable pivot sequence: a symmetric minimum-degree
+    ordering of A + A^T with diagonal pivots keeps the factors'
+    fill that of a Cholesky factor.
+    """
+    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
 def _lusolve(lu, b):
     """Solve with a real LU factorization for a possibly complex rhs."""
     if np.iscomplexobj(b):
@@ -249,7 +261,7 @@ class Discretization:
         Aff = A[np.ix_(free, free)].tocsc()
         ff = f[free]
         try:
-            lu = splu(Aff)
+            lu = _factor(Aff)
         except RuntimeError as exc:
             ritz = _smallest_ritz(Aff)
             raise SingularSystemError(
@@ -278,7 +290,7 @@ class Discretization:
         if Aff.shape[0] == 0:
             return 1.0
         try:
-            lu = splu(Aff)
+            lu = _factor(Aff)
         except RuntimeError:
             return np.inf
         op = sparse.linalg.LinearOperator(
@@ -611,7 +623,7 @@ class _InterfaceNorm:
 
     @cached_property
     def _mass_lu(self):
-        return splu(self._mass)
+        return _factor(self._mass)
 
     @cached_property
     def embedding(self):
@@ -697,7 +709,7 @@ class _XNormSolver:
         for s, G in grams:
             sl = slice(disc.slot_offset[s.name],
                        disc.slot_offset[s.name] + disc.slot_size[s.name])
-            self.blocks.append((sl, G, splu(G.tocsc())))
+            self.blocks.append((sl, G, _factor(G.tocsc())))
 
     def apply(self, v):
         out = np.zeros_like(v)

@@ -74,6 +74,15 @@ def test_shape_regularity_invariant_under_red_refinement(eight_tri):
     assert v1 == pytest.approx(v0, rel=1e-12)
 
 
+@pytest.mark.parametrize("domain,n", [("l-shape", 2), ("unit-cube", 1)])
+def test_shape_regularity_matches_cellwise_reference(domain, n):
+    mesh = refine_marked(build_structured(domain, n), {0, 3})
+    surf = np.array([mesh.facet_areas[mesh.cell_facet_ids[ci]].sum()
+                     for ci in range(mesh.ncells)])
+    inradius = mesh.dim * mesh.cell_volumes / surf
+    assert shape_regularity(mesh) == (mesh.cell_diameters / inradius).max()
+
+
 def test_marked_bisection_of_both_triangles(two_tri):
     fine = refine_marked(two_tri, {0, 1})
     assert fine.ncells == 4
