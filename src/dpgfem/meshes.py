@@ -110,12 +110,6 @@ class SimplicialMesh:
     def nfacets(self):
         return len(self.facets)
 
-    def facet_id(self, vertex_tuple):
-        fid = int(_find_rows(self.facets, np.sort(vertex_tuple)[None])[0])
-        if fid < 0:
-            raise KeyError(tuple(sorted(vertex_tuple)))
-        return fid
-
     @cached_property
     def boundary_facets(self):
         return np.flatnonzero(self.facet_cells[:, 1] == -1)
@@ -498,10 +492,9 @@ def refine_marked(mesh, marked):
                 raise RuntimeError("refinement closure failed to terminate")
 
     live = [rec for rec, on in zip(work, alive) if on]
-    cells = [vs for vs, _, _ in live]
     new_mesh = SimplicialMesh(
         dim, np.concatenate([mesh.vertices, np.reshape(points, (-1, dim))]),
-        cells, parents=[r for _, r, _ in live],
+        [vs for vs, _, _ in live], parents=[r for _, r, _ in live],
         refinement_edges=[e for _, _, e in live] if dim == 2 else None)
     width = max(len(r) for r in roots)
     table = np.full((new_mesh.nvertices, width), -1)

@@ -53,9 +53,9 @@ def _factor(A):
     """Sparse LU of a Hermitian positive definite matrix.
 
     Every matrix factorized here is HPD by construction, so the
-    diagonal is a stable pivot sequence: a symmetric minimum-degree
-    ordering of A + A^T with diagonal pivots keeps the factors'
-    fill that of a Cholesky factor.
+    diagonal is a stable pivot sequence.  With a symmetric minimum-degree
+    ordering of A + A^T and diagonal pivots, L and U each have the
+    sparsity of the Cholesky factor under that ordering.
     """
     return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})

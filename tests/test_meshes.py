@@ -184,5 +184,12 @@ def test_mesh_io_roundtrip_keeps_facet_ids_and_tags(domain, n):
     for name in ("vertices", "cells", "facets", "facet_cells", "facet_local"):
         assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
     assert back.boundary_tags == mesh.boundary_tags
-    for fid in (0, mesh.nfacets // 2, mesh.nfacets - 1):
-        assert back.facet_id(mesh.facets[fid][::-1]) == fid
+
+
+def test_read_mesh_rejects_tag_on_no_facet(eight_tri):
+    buf = io.StringIO()
+    write_mesh(eight_tri, buf)
+    buf.write("tag 0 8 1\n")  # opposite corners of the square
+    buf.seek(0)
+    with pytest.raises(ValueError, match=r"no facet: \[0, 8\]"):
+        read_mesh(buf)
