@@ -376,7 +376,7 @@ def refine_uniform(mesh):
     roots[:nv, 0] = np.arange(nv)
     roots[nv:] = parent
     new_mesh = SimplicialMesh(dim, verts, cells.reshape(-1, dim + 1),
-                              parents=np.repeat(np.arange(nc), len(cells[0])))
+                              parents=np.repeat(np.arange(nc), cells.shape[1]))
     new_mesh._set_tags(_inherit_tags(mesh, new_mesh, roots))
     return new_mesh
 
