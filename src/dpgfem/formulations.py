@@ -47,6 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reference import reference_table, reference_tensor
+
 
 @dataclass(frozen=True)
 class Slot:
@@ -361,18 +363,22 @@ def _blocks(terms):
 # -- form evaluation on a group of cells --------------------------------
 #
 # The context object (the system module's _CellGroup) stands for
-# ctx.ncells = K cells of one mesh, evaluated together.  It provides
-# Piola-pushed tables ctx.table((name, 'val' | 'der')), each pushed once
-# per group, of shape (K, n, nq, c), or (n, nq, c) where the same on
-# every cell; volume weights ctx.w (K, nq) and points ctx.points
-# (K, nq, dim); facet values ctx.facet(name, lf), weights ctx.fw(lf)
-# (K, nfq) and outward normals ctx.normal(lf) (K, dim); facet-flux basis
-# values ctx.flux_basis(name); parent traces of skeleton slots
-# ctx.skeleton_facets(name); the test layout ctx.ntest_local and
-# ctx.test_offset(name); and coefficients ctx.coef(key), a constant or a
-# per-cell array shaped to broadcast against the tables ((K, 1, 1, 1),
-# or (K, 1, 1, dim) for beta).  Every kernel returns a stack with the
-# cells on its first axis.
+# ctx.ncells = K cells of one mesh, evaluated together.  On these affine
+# cells every table the forms read is a reference table times a
+# per-cell factor: a kernel contracts the factors against reference
+# tensors (reference.reference_tensor) instead of summing over
+# quadrature points on every cell.  The context provides operands as
+# (reference operand, factor) terms, ctx.operand((name, 'val' | 'der')),
+# ctx.facet(name, lf) on local facet lf and ctx.flux(name) for
+# facet-flux slots, where a factor is (K, r, c), or (r, c) where the same
+# on every cell; the parent functions that skeleton slots use,
+# ctx.skeleton_functions(name); the weight scales ctx.absdet (K,) and
+# ctx.facet_scale(lf) (K,); outward normals ctx.normal(lf) (K, dim);
+# quadrature points ctx.points (K, nq, dim) for the load; the test
+# layout ctx.ntest_local and ctx.test_offset(name); and coefficients
+# ctx.coef(key), a constant or a per-cell array shaped to broadcast
+# against the factors ((K, 1, 1), or (K, 1, dim) for beta).  Every
+# kernel returns a stack with the cells on its first axis.
 
 
 def _coef_value(ctx, coef):
@@ -388,8 +394,8 @@ def _coef_value(ctx, coef):
 
 
 def _scaled(c, tab):
-    """c times a (..., n, nq, ncomp) table; a vector c multiplies a scalar
-    table and is dotted with a vector one."""
+    """c times a (..., r, ncomp) factor; a vector c multiplies a scalar
+    factor and is dotted with a vector one."""
     if np.ndim(c) == 0 or np.shape(c)[-1] == 1:
         return c * tab
     if tab.shape[-1] == 1:
@@ -398,74 +404,96 @@ def _scaled(c, tab):
 
 
 def _integrate(x, y, w):
-    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack, by one
-    batched GEMM; w is (K, 1, nq, 1), x and y may lack the cell axis."""
+    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack of
+    pushed (K, n, nq, c) tables, by one batched GEMM; w is (K, 1, nq, 1),
+    x and y may lack the cell axis.  The Fortin and duality Grams use
+    it."""
     yw = y.conj() * w
     yw = yw.reshape(yw.shape[:-2] + (-1,))
     return yw @ np.swapaxes(x.reshape(x.shape[:-2] + (-1,)), -1, -2)
 
 
-def _combine(ctx, pairs, conj):
-    out = None
-    for coef, operand in pairs:
-        c = _coef_value(ctx, coef)
-        if c is None:
-            continue
-        term = _scaled(np.conj(c) if conj else c, ctx.table(operand))
-        out = term if out is None else out + term
+def _contract(xs, ys, scale):
+    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack, for
+    x and y sums of (reference operand, factor) terms and weights scale
+    (K,) times the reference rule's: each pair of terms adds
+    C @ T, C = scale F_x conj(F_y)^T and T their reference tensor."""
+    out = 0.0
+    for xr, Fx in xs:
+        for yr, Fy in ys:
+            T = reference_tensor(xr, yr)
+            r, s, ny, nx = T.shape
+            C = scale[:, None, None] * (Fx @ np.swapaxes(Fy.conj(), -1, -2))
+            C, T = C.reshape(-1, r * s), T.reshape(r * s, -1)
+            CT = C @ T if np.isrealobj(C) else C.real @ T + 1j * (C.imag @ T)
+            out += CT.reshape(-1, ny, nx)
     return out
 
 
-def _weights(w):
-    return w[:, None, :, None]
+def _combine(ctx, pairs, conj):
+    """The terms of sum c x over (coef, operand) pairs, zero ones left
+    out; with conj, of sum conj(c) x."""
+    out = []
+    for coef, operand in pairs:
+        c = _coef_value(ctx, coef)
+        if c is not None:
+            ref, F = ctx.operand(operand)
+            out.append((ref, _scaled(np.conj(c) if conj else c, F)))
+    return out
+
+
+def _size(terms):
+    return terms[0][0].basis.nfuncs
 
 
 def y_gram(form, ctx):
     """Hermitian positive definite Grams of the Y inner product, real
     for the natural norm."""
-    w = _weights(ctx.w)
-    n = ctx.ntest_local
+    n, vol = ctx.ntest_local, ctx.absdet
     G = np.zeros((ctx.ncells, n, n),
                  dtype=form.dtype if form.adjoint_rows else float)
     for s in form.test_slots:
         at = ctx.test_offset(s.name)
-        parts = [ctx.table((s.name, "val"))]
+        kinds = ["val"]
         if s.deriv_in_norm and form.y_norm == "natural":
-            parts.append(ctx.table((s.name, "der")))
-        for v in parts:
-            m = v.shape[-3]
-            G[:, at:at + m, at:at + m] += _integrate(v, v, w)
-    # ||A* y||^2, one row of the adjoint per trial slot
-    for name, entries in form.adjoint_rows:
-        A = np.zeros((ctx.ncells, n, w.shape[2], form.slot(name).ncomp),
-                     dtype=form.dtype)
+            kinds.append("der")
+        for kind in kinds:
+            v = [ctx.operand((s.name, kind))]
+            m = _size(v)
+            G[:, at:at + m, at:at + m] += _contract(v, v, vol)
+    # ||A* y||^2, one row of the adjoint per trial slot, summed per test
+    # slot
+    for _, entries in form.adjoint_rows:
+        rows = {}
         for coef, operand in entries:
-            at = ctx.test_offset(operand[0])
-            part = _combine(ctx, [(coef, operand)], conj=True)
-            if part is not None:
-                A[:, at:at + part.shape[-3]] += part
-        G += _integrate(A, A, w)
+            rows.setdefault(operand[0], []).extend(
+                _combine(ctx, [(coef, operand)], conj=True))
+        rows = [(ctx.test_offset(name), terms)
+                for name, terms in rows.items() if terms]
+        for ra, ya in rows:
+            for rb, xb in rows:
+                G[:, ra:ra + _size(ya), rb:rb + _size(xb)] += _contract(
+                    xb, ya, vol)
     return 0.5 * (G + np.swapaxes(G.conj(), -1, -2))
 
 
 def b0_block(form, ctx):
     """Volume part of the mixed form: rows test dofs, cols field dofs."""
-    w = _weights(ctx.w)
     cols, at = {}, 0
     for s in form.trial_slots:
         cols[s.name] = at
-        at += ctx.table((s.name, "val")).shape[-3]
+        at += _size([ctx.operand((s.name, "val"))])
     blk = np.zeros((ctx.ncells, ctx.ntest_local, at), dtype=form.dtype)
     for b in form.blocks:
         r0, c0 = ctx.test_offset(b.test), cols[b.trial]
         for shared, pairs in b.groups:
             summed = _combine(ctx, pairs, conj=not b.sum_trial)
-            if summed is None:
+            if not summed:
                 continue
-            x, y = (summed, ctx.table(shared)) if b.sum_trial else \
-                (ctx.table(shared), summed)
-            blk[:, r0:r0 + y.shape[-3], c0:c0 + x.shape[-3]] += _integrate(
-                x, y, w)
+            one = [ctx.operand(shared)]
+            x, y = (summed, one) if b.sum_trial else (one, summed)
+            blk[:, r0:r0 + _size(y), c0:c0 + _size(x)] += _contract(
+                x, y, ctx.absdet)
     return blk
 
 
@@ -477,47 +505,61 @@ def bhat_block(form, ctx):
     cols, at = [], 0
     for pr in form.pairings:
         if pr.facet:
-            basis = ctx.flux_basis(pr.slot)[:, :, None]
-            xs, step = [basis] * nfac, len(basis)
+            xs, use = [ctx.flux(pr.slot)] * nfac, None
+            step = _size(xs)
+            width = nfac * step
         else:
-            xs, step = ctx.skeleton_facets(pr.slot), 0
-        cols.append((pr, _coef_value(ctx, pr.coef), xs, at, step))
-        at += nfac * step or xs[0].shape[-3]
+            xs = [ctx.facet(pr.slot, lf) for lf in range(nfac)]
+            use = ctx.skeleton_functions(pr.slot)
+            step, width = 0, len(use)
+        cols.append((pr, _coef_value(ctx, pr.coef), xs, use, at, step))
+        at += width
     blk = np.zeros((ctx.ncells, ctx.ntest_local, at), dtype=form.dtype)
     normals = any(pr.trace for pr in form.pairings)
     for lf in range(nfac):
-        wf = _weights(ctx.fw(lf))
-        n = ctx.normal(lf)[:, None, None, :] if normals else None
-        for pr, c, xs, c0, step in cols:
+        area = ctx.facet_scale(lf)
+        n = ctx.normal(lf) if normals else None
+        for pr, c, xs, use, c0, step in cols:
             if c is None:
                 continue
-            y = ctx.facet(pr.test, lf)
+            yr, F = ctx.facet(pr.test, lf)
             if pr.trace == "n.":
-                y = (y * n).sum(axis=-1, keepdims=True)
+                F = F @ n[:, :, None]
             elif pr.trace == "nx":
-                y = np.cross(n, y)
+                # n x y = y @ N with N[d] = n x e_d
+                F = F @ np.cross(n[:, None, :], np.eye(3))
+            xr, Fx = xs[lf]
+            part = _contract([(xr, _scaled(c, Fx))], [(yr, F)], area)
+            if use is not None:
+                part = part[..., use]
             r0, c0 = ctx.test_offset(pr.test), c0 + lf * step
-            blk[:, r0:r0 + y.shape[-3], c0:c0 + xs[lf].shape[-3]] += \
-                _integrate(xs[lf], y, c * wf)
+            blk[:, r0:r0 + part.shape[1], c0:c0 + part.shape[2]] += part
     return blk
 
 
 def load_vector(form, ctx, case):
-    """Test-slot load functionals from a manufactured case, (K, ntest)."""
+    """Test-slot load functionals from a manufactured case, (K, ntest).
+
+    The case data vary over the cell, so the load is a quadrature: the
+    data at the points, pulled back by the test operand's factor, are
+    summed against its reference table."""
     l = np.zeros((ctx.ncells, ctx.ntest_local), dtype=form.dtype)
     if case is None:
         return l
-    w = _weights(ctx.w)
     x = ctx.points
+    K, nq, dim = x.shape
     for ld in form.loads:
         c = _coef_value(ctx, ld.coef)
         if c is None:
             continue
-        f = np.asarray(case.fields[ld.field](x.reshape(-1, x.shape[-1])))
-        f = f.reshape(len(x), 1, x.shape[1], -1)
-        S = ctx.table(ld.test)
+        f = np.asarray(case.fields[ld.field](x.reshape(-1, dim)))
+        ref, F = ctx.operand(ld.test)
+        Y, w = reference_table(ref)
+        # g[q, s] = sum_c c f_c conj(F_sc), weighted
+        g = (c * f.reshape(K, nq, -1)) @ np.swapaxes(F.conj(), -1, -2)
+        g = g * (ctx.absdet[:, None, None] * w[:, None])
         at = ctx.test_offset(ld.test[0])
-        l[:, at:at + S.shape[-3]] += _integrate(c * f, S, w)[..., 0]
+        l[:, at:at + len(Y)] += g.reshape(K, -1) @ Y.reshape(len(Y), -1).T
     return l
 
 

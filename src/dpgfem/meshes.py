@@ -315,23 +315,31 @@ def _inherit_tags(old, new, roots):
     """Carry boundary tags through one refinement.
 
     ``roots[v]`` lists the old vertices new vertex ``v`` descends from,
-    padded with -1.  A boundary facet of the new mesh takes the tag of
-    the old facet its vertices' roots span.
+    padded with -1.  A boundary facet of the new mesh lies in the old
+    boundary facet its vertices' roots span and takes that facet's tag,
+    if it has one; a new boundary facet inside no old one is an error.
     """
+    if not old.boundary_tags:
+        return {}
     fids = new.boundary_facets
     r = np.sort(roots[new.facets[fids]].reshape(len(fids), -1), axis=1)
     fresh = r >= 0
     fresh[:, 1:] &= r[:, 1:] != r[:, :-1]
     spans = fresh.sum(axis=1) == old.dim
-    tagged = np.fromiter(old.boundary_tags, dtype=int,
-                         count=len(old.boundary_tags))
+    bfids = old.boundary_facets
     hit = np.full(len(fids), -1)
-    hit[spans] = _find_rows(old.facets[tagged],
+    hit[spans] = _find_rows(old.facets[bfids],
                             r[spans][fresh[spans]].reshape(-1, old.dim))
-    if old.boundary_tags and np.any(hit < 0):
+    if np.any(hit < 0):
         raise ValueError("boundary facet lost its tag during refinement")
-    tag = np.array(list(old.boundary_tags.values()), dtype=int)
-    return dict(zip(fids[hit >= 0].tolist(), tag[hit[hit >= 0]].tolist()))
+    tag = np.zeros(old.nfacets, dtype=int)
+    tagged = np.zeros(old.nfacets, dtype=bool)
+    keys = list(old.boundary_tags)
+    tag[keys] = list(old.boundary_tags.values())
+    tagged[keys] = True
+    parent = bfids[hit]
+    keep = tagged[parent]
+    return dict(zip(fids[keep].tolist(), tag[parent[keep]].tolist()))
 
 
 # red refinement: children as columns of [cell vertices, edge midpoints],
@@ -510,42 +518,39 @@ def check_conforming(mesh, tol=1e-10):
 
     Facet multiplicity (1 or 2 cells) is enforced at construction; the
     remaining failure mode is a vertex sitting in the relative interior of
-    a once-counted facet, which this check detects geometrically.
+    a once-counted facet, which this check detects geometrically.  All
+    (boundary facet, vertex) pairs are tested at once, in blocks of
+    facets; the error names the first offender in facet, then vertex,
+    order.
     """
     scale = mesh.mesh_size
-    for fid in mesh.boundary_facets:
-        fverts = set(int(v) for v in mesh.facets[fid])
-        pts = mesh.vertices[mesh.facets[fid]]
+    verts = mesh.vertices
+    fids = mesh.boundary_facets
+    size = max(1, 2 ** 16 // mesh.nvertices)
+    for start in range(0, len(fids), size):
+        fv = mesh.facets[fids[start:start + size]]
+        a = verts[fv[:, 0]]
+        d = verts - a[:, None, :]  # (facets, vertices, dim)
+        e = verts[fv[:, 1:]] - a[:, None, :]  # (facets, dim - 1, dim)
         if mesh.dim == 2:
-            a, b = pts
-            t = b - a
-            L2 = np.dot(t, t)
-            for vid in range(mesh.nvertices):
-                if vid in fverts:
-                    continue
-                p = mesh.vertices[vid]
-                s = np.dot(p - a, t) / L2
-                if s <= tol or s >= 1 - tol:
-                    continue
-                dist = np.linalg.norm(p - (a + s * t))
-                if dist < tol * scale:
-                    raise ValueError(f"hanging vertex {vid} on facet {fid}")
+            t = e[:, 0]
+            s = np.einsum("fvd,fd->fv", d, t) / np.sum(t * t, axis=1)[:, None]
+            dist = np.linalg.norm(d - s[..., None] * t[:, None, :], axis=-1)
+            bad = (s > tol) & (s < 1 - tol) & (dist < tol * scale)
         else:
-            a, b, c = pts
-            n = np.cross(b - a, c - a)
-            n = n / np.linalg.norm(n)
-            M = np.column_stack([b - a, c - a])
-            MtM_inv = np.linalg.inv(M.T @ M)
-            for vid in range(mesh.nvertices):
-                if vid in fverts:
-                    continue
-                p = mesh.vertices[vid]
-                if abs(np.dot(p - a, n)) > tol * scale:
-                    continue
-                uv = MtM_inv @ (M.T @ (p - a))
-                u, v = uv
-                if u > tol and v > tol and u + v < 1 - tol:
-                    raise ValueError(f"hanging vertex {vid} on facet {fid}")
+            n = np.cross(e[:, 0], e[:, 1])
+            n /= np.linalg.norm(n, axis=1)[:, None]
+            # barycentric (u, v) of the projection onto the facet plane
+            et = np.swapaxes(e, 1, 2)
+            uv = np.einsum("fij,fvj->fvi", np.linalg.inv(e @ et), d @ et)
+            u, v = uv[..., 0], uv[..., 1]
+            bad = ((np.abs(np.einsum("fvd,fd->fv", d, n)) <= tol * scale)
+                   & (u > tol) & (v > tol) & (u + v < 1 - tol))
+        bad[np.arange(len(fv))[:, None], fv] = False
+        if bad.any():
+            i, vid = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"hanging vertex {vid} on facet "
+                             f"{fids[start + i]}")
     return True
 
 

@@ -16,6 +16,7 @@ their Gram, so rounding in the inputs moves the bases only by rounding.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 from numpy.linalg import lstsq
@@ -644,36 +645,106 @@ def _times(tab, M):
     return out.reshape(M.shape[:-2] + tab.shape[:-1] + M.shape[-1:])
 
 
+def value_factor(family, J, Jinv, det):
+    """The per-cell matrix M (..., c, d) that pushes reference basis
+    values to a physical cell, values @ M, given one map or a stack of
+    (K, d, d) maps and (K,) determinants.
+
+    h1 composes (M = 1, the same on every cell), l2 scales by 1/det,
+    hcurl/vec map covariantly (Jinv) and hdiv contravariantly (J^T/det).
+    """
+    if family == "h1":
+        return np.ones((1, 1))
+    if family == "l2":
+        return (1.0 / np.asarray(det))[..., None, None]
+    if family in ("hcurl", "vec"):
+        return Jinv
+    if family == "hdiv":
+        return np.swapaxes(J, -1, -2) / np.asarray(det)[..., None, None]
+    raise ValueError(family)
+
+
+def deriv_factor(family, J, Jinv, det):
+    """The matrix that pushes family derivatives: grad covariantly, div
+    and 2D curl by 1/det, 3D curl contravariantly."""
+    if family in ("h1", "l2"):
+        return Jinv
+    if family == "hdiv" or (family in ("hcurl", "vec") and J.shape[-1] == 2):
+        return (1.0 / np.asarray(det))[..., None, None]
+    if family in ("hcurl", "vec"):
+        return np.swapaxes(J, -1, -2) / np.asarray(det)[..., None, None]
+    raise ValueError(family)
+
+
 def push_values(family, vals, J, Jinv, det):
     """Push reference basis values to a physical cell, or to a stack of
-    cells given (K, d, d) maps and (K,) determinants.
-
-    h1 composes, l2 scales by 1/det, hcurl/vec map covariantly and hdiv
-    contravariantly (with 1/det).  h1 values are the same on every cell
-    and keep their reference shape.
-    """
-    det = np.asarray(det)[..., None, None, None]
-    if family in ("h1",):
+    cells (see value_factor).  h1 values are the same on every cell and
+    keep their reference shape."""
+    if family == "h1":
         return vals
-    if family == "l2":
-        return vals / det
-    if family in ("hcurl", "vec"):
-        return _times(vals, Jinv)
-    if family == "hdiv":
-        return _times(vals, np.swapaxes(J, -1, -2)) / det
-    raise ValueError(family)
+    return _times(vals, value_factor(family, J, Jinv, det))
 
 
 def push_derivs(family, der, J, Jinv, det):
-    """Push family derivatives: grad covariantly, div and 2D curl by
-    1/det, 3D curl contravariantly."""
-    det = np.asarray(det)[..., None, None, None]
-    if family in ("h1", "l2"):
-        return _times(der, Jinv)
-    if family == "hdiv":
-        return der / det
-    if family in ("hcurl", "vec"):
-        if J.shape[-1] == 3:
-            return _times(der, np.swapaxes(J, -1, -2)) / det
-        return der / det
-    raise ValueError(family)
+    """Push family derivatives to a physical cell or a stack of cells
+    (see deriv_factor)."""
+    return _times(der, deriv_factor(family, J, Jinv, det))
+
+
+# -- reference tensors -------------------------------------------------
+#
+# On an affine cell every pushed table is a reference table times a
+# per-cell factor, x = X @ F, so a weighted product of two tables is a
+# contraction of per-cell factors with one reference tensor,
+#
+#   sum_q w_q x_j,q . conj(y_i,q) = |det| sum_{r,s} (F_x conj(F_y)^T)_rs
+#                                   T[r, s, i, j],
+#   T[r, s, i, j] = sum_q w^_q X_j,q,r Y_i,q,s.
+
+RefOperand = namedtuple("RefOperand", "basis kind facet order")
+RefOperand.__doc__ = """One reference table: the values ('val') or family
+derivatives ('der') of a basis at the points of the degree-``order``
+rule on its simplex, or (facet = local facet index) its values at the
+points of the degree-``order`` rule on that facet."""
+
+
+_TABLE_CACHE = {}
+_TENSOR_CACHE = {}
+
+
+def reference_table(op):
+    """(table (n, nq, c), rule weights (nq,)) of a reference operand,
+    tabulated on first use and kept for the process."""
+    out = _TABLE_CACHE.get(op)
+    if out is None:
+        dim = op.basis.dim
+        if op.facet is None:
+            rule = simplex_rule(dim, op.order)
+            pts = rule.points
+        else:
+            rule = simplex_rule(dim - 1, op.order)
+            pts = facet_points(dim, local_facets(dim)[op.facet], rule.points)
+        tab = (op.basis.derivs(pts) if op.kind == "der"
+               else op.basis.values(pts))
+        tab.flags.writeable = False
+        out = _TABLE_CACHE[op] = (tab, rule.weights)
+    return out
+
+
+def reference_tensor(x, y):
+    """T (r, s, ny, nx) with T[r, s, i, j] = sum_q w_q X_j,q,r Y_i,q,s
+    for reference operands x and y on the same rule, built on first use
+    and kept for the process."""
+    key = (x, y)
+    T = _TENSOR_CACHE.get(key)
+    if T is None:
+        X, w = reference_table(x)
+        Y, _ = reference_table(y)
+        nx, nq, r = X.shape
+        ny, _, s = Y.shape
+        Yw = np.transpose(Y * w[:, None], (2, 0, 1)).reshape(s * ny, nq)
+        Xq = np.transpose(X, (1, 2, 0)).reshape(nq, r * nx)
+        T = (Yw @ Xq).reshape(s, ny, r, nx).transpose(2, 0, 1, 3).copy()
+        T.flags.writeable = False
+        _TENSOR_CACHE[key] = T
+    return T

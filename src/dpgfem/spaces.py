@@ -22,9 +22,13 @@ from scipy import sparse
 from .quadrature import reference_volume, simplex_rule
 from .reference import (
     MeshGeometry,
+    RefOperand,
+    deriv_factor,
     facet_points,
     push_derivs,
     push_values,
+    reference_table,
+    value_factor,
 )
 from .simplex import facet_measure, local_edges, local_facets
 
@@ -49,8 +53,9 @@ def cell_groups(ncells, cell_bytes):
 class ElementTables:
     """Per-cell transformed basis tables for one (family, degree) pair.
 
-    Reference values are computed once; each cell applies its own
-    pullback.  ``basis`` may be a modal or a conforming basis object.
+    Reference tables come from the process-wide cache on first use;
+    each cell applies its own pullback.  ``basis`` may be a modal or a
+    conforming basis object.
     Per-cell lookups take one cell index, a slice or an index array of
     cells; the latter two add a leading cell axis (h1 values, the same
     on every cell, keep their reference shape).
@@ -66,39 +71,57 @@ class ElementTables:
         deg = basis.degree
         self.vrule = simplex_rule(dim, volume_order if volume_order else 2 * deg + 2)
         self.frule = simplex_rule(dim - 1, facet_order if facet_order else 2 * deg + 2)
-        self._ref_val = basis.values(self.vrule.points)
-        self._ref_der = basis.derivs(self.vrule.points)
-        self._ref_fval = []
-        for lf in local_facets(dim):
-            pts = facet_points(dim, lf, self.frule.points)
-            self._ref_fval.append(basis.values(pts))
 
     def groups(self):
         """Slices of consecutive cells, each small enough to evaluate as
         one stack."""
         return cell_groups(self.mesh.ncells,
-                           max(self._ref_val.nbytes, self._ref_der.nbytes))
+                           max(self.table("val").nbytes,
+                               self.table("der").nbytes))
 
     def volume_weights(self, ci):
         return self.geo.absdet[ci][..., None] * self.vrule.weights
 
     def values(self, ci):
         g = self.geo
-        return push_values(self.family, self._ref_val, g.J[ci], g.Jinv[ci], g.det[ci])
+        return push_values(self.family, self.table("val"), g.J[ci], g.Jinv[ci],
+                           g.det[ci])
 
     def derivs(self, ci):
         g = self.geo
-        return push_derivs(self.family, self._ref_der, g.J[ci], g.Jinv[ci], g.det[ci])
+        return push_derivs(self.family, self.table("der"), g.J[ci], g.Jinv[ci],
+                           g.det[ci])
+
+    def reference(self, kind, lf=None):
+        """The reference operand of the values ('val') or derivatives
+        ('der') on the volume rule, or of the values on local facet lf."""
+        rule = self.vrule if lf is None else self.frule
+        return RefOperand(self.basis, kind, lf, rule.order)
+
+    def table(self, kind, lf=None):
+        """The reference table of that operand, (nfuncs, nq, ncomp)."""
+        return reference_table(self.reference(kind, lf))[0]
+
+    def factor(self, kind, ci):
+        """Per-cell factor F with pushed table = reference table @ F, for
+        values (also on facets) or derivatives."""
+        g = self.geo
+        push = deriv_factor if kind == "der" else value_factor
+        return push(self.family, g.J[ci], g.Jinv[ci], g.det[ci])
+
+    def facet_scale(self, ci, lf):
+        """Facet area over the reference facet's, which scales the facet
+        rule's weights."""
+        fid = self.mesh.cell_facet_ids[ci, lf]
+        return self.mesh.facet_areas[fid] / reference_volume(self.mesh.dim - 1)
 
     def facet_weights(self, ci, lf):
-        fid = self.mesh.cell_facet_ids[ci, lf]
-        area = self.mesh.facet_areas[fid] / reference_volume(self.mesh.dim - 1)
-        return area[..., None] * self.frule.weights
+        return self.facet_scale(ci, lf)[..., None] * self.frule.weights
 
     def facet_values(self, ci, lf):
         g = self.geo
-        return push_values(self.family, self._ref_fval[lf], g.J[ci], g.Jinv[ci],
-                           g.det[ci])
+        return push_values(self.family, self.table("val", lf), g.J[ci],
+                           g.Jinv[ci], g.det[ci])
 
     def physical_points(self, ci):
         return self.geo.map_points(ci, self.vrule.points)
@@ -318,7 +341,8 @@ def _owner_groups(mesh, tables):
     """(lf, cells) groups of facets: each facet once, through its owner,
     the owners seeing it as local facet lf, in groups of bounded size."""
     owners = facet_owners(mesh)
-    nbytes = max(t.nbytes for t in tables._ref_fval)
+    nbytes = max(tables.table("val", lf).nbytes
+                 for lf in range(mesh.dim + 1))
     for lf in range(mesh.dim + 1):
         cells = owners[owners[:, 1] == lf, 0]
         for part in cell_groups(len(cells), nbytes):

@@ -31,7 +31,13 @@ from scipy.sparse.linalg import splu
 
 from . import formulations as fm
 from .quadrature import simplex_rule
-from .reference import MeshGeometry, conforming_basis, modal_basis
+from .reference import (
+    MeshGeometry,
+    RefOperand,
+    conforming_basis,
+    modal_basis,
+    reference_table,
+)
 from .spaces import (
     ElementTables,
     TraceField,
@@ -114,7 +120,7 @@ class Discretization:
 
         self._tables = {}
         self._maps = {}
-        self._flux_vals = {}
+        self._flux = {}
         self.slot_offset = {}
         self.slot_size = {}
         offset = 0
@@ -146,7 +152,8 @@ class Discretization:
         mesh, dim = self.mesh, self.mesh.dim
         if s.continuity == "facet":
             basis = modal_basis("l2", s.degree, dim - 1)
-            self._flux_vals[s.name] = basis.values(self.frule.points)[:, :, 0]
+            self._flux[s.name] = RefOperand(basis, "val", None,
+                                            self.frule.order)
             return facet_map(mesh, basis.nfuncs)
         basis = (conforming_basis(s.family, s.degree, dim)
                  if s.continuity in ("conforming", "skeleton")
@@ -162,7 +169,9 @@ class Discretization:
         return self._maps[name]
 
     def flux_basis(self, name):
-        return self._flux_vals[name]
+        """Values (nfuncs, nq) of a facet slot's basis at the facet rule's
+        points."""
+        return reference_table(self._flux[name])[0][:, :, 0]
 
     def test_offset(self, name):
         return self._test_offsets[name]
@@ -387,12 +396,13 @@ class Discretization:
                 exact[s.name, op] = ex.reshape(nc, nq, -1)
         sq = dict.fromkeys(exact, 0.0)
         for cells in self._groups():
-            group = _CellGroup(self, cells)
             for (name, op), ex in exact.items():
                 c = self.field_coefficients(x, name, cells)
-                tab = group.table((name, op))
-                vals = c[:, None, :] @ tab.reshape(tab.shape[:-2] + (-1,))
-                diff = vals.reshape(ex[cells].shape) - ex[cells]
+                tab = self._tables[name]
+                X = tab.table(op)
+                vals = (c @ X.reshape(len(X), -1)).reshape(
+                    len(c), nq, -1) @ tab.factor(op, cells)
+                diff = vals - ex[cells]
                 sq[name, op] += float(np.sum(w[cells, :, None]
                                              * np.abs(diff) ** 2))
         out = {}
@@ -516,51 +526,56 @@ class _ElementStacks:
 
 class _CellGroup:
     """The form evaluators' context for a slice of consecutive cells:
-    tables, weights and coefficients of those cells, each table pushed
-    once per group."""
+    reference operands with their per-cell factors, weight scales,
+    quadrature points and coefficients of those cells."""
 
     def __init__(self, disc, cells):
         self.disc, self.cells = disc, cells
         self.ncells = len(range(*cells.indices(disc.mesh.ncells)))
         self.ntest_local = disc.ntest_local
-        self.test_offset, self.flux_basis = disc.test_offset, disc.flux_basis
-        self.w = disc._ref_tables.volume_weights(cells)
-        self.points = disc._ref_tables.physical_points(cells)
-        self._pushed = {}
+        self.test_offset = disc.test_offset
+        self.absdet = disc.geo.absdet[cells]
+        self._factors = {}
 
-    def table(self, operand):
-        tab = self._pushed.get(operand)
-        if tab is None:
-            name, op = operand
-            tables = self.disc._tables[name]
-            tab = self._pushed[operand] = (
-                tables.derivs(self.cells) if op == "der"
-                else tables.values(self.cells))
-        return tab
+    @cached_property
+    def points(self):
+        return self.disc._ref_tables.physical_points(self.cells)
+
+    def _factor(self, name, kind):
+        F = self._factors.get((name, kind))
+        if F is None:
+            F = self._factors[name, kind] = self.disc._tables[name].factor(
+                kind, self.cells)
+        return F
+
+    def operand(self, operand):
+        name, kind = operand
+        return (self.disc._tables[name].reference(kind),
+                self._factor(name, kind))
 
     def facet(self, name, lf):
-        return self.disc._tables[name].facet_values(self.cells, lf)
+        return (self.disc._tables[name].reference("val", lf),
+                self._factor(name, "val"))
 
-    def fw(self, lf):
-        return self.disc._ref_tables.facet_weights(self.cells, lf)
+    def flux(self, name):
+        return self.disc._flux[name], np.ones((1, 1))
+
+    def skeleton_functions(self, name):
+        return self.disc.dofmap(name).local_functions
+
+    def facet_scale(self, lf):
+        return self.disc._ref_tables.facet_scale(self.cells, lf)
 
     def normal(self, lf):
         return self.disc.geo.outward_normal(self.cells, lf)
 
-    def skeleton_facets(self, name):
-        use = self.disc.dofmap(name).local_functions
-        tab = self.disc._tables[name]
-        return [tab.facet_values(self.cells, lf)[..., use, :, :]
-                for lf in range(self.disc.mesh.dim + 1)]
-
     def coef(self, key):
         """A constant, or per-cell values shaped to broadcast against
-        (K, n, nq, ncomp) tables."""
+        (K, r, ncomp) factors."""
         val = np.asarray(self.disc.form.params[key], dtype=float)
         if key == "beta":
-            return val if val.ndim == 1 else val[self.cells, None, None, :]
-        return float(val) if val.ndim == 0 else \
-            val[self.cells, None, None, None]
+            return val if val.ndim == 1 else val[self.cells, None, :]
+        return float(val) if val.ndim == 0 else val[self.cells, None, None]
 
 
 def _smallest_ritz(A):

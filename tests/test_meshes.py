@@ -193,3 +193,156 @@ def test_read_mesh_rejects_tag_on_no_facet(eight_tri):
     buf.seek(0)
     with pytest.raises(ValueError, match=r"no facet: \[0, 8\]"):
         read_mesh(buf)
+
+
+# -- boundary tags through refinement -----------------------------------
+
+
+def _partly_tagged():
+    """The 8-triangle square with 3 of its 8 boundary facets tagged."""
+    mesh = build_structured("unit-square", 2)
+    fids = mesh.boundary_facets
+    tags = {int(fids[0]): 4, int(fids[3]): 5, int(fids[6]): 6}
+    return SimplicialMesh(2, mesh.vertices, mesh.cells, boundary_tags=tags)
+
+
+def _containing_facet(old, new, fid):
+    """The old boundary facet whose segment contains new facet fid."""
+    p, q = new.vertices[new.facets[fid]]
+    for ofid in old.boundary_facets:
+        a, b = old.vertices[old.facets[ofid]]
+        t = b - a
+        on = [abs(t[0] * (x - a)[1] - t[1] * (x - a)[0]) < 1e-12 and
+              -1e-12 <= np.dot(x - a, t) <= np.dot(t, t) + 1e-12
+              for x in (p, q)]
+        if all(on):
+            return int(ofid)
+    raise AssertionError(f"facet {fid} lies in no old boundary facet")
+
+
+@pytest.mark.parametrize("refine", [refine_uniform,
+                                    lambda m: refine_marked(m, {0, 5})],
+                         ids=["uniform", "marked"])
+def test_refinement_keeps_partial_tags(refine):
+    old = _partly_tagged()
+    new = refine(old)
+    seen = set()
+    for fid in new.boundary_facets:
+        ofid = _containing_facet(old, new, fid)
+        assert new.boundary_tags.get(int(fid)) == old.boundary_tags.get(ofid)
+        seen.add(ofid)
+    assert seen == set(old.boundary_facets.tolist())
+    assert set(new.boundary_tags) <= set(new.boundary_facets.tolist())
+
+
+def test_boundary_facet_in_no_old_facet_rejected():
+    from dpgfem.meshes import _inherit_tags
+    old = _partly_tagged()
+    # descend every vertex from itself, except that the centre and a
+    # corner trade places, so a boundary edge at that corner maps to an
+    # interior pair of old vertices
+    centre = int(np.argmin(np.sum((old.vertices - 0.5) ** 2, axis=1)))
+    corner = int(np.argmin(np.sum(old.vertices ** 2, axis=1)))
+    perm = np.arange(old.nvertices)
+    perm[[centre, corner]] = perm[[corner, centre]]
+    roots = np.column_stack([perm, np.full(old.nvertices, -1)])
+    with pytest.raises(ValueError, match="lost its tag"):
+        _inherit_tags(old, old, roots)
+
+
+# -- hanging vertices ---------------------------------------------------
+
+
+def _loop_check_conforming(mesh, tol=1e-10):
+    """Facet by facet and vertex by vertex, the reference for the
+    array-based check_conforming: the same first offender."""
+    scale = mesh.mesh_size
+    for fid in mesh.boundary_facets:
+        fverts = set(int(v) for v in mesh.facets[fid])
+        pts = mesh.vertices[mesh.facets[fid]]
+        if mesh.dim == 2:
+            a, b = pts
+            t = b - a
+            L2 = np.dot(t, t)
+            for vid in range(mesh.nvertices):
+                if vid in fverts:
+                    continue
+                p = mesh.vertices[vid]
+                s = np.dot(p - a, t) / L2
+                if s <= tol or s >= 1 - tol:
+                    continue
+                dist = np.linalg.norm(p - (a + s * t))
+                if dist < tol * scale:
+                    raise ValueError(f"hanging vertex {vid} on facet {fid}")
+        else:
+            a, b, c = pts
+            n = np.cross(b - a, c - a)
+            n = n / np.linalg.norm(n)
+            M = np.column_stack([b - a, c - a])
+            MtM_inv = np.linalg.inv(M.T @ M)
+            for vid in range(mesh.nvertices):
+                if vid in fverts:
+                    continue
+                p = mesh.vertices[vid]
+                if abs(np.dot(p - a, n)) > tol * scale:
+                    continue
+                u, v = MtM_inv @ (M.T @ (p - a))
+                if u > tol and v > tol and u + v < 1 - tol:
+                    raise ValueError(f"hanging vertex {vid} on facet {fid}")
+    return True
+
+
+def _hanging_2d():
+    """The 8-triangle square with two cells, neither sharing an edge with
+    the other, split 1:4 and their neighbours left whole: the midpoints
+    of the shared edges hang."""
+    mesh = build_structured("unit-square", 2)
+    verts, cells = [tuple(v) for v in mesh.vertices], []
+    for ci, cell in enumerate(mesh.cells):
+        if ci not in (0, 5):
+            cells.append(tuple(cell))
+            continue
+        mids = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            mid = tuple((mesh.vertices[cell[i]] + mesh.vertices[cell[j]]) / 2)
+            if mid not in verts:
+                verts.append(mid)
+            mids.append(verts.index(mid))
+        a, b, c = cell
+        m01, m02, m12 = mids
+        cells += [(a, m01, m02), (b, m01, m12), (c, m02, m12),
+                  (m01, m02, m12)]
+    return SimplicialMesh(2, verts, cells)
+
+
+def _hanging_3d():
+    """One tetrahedron below the face (a, b, c); above it the face is
+    split at its centroid g (vertex 3) into three faces of three
+    tetrahedra with a common apex."""
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1 / 3, 1 / 3, 0),
+             (0.3, 0.3, 1), (0.3, 0.3, -1)]
+    return SimplicialMesh(3, verts, [(0, 1, 2, 5), (0, 1, 3, 4),
+                                     (1, 2, 3, 4), (0, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("build", [_hanging_2d, _hanging_3d])
+def test_hanging_vertex_reported(build):
+    mesh = build()
+    with pytest.raises(ValueError) as want:
+        _loop_check_conforming(mesh)
+    with pytest.raises(ValueError) as got:
+        check_conforming(mesh)
+    assert str(got.value) == str(want.value)
+    vid, fid = map(int, re.findall(r"\d+", str(got.value)))
+    assert vid not in mesh.facets[fid]
+    assert vid in mesh.cells
+
+
+@pytest.mark.parametrize("domain,n", [("l-shape", 2), ("unit-cube", 1)])
+def test_check_conforming_matches_loop_on_refined_meshes(domain, n, rng):
+    mesh = build_structured(domain, n)
+    for _ in range(3):
+        marked = rng.choice(mesh.ncells, size=max(1, mesh.ncells // 3),
+                            replace=False)
+        mesh = refine_marked(mesh, set(int(m) for m in marked))
+        assert check_conforming(mesh) and _loop_check_conforming(mesh)
