@@ -1,4 +1,4 @@
-"""Element kernels against point-by-point quadrature.
+"""Element kernels and interface norms against point-by-point quadrature.
 
 The oracle below evaluates the test Gram G and the mixed block B of one
 cell the direct way: every basis table is pushed to the physical cell
@@ -15,14 +15,21 @@ positive determinants).
 Complex-valued coefficients are not accepted by the formulations, so
 the complex forms are exercised through Maxwell with non-default eps
 (per cell), mu and omega.
+
+A second oracle does the same for the interface norms on the same
+meshes: the Schur complements of the parent graph Grams, the facet trace
+masses, the trace embedding and the facet projection of smooth exact
+traces of every interface slot, and the natural Gram of every
+conforming trial slot, each from pushed tables summed point by point.
 """
 
 import numpy as np
 import pytest
 
-from dpgfem.formulations import DCR_IDS, MAXWELL_IDS, _integrate, \
-    make_formulation
+from dpgfem.formulations import DCR_IDS, MAXWELL_IDS, ManufacturedCase, \
+    _integrate, exact_interface, make_formulation
 from dpgfem.meshes import SimplicialMesh, build_structured
+from dpgfem.spaces import natural_gram
 from dpgfem.system import Discretization
 
 # cells -> physical cells: x -> x @ A.T
@@ -193,3 +200,192 @@ def test_element_system_matches_quadrature(fid, dim, mode, kind):
             assert got.shape == want.shape
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+# -- interface norms against pushed tables -----------------------------
+
+
+def _smooth_case(dim):
+    """Smooth, non-polynomial fields for every exact trace that an
+    interface slot carries: u, sigma, and complex E and H in 3D."""
+    def u(x):
+        return np.exp(0.3 * x[:, 0]) * np.cos(x[:, 1] + 0.5 * x[:, -1])
+
+    def sigma(x):
+        return np.stack([np.sin(x[:, k] + k) * (1.0 + x[:, -1 - k])
+                         for k in range(dim)], axis=1)
+
+    def E(x):
+        return sigma(x) + 1j * np.cos(x[:, :1] + x[:, 1:2]) * [1.0, -2.0, 0.5]
+
+    def H(x):
+        return np.exp(x[:, ::-1] / 3) - 1j * sigma(x)
+
+    return ManufacturedCase("smooth", dim, {},
+                            {"u": u, "sigma": sigma, "E": E, "H": H}, {})
+
+
+def _trace_kind(slot):
+    if slot.continuity == "facet":
+        return "flux"
+    return "value" if slot.family == "h1" else "tangential"
+
+
+def _pushed_traces(disc, tables, dofmap, kind, ci, lf, flux=None):
+    """Pushed traces on local facet lf of cell ci of the functions whose
+    trace there is not zero: values (n, nq, c) and their global dofs (n,).
+    Volume traces are multiplied by the orientation factors; a flux
+    already is the flux along the canonical normal."""
+    mesh = disc.mesh
+    if kind == "flux":
+        nb = len(flux)
+        cols = np.arange(lf * nb, (lf + 1) * nb)
+        vals = flux[:, :, None]
+    else:
+        cols = np.arange(dofmap.cell_dofs.shape[1])
+        use = dofmap.local_functions
+        v = tables.facet_values(ci, lf)[cols if use is None
+                                        else np.asarray(use)]
+        vals = v
+        if kind != "value":
+            n = mesh.facet_normals[mesh.cell_facet_ids[ci, lf]]
+            vn = (v @ n)[..., None]
+            vals = vn if kind == "normal" else v - vn * n
+        vals = vals * dofmap.cell_factors[ci][cols][:, None, None]
+    size = np.sqrt(np.sum(vals ** 2, axis=(1, 2)))
+    keep = size > 1e-8 * size.max()
+    return vals[keep], dofmap.cell_dofs[ci][cols][keep]
+
+
+def _owned_facets(mesh):
+    """Each facet once, as (cell, local facet) of its first cell."""
+    return zip(mesh.facet_cells[:, 0], mesh.facet_local[:, 0])
+
+
+class _PushedNorm:
+    """The interface norm of one slot, recomputed from pushed tables."""
+
+    def __init__(self, disc, slot):
+        norm = disc._interface_norm(slot)
+        self.disc, self.norm = disc, norm
+        self.ikind = _trace_kind(slot)
+        self.pkind = "normal" if self.ikind == "flux" else self.ikind
+        self.imap = disc.dofmap(slot.name)
+        self.flux = (disc.flux_basis(slot.name) if slot.continuity == "facet"
+                     else None)
+        self.itab = disc._tables.get(slot.name)
+
+    def parent(self, ci, lf):
+        n = self.norm
+        return _pushed_traces(self.disc, n.ptables, n.pskel, self.pkind,
+                              ci, lf)
+
+    def slot(self, ci, lf):
+        return _pushed_traces(self.disc, self.itab, self.imap, self.ikind,
+                              ci, lf, self.flux)
+
+    def weights(self, ci, lf):
+        return self.norm.ptables.facet_weights(ci, lf)
+
+    def schur(self):
+        tab, skel = self.norm.ptables, self.norm.pskel
+        use = list(skel.local_functions)
+        rest = [k for k in range(tab.basis.nfuncs) if k not in use]
+        out = []
+        for ci in range(self.disc.mesh.ncells):
+            w = tab.volume_weights(ci)
+            M = sum(np.einsum("ipc,jpc,p->ij", t, t, w)
+                    for t in (tab.values(ci), tab.derivs(ci)))
+            S = M[np.ix_(use, use)] - M[np.ix_(use, rest)] @ np.linalg.solve(
+                M[np.ix_(rest, rest)], M[np.ix_(rest, use)])
+            f = skel.cell_factors[ci]
+            out.append(S * np.outer(f, f))
+        return np.array(out)
+
+    def mass(self):
+        n = self.imap.ndofs
+        M = np.zeros((n, n))
+        for ci, lf in _owned_facets(self.disc.mesh):
+            v, i = self.slot(ci, lf)
+            M[np.ix_(i, i)] += np.einsum("ipc,jpc,p->ij", v, v,
+                                         self.weights(ci, lf))
+        return M
+
+    def embedding(self):
+        """Per facet, the L2 projection of the slot traces onto the
+        parent's; copies of one entry from several facets averaged."""
+        total = np.zeros((self.norm.pskel.ndofs, self.imap.ndofs))
+        count = np.zeros_like(total)
+        for ci, lf in _owned_facets(self.disc.mesh):
+            w = self.weights(ci, lf)
+            p, ip = self.parent(ci, lf)
+            v, iv = self.slot(ci, lf)
+            V = np.linalg.solve(np.einsum("ipc,jpc,p->ij", p, p, w),
+                                np.einsum("ipc,jpc,p->ij", p, v, w))
+            total[np.ix_(ip, iv)] += V
+            count[np.ix_(ip, iv)] += 1
+        return np.divide(total, count, out=np.zeros_like(total),
+                         where=count > 0)
+
+    def project(self, case):
+        """Facet L2 projection of the slot's exact trace."""
+        disc, name = self.disc, self.norm.slot.name
+        spec = exact_interface(disc.form, case, name)
+        mesh = disc.mesh
+        b = np.zeros(self.imap.ndofs, dtype=complex)
+        for ci, lf in _owned_facets(mesh):
+            x = self.norm.ptables.physical_facet_points(ci, lf)
+            n = np.repeat(mesh.facet_normals[
+                mesh.cell_facet_ids[ci, lf]][None], len(x), axis=0)
+            if callable(spec):
+                t = spec(x, n)[:, None]
+            else:
+                _, field, sign = spec
+                t = sign * np.asarray(field(x)).reshape(len(x), -1)
+                if self.ikind == "tangential":
+                    t = t - np.sum(t * n, axis=1)[:, None] * n
+            v, i = self.slot(ci, lf)
+            np.add.at(b, i, np.einsum("ipc,pc,p->i", v, t,
+                                      self.weights(ci, lf)))
+        return np.linalg.solve(self.mass(), b)
+
+
+def _pushed_natural_gram(tables, dofmap):
+    n = dofmap.ndofs
+    G = np.zeros((n, n))
+    for ci in range(tables.mesh.ncells):
+        w = tables.volume_weights(ci)
+        M = sum(np.einsum("ipc,jpc,p->ij", t, t, w)
+                for t in (tables.values(ci), tables.derivs(ci)))
+        f, idx = dofmap.cell_factors[ci], dofmap.cell_dofs[ci]
+        G[np.ix_(idx, idx)] += M * np.outer(f, f)
+    return G
+
+
+def _close(got, want):
+    got = got.toarray() if hasattr(got, "toarray") else np.asarray(got)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", sorted(MAPS))
+@pytest.mark.parametrize("fid,dim,mode", CONFIGS,
+                         ids=[f"{f}-{d}d-{m}" for f, d, m in CONFIGS])
+def test_interface_norms_match_quadrature(fid, dim, mode, kind):
+    mesh = _mesh(kind, dim)
+    form = make_formulation(fid, 1, delta=2 if mode == "economy" else 3,
+                            dim=dim, params=_params(fid, mesh), mode=mode)
+    disc = Discretization(form, mesh)
+    case = _smooth_case(dim)
+    for s in form.trial_slots:
+        if s.continuity == "conforming":
+            _close(natural_gram(disc._tables[s.name], disc.dofmap(s.name)),
+                   _pushed_natural_gram(disc._tables[s.name],
+                                        disc.dofmap(s.name)))
+    for s in form.interface_slots:
+        oracle, norm = _PushedNorm(disc, s), disc._interface_norm(s)
+        _close(norm.schur, oracle.schur())
+        _close(norm._mass, oracle.mass())
+        _close(norm.embedding, oracle.embedding())
+        _close(norm.project_exact(case), oracle.project(case))
