@@ -517,8 +517,9 @@ def check_conforming(mesh, tol=1e-10):
     """Verify there are no hanging vertices.
 
     Facet multiplicity (1 or 2 cells) is enforced at construction; the
-    remaining failure mode is a vertex sitting in the relative interior of
-    a once-counted facet, which this check detects geometrically.  All
+    remaining failure mode is a vertex other than its own sitting on a
+    once-counted facet, inside it or (3D) on one of its edges, which
+    this check detects geometrically.  All
     (boundary facet, vertex) pairs are tested at once, in blocks of
     facets; the error names the first offender in facet, then vertex,
     order.
@@ -540,12 +541,13 @@ def check_conforming(mesh, tol=1e-10):
         else:
             n = np.cross(e[:, 0], e[:, 1])
             n /= np.linalg.norm(n, axis=1)[:, None]
-            # barycentric (u, v) of the projection onto the facet plane
+            # barycentric (u, v) of the projection onto the facet plane,
+            # tested on the closed triangle
             et = np.swapaxes(e, 1, 2)
             uv = np.einsum("fij,fvj->fvi", np.linalg.inv(e @ et), d @ et)
             u, v = uv[..., 0], uv[..., 1]
             bad = ((np.abs(np.einsum("fvd,fd->fv", d, n)) <= tol * scale)
-                   & (u > tol) & (v > tol) & (u + v < 1 - tol))
+                   & (u > -tol) & (v > -tol) & (u + v < 1 + tol))
         bad[np.arange(len(fv))[:, None], fv] = False
         if bad.any():
             i, vid = np.unravel_index(np.argmax(bad), bad.shape)

@@ -287,7 +287,7 @@ def _loop_check_conforming(mesh, tol=1e-10):
                 if abs(np.dot(p - a, n)) > tol * scale:
                     continue
                 u, v = MtM_inv @ (M.T @ (p - a))
-                if u > tol and v > tol and u + v < 1 - tol:
+                if u > -tol and v > -tol and u + v < 1 + tol:
                     raise ValueError(f"hanging vertex {vid} on facet {fid}")
     return True
 
@@ -325,7 +325,21 @@ def _hanging_3d():
                                      (1, 2, 3, 4), (0, 2, 3, 4)])
 
 
-@pytest.mark.parametrize("build", [_hanging_2d, _hanging_3d])
+def _hanging_on_edge_3d():
+    """The 5-tet cube with tetrahedron 0 bisected at the midpoint of its
+    face diagonal (0, 3) and the two other cells on that edge left
+    whole: the midpoint hangs on an edge of their faces, not inside
+    one."""
+    mesh = build_structured("unit-cube", 1)
+    mid = len(mesh.vertices)
+    verts = np.vstack([mesh.vertices, mesh.vertices[[0, 3]].mean(axis=0)])
+    a, b = mesh.cells[0].copy(), mesh.cells[0].copy()
+    a[a == 3], b[b == 0] = mid, mid
+    return SimplicialMesh(3, verts, [a, b] + list(mesh.cells[1:]))
+
+
+@pytest.mark.parametrize("build", [_hanging_2d, _hanging_3d,
+                                   _hanging_on_edge_3d])
 def test_hanging_vertex_reported(build):
     mesh = build()
     with pytest.raises(ValueError) as want:
