@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reference import reference_table, reference_tensor
+from .reference import _contract, _moments
 
 
 @dataclass(frozen=True)
@@ -403,33 +403,6 @@ def _scaled(c, tab):
     return (tab * c).sum(axis=-1, keepdims=True)
 
 
-def _integrate(x, y, w):
-    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack of
-    pushed (K, n, nq, c) tables, by one batched GEMM; w is (K, 1, nq, 1),
-    x and y may lack the cell axis.  The Fortin and duality Grams use
-    it."""
-    yw = y.conj() * w
-    yw = yw.reshape(yw.shape[:-2] + (-1,))
-    return yw @ np.swapaxes(x.reshape(x.shape[:-2] + (-1,)), -1, -2)
-
-
-def _contract(xs, ys, scale):
-    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack, for
-    x and y sums of (reference operand, factor) terms and weights scale
-    (K,) times the reference rule's: each pair of terms adds
-    C @ T, C = scale F_x conj(F_y)^T and T their reference tensor."""
-    out = 0.0
-    for xr, Fx in xs:
-        for yr, Fy in ys:
-            T = reference_tensor(xr, yr)
-            r, s, ny, nx = T.shape
-            C = scale[:, None, None] * (Fx @ np.swapaxes(Fy.conj(), -1, -2))
-            C, T = C.reshape(-1, r * s), T.reshape(r * s, -1)
-            CT = C @ T if np.isrealobj(C) else C.real @ T + 1j * (C.imag @ T)
-            out += CT.reshape(-1, ny, nx)
-    return out
-
-
 def _combine(ctx, pairs, conj):
     """The terms of sum c x over (coef, operand) pairs, zero ones left
     out; with conj, of sum conj(c) x."""
@@ -553,13 +526,10 @@ def load_vector(form, ctx, case):
         if c is None:
             continue
         f = np.asarray(case.fields[ld.field](x.reshape(-1, dim)))
-        ref, F = ctx.operand(ld.test)
-        Y, w = reference_table(ref)
-        # g[q, s] = sum_c c f_c conj(F_sc), weighted
-        g = (c * f.reshape(K, nq, -1)) @ np.swapaxes(F.conj(), -1, -2)
-        g = g * (ctx.absdet[:, None, None] * w[:, None])
+        m = _moments(c * f.reshape(K, nq, -1), ctx.operand(ld.test),
+                     ctx.absdet)
         at = ctx.test_offset(ld.test[0])
-        l[:, at:at + len(Y)] += g.reshape(K, -1) @ Y.reshape(len(Y), -1).T
+        l[:, at:at + m.shape[1]] += m
     return l
 
 

@@ -23,10 +23,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh, lu_factor, lu_solve, svd
 
-from .formulations import _integrate
 from .polynomials import CompiledPolys, Poly, scalar_monomials, space_dimension
 from .quadrature import simplex_rule
-from .reference import legendre01, modal_basis, push_derivs, push_values
+from .reference import _integrate, legendre01, modal_basis, push_derivs, \
+    push_values
 
 TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))

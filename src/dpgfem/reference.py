@@ -85,7 +85,7 @@ class ModalBasis:
         """L2 Gram of the raw generators."""
         rule = simplex_rule(self.dim, 2 * max(self.degree, 1))
         V = self._gen_values.eval(rule.points - self._centroid)
-        M = _inner(V, V, rule.weights)
+        M = _integrate(V, V, rule.weights[:, None])
         return 0.5 * (M + M.T)
 
     def _orthonormalize(self, M):
@@ -130,10 +130,14 @@ class ModalBasis:
         return self._eval(self._gen_deriv, np.asarray(points, dtype=float))
 
 
-def _inner(A, B, weights):
-    """Weighted L2 inner products of two (n, npts, ncomp) tables."""
-    wk = np.repeat(weights, A.shape[2])
-    return (A.reshape(A.shape[0], -1) * wk) @ B.reshape(B.shape[0], -1).T
+def _integrate(x, y, w):
+    """sum_q w_q x_j . conj(y_i), (ny, nx) or per cell (K, ny, nx), of
+    (n, nq, c) or (K, n, nq, c) tables and weights w broadcasting
+    against y: the point-by-point product, for the reference bases, the
+    Fortin and duality spaces and the tests' oracles."""
+    yw = y.conj() * w
+    yw = yw.reshape(yw.shape[:-2] + (-1,))
+    return yw @ np.swapaxes(x.reshape(x.shape[:-2] + (-1,)), -1, -2)
 
 
 def _independent(G, floor):
@@ -389,7 +393,8 @@ def _face_lifts(basis, s, tangential, data):
 def _project_scalar(basis, poly_vals, rule):
     """L2 projection onto an orthonormal modal basis from values at the
     points of ``rule`` (exact for polynomials in the span)."""
-    return _inner(basis.values(rule.points), poly_vals[None], rule.weights)[:, 0]
+    return _integrate(poly_vals[None], basis.values(rule.points),
+                      rule.weights[:, None])[:, 0]
 
 
 _CONF_CACHE = {}
@@ -556,7 +561,7 @@ def facet_trace_matrix(family, degree, dim, local_facet):
         tr = (vals @ facet_outward_normal(dim, lf))[:, :, None]
     else:
         tr = vals @ facet_parametrization(dim, lf)[0]
-    G = _inner(tr, tr, rule.weights)
+    G = _integrate(tr, tr, rule.weights[:, None])
     G = 0.5 * (G + G.T)
     lam, U = eigh(G)
     U = U[:, lam > _RANK_TOL * lam.max()]
@@ -579,17 +584,17 @@ def exact_sequence_check(p, dim):
     if p < 1:
         raise ValueError("p must be >= 1")
     rule = simplex_rule(dim, 2 * p + 2)
-    w = rule.weights
+    w = rule.weights[:, None]
 
     def proj_residual(fields, target_vals):
-        coef = np.linalg.solve(_inner(target_vals, target_vals, w),
-                               _inner(target_vals, fields, w))
+        coef = np.linalg.solve(_integrate(target_vals, target_vals, w),
+                               _integrate(fields, target_vals, w))
         err = fields - np.tensordot(coef.T, target_vals, axes=1)
-        num = np.sqrt(np.diag(_inner(err, err, w)))
+        num = np.sqrt(np.diag(_integrate(err, err, w)))
         # the source fields are L2-normalized, so scale against the
         # larger of the derivative norm and one; dividing by a tiny
         # derivative norm would only amplify roundoff
-        den = np.maximum(np.sqrt(np.diag(_inner(fields, fields, w))), 1.0)
+        den = np.maximum(np.sqrt(np.diag(_integrate(fields, fields, w))), 1.0)
         return float(np.max(num / den))
 
     out = {}
@@ -680,8 +685,6 @@ def push_values(family, vals, J, Jinv, det):
     """Push reference basis values to a physical cell, or to a stack of
     cells (see value_factor).  h1 values are the same on every cell and
     keep their reference shape."""
-    if family == "h1":
-        return vals
     return _times(vals, value_factor(family, J, Jinv, det))
 
 
@@ -701,11 +704,13 @@ def push_derivs(family, der, J, Jinv, det):
 #                                   T[r, s, i, j],
 #   T[r, s, i, j] = sum_q w^_q X_j,q,r Y_i,q,s.
 
-RefOperand = namedtuple("RefOperand", "basis kind facet order")
+RefOperand = namedtuple("RefOperand", "basis kind facet order funcs",
+                        defaults=(None,))
 RefOperand.__doc__ = """One reference table: the values ('val') or family
 derivatives ('der') of a basis at the points of the degree-``order``
 rule on its simplex, or (facet = local facet index) its values at the
-points of the degree-``order`` rule on that facet."""
+points of the degree-``order`` rule on that facet; of the functions
+``funcs`` (a tuple of indices), or of all when None."""
 
 
 _TABLE_CACHE = {}
@@ -726,6 +731,8 @@ def reference_table(op):
             pts = facet_points(dim, local_facets(dim)[op.facet], rule.points)
         tab = (op.basis.derivs(pts) if op.kind == "der"
                else op.basis.values(pts))
+        if op.funcs is not None:
+            tab = tab[list(op.funcs)]
         tab.flags.writeable = False
         out = _TABLE_CACHE[op] = (tab, rule.weights)
     return out
@@ -748,3 +755,32 @@ def reference_tensor(x, y):
         T.flags.writeable = False
         _TENSOR_CACHE[key] = T
     return T
+
+
+def _contract(xs, ys, scale):
+    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack, for
+    x and y sums of (reference operand, factor) terms and weights scale
+    (K,) times the reference rule's: each pair of terms adds
+    C @ T, C = scale F_x conj(F_y)^T and T their reference tensor."""
+    out = 0.0
+    for xr, Fx in xs:
+        for yr, Fy in ys:
+            T = reference_tensor(xr, yr)
+            r, s, ny, nx = T.shape
+            C = scale[:, None, None] * (Fx @ np.swapaxes(Fy.conj(), -1, -2))
+            C, T = C.reshape(-1, r * s), T.reshape(r * s, -1)
+            CT = C @ T if np.isrealobj(C) else C.real @ T + 1j * (C.imag @ T)
+            out += CT.reshape(-1, ny, nx)
+    return out
+
+
+def _moments(values, term, scale):
+    """sum_q w_q v_q . conj(x_i,q) per cell, (K, n), of data v (K, nq, d)
+    at the physical points of a rule and a (reference operand, factor)
+    term x, with weights scale (K,) times the rule's: the data, pulled
+    back by the factor, are summed against the reference table."""
+    ref, F = term
+    X, w = reference_table(ref)
+    g = values @ np.swapaxes(F.conj(), -1, -2)
+    g = g * (scale[:, None, None] * w[:, None])
+    return g.reshape(len(g), -1) @ X.reshape(len(X), -1).T

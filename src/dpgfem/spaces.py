@@ -12,6 +12,11 @@ kinds exist:
 * ``facet``        -- independent polynomial per facet (normal-flux
                       interface variables, oriented by the canonical
                       facet normal).
+
+The slot Grams and the facet trace products integrate two bases on
+affine cells, so each is one contraction of per-cell factors with a
+reference tensor (``reference._contract``), the same as the element
+kernels; only data that vary over a facet are summed point by point.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .quadrature import reference_volume, simplex_rule
 from .reference import (
     MeshGeometry,
     RefOperand,
+    _contract,
+    _moments,
     deriv_factor,
     facet_points,
     push_derivs,
@@ -51,26 +58,30 @@ def cell_groups(ncells, cell_bytes):
 
 
 class ElementTables:
-    """Per-cell transformed basis tables for one (family, degree) pair.
+    """One basis on the cells of a mesh: its reference operands, their
+    per-cell factors and the quadrature rules.
 
-    Reference tables come from the process-wide cache on first use;
-    each cell applies its own pullback.  ``basis`` may be a modal or a
-    conforming basis object.
+    On an affine cell a pushed table is the reference table times a
+    per-cell factor (``reference``, ``table``, ``factor``), so products
+    of two bases are contractions with reference tensors and data are
+    pulled back by the factor.  Reference tables come from the
+    process-wide cache on first use.  ``basis`` may be a modal or a
+    conforming basis object.  ``values``, ``derivs`` and
+    ``facet_values`` push whole tables to the cells; the tests' oracles
+    integrate them point by point.
     Per-cell lookups take one cell index, a slice or an index array of
     cells; the latter two add a leading cell axis (h1 values, the same
     on every cell, keep their reference shape).
     """
 
-    def __init__(self, mesh, basis, geometry=None, volume_order=None,
-                 facet_order=None):
+    def __init__(self, mesh, basis, geometry=None, order=None):
         self.mesh = mesh
         self.basis = basis
         self.family = basis.family
         self.geo = geometry if geometry is not None else MeshGeometry(mesh)
-        dim = mesh.dim
-        deg = basis.degree
-        self.vrule = simplex_rule(dim, volume_order if volume_order else 2 * deg + 2)
-        self.frule = simplex_rule(dim - 1, facet_order if facet_order else 2 * deg + 2)
+        order = order if order else 2 * basis.degree + 2
+        self.vrule = simplex_rule(mesh.dim, order)
+        self.frule = simplex_rule(mesh.dim - 1, order)
 
     def groups(self):
         """Slices of consecutive cells, each small enough to evaluate as
@@ -92,11 +103,12 @@ class ElementTables:
         return push_derivs(self.family, self.table("der"), g.J[ci], g.Jinv[ci],
                            g.det[ci])
 
-    def reference(self, kind, lf=None):
+    def reference(self, kind, lf=None, funcs=None):
         """The reference operand of the values ('val') or derivatives
-        ('der') on the volume rule, or of the values on local facet lf."""
+        ('der') on the volume rule, or of the values on local facet lf;
+        of the functions ``funcs`` (a tuple), or of all when None."""
         rule = self.vrule if lf is None else self.frule
-        return RefOperand(self.basis, kind, lf, rule.order)
+        return RefOperand(self.basis, kind, lf, rule.order, funcs)
 
     def table(self, kind, lf=None):
         """The reference table of that operand, (nfuncs, nq, ncomp)."""
@@ -285,37 +297,25 @@ def _triplets(blocks, rows, cols):
             np.tile(cols, (1, m)).ravel(), blocks.ravel())
 
 
-def _block_matrix(parts, shape, dtype=float):
+def _block_matrix(parts, shape):
     """Sparse sum, in CSC form, of the blocks of (blocks, rows, cols)
     parts."""
     r, c, v = (np.concatenate(a) for a in zip(*(_triplets(*p)
                                                  for p in parts)))
-    return sparse.coo_matrix((v, (r, c)), shape=shape, dtype=dtype).tocsc()
-
-
-def _product(a, b, w):
-    """sum over points and components of w a_i . b_j: (K, na, nb) from
-    (K, na, nq, c) and (K, nb, nq, c) tables (either may lack the cell
-    axis) and (K, nq) weights; nothing is conjugated."""
-    aw = a * w[:, None, :, None]
-    return aw.reshape(aw.shape[:-2] + (-1,)) @ np.swapaxes(
-        b.reshape(b.shape[:-2] + (-1,)), -1, -2)
+    return sparse.coo_matrix((v, (r, c)), shape=shape).tocsc()
 
 
 def _cell_grams(tables, cells, include_deriv=True, use=None):
     """(K, n, n) Grams of the values, plus the family derivatives when
     ``include_deriv``, of the functions ``use`` on a slice of cells."""
-    w = tables.volume_weights(cells)
     M = 0.0
-    for tab in (tables.values(cells),) + (
-            (tables.derivs(cells),) if include_deriv else ()):
-        if use is not None:
-            tab = tab[..., use, :, :]
-        M = M + _product(tab, tab, w)
-    return M
+    for kind in ("val", "der")[:1 + include_deriv]:
+        x = [(tables.reference(kind), tables.factor(kind, cells))]
+        M = M + _contract(x, x, tables.geo.absdet[cells])
+    return M if use is None else M[:, use][:, :, use]
 
 
-def natural_gram(tables, dofmap, include_deriv=True, dtype=float):
+def natural_gram(tables, dofmap, include_deriv=True):
     """Sparse Gram of a volume slot in its natural norm.
 
     L2 norm of the values plus, when ``include_deriv``, the L2 norm of
@@ -328,7 +328,7 @@ def natural_gram(tables, dofmap, include_deriv=True, dtype=float):
                                      dofmap.local_functions)
                          * f[cells, :, None] * f[cells, None, :])
     return _block_matrix([(blocks, dofmap.cell_dofs, dofmap.cell_dofs)],
-                         (dofmap.ndofs, dofmap.ndofs), dtype)
+                         (dofmap.ndofs, dofmap.ndofs))
 
 
 def facet_owners(mesh):
@@ -355,58 +355,57 @@ class TraceField:
     kind selects the trace component: 'value' (scalar families),
     'tangential' (v - (v.n)n against the canonical facet normal),
     'normal' (v.n, canonical normal) or 'flux' (facet-polynomial slots,
-    whose representation is already the canonical-normal flux).
+    whose representation is already the canonical-normal flux; ``flux``
+    is the reference operand of their facet basis).
     """
 
-    def __init__(self, mesh, dofmap, kind, tables=None, flux_values=None):
+    def __init__(self, mesh, dofmap, kind, tables=None, flux=None):
         self.mesh = mesh
         self.dofmap = dofmap
         self.kind = kind
         self.tables = tables
-        self.flux_values = flux_values
         nfac = mesh.dim + 1
         if kind == "flux":
-            self.ncomp = 1
-            nb = flux_values.shape[0]
+            nb = flux.basis.nfuncs
             self._active = [np.arange(lf * nb, (lf + 1) * nb)
                             for lf in range(nfac)]
+            self._refs = [flux] * nfac
         else:
             if kind not in ("value", "normal", "tangential"):
                 raise ValueError(kind)
-            self.ncomp = 3 if kind == "tangential" else 1
-            self._active = _facet_functions(tables.basis, mesh.dim,
-                                           dofmap.local_functions)
+            use = dofmap.local_functions
+            self._active = _facet_functions(tables.basis, mesh.dim, use)
+            # the basis functions that the active dofs multiply
+            self._refs = [tables.reference(
+                "val", lf, tuple(act if use is None else np.asarray(use)[act]))
+                for lf, act in enumerate(self._active)]
 
     def facet_trace(self, cells, lf):
         """Traces on local facet lf of ``cells`` (an index array) of the
-        local functions supported there: (F, na, nq, ncomp) values and
-        the (F, na) global dofs they multiply."""
+        local functions supported there: a (reference operand, factor)
+        term, and the (F, na) orientation factors and global dofs."""
         act = self._active[lf]
         dofs = self.dofmap.cell_dofs[cells][:, act]
         if self.kind == "flux":
-            vals = self.flux_values[:, :, None]
-            return np.broadcast_to(vals, (len(cells),) + vals.shape), dofs
-        use = self.dofmap.local_functions
-        v = self.tables.facet_values(cells, lf)[
-            ..., act if use is None else np.asarray(use)[act], :, :]
-        if self.kind == "value":
-            out = v
-        else:
+            return (self._refs[lf], np.ones((1, 1))), np.ones(dofs.shape), dofs
+        F = self.tables.factor("val", cells)
+        if self.kind != "value":
             n = self.mesh.facet_normals[self.mesh.cell_facet_ids[cells, lf]]
-            n = n[:, None, None, :]
-            vn = np.sum(v * n, axis=-1, keepdims=True)
-            out = vn if self.kind == "normal" else v - vn * n
-        return out * self.dofmap.cell_factors[cells][:, act, None, None], dofs
+            n = n[:, :, None]
+            F = F @ (n if self.kind == "normal"
+                     else np.eye(len(n[0])) - n @ np.swapaxes(n, 1, 2))
+        return ((self._refs[lf], F), self.dofmap.cell_factors[cells][:, act],
+                dofs)
 
 
 def _facet_blocks(mesh, tables, A, B):
     """Per owner group: the (F, na, nb) facet products of the traces of
     A and B, with A's and B's (F, na) and (F, nb) global dofs."""
     for lf, cells in _owner_groups(mesh, tables):
-        wf = tables.facet_weights(cells, lf)
-        ta, ia = A.facet_trace(cells, lf)
-        tb, ib = (ta, ia) if B is A else B.facet_trace(cells, lf)
-        yield _product(ta, tb, wf), ia, ib
+        xa, fa, ia = A.facet_trace(cells, lf)
+        xb, fb, ib = (xa, fa, ia) if B is A else B.facet_trace(cells, lf)
+        M = _contract([xb], [xa], tables.facet_scale(cells, lf))
+        yield M * fa[:, :, None] * fb[:, None, :], ia, ib
 
 
 def trace_mass(mesh, tables, A, B=None):
@@ -415,7 +414,8 @@ def trace_mass(mesh, tables, A, B=None):
     Entry (i, j) is sum over facets of int tr(phi_i^A) . tr(phi_j^B).
     Each facet is visited once through its first owning cell, so both
     fields must produce single-valued traces there.  ``tables`` supplies
-    the facet quadrature (any tables built with the shared facet rule).
+    the facet area scales and the owner groups (any tables of the mesh
+    built with the shared facet rule).
     """
     B = A if B is None else B
     return _block_matrix(_facet_blocks(mesh, tables, A, B),
@@ -456,18 +456,18 @@ def trace_rhs(mesh, tables, A, target):
         x = tables.physical_facet_points(cells, lf).reshape(-1, mesh.dim)
         n = mesh.facet_normals[mesh.cell_facet_ids[cells, lf]]
         t = np.asarray(target(x, np.repeat(n, nq, axis=0)))
-        ta, ia = A.facet_trace(cells, lf)
-        wf = tables.facet_weights(cells, lf)
-        t = t.reshape(len(cells), 1, nq, A.ncomp)
+        term, f, ia = A.facet_trace(cells, lf)
+        m = _moments(t.reshape(len(cells), nq, -1), term,
+                     tables.facet_scale(cells, lf))
         idx.append(ia.ravel())
-        vals.append(_product(ta, t, wf).ravel())
+        vals.append((m * f).ravel())
     vals = np.concatenate(vals)
     b = np.zeros(A.dofmap.ndofs, dtype=vals.dtype)
     np.add.at(b, np.concatenate(idx), vals)
     return b
 
 
-def skeleton_schur(tables, skel_map, include_deriv=True):
+def skeleton_schur(tables, skel_map):
     """(ncells, ns, ns) Schur complements of the parent graph Grams onto
     the skeleton functions, interior functions eliminated, in global
     coefficients (orientation factors applied)."""
@@ -476,7 +476,7 @@ def skeleton_schur(tables, skel_map, include_deriv=True):
     f = skel_map.cell_factors
     out = np.empty(f.shape + f.shape[-1:])
     for cells in tables.groups():
-        M = _cell_grams(tables, cells, include_deriv)
+        M = _cell_grams(tables, cells)
         S = M[:, use][:, :, use]
         if interior:
             Mis = M[:, interior][:, :, use]

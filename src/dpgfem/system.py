@@ -30,7 +30,6 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
 from . import formulations as fm
-from .quadrature import simplex_rule
 from .reference import (
     MeshGeometry,
     RefOperand,
@@ -100,7 +99,7 @@ class Discretization:
     per cell.  The element stacks are built on first use and kept.
     """
 
-    def __init__(self, formulation, mesh, volume_order=None, facet_order=None):
+    def __init__(self, formulation, mesh):
         if mesh.dim != formulation.dim:
             raise ValueError("mesh dimension does not match the formulation")
         for key, val in formulation.params.items():
@@ -113,10 +112,8 @@ class Discretization:
         self.form = formulation
         self.mesh = mesh
         self.geo = MeshGeometry(mesh)
-        q = formulation.p + formulation.delta
-        self.volume_order = volume_order if volume_order else 2 * q + 4
-        self.facet_order = facet_order if facet_order else 2 * q + 4
-        self.frule = simplex_rule(mesh.dim - 1, self.facet_order)
+        # the degree of every volume and facet rule
+        self.order = 2 * (formulation.p + formulation.delta) + 4
 
         self._tables = {}
         self._maps = {}
@@ -138,13 +135,14 @@ class Discretization:
         at = 0
         for s in formulation.test_slots:
             basis = modal_basis(s.family, s.degree, mesh.dim)
-            self._tables[s.name] = ElementTables(
-                mesh, basis, self.geo, self.volume_order, self.facet_order)
+            self._tables[s.name] = ElementTables(mesh, basis, self.geo,
+                                                 self.order)
             self._test_offsets[s.name] = at
             at += basis.nfuncs
         self.ntest_local = at
         self._ref_tables = self._tables[formulation.test_slots[0].name]
         self._iface_norms = {}
+        self._load = None
 
     # -- space construction -------------------------------------------
 
@@ -152,14 +150,13 @@ class Discretization:
         mesh, dim = self.mesh, self.mesh.dim
         if s.continuity == "facet":
             basis = modal_basis("l2", s.degree, dim - 1)
-            self._flux[s.name] = RefOperand(basis, "val", None,
-                                            self.frule.order)
+            self._flux[s.name] = RefOperand(basis, "val", None, self.order)
             return facet_map(mesh, basis.nfuncs)
         basis = (conforming_basis(s.family, s.degree, dim)
                  if s.continuity in ("conforming", "skeleton")
                  else modal_basis(s.family, s.degree, dim))
-        self._tables[s.name] = ElementTables(
-            mesh, basis, self.geo, self.volume_order, self.facet_order)
+        self._tables[s.name] = ElementTables(mesh, basis, self.geo,
+                                             self.order)
         if s.continuity == "broken":
             return broken_map(mesh, basis.nfuncs)
         return conforming_map(mesh, basis, self.geo,
@@ -220,15 +217,17 @@ class Discretization:
         """The case-independent element stacks of all cells."""
         return _ElementStacks(self)
 
-    def _loads(self, case):
-        """(ncells, ntest_local) load vectors of one case."""
-        l = np.zeros((self.mesh.ncells, self.ntest_local),
-                     dtype=self.form.dtype)
-        if case is not None:
+    def _whitened_load(self, case):
+        """(ncells, ntest_local) whitened loads L^{-1} l of one case; those
+        of the last case object are kept, for assemble and estimate."""
+        if self._load is None or self._load[0] is not case:
+            l = np.zeros((self.mesh.ncells, self.ntest_local),
+                         dtype=self.form.dtype)
             for cells in self._groups():
-                l[cells] = fm.load_vector(self.form,
-                                          _CellGroup(self, cells), case)
-        return l
+                l[cells] = fm.load_vector(self.form, _CellGroup(self, cells),
+                                          case)
+            self._load = (case, _matvec(self.element_stacks.Linv, l))
+        return self._load[1]
 
     def _scatter(self, vals):
         """Sum (ncells, nloc) per-cell column values into a global vector."""
@@ -249,8 +248,8 @@ class Discretization:
 
     def assemble(self, case=None):
         """Hermitian condensed system (A, f), cells in ascending order."""
-        st = self.element_stacks
-        f_K = _matvec(_adjoint(st.W), _matvec(st.Linv, self._loads(case)))
+        f_K = _matvec(_adjoint(self.element_stacks.W),
+                      self._whitened_load(case))
         return self._matrix(), self._scatter(f_K)
 
     def constrained_dofs(self):
@@ -318,7 +317,7 @@ class Discretization:
     def estimate(self, x, case=None):
         """Residual error indicators and the Riesz orthogonality check."""
         st = self.element_stacks
-        z = _matvec(st.Linv, self._loads(case))
+        z = self._whitened_load(case)
         e = z - _matvec(st.W, x[self._columns[0]])
         eta2 = np.sum(np.abs(e) ** 2, axis=1)
         Wh = _adjoint(st.W)
@@ -619,17 +618,12 @@ class _InterfaceNorm:
             family, ikind, pkind = "hcurl", "tangential", "tangential"
         self.ikind = ikind
         parent = conforming_basis(family, q, dim)
-        self.ptables = ElementTables(mesh, parent, disc.geo,
-                                     disc.volume_order, disc.facet_order)
+        self.ptables = ElementTables(mesh, parent, disc.geo, disc.order)
         self.pskel = conforming_map(mesh, parent, disc.geo, skeleton=True)
         self.ptrace = TraceField(mesh, self.pskel, pkind, self.ptables)
-        imap = disc.dofmap(slot.name)
-        if slot.continuity == "facet":
-            self.itrace = TraceField(mesh, imap, "flux",
-                                     flux_values=disc.flux_basis(slot.name))
-        else:
-            self.itrace = TraceField(mesh, imap, ikind,
-                                     tables=disc._tables[slot.name])
+        self.itrace = TraceField(mesh, disc.dofmap(slot.name), ikind,
+                                 disc._tables.get(slot.name),
+                                 disc._flux.get(slot.name))
 
     @cached_property
     def _mass(self):

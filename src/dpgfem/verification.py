@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular, svd
 
-from .formulations import MAXWELL_IDS, _integrate, make_formulation
+from .formulations import MAXWELL_IDS, make_formulation
 from .fortin import REFERENCE_TET, TetQuadrature, _BoundarySpace, \
     default_samples
-from .reference import conforming_basis
+from .reference import _contract, _integrate, conforming_basis
 from .spaces import ElementTables, conforming_map
 from .system import Discretization
 
@@ -222,31 +222,27 @@ def conforming_test_embedding(disc):
     ny = nt * mesh.ncells
     pieces = []
     for s, rule in zip(disc.form.test_slots, disc.form.y0_rule):
-        off = disc.test_offset(s.name)
         tab_b = disc._tables[s.name]
-        nb = tab_b.values(0).shape[0]
+        nb = tab_b.basis.nfuncs
+        # each cell's rows of the slot's broken functions
+        rows = (np.arange(mesh.ncells)[:, None] * nt
+                + disc.test_offset(s.name) + np.arange(nb))
         if rule is None:
-            C = np.zeros((ny, nb * mesh.ncells))
-            for ci in range(mesh.ncells):
-                r0 = ci * nt + off
-                C[r0:r0 + nb, ci * nb:(ci + 1) * nb] = np.eye(nb)
+            C = np.zeros((ny, rows.size))
+            C[rows, np.arange(rows.size).reshape(rows.shape)] = 1.0
             pieces.append(C)
             continue
         family, zero_b = rule
         basis_c = conforming_basis(family, s.degree, mesh.dim)
         cmap = conforming_map(mesh, basis_c, disc.geo)
-        tab_c = ElementTables(mesh, basis_c, disc.geo, disc.volume_order,
-                              disc.facet_order)
-        cells = slice(None)
-        Vb = tab_b.values(cells)
-        w = tab_b.volume_weights(cells)[:, None, :, None]
-        T = np.linalg.solve(_integrate(Vb, Vb, w),
-                            _integrate(tab_c.values(cells), Vb, w))
+        tab_c = ElementTables(mesh, basis_c, disc.geo, disc.order)
+        vb, vc = ([(tab.reference("val"), tab.factor("val", slice(None)))]
+                  for tab in (tab_b, tab_c))
+        T = np.linalg.solve(_contract(vb, vb, disc.geo.absdet),
+                            _contract(vc, vb, disc.geo.absdet))
         C = np.zeros((ny, cmap.ndofs))
-        for ci in range(mesh.ncells):
-            r0 = ci * nt + off
-            C[r0:r0 + nb, cmap.cell_dofs[ci]] += \
-                T[ci] * cmap.cell_factors[ci][None, :]
+        C[rows[:, :, None], cmap.cell_dofs[:, None, :]] = \
+            T * cmap.cell_factors[:, None, :]
         if zero_b:
             C = C[:, ~cmap.boundary]
         pieces.append(C)

@@ -5,13 +5,15 @@
 cell order and load would expose a mix-up: per-cell diffusion with
 convection and reaction, complex Maxwell with non-default parameters in
 economy mode, and a locally refined L-shape at p=2.  The same results
-must come out of a Discretization that has already served other cases.
+must come out of a Discretization that has already served other cases,
+and assemble and estimate of one case evaluate its load once.
 """
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from dpgfem import formulations as fm
 from dpgfem.formulations import make_formulation, manufactured_case
 from dpgfem.meshes import build_structured, refine_marked
 from dpgfem.system import Discretization, condense
@@ -112,3 +114,25 @@ def test_results_do_not_depend_on_earlier_calls(eight_tri):
         assert np.array_equal(est.eta_cells, ref.eta_cells)
         assert est.orthogonality == ref.orthogonality
     assert disc.opnorm() == pytest.approx(fresh().opnorm(), rel=1e-10)
+
+
+def test_load_is_evaluated_once_per_case(eight_tri, monkeypatch):
+    """assemble and estimate of one case object share one evaluation of
+    its load; another case object is evaluated anew."""
+    calls = []
+    load = fm.load_vector
+
+    def counted(form, ctx, case):
+        calls.append(case)
+        return load(form, ctx, case)
+
+    monkeypatch.setattr(fm, "load_vector", counted)
+    disc = Discretization(make_formulation("primal_poisson", 1), eight_tri)
+    case = manufactured_case("poisson_sine_2d")
+    A, f = disc.assemble(case)
+    first = len(calls)
+    x = disc.solve(A, f)
+    disc.estimate(x, case)
+    assert first > 0 and len(calls) == first
+    disc.estimate(x, manufactured_case("poisson_sine_2d"))
+    assert len(calls) == 2 * first

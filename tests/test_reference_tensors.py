@@ -5,7 +5,7 @@ cell the direct way: every basis table is pushed to the physical cell
 (``ElementTables.values``, ``derivs``, ``facet_values``), coefficients,
 convection vectors and facet normals are applied at the quadrature
 points, and each block is a weighted sum over the points
-(``formulations._integrate``).  ``Discretization.element_system`` must
+(``reference._integrate``).  ``Discretization.element_system`` must
 agree with it entrywise to 1e-12 of the largest entry, for all twelve
 formulations (the diffusion ones in 2D and 3D, Maxwell in both modes),
 with per-cell diffusion and convection, on sheared, aspect-10 and
@@ -27,8 +27,9 @@ import numpy as np
 import pytest
 
 from dpgfem.formulations import DCR_IDS, MAXWELL_IDS, ManufacturedCase, \
-    _integrate, exact_interface, make_formulation
+    exact_interface, make_formulation
 from dpgfem.meshes import SimplicialMesh, build_structured
+from dpgfem.reference import _integrate
 from dpgfem.spaces import natural_gram
 from dpgfem.system import Discretization
 
