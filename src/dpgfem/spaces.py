@@ -376,9 +376,10 @@ class TraceField:
             use = dofmap.local_functions
             self._active = _facet_functions(tables.basis, mesh.dim, use)
             # the basis functions that the active dofs multiply
-            self._refs = [tables.reference(
-                "val", lf, tuple(act if use is None else np.asarray(use)[act]))
-                for lf, act in enumerate(self._active)]
+            funcs = [act if use is None else np.asarray(use)[act]
+                     for act in self._active]
+            self._refs = [tables.reference("val", lf, tuple(f))
+                          for lf, f in enumerate(funcs)]
 
     def facet_trace(self, cells, lf):
         """Traces on local facet lf of ``cells`` (an index array) of the
