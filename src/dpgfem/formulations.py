@@ -281,6 +281,9 @@ def _check_params(params, names, dim):
     for key in names:
         params.setdefault(key, np.zeros(dim) if key == "beta"
                           else _DEFAULTS[key])
+        val = np.asarray(params[key])
+        if val.dtype.kind not in "iuf" or not np.all(np.isfinite(val)):
+            raise ValueError(f"coefficient {key!r} must be real and finite")
     if "beta" in params:
         params["beta"] = np.asarray(params["beta"], dtype=float)
         if params["beta"].shape[-1:] != (dim,):
@@ -372,7 +375,9 @@ def _blocks(terms):
 # ctx.facet(name, lf) on local facet lf and ctx.flux(name) for
 # facet-flux slots, where a factor is (K, r, c), or (r, c) where the same
 # on every cell; the parent functions that skeleton slots use,
-# ctx.skeleton_functions(name); the weight scales ctx.absdet (K,) and
+# ctx.skeleton_functions(name), and ctx.skeleton_facet(name, lf), the
+# term of those with a trace on local facet lf and their positions among
+# them; the weight scales ctx.absdet (K,) and
 # ctx.facet_scale(lf) (K,); outward normals ctx.normal(lf) (K, dim);
 # quadrature points ctx.points (K, nq, dim) for the load; the test
 # layout ctx.ntest_local and ctx.test_offset(name); and coefficients
@@ -477,22 +482,24 @@ def bhat_block(form, ctx):
     nfac = form.dim + 1
     cols, at = [], 0
     for pr in form.pairings:
+        # per local facet: the slot's functions with a trace there, as a
+        # (reference operand, factor) term, and their columns
         if pr.facet:
-            xs, use = [ctx.flux(pr.slot)] * nfac, None
-            step = _size(xs)
-            width = nfac * step
+            x = ctx.flux(pr.slot)
+            nb = _size([x])
+            xs = [(x, at + lf * nb + np.arange(nb)) for lf in range(nfac)]
+            at += nfac * nb
         else:
-            xs = [ctx.facet(pr.slot, lf) for lf in range(nfac)]
-            use = ctx.skeleton_functions(pr.slot)
-            step, width = 0, len(use)
-        cols.append((pr, _coef_value(ctx, pr.coef), xs, use, at, step))
-        at += width
+            xs = [ctx.skeleton_facet(pr.slot, lf) for lf in range(nfac)]
+            xs = [(x, at + c) for x, c in xs]
+            at += len(ctx.skeleton_functions(pr.slot))
+        cols.append((pr, _coef_value(ctx, pr.coef), xs))
     blk = np.zeros((ctx.ncells, ctx.ntest_local, at), dtype=form.dtype)
     normals = any(pr.trace for pr in form.pairings)
     for lf in range(nfac):
         area = ctx.facet_scale(lf)
         n = ctx.normal(lf) if normals else None
-        for pr, c, xs, use, c0, step in cols:
+        for pr, c, xs in cols:
             if c is None:
                 continue
             yr, F = ctx.facet(pr.test, lf)
@@ -501,12 +508,10 @@ def bhat_block(form, ctx):
             elif pr.trace == "nx":
                 # n x y = y @ N with N[d] = n x e_d
                 F = F @ np.cross(n[:, None, :], np.eye(3))
-            xr, Fx = xs[lf]
+            (xr, Fx), c0 = xs[lf]
             part = _contract([(xr, _scaled(c, Fx))], [(yr, F)], area)
-            if use is not None:
-                part = part[..., use]
-            r0, c0 = ctx.test_offset(pr.test), c0 + lf * step
-            blk[:, r0:r0 + part.shape[1], c0:c0 + part.shape[2]] += part
+            r0 = ctx.test_offset(pr.test)
+            blk[:, r0:r0 + part.shape[1], c0] += part
     return blk
 
 

@@ -17,6 +17,10 @@ The slot Grams and the facet trace products integrate two bases on
 affine cells, so each is one contraction of per-cell factors with a
 reference tensor (``reference._contract``), the same as the element
 kernels; only data that vary over a facet are summed point by point.
+A cell Gram depends only on the cell's Jacobian, so the natural Grams
+and the skeleton Schur complements are computed once per class of
+cells with bit-identical Jacobians (``cell_classes``) and gathered to
+the cells.
 """
 
 from __future__ import annotations
@@ -40,18 +44,33 @@ from .reference import (
 from .simplex import facet_measure, local_edges, local_facets
 
 
-# Cells (or facets) are evaluated in groups: a group's real table, one
-# value per quadrature point, function and space direction, stays under
-# this many bytes.  A group's temporaries are a few such tables, some
-# complex; larger groups gain no speed and raise the peak memory.
+# Cells, classes of cells or facets are evaluated in groups: the stacks
+# that a group's members hold stay under this many bytes.  A group's
+# temporaries are a few such stacks; larger groups gain no speed and
+# raise the peak memory.
 _GROUP_BYTES = 2 ** 21
 
 
 def cell_groups(ncells, cell_bytes):
-    """Slices of consecutive cells whose tables, cell_bytes per cell,
+    """Slices of consecutive members whose stacks, cell_bytes per member,
     stay under the group budget."""
     size = max(1, _GROUP_BYTES // cell_bytes)
     return [slice(s, min(s + size, ncells)) for s in range(0, ncells, size)]
+
+
+def cell_classes(*values):
+    """Classes of cells whose ``values`` (real arrays with the cells on
+    their first axis) are the same bit for bit: the first cell of each
+    class, in ascending order, and the class index of every cell."""
+    key = np.ascontiguousarray(np.concatenate(
+        [np.reshape(v, (len(v), -1)) for v in values], axis=1, dtype=float))
+    key = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
+    _, first, inverse = np.unique(key, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
 
 
 # -- element tables ----------------------------------------------------
@@ -83,12 +102,15 @@ class ElementTables:
         self.vrule = simplex_rule(mesh.dim, order)
         self.frule = simplex_rule(mesh.dim - 1, order)
 
-    def groups(self):
-        """Slices of consecutive cells, each small enough to evaluate as
-        one stack."""
-        return cell_groups(self.mesh.ncells,
-                           max(self.table("val").nbytes,
-                               self.table("der").nbytes))
+    def groups(self, n):
+        """Slices of n consecutive cells or classes, each small enough to
+        hold their Grams as one stack."""
+        return cell_groups(n, 8 * self.basis.nfuncs ** 2)
+
+    def shape_classes(self):
+        """Classes of cells with the same Jacobian and |det|, on which
+        every cell Gram of this basis is the same (``cell_classes``)."""
+        return cell_classes(self.geo.J, self.geo.absdet)
 
     def volume_weights(self, ci):
         return self.geo.absdet[ci][..., None] * self.vrule.weights
@@ -274,16 +296,21 @@ def facet_map(mesh, nb_per_facet):
                   np.repeat(boundary, nb))
 
 
-def _facet_functions(basis, dim, use=None):
-    """Per local facet, the positions in ``use`` (default: all functions)
-    of the conforming functions whose entity lies in the facet's
-    closure; every other function has a zero trace on that facet."""
-    ents = basis.dof_entities()
-    use = range(len(ents)) if use is None else use
+def facet_operands(tables, use=None):
+    """Per local facet: the positions in ``use`` (default: all functions)
+    of the conforming functions whose entity lies in the facet's closure,
+    and the reference operand of their values on that facet; every other
+    function has a zero trace on that facet."""
+    dim, ents = tables.mesh.dim, tables.basis.dof_entities()
+    use = np.arange(len(ents)) if use is None else np.asarray(use)
     verts = [_local_vertices(dim, *ents[k][:2]) for k in use]
-    return [np.array([col for col, v in enumerate(verts)
-                      if v is not None and set(v) <= set(f)], dtype=int)
-            for f in local_facets(dim)]
+    out = []
+    for lf, f in enumerate(local_facets(dim)):
+        act = np.array([col for col, v in enumerate(verts)
+                        if v is not None and set(v) <= set(f)], dtype=int)
+        funcs = tuple(use[act].tolist())
+        out.append((act, tables.reference("val", lf, funcs)))
+    return out
 
 
 # -- slot gram matrices -------------------------------------------------
@@ -307,7 +334,8 @@ def _block_matrix(parts, shape):
 
 def _cell_grams(tables, cells, include_deriv=True, use=None):
     """(K, n, n) Grams of the values, plus the family derivatives when
-    ``include_deriv``, of the functions ``use`` on a slice of cells."""
+    ``include_deriv``, of the functions ``use`` on an index array of
+    cells."""
     M = 0.0
     for kind in ("val", "der")[:1 + include_deriv]:
         x = [(tables.reference(kind), tables.factor(kind, cells))]
@@ -321,12 +349,15 @@ def natural_gram(tables, dofmap, include_deriv=True):
     L2 norm of the values plus, when ``include_deriv``, the L2 norm of
     the family derivative (giving H1/H(curl)/H(div) graph norms).
     """
+    reps, cls = tables.shape_classes()
     f = dofmap.cell_factors
-    blocks = np.empty(f.shape + f.shape[-1:])
-    for cells in tables.groups():
-        blocks[cells] = (_cell_grams(tables, cells, include_deriv,
-                                     dofmap.local_functions)
-                         * f[cells, :, None] * f[cells, None, :])
+    M = np.empty((len(reps),) + f.shape[-1:] * 2)
+    for part in tables.groups(len(reps)):
+        M[part] = _cell_grams(tables, reps[part], include_deriv,
+                              dofmap.local_functions)
+    blocks = M[cls]
+    blocks *= f[:, :, None]
+    blocks *= f[:, None, :]
     return _block_matrix([(blocks, dofmap.cell_dofs, dofmap.cell_dofs)],
                          (dofmap.ndofs, dofmap.ndofs))
 
@@ -373,13 +404,8 @@ class TraceField:
         else:
             if kind not in ("value", "normal", "tangential"):
                 raise ValueError(kind)
-            use = dofmap.local_functions
-            self._active = _facet_functions(tables.basis, mesh.dim, use)
-            # the basis functions that the active dofs multiply
-            funcs = [act if use is None else np.asarray(use)[act]
-                     for act in self._active]
-            self._refs = [tables.reference("val", lf, tuple(f))
-                          for lf, f in enumerate(funcs)]
+            self._active, self._refs = zip(
+                *facet_operands(tables, dofmap.local_functions))
 
     def facet_trace(self, cells, lf):
         """Traces on local facet lf of ``cells`` (an index array) of the
@@ -474,16 +500,19 @@ def skeleton_schur(tables, skel_map):
     coefficients (orientation factors applied)."""
     use = list(skel_map.local_functions)
     interior = [k for k in range(tables.basis.nfuncs) if k not in set(use)]
+    reps, cls = tables.shape_classes()
     f = skel_map.cell_factors
-    out = np.empty(f.shape + f.shape[-1:])
-    for cells in tables.groups():
-        M = _cell_grams(tables, cells)
-        S = M[:, use][:, :, use]
+    S = np.empty((len(reps),) + f.shape[-1:] * 2)
+    for part in tables.groups(len(reps)):
+        M = _cell_grams(tables, reps[part])
+        S[part] = M[:, use][:, :, use]
         if interior:
             Mis = M[:, interior][:, :, use]
-            S = S - np.swapaxes(Mis, -1, -2) @ np.linalg.solve(
+            S[part] -= np.swapaxes(Mis, -1, -2) @ np.linalg.solve(
                 M[:, interior][:, :, interior], Mis)
-        out[cells] = S * f[cells, :, None] * f[cells, None, :]
+    out = S[cls]
+    out *= f[:, :, None]
+    out *= f[:, None, :]
     return out
 
 
@@ -492,10 +521,13 @@ def skeleton_quotient_apply(schur, skel_map, v):
 
     The parent graph norm is minimized over all interior completions;
     interior dofs are cell-local, so the minimization splits per cell
-    into the Schur complements ``schur`` of ``skeleton_schur``.
+    into the Schur complements ``schur`` of ``skeleton_schur``.  The
+    real part of c^H S c is x^T S x + y^T S y for c = x + iy, so the real
+    stack S is applied to real vectors only.
     """
     c = v[skel_map.cell_dofs]
-    energy = float(np.real(np.sum(c.conj() * (schur @ c[..., None])[..., 0])))
+    energy = sum((float(np.sum(part * (schur @ part[..., None])[..., 0]))
+                  for part in (c.real, c.imag) if part.any()), 0.0)
     return max(energy, 0.0)
 
 

@@ -11,13 +11,22 @@ drives the residual error estimator: with eps_K = G^{-1}(l - B x) the
 local indicator is eta_K^2 = eps_K^H G eps_K.
 
 All cells share the local sizes, so the form evaluators work on stacks
-of cells, in groups whose tables fit a fixed memory budget.  A
+of cells, in groups whose stacks fit a fixed memory budget.  A
 Discretization builds the case-independent stacks once, on first use:
 the inverse Cholesky factors L^{-1} of G = L L^H and the whitened
 blocks W = L^{-1} B.  With them A_K = W^H W, f_K = W^H L^{-1} l, and
-eta_K is the norm of L^{-1} l - W x_K = L^H eps_K.  Assembly, the
-estimator, the operator norm and the dense diagnostics read the
-stacks; only the load is evaluated per case.
+eta_K is the norm of L^{-1} l - W x_K = L^H eps_K.  Assembly, the estimator, the operator
+norm and the dense diagnostics read the stacks; only the load is
+evaluated per case.
+
+On an affine cell G and B depend only on the values the kernels read
+there: the Jacobian and |det|, the facet areas and outward normals, and
+the coefficients given per cell.  Meshes repeat a few cell shapes, so
+the stacks are computed once per class of cells on which those values
+are the same bit for bit, and each cell keeps only its class index.  B
+is kept in local coefficients; the per-cell orientation factors D of
+the global columns scale it after the gather, B_K = B_class D_K, and
+are never folded into a class.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
@@ -41,9 +51,11 @@ from .spaces import (
     ElementTables,
     TraceField,
     broken_map,
+    cell_classes,
     cell_groups,
     conforming_map,
     facet_map,
+    facet_operands,
     natural_gram,
     skeleton_quotient_apply,
     skeleton_quotient_gram,
@@ -118,6 +130,7 @@ class Discretization:
         self._tables = {}
         self._maps = {}
         self._flux = {}
+        self._skeleton_facets = {}
         self.slot_offset = {}
         self.slot_size = {}
         offset = 0
@@ -159,8 +172,12 @@ class Discretization:
                                              self.order)
         if s.continuity == "broken":
             return broken_map(mesh, basis.nfuncs)
-        return conforming_map(mesh, basis, self.geo,
+        dmap = conforming_map(mesh, basis, self.geo,
                               skeleton=s.continuity == "skeleton")
+        if s.continuity == "skeleton":
+            self._skeleton_facets[s.name] = facet_operands(
+                self._tables[s.name], dmap.local_functions)
+        return dmap
 
     def dofmap(self, name):
         return self._maps[name]
@@ -190,27 +207,40 @@ class Discretization:
         dofs, facs = self._columns
         return dofs[ci], facs[ci]
 
-    def _groups(self):
-        """Slices of consecutive cells, each evaluated as one stack, sized
-        by the real test-function table."""
-        nq = len(self._ref_tables.vrule.weights)
-        return cell_groups(self.mesh.ncells,
-                           8 * nq * self.ntest_local * self.mesh.dim)
+    def _groups(self, n):
+        """Slices of n consecutive cells or classes, each evaluated as one
+        stack, sized by the stacks G, L^{-1} and W that each holds."""
+        nt, m = self.ntest_local, self._columns[0].shape[1]
+        itemsize = np.dtype(self.form.dtype).itemsize
+        return cell_groups(n, itemsize * nt * (2 * nt + m))
+
+    def _cell_classes(self):
+        """(first cell, class index of every cell) of the classes of cells
+        on which the element kernels read the same values: the Jacobian,
+        |det|, the facet areas and outward normals, and the coefficients
+        given per cell."""
+        mesh, geo = self.mesh, self.geo
+        fids = mesh.cell_facet_ids
+        normals = mesh.cell_facet_signs[:, :, None] * mesh.facet_normals[fids]
+        coefs = [val for key, val in self.form.params.items()
+                 if np.ndim(val) - (key == "beta") == 1]
+        return cell_classes(geo.J, geo.absdet, mesh.facet_areas[fids],
+                            normals, *coefs)
 
     def _evaluate(self, group):
-        """(G, B) stacks of a cell group, B in global coefficients."""
+        """(G, B) stacks of a cell group, B in local coefficients."""
         form = self.form
         G = fm.y_gram(form, group)
         B = np.concatenate([fm.b0_block(form, group),
                             fm.bhat_block(form, group)], axis=-1)
-        return G, B * self._columns[1][group.cells][:, None, :]
+        return G, B
 
     def element_system(self, ci, case=None):
         """(G, B, l) on one cell, trial columns in global coefficients."""
-        group = _CellGroup(self, slice(ci, ci + 1))
+        group = _CellGroup(self, np.array([ci]))
         G, B = self._evaluate(group)
         l = fm.load_vector(self.form, group, case)
-        return G[0], B[0], l[0]
+        return G[0], B[0] * self._columns[1][ci], l[0]
 
     @cached_property
     def element_stacks(self):
@@ -221,12 +251,13 @@ class Discretization:
         """(ncells, ntest_local) whitened loads L^{-1} l of one case; those
         of the last case object are kept, for assemble and estimate."""
         if self._load is None or self._load[0] is not case:
-            l = np.zeros((self.mesh.ncells, self.ntest_local),
-                         dtype=self.form.dtype)
-            for cells in self._groups():
-                l[cells] = fm.load_vector(self.form, _CellGroup(self, cells),
-                                          case)
-            self._load = (case, _matvec(self.element_stacks.Linv, l))
+            st, nc = self.element_stacks, self.mesh.ncells
+            z = np.empty((nc, self.ntest_local), dtype=self.form.dtype)
+            for part in st.parts:
+                group = _CellGroup(self, np.arange(nc)[part])
+                z[part] = _matvec(st.Linv[st.cls[part]],
+                                  fm.load_vector(self.form, group, case))
+            self._load = (case, z)
         return self._load[1]
 
     def _scatter(self, vals):
@@ -239,17 +270,20 @@ class Discretization:
 
     def _matrix(self):
         """Sparse sum of the condensed element matrices."""
-        W, dofs = self.element_stacks.W, self._columns[0]
+        st, (dofs, facs) = self.element_stacks, self._columns
+        # A = W^H W per class, gathered to the cells
+        vals = (_adjoint(st.W) @ st.W)[st.cls]
+        vals *= facs[:, :, None]
+        vals *= facs[:, None, :]
         m = dofs.shape[1]
         rows, cols = np.repeat(dofs, m, axis=1), np.tile(dofs, (1, m))
         return sparse.coo_matrix(
-            ((_adjoint(W) @ W).ravel(), (rows.ravel(), cols.ravel())),
+            (vals.ravel(), (rows.ravel(), cols.ravel())),
             shape=(self.ndof, self.ndof), dtype=self.form.dtype).tocsc()
 
     def assemble(self, case=None):
         """Hermitian condensed system (A, f), cells in ascending order."""
-        f_K = _matvec(_adjoint(self.element_stacks.W),
-                      self._whitened_load(case))
+        f_K = self.element_stacks.adjoint_apply(self._whitened_load(case))
         return self._matrix(), self._scatter(f_K)
 
     def constrained_dofs(self):
@@ -318,11 +352,10 @@ class Discretization:
         """Residual error indicators and the Riesz orthogonality check."""
         st = self.element_stacks
         z = self._whitened_load(case)
-        e = z - _matvec(st.W, x[self._columns[0]])
+        e = z - st.apply(x[self._columns[0]])
         eta2 = np.sum(np.abs(e) ** 2, axis=1)
-        Wh = _adjoint(st.W)
-        resid = self._scatter(_matvec(Wh, e))
-        fvec = self._scatter(_matvec(Wh, z))
+        resid = self._scatter(st.adjoint_apply(e))
+        fvec = self._scatter(st.adjoint_apply(z))
         free = ~self.constrained_dofs()
         scale = np.max(np.abs(fvec[free])) if np.any(free) else 0.0
         if scale == 0.0:
@@ -394,7 +427,7 @@ class Discretization:
                 ex = np.asarray(field(pts.reshape(-1, dim)))
                 exact[s.name, op] = ex.reshape(nc, nq, -1)
         sq = dict.fromkeys(exact, 0.0)
-        for cells in self._groups():
+        for cells in self._groups(nc):
             for (name, op), ex in exact.items():
                 c = self.field_coefficients(x, name, cells)
                 tab = self._tables[name]
@@ -481,10 +514,16 @@ def _matvec(M, v):
     return (M @ v[..., None])[..., 0]
 
 
+def _lower_inverse(L):
+    """Inverse of one lower triangular matrix or a stack."""
+    return scipy.linalg.inv(L, assume_a="lower triangular",
+                            check_finite=False)
+
+
 def _inverse_cholesky(G):
     """L^{-1} for the lower Cholesky factor L of one Gram or a stack,
     so that G^{-1} = L^{-H} L^{-1}."""
-    return np.linalg.inv(np.linalg.cholesky(G))
+    return _lower_inverse(np.linalg.cholesky(G))
 
 
 def condense(G, B, l=None):
@@ -498,39 +537,62 @@ def condense(G, B, l=None):
 
 
 class _ElementStacks:
-    """Case-independent element data of every cell of a Discretization:
-    the global columns cols (ncells, nloc), the inverse Cholesky factors
-    Linv = L^{-1} of the test Grams G = L L^H and the whitened blocks
-    W = L^{-1} B, whose products A_K = W^H W are the condensed element
-    matrices."""
+    """Case-independent element data of a Discretization, computed once
+    per class of cells (``Discretization._cell_classes``): per class the
+    inverse Cholesky factors Linv = L^{-1} of the test Grams G = L L^H
+    and the whitened blocks W = L^{-1} B in local coefficients; per cell
+    its class index cls, global columns cols and their orientation
+    factors facs.  A cell's whitened block in global coefficients is
+    W[cls] times its factors."""
 
     def __init__(self, disc):
-        self.cols = disc._columns[0]
-        nc, m = disc.mesh.ncells, self.cols.shape[1]
+        self.cols, self.facs = disc._columns
+        self.reps, self.cls = disc._cell_classes()
+        # cell groups for gathering class stacks to the cells
+        self.parts = disc._groups(disc.mesh.ncells)
         self.Linv = self.W = None
-        for cells in disc._groups():
-            G, B = disc._evaluate(_CellGroup(disc, cells))
+        for part in disc._groups(len(self.reps)):
+            G, B = disc._evaluate(_CellGroup(disc, self.reps[part]))
             Linv = _inverse_cholesky(G)
             if self.Linv is None:
-                self.Linv = np.empty((nc,) + Linv.shape[1:], dtype=G.dtype)
-                self.W = np.empty((nc, len(G[0]), m), dtype=B.dtype)
-            self.Linv[cells] = Linv
-            self.W[cells] = Linv @ B
+                n = (len(self.reps), len(G[0]))
+                self.Linv = np.empty(n + Linv.shape[2:], dtype=G.dtype)
+                self.W = np.empty(n + B.shape[2:], dtype=B.dtype)
+            self.Linv[part] = Linv
+            self.W[part] = Linv @ B
+
+    def _gather_apply(self, M, v):
+        """Per-cell products M[cls] v of a class stack M and (ncells, m)
+        values v, gathered group by group."""
+        out = np.empty(v.shape[:1] + M.shape[1:2], dtype=np.result_type(M, v))
+        for part in self.parts:
+            out[part] = _matvec(M[self.cls[part]], v[part])
+        return out
+
+    def apply(self, x):
+        """W_K x_K per cell for (ncells, nloc) column values x."""
+        return self._gather_apply(self.W, x * self.facs)
+
+    def adjoint_apply(self, e):
+        """W_K^H e_K per cell for (ncells, ntest_local) values e."""
+        return self._gather_apply(_adjoint(self.W), e) * self.facs
 
     def gram_and_block(self):
-        """(G, B) stacks, recovered from the factors."""
-        L = np.linalg.inv(self.Linv)
-        return L @ _adjoint(L), L @ self.W
+        """Per-cell (G, B) stacks, B in global coefficients, recovered
+        from the factors."""
+        L = _lower_inverse(self.Linv)
+        G, B = L @ _adjoint(L), L @ self.W
+        return G[self.cls], B[self.cls] * self.facs[:, None, :]
 
 
 class _CellGroup:
-    """The form evaluators' context for a slice of consecutive cells:
+    """The form evaluators' context for an index array of cells:
     reference operands with their per-cell factors, weight scales,
     quadrature points and coefficients of those cells."""
 
     def __init__(self, disc, cells):
         self.disc, self.cells = disc, cells
-        self.ncells = len(range(*cells.indices(disc.mesh.ncells)))
+        self.ncells = len(cells)
         self.ntest_local = disc.ntest_local
         self.test_offset = disc.test_offset
         self.absdet = disc.geo.absdet[cells]
@@ -555,6 +617,10 @@ class _CellGroup:
     def facet(self, name, lf):
         return (self.disc._tables[name].reference("val", lf),
                 self._factor(name, "val"))
+
+    def skeleton_facet(self, name, lf):
+        cols, ref = self.disc._skeleton_facets[name][lf]
+        return (ref, self._factor(name, "val")), cols
 
     def flux(self, name):
         return self.disc._flux[name], np.ones((1, 1))

@@ -1,4 +1,5 @@
-"""Mesh-level element data against the same data computed cell by cell.
+"""Mesh-level element data against the same data computed cell by cell,
+and the classes of cells that share it.
 
 Assembly, the estimator, the skeleton Schur complements and the natural
 Grams may share work between cells whose geometry and coefficients are
@@ -6,7 +7,8 @@ the same.  Each must still give every cell its own matrices: on a
 uniform square whose per-cell diffusion differs between congruent
 cells, on a seeded jittered mesh where no two cells are alike, and on a
 locally refined L-shape, the results match references built one cell at
-a time.
+a time.  Classes are shared where the cells repeat and split where
+they do not.
 """
 
 import numpy as np
@@ -14,10 +16,16 @@ import pytest
 from scipy import sparse
 
 from dpgfem.formulations import make_formulation, manufactured_case
-from dpgfem.meshes import SimplicialMesh, build_structured, refine_marked
+from dpgfem.meshes import (
+    SimplicialMesh,
+    build_structured,
+    refine_marked,
+    refine_uniform,
+)
 from dpgfem.reference import MeshGeometry, _contract, conforming_basis
 from dpgfem.spaces import (
     ElementTables,
+    cell_classes,
     conforming_map,
     natural_gram,
     skeleton_schur,
@@ -148,3 +156,38 @@ def test_natural_gram_matches_cell_by_cell(mesh_name, family, degree,
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dmap.ndofs, dmap.ndofs)).toarray()
     assert _rel(natural_gram(tables, dmap).toarray(), ref) < 1e-12
+
+
+def test_uniform_square_shares_a_few_classes():
+    mesh = build_structured("unit-square", 2)
+    while mesh.ncells < 2048:
+        mesh = refine_uniform(mesh)
+    geo = MeshGeometry(mesh)
+    reps, cls = cell_classes(geo.J, geo.absdet)
+    assert mesh.ncells == 2048 and len(reps) <= 12
+    # each class is named by its first cell, and its cells share the
+    # Jacobian of that cell
+    assert np.all(np.diff(reps) > 0) and np.all(reps[cls] <= np.arange(2048))
+    assert np.array_equal(geo.J[reps[cls]], geo.J)
+    disc = Discretization(make_formulation("ultraweak_dcr", 1), mesh)
+    assert len(disc.element_stacks.reps) == len(reps)
+
+
+def test_per_cell_coefficients_split_classes():
+    mesh = _square()
+    a = 1.0 + 0.25 * (np.arange(mesh.ncells) % 4)
+    geo = MeshGeometry(mesh)
+    shapes = len(cell_classes(geo.J, geo.absdet)[0])
+    disc = Discretization(
+        make_formulation("primal_dcr", 1, params=dict(DCR, a=a)), mesh)
+    st = disc.element_stacks
+    assert np.all(a[st.reps[st.cls]] == a)
+    assert len(st.reps) > shapes
+
+
+def test_jittered_mesh_has_one_class_per_cell():
+    mesh = _jittered()
+    geo = MeshGeometry(mesh)
+    assert len(cell_classes(geo.J, geo.absdet)[0]) == mesh.ncells
+    disc = Discretization(make_formulation("primal_poisson", 1), mesh)
+    assert np.array_equal(disc.element_stacks.cls, np.arange(mesh.ncells))
