@@ -15,9 +15,9 @@ of cells, in groups whose stacks fit a fixed memory budget.  A
 Discretization builds the case-independent stacks once, on first use:
 the inverse Cholesky factors L^{-1} of G = L L^H and the whitened
 blocks W = L^{-1} B.  With them A_K = W^H W, f_K = W^H L^{-1} l, and
-eta_K is the norm of L^{-1} l - W x_K = L^H eps_K.  Assembly, the estimator, the operator
-norm and the dense diagnostics read the stacks; only the load is
-evaluated per case.
+eta_K is the norm of L^{-1} l - W x_K = L^H eps_K.  Assembly, the
+estimator, the operator norm and the dense diagnostics read the
+stacks; only the load is evaluated per case.
 
 On an affine cell G and B depend only on the values the kernels read
 there: the Jacobian and |det|, the facet areas and outward normals, and
@@ -34,9 +34,8 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, inv
 from scipy.sparse.linalg import splu
 
 from . import formulations as fm
@@ -516,8 +515,7 @@ def _matvec(M, v):
 
 def _lower_inverse(L):
     """Inverse of one lower triangular matrix or a stack."""
-    return scipy.linalg.inv(L, assume_a="lower triangular",
-                            check_finite=False)
+    return inv(L, assume_a="lower triangular", check_finite=False)
 
 
 def _inverse_cholesky(G):

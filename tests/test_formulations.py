@@ -96,17 +96,16 @@ def test_invalid_inputs_rejected():
         make_formulation("maxwell_primal_E", 1, params={"gamma": 0.5})
     with pytest.raises(ValueError, match="'beta'"):
         make_formulation("primal_dcr", 1, params={"beta": [0.3, -0.2, 0.1]})
-
-
-@pytest.mark.parametrize("key,value", [
-    ("a", 1.0 + 0.5j), ("a", np.array([1.0, 2.0 + 1e-3j])),
-    ("a", np.nan), ("gamma", np.array([0.5, np.inf])),
-    ("beta", np.array([0.3, 0.2j])), ("beta", [0.3, np.nan]),
-    ("eps", 2.0 + 0.1j), ("omega", np.inf), ("a", "1.0")])
-def test_complex_and_non_finite_coefficients_rejected(key, value):
-    fid = "maxwell_primal_E" if key in ("eps", "omega") else "primal_dcr"
-    with pytest.raises(ValueError, match=repr(key)):
-        make_formulation(fid, 1, params={key: value})
+    # complex, non-finite and non-numeric coefficients, constant or per
+    # cell
+    bad = [("a", 1.0 + 0.5j), ("a", np.array([1.0, 2.0 + 1e-3j])),
+           ("a", np.nan), ("gamma", np.array([0.5, np.inf])),
+           ("beta", np.array([0.3, 0.2j])), ("beta", [0.3, np.nan]),
+           ("eps", 2.0 + 0.1j), ("omega", np.inf), ("a", "1.0")]
+    for key, value in bad:
+        fid = "maxwell_primal_E" if key in ("eps", "omega") else "primal_dcr"
+        with pytest.raises(ValueError, match=repr(key)):
+            make_formulation(fid, 1, params={key: value})
 
 
 def test_poisson_sine_load(rng):
