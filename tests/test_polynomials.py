@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpgfem.polynomials import (
+    CompiledPolys,
     Poly,
     family_generator_groups,
     scalar_monomials,
@@ -136,3 +137,63 @@ def test_exact_sequence_on_generators(rng):
     for grp in family_generator_groups("hdiv", p, 3):
         for g in grp:
             assert in_span(np.ravel(g.div()(pts)), P)
+
+
+def _monomial_points(dim):
+    """Point sets the monomial tables are evaluated at: the volume, face
+    and edge rules of the Fortin and duality spaces, the same points
+    centred at the centroid as the modal bases take them, and random
+    points with exact zeros, signed zeros and negative coordinates."""
+    from dpgfem.fortin import REFERENCE_TET, TetQuadrature
+    from dpgfem.quadrature import simplex_rule
+
+    sets = []
+    for order in (2, 4, 10, 14, 18):
+        if dim == 3:
+            quad = TetQuadrature(REFERENCE_TET, order)
+            sets += [quad.vol_ref, quad.face_ref.reshape(-1, 3),
+                     quad.edge_ref.reshape(-1, 3)]
+        else:
+            sets.append(simplex_rule(2, order).points)
+    sets += [pts - 1.0 / (dim + 1) for pts in sets]
+    rng = np.random.default_rng(7)
+    mixed = rng.uniform(-1.5, 1.5, (60, dim))
+    mixed[::3, 0] = 0.0
+    mixed[1::4, -1] = -0.0
+    mixed[:5] = 0.0
+    sets.append(mixed)
+    return np.concatenate(sets)
+
+
+def _term_by_term(exponents, points):
+    """prod_axis points ** alpha for one exponent tuple alpha at a time."""
+    return np.stack([np.prod(points ** alpha, axis=1) for alpha in exponents],
+                    axis=1)
+
+
+@pytest.mark.parametrize("family", ["h1", "l2", "hdiv", "hcurl", "vec"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_monomial_tables_are_bit_identical_to_term_by_term(family, dim):
+    """CompiledPolys.monomials of the generators and of their family
+    derivatives equals the term-by-term product exactly, not to a
+    tolerance: every modal basis, and so every record, is built on it."""
+    pts = _monomial_points(dim)
+    first = 1 if family in ("hdiv", "hcurl") else 0
+    for degree in range(first, 8):
+        gens = [g for group in family_generator_groups(family, degree, dim)
+                for g in group]
+        if family in ("h1", "l2"):
+            ders = [g.grad() for g in gens]
+        elif family == "hdiv":
+            ders = [g.div() for g in gens]
+        else:
+            ders = [g.curl3d() if dim == 3 else g.rot2d() for g in gens]
+        for polys in (gens, ders):
+            compiled = CompiledPolys(polys)
+            if not len(compiled.exponents):
+                continue  # the derivatives of constants
+            mono = compiled.monomials(pts)
+            assert mono.flags.c_contiguous
+            assert np.array_equal(
+                mono, _term_by_term(compiled.exponents, pts)), \
+                (family, dim, degree)
