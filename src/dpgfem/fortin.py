@@ -419,16 +419,10 @@ class FortinInterpolant:
         self.coeff = coeff
         self.mean = mean
 
-    def _at(self, points, deriv):
-        s = self.system
-        tab = s.quad.span(s.family, s.p + 3, s.quad.reference(points), deriv)
-        return np.tensordot(self.coeff, tab, axes=1)
-
     def values(self, points):
-        return self._at(points, False) + self.mean
-
-    def deriv_values(self, points):
-        return self._at(points, True)
+        s = self.system
+        tab = s.quad.span(s.family, s.p + 3, s.quad.reference(points))
+        return np.tensordot(self.coeff, tab, axes=1) + self.mean
 
 
 @lru_cache(maxsize=None)

@@ -188,14 +188,15 @@ class CompiledPolys:
         return self.coeffs.shape[0]
 
     def monomials(self, points):
-        """The monomials of all terms at the points, (npts, nterms)."""
+        """The monomials of all terms at the points, (npts, nterms): per
+        axis one table of the powers x ** k, k up to the largest exponent,
+        whose columns are gathered by exponent and multiplied in axis
+        order."""
         points = np.asarray(points, dtype=float)
         mono = np.ones((points.shape[0], self.exponents.shape[0]))
-        for axis in range(self.dim):
-            exps = self.exponents[:, axis]
-            nz = exps > 0
-            if nz.any():
-                mono[:, nz] *= points[:, axis, None] ** exps[None, nz]
+        for axis, exps in enumerate(self.exponents.T):
+            powers = points[:, axis, None] ** np.arange(exps.max(initial=0) + 1)
+            mono *= np.take(powers, exps, axis=1)
         return mono
 
     def eval(self, points):

@@ -27,10 +27,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def npoints(self):
-        return self.points.shape[0]
-
 
 def _gauss01(n):
     x, w = roots_legendre(n)
@@ -84,16 +80,6 @@ def simplex_rule(dim, order):
                 W[k] = wxi[i] * weta[j] * wzeta[l]
                 k += 1
     return QuadratureRule(3, order, X, W)
-
-
-def monomial_integral(alpha):
-    """Exact integral of prod(x_i**alpha_i) over the unit simplex."""
-    alpha = tuple(int(a) for a in alpha)
-    d = len(alpha)
-    num = 1.0
-    for a in alpha:
-        num *= math.factorial(a)
-    return num / math.factorial(sum(alpha) + d)
 
 
 def reference_volume(dim):

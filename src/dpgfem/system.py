@@ -575,13 +575,6 @@ class _ElementStacks:
         """W_K^H e_K per cell for (ncells, ntest_local) values e."""
         return self._gather_apply(_adjoint(self.W), e) * self.facs
 
-    def gram_and_block(self):
-        """Per-cell (G, B) stacks, B in global coefficients, recovered
-        from the factors."""
-        L = _lower_inverse(self.Linv)
-        G, B = L @ _adjoint(L), L @ self.W
-        return G[self.cls], B[self.cls] * self.facs[:, None, :]
-
 
 class _CellGroup:
     """The form evaluators' context for an index array of cells:

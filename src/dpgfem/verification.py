@@ -1,14 +1,20 @@
 """Numerical certification of the analytical building blocks.
 
-Four suites: trace duality gaps on the reference tetrahedron,
-interface annihilation by conforming test functions, dense discrete
-inf-sup surveys over the formulation catalog, and the quantitative
-stability bound that the broken test space inherits from its
-conforming subspace.
+Four suites, each building every quantity once: trace duality gaps on
+the reference tetrahedron, from one graph Gram and Cholesky factor per
+(family, degree); interface annihilation by conforming test functions;
+dense inf-sup surveys over the formulation catalog; and the stability
+bound that the broken test space inherits from its conforming subspace.
+The last three read the element stacks in whitened coordinates,
+T = diag(L_K^{-1}) B and Z = diag(L_K^H) C, so the broken test Gram
+diag(L_K L_K^H) is never formed or factored.  Under every span the
+monomials come from per-axis power tables, bit-identical to the
+term-by-term product.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular, svd
@@ -18,7 +24,7 @@ from .fortin import REFERENCE_TET, TetQuadrature, _BoundarySpace, \
     default_samples
 from .reference import _contract, _integrate, conforming_basis
 from .spaces import ElementTables, conforming_map
-from .system import Discretization
+from .system import Discretization, _adjoint, _lower_inverse
 
 # the diffusion forms of the inf-sup survey (primal_poisson is primal_dcr
 # with the default coefficients)
@@ -82,20 +88,20 @@ class TangentialTrace(ScalarTrace):
 
 
 class _DualityWorkspace:
-    """Graph Grams and trace maps for one (pairing, q), factored once.
+    """Trace maps for one (pairing, q), factored once.
 
     C maps extension coefficients to the orthonormal trace basis; the
     workspace keeps its pseudo-inverse, its null space N and the
-    Cholesky factors of N^T G_ext N and of the dual graph Gram, so that
-    a trace costs matrix-vector products and triangular solves.
+    Cholesky factor of N^T G_ext N, so that a trace costs matrix-vector
+    products and triangular solves.  Graph Grams are shared.
     """
 
     def __init__(self, pairing, q):
         ext_family, dual_family = _PAIRINGS[pairing]
         ext_mode, dual_mode = _MODES[pairing]
-        self.quad = quad = TetQuadrature(REFERENCE_TET, 2 * (q + 2))
-        self.G_ext = self._graph_gram(ext_family, q)
-        self.dual_chol = cho_factor(self._graph_gram(dual_family, q))
+        self.quad = quad = _duality_quadrature(q)
+        self.G_ext = _graph_gram(ext_family, q)
+        self.dual_chol = _graph_gram_factor(dual_family, q)
         ext_trace = quad.trace(quad.span(ext_family, q, quad.face_ref),
                                ext_mode)
         self.dual_trace = _BoundarySpace(quad, quad.trace(
@@ -107,22 +113,35 @@ class _DualityWorkspace:
         self.N = Vt[rank:].T
         self.null_chol = cho_factor(self.N.T @ self.G_ext @ self.N)
 
-    def _graph_gram(self, family, q):
-        quad = self.quad
-        w = quad.vol_weights[:, None]
-        v = quad.span(family, q, quad.vol_ref)
-        d = quad.span(family, q, quad.vol_ref, deriv=True)
-        return _integrate(v, v, w) + _integrate(d, d, w)
+
+@lru_cache(maxsize=None)
+def _duality_quadrature(q):
+    """The reference tetrahedron rule of the degree-q workspaces."""
+    return TetQuadrature(REFERENCE_TET, 2 * (q + 2))
 
 
-_WORKSPACES = {}
+@lru_cache(maxsize=None)
+def _graph_gram(family, q):
+    """Graph-norm Gram of the degree-q modal basis of a family."""
+    quad = _duality_quadrature(q)
+    w = quad.vol_weights[:, None]
+    v = quad.span(family, q, quad.vol_ref)
+    d = quad.span(family, q, quad.vol_ref, deriv=True)
+    G = _integrate(v, v, w) + _integrate(d, d, w)
+    G.flags.writeable = False
+    return G
 
 
+@lru_cache(maxsize=None)
+def _graph_gram_factor(family, q):
+    c, lower = cho_factor(_graph_gram(family, q))
+    c.flags.writeable = False
+    return c, lower
+
+
+@lru_cache(maxsize=None)
 def _workspace(pairing, q):
-    key = (pairing, q)
-    if key not in _WORKSPACES:
-        _WORKSPACES[key] = _DualityWorkspace(pairing, q)
-    return _WORKSPACES[key]
+    return _DualityWorkspace(pairing, q)
 
 
 def duality_norms(pairing, q, trace):
@@ -183,28 +202,36 @@ def duality_suite(p=1, seed=0, count=5, qs=None):
 # -- dense mesh-level systems ---------------------------------------------
 
 
-def _dense_system(disc):
-    """Dense broken-test operator, test Gram and free-trial-dof data."""
+def _whitened_system(disc):
+    """Dense whitened broken operator T = diag(L_K^{-1}) B, whose cell
+    rows are the stacks' W_K in global coefficients, so that
+    B^H Gy^{-1} B = T^H T; and the free trial dofs."""
     st = disc.element_stacks
-    G, Bk = st.gram_and_block()
-    nc, nt = G.shape[:2]
+    nc, nt = len(st.cls), disc.ntest_local
     rows = np.arange(nc * nt).reshape(nc, nt)
-    B = np.zeros((nc * nt, disc.ndof), dtype=disc.form.dtype)
-    Gy = np.zeros((nc * nt, nc * nt), dtype=disc.form.dtype)
-    B[rows[:, :, None], st.cols[:, None, :]] = Bk
-    Gy[rows[:, :, None], rows[:, None, :]] = G
+    T = np.zeros((nc * nt, disc.ndof), dtype=disc.form.dtype)
+    T[rows[:, :, None], st.cols[:, None, :]] = \
+        st.W[st.cls] * st.facs[:, None, :]
     free = np.where(~disc.constrained_dofs())[0]
-    return B, Gy, free
+    return T, free
 
 
-def _gen_singular_values(B, Gy, Gx):
-    """Singular values of B between the test and trial norm Grams."""
+def _whiten_tests(disc, C):
+    """Whitened coefficients Z = diag(L_K^H) C of broken test functions
+    C (one per column), so that C^H Gy C = Z^H Z and C^H B = Z^H T."""
+    st = disc.element_stacks
+    L = _lower_inverse(st.Linv)[st.cls]
+    nc, nt = L.shape[:2]
+    return (_adjoint(L) @ C.reshape(nc, nt, -1)).reshape(C.shape)
+
+
+def _gen_singular_values(T, Gx):
+    """Singular values of a whitened operator T against the trial norm
+    Gram Gx."""
     try:
-        Ly = cholesky(Gy, lower=True)
         Lx = cholesky(Gx, lower=True)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("singular norm Gram") from exc
-    T = solve_triangular(Ly, B, lower=True)
     T = solve_triangular(Lx, T.conj().T, lower=True).conj().T
     return svd(T, compute_uv=False)
 
@@ -276,33 +303,24 @@ def annihilation_check(formulation, mesh, p, delta=3, mode="guaranteed"):
     disc = Discretization(form, mesh)
     if not form.interface_slots:
         raise ValueError("formulation has no interface unknowns")
-    B, Gy, _ = _dense_system(disc)
-    Bhat = B[:, disc.ndof_field:]
-    Gch = cho_factor(Gy)
-    riesz = cho_solve(Gch, Bhat)
-    dualnorm = np.sqrt(np.real(np.einsum("yj,yj->j", Bhat.conj(), riesz)))
-    dualnorm = np.maximum(dualnorm, 1e-300)
-    C = conforming_test_embedding(disc).astype(form.dtype)
-    ynorm = np.sqrt(np.real(np.einsum("yg,yg->g", C.conj(), Gy @ C)))
-    ynorm = np.maximum(ynorm, 1e-300)
-    P = np.abs(C.conj().T @ Bhat)
+    T, _ = _whitened_system(disc)
+    That = T[:, disc.ndof_field:]
+    dualnorm = np.maximum(np.linalg.norm(That, axis=0), 1e-300)
+    C = conforming_test_embedding(disc)
+    Z = _whiten_tests(disc, C)
+    ynorm = np.maximum(np.linalg.norm(Z, axis=0), 1e-300)
+    P = np.abs(Z.conj().T @ That)
     conforming_max = float((P / ynorm[:, None] / dualnorm[None, :]).max())
 
-    nt = disc.ntest_local
-    witness = 0.0
-    for g in range(C.shape[1]):
-        cells = np.unique(np.nonzero(C[:, g])[0] // nt)
-        if cells.size < 2:
-            continue
-        for ci in cells:
-            y = np.zeros_like(C[:, g])
-            rows = slice(ci * nt, (ci + 1) * nt)
-            y[rows] = C[rows, g]
-            yn = np.sqrt(np.real(y.conj() @ (Gy @ y)))
-            if yn < 1e-14:
-                continue
-            vals = np.abs(y.conj() @ Bhat) / (yn * dualnorm)
-            witness = max(witness, float(vals.max()))
+    # every conforming function supported on two or more cells, restricted
+    # to one of its cells
+    nc, nt = disc.mesh.ncells, disc.ntest_local
+    Zc, Tc = Z.reshape(nc, nt, -1), That.reshape(nc, nt, -1)
+    support = (C.reshape(nc, nt, -1) != 0).any(axis=1)
+    yn = np.linalg.norm(Zc, axis=1)
+    use = support & (support.sum(axis=0) >= 2) & (yn >= 1e-14)
+    pair = (np.abs(_adjoint(Zc) @ Tc) / dualnorm).max(axis=2)
+    witness = float((pair[use] / yn[use]).max(initial=0.0))
     return AnnihilationResult(form.id, conforming_max, witness)
 
 
@@ -335,9 +353,9 @@ def infsup_survey(formulations, mesh, p, delta=3, mode="guaranteed",
         form = make_formulation(fid, p=p, delta=delta, mode=mode,
                                 params=params)
         disc = Discretization(form, mesh)
-        B, Gy, free = _dense_system(disc)
+        T, free = _whitened_system(disc)
         Gx = disc.xnorm_solver().dense()[np.ix_(free, free)]
-        sv = _gen_singular_values(B[:, free], Gy, Gx)
+        sv = _gen_singular_values(T[:, free], Gx)
         reports.append(SurveyReport(fid, _mesh_tag(mesh), p,
                                     float(sv[-1])))
     return reports
@@ -363,21 +381,24 @@ def broken_stability_bound(formulation, mesh, p, delta=3, mode="guaranteed",
     form = formulation if not isinstance(formulation, str) else \
         make_formulation(formulation, p=p, delta=delta, mode=mode)
     disc = Discretization(form, mesh)
-    B, Gy, free = _dense_system(disc)
+    T, free = _whitened_system(disc)
     Gx = disc.xnorm_solver().dense()
     free_f = free[free < disc.ndof_field]
-    C = conforming_test_embedding(disc).astype(form.dtype)
-    B0 = C.conj().T @ B[:, free_f]
-    Gy0 = C.conj().T @ Gy @ C
-    sv0 = _gen_singular_values(B0, Gy0, Gx[np.ix_(free_f, free_f)])
+    # with Z = Q R, C^H Gy C = R^H R and C^H B = R^H Q^H T: the operator
+    # on the conforming test subspace, whitened, is Q^H T
+    Q, R = np.linalg.qr(_whiten_tests(disc, conforming_test_embedding(disc)))
+    d = np.abs(np.diag(R))
+    if d.min() <= 1e-8 * d.max():
+        raise RuntimeError("singular norm Gram")
+    sv0 = _gen_singular_values(Q.conj().T @ T[:, free_f],
+                               Gx[np.ix_(free_f, free_f)])
     c0, b0norm = float(sv0[-1]), float(sv0[0])
     if conforming_only:
         return BrokenStability(c0, c0, True, c0, None, b0norm)
     free_i = free[free >= disc.ndof_field]
-    svi = _gen_singular_values(B[:, free_i], Gy,
-                               Gx[np.ix_(free_i, free_i)])
-    chat = float(svi[-1])
-    sv = _gen_singular_values(B[:, free], Gy, Gx[np.ix_(free, free)])
+    chat = float(_gen_singular_values(T[:, free_i],
+                                      Gx[np.ix_(free_i, free_i)])[-1])
+    sv = _gen_singular_values(T[:, free], Gx[np.ix_(free, free)])
     c1_discrete = float(sv[-1])
     c1_formula = 1.0 / np.sqrt(
         1.0 / c0 ** 2 + (b0norm / c0 + 1.0) ** 2 / chat ** 2)

@@ -16,8 +16,7 @@ from dpgfem.formulations import MAXWELL_IDS, make_formulation
 from dpgfem.meshes import build_structured
 from dpgfem.system import Discretization
 from dpgfem.verification import INFSUP_DCR_IDS, annihilation_check, \
-    broken_stability_bound, conforming_test_embedding, infsup_survey, \
-    verify_records
+    broken_stability_bound, conforming_test_embedding, infsup_survey
 
 REL = 1e-12
 
@@ -117,10 +116,3 @@ def test_annihilation_matches_dense_route(fid, domain):
                 (np.abs(y.conj() @ Bhat) / (yn * dualnorm)).max()))
     assert res.conforming_max < 1e-12
     assert res.witness == pytest.approx(witness, rel=REL)
-
-
-def test_verify_records_do_not_depend_on_workers():
-    recs = verify_records()
-    assert len(recs) == 30
-    assert all(r["pass"] for r in recs)
-    assert verify_records(max_workers=2) == recs
