@@ -52,34 +52,22 @@ def simplex_rule(dim, order):
     if dim == 1:
         x, w = _gauss01(n)
         return QuadratureRule(1, order, x.reshape(-1, 1), w)
-    if dim == 2:
-        xi, wxi = _gauss01(n)
-        eta, weta = _jacobi01(n, 1.0)
-        X = np.empty((n * n, 2))
-        W = np.empty(n * n)
-        k = 0
-        for j in range(n):
-            for i in range(n):
-                X[k, 0] = xi[i] * (1.0 - eta[j])
-                X[k, 1] = eta[j]
-                W[k] = wxi[i] * weta[j]
-                k += 1
-        return QuadratureRule(2, order, X, W)
+    # the conical product grid with xi varying fastest; each coordinate
+    # and weight is a product taken left to right
     xi, wxi = _gauss01(n)
     eta, weta = _jacobi01(n, 1.0)
+    if dim == 2:
+        X = np.stack([(xi * (1.0 - eta)[:, None]).ravel(),
+                      np.repeat(eta, n)], axis=1)
+        return QuadratureRule(2, order, X, (wxi * weta[:, None]).ravel())
     zeta, wzeta = _jacobi01(n, 2.0)
-    X = np.empty((n ** 3, 3))
-    W = np.empty(n ** 3)
-    k = 0
-    for l in range(n):
-        for j in range(n):
-            for i in range(n):
-                X[k, 0] = xi[i] * (1.0 - eta[j]) * (1.0 - zeta[l])
-                X[k, 1] = eta[j] * (1.0 - zeta[l])
-                X[k, 2] = zeta[l]
-                W[k] = wxi[i] * weta[j] * wzeta[l]
-                k += 1
-    return QuadratureRule(3, order, X, W)
+    z = (1.0 - zeta)[:, None, None]
+    shape = (n, n, n)
+    X = np.stack([xi * (1.0 - eta)[:, None] * z,
+                  np.broadcast_to(eta[:, None] * z, shape),
+                  np.broadcast_to(zeta[:, None, None], shape)], axis=-1)
+    W = wxi * weta[:, None] * wzeta[:, None, None]
+    return QuadratureRule(3, order, X.reshape(-1, 3), W.ravel())
 
 
 def reference_volume(dim):

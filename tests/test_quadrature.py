@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpgfem.fortin import REFERENCE_TET, TET_EDGES, TetQuadrature
-from dpgfem.quadrature import MAX_ORDER, simplex_rule
+from dpgfem.quadrature import MAX_ORDER, _gauss01, _jacobi01, simplex_rule
 
 
 def monomial_integral(expo):
@@ -37,6 +37,40 @@ def test_monomial_exactness(dim, order, rng):
         vals = np.prod(rule.points ** expo[None, :], axis=1)
         exact = monomial_integral(expo)
         assert abs(rule.weights @ vals - exact) < 1e-13 * max(abs(exact), 1)
+
+
+def _loop_rule(dim, order):
+    """The conical product rule built point by point, each coordinate
+    and weight a product taken left to right."""
+    n = max(1, (order + 2) // 2)
+    xi, wxi = _gauss01(n)
+    eta, weta = _jacobi01(n, 1.0)
+    zeta, wzeta = _jacobi01(n, 2.0)
+    X, W = [], []
+    if dim == 1:
+        return xi.reshape(-1, 1), wxi
+    if dim == 2:
+        for j in range(n):
+            for i in range(n):
+                X.append((xi[i] * (1.0 - eta[j]), eta[j]))
+                W.append(wxi[i] * weta[j])
+        return np.array(X), np.array(W)
+    for l in range(n):
+        for j in range(n):
+            for i in range(n):
+                X.append((xi[i] * (1.0 - eta[j]) * (1.0 - zeta[l]),
+                          eta[j] * (1.0 - zeta[l]), zeta[l]))
+                W.append(wxi[i] * weta[j] * wzeta[l])
+    return np.array(X), np.array(W)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rules_match_point_by_point_construction(dim):
+    for order in range(MAX_ORDER[dim] + 1):
+        rule = simplex_rule(dim, order)
+        X, W = _loop_rule(dim, order)
+        assert np.array_equal(rule.points, X), order
+        assert np.array_equal(rule.weights, W), order
 
 
 def test_x_squared_on_triangle():
