@@ -533,87 +533,6 @@ def _build_hdiv(degree, dim):
                               data, entity)
 
 
-# -- facet trace matrices ---------------------------------------------
-
-
-def facet_trace_matrix(family, degree, dim, local_facet):
-    """Map volume modal coefficients to facet trace coefficients.
-
-    The relevant trace is the Dirichlet value for h1, the outward normal
-    component for hdiv and the tangential (parameter-frame) components
-    for hcurl/vec.  Returns (T, trace_dim) where T has shape
-    (trace_dim, nfuncs) and full row rank; the trace basis is orthonormal
-    in L2 of the parameter facet.  L2 has no trace and raises.
-    """
-    if family == "l2":
-        raise ValueError("l2 fields have no facet trace")
-    lf = tuple(local_facet)
-    if lf not in local_facets(dim):
-        raise ValueError(f"unknown local facet {local_facet!r}")
-    basis = modal_basis(family, degree, dim)
-    order = 2 * degree + 4
-    rule = simplex_rule(dim - 1, order)
-    pts = facet_points(dim, lf, rule.points)
-    vals = basis.values(pts)
-    if family == "h1":
-        tr = vals
-    elif family == "hdiv":
-        tr = (vals @ facet_outward_normal(dim, lf))[:, :, None]
-    else:
-        tr = vals @ facet_parametrization(dim, lf)[0]
-    G = _integrate(tr, tr, rule.weights[:, None])
-    G = 0.5 * (G + G.T)
-    lam, U = eigh(G)
-    U = U[:, lam > _RANK_TOL * lam.max()]
-    # orthonormal basis of the trace space through the traces of volume
-    # functions, picked in order by the unique projector onto range(G)
-    keep = _independent(U @ U.T, np.full(len(G), _RANK_TOL))
-    return _inv_sqrt(G[np.ix_(keep, keep)]) @ G[keep], len(keep)
-
-
-# -- exact sequence check ---------------------------------------------
-
-
-def exact_sequence_check(p, dim):
-    """Residuals of the polynomial de Rham inclusions at degree p.
-
-    Checks grad P_p inside N_p, curl N_p inside R_p (3D) or rot N_p
-    inside P_{p-1} (2D), and div R_p inside P_{p-1}.  Returns the max
-    relative projection residual per link.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    rule = simplex_rule(dim, 2 * p + 2)
-    w = rule.weights[:, None]
-
-    def proj_residual(fields, target_vals):
-        coef = np.linalg.solve(_integrate(target_vals, target_vals, w),
-                               _integrate(fields, target_vals, w))
-        err = fields - np.tensordot(coef.T, target_vals, axes=1)
-        num = np.sqrt(np.diag(_integrate(err, err, w)))
-        # the source fields are L2-normalized, so scale against the
-        # larger of the derivative norm and one; dividing by a tiny
-        # derivative norm would only amplify roundoff
-        den = np.maximum(np.sqrt(np.diag(_integrate(fields, fields, w))), 1.0)
-        return float(np.max(num / den))
-
-    out = {}
-    h1 = modal_basis("h1", p, dim)
-    ned = modal_basis("hcurl", p, dim)
-    rt = modal_basis("hdiv", p, dim)
-    scal = modal_basis("l2", max(p - 1, 0), dim)
-    grads = h1.derivs(rule.points)
-    out["grad_in_hcurl"] = proj_residual(grads, ned.values(rule.points))
-    curls = ned.derivs(rule.points)
-    if dim == 3:
-        out["curl_in_hdiv"] = proj_residual(curls, rt.values(rule.points))
-    else:
-        out["rot_in_scalar"] = proj_residual(curls, scal.values(rule.points))
-    divs = rt.derivs(rule.points)
-    out["div_in_scalar"] = proj_residual(divs, scal.values(rule.points))
-    return out
-
-
 # -- physical geometry -------------------------------------------------
 
 

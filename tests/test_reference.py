@@ -2,16 +2,15 @@
 
 import numpy as np
 import pytest
+from oracles import exact_sequence_check, facet_trace_matrix
 
 from dpgfem import reference
 from dpgfem.quadrature import simplex_rule
 from dpgfem.reference import (
     ModalBasis,
     conforming_basis,
-    exact_sequence_check,
     facet_outward_normal,
     facet_points,
-    facet_trace_matrix,
     modal_basis,
     push_derivs,
     push_values,
