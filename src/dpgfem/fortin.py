@@ -183,12 +183,8 @@ class _BoundarySpace:
         return _integrate(_flat(fields), _flat(self.blocks),
                           self.quad.face_weights.reshape(-1, 1))
 
-    def inner(self, other=None):
-        return self.moment_matrix((self if other is None else other).blocks)
-
-    def moments(self, sample):
-        """Integrals of every member against one surface field."""
-        return self.moment_matrix(sample[None])[:, 0]
+    def inner(self, other):
+        return self.moment_matrix(other.blocks)
 
     def orthonormalized(self, expected=None):
         w = np.sqrt(self.quad.face_weights.reshape(-1, 1))

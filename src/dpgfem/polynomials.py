@@ -199,10 +199,16 @@ class CompiledPolys:
             mono *= np.take(powers, exps, axis=1)
         return mono
 
-    def eval(self, points):
-        """Values with shape (nfunc, npts, ncomp)."""
-        mono = self.monomials(points)
-        return np.tensordot(self.coeffs, mono, axes=([2], [1])).transpose(0, 2, 1)
+    def eval(self, points, coeffs=None):
+        """Values with shape (nfunc, npts, ncomp), as one 2-D matrix
+        product of the term coefficients with the monomial table; given
+        ``coeffs`` (m, ncomp, nterms), the values of the fields with those
+        term coefficients instead, such as fixed combinations of the
+        polynomials folded into their coefficients once."""
+        c = self.coeffs if coeffs is None else coeffs
+        nf, nc, nt = c.shape
+        out = c.reshape(nf * nc, nt) @ self.monomials(points).T
+        return np.ascontiguousarray(out.reshape(nf, nc, -1).transpose(0, 2, 1))
 
 
 def scalar_monomials(dim, degree):

@@ -1,15 +1,19 @@
 """Numerical certification of the analytical building blocks.
 
 Four suites, each building every quantity once: trace duality gaps on
-the reference tetrahedron, from one graph Gram and Cholesky factor per
-(family, degree); interface annihilation by conforming test functions;
-dense inf-sup surveys over the formulation catalog; and the stability
-bound that the broken test space inherits from its conforming subspace.
-The last three read the element stacks in whitened coordinates,
-T = diag(L_K^{-1}) B and Z = diag(L_K^H) C, so the broken test Gram
-diag(L_K L_K^H) is never formed or factored.  Under every span the
-monomials come from per-axis power tables, bit-identical to the
-term-by-term product.
+the reference tetrahedron; interface annihilation by conforming test
+functions; dense inf-sup surveys over the formulation catalog; and the
+stability bound that the broken test space inherits from its conforming
+subspace.  The duality workspaces integrate on the degree-2q rule, exact
+for their integrands, share one graph Gram and Cholesky factor per
+(family, degree), and take one SVD each, of the trace map in the
+whitened coordinates of that factor.  The last three suites read the
+element stacks in whitened coordinates, T = diag(L_K^{-1}) B and
+Z = diag(L_K^H) C, so the broken test Gram diag(L_K L_K^H) is never
+formed or factored.  Every span is a modal basis tabulated as one
+matrix product of its folded coefficients with the monomials, which
+come from per-axis power tables, bit-identical to the term-by-term
+product.
 """
 
 from collections import namedtuple
@@ -17,12 +21,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular, svd
+from scipy.linalg import cholesky, solve_triangular, svd
 
 from .formulations import MAXWELL_IDS, make_formulation
-from .fortin import REFERENCE_TET, TetQuadrature, _BoundarySpace, \
-    default_samples
-from .reference import _contract, _integrate, conforming_basis
+from .fortin import _RANK_TOL, REFERENCE_TET, TetQuadrature, \
+    _trace_dim_scalar, default_samples
+from .polynomials import space_dimension
+from .quadrature import simplex_rule
+from .reference import _contract, _integrate, conforming_basis, modal_basis
 from .spaces import ElementTables, conforming_map
 from .system import Discretization, _adjoint, _lower_inverse
 
@@ -90,34 +96,73 @@ class TangentialTrace(ScalarTrace):
 class _DualityWorkspace:
     """Trace maps for one (pairing, q), factored once.
 
-    C maps extension coefficients to the orthonormal trace basis; the
-    workspace keeps its pseudo-inverse, its null space N and the
-    Cholesky factor of N^T G_ext N, so that a trace costs matrix-vector
-    products and triangular solves.  Graph Grams are shared.
+    Surface data are kept as coefficients over a face-weighted
+    orthonormal basis of P_q on each face, which holds the trace of
+    every degree-q field.  With G = R^T R the graph Gram of a span, the
+    whitened span R^{-T} is orthonormal in the graph norm.  The traces
+    of the whitened extension span have one SVD, P S U^T; the
+    minimum-energy extension of a trace with coefficients c then has
+    graph norm |S^{-1} U^T c|, and the dual norm of the trace is
+    |R_dual^{-T} b| for b its moments against the dual span.  Rules and
+    graph Gram factors are shared.
     """
 
     def __init__(self, pairing, q):
         ext_family, dual_family = _PAIRINGS[pairing]
         ext_mode, dual_mode = _MODES[pairing]
         self.quad = quad = _duality_quadrature(q)
-        self.G_ext = _graph_gram(ext_family, q)
-        self.dual_chol = _graph_gram_factor(dual_family, q)
-        ext_trace = quad.trace(quad.span(ext_family, q, quad.face_ref),
-                               ext_mode)
-        self.dual_trace = _BoundarySpace(quad, quad.trace(
-            quad.span(dual_family, q, quad.face_ref), dual_mode))
-        self.trace_onb = _BoundarySpace(quad, ext_trace).orthonormalized()
-        U, sv, Vt = svd(self.trace_onb.moment_matrix(ext_trace))
-        rank = int((sv > 1e-12 * sv[0]).sum())
-        self.pinv = (Vt[:rank].T / sv[:rank]) @ U[:, :rank].T
-        self.N = Vt[rank:].T
-        self.null_chol = cho_factor(self.N.T @ self.G_ext @ self.N)
+        self.sqrt_w = np.sqrt(quad.face_weights)[..., None]
+        # weighted by the square roots of the face rule's weights, the
+        # degree-q face basis has orthonormal columns
+        rule = simplex_rule(2, 2 * q)
+        self.face_basis = (modal_basis("l2", q, 2).values(rule.points)[:, :, 0]
+                           * np.sqrt(rule.weights)).T
+        self.ext_factor = _graph_gram_factor(ext_family, q)
+        self.dual_factor = _graph_gram_factor(dual_family, q)
+        self.dual_traces = self._traces(dual_family, q, dual_mode)
+        _, sv, Ut = svd(solve_triangular(self.ext_factor,
+                                         self._traces(ext_family, q, ext_mode),
+                                         trans="T"),
+                        full_matrices=False)
+        rank = int((sv > _RANK_TOL * sv[0]).sum())
+        expected = _trace_dimension(ext_family, q)
+        if rank != expected:
+            raise RuntimeError(
+                f"{pairing} workspace at q={q}: trace rank {rank}, "
+                f"expected {expected}")
+        self.sv, self.Ut = sv[:rank], Ut[:rank]
+
+    def coefficients(self, vals):
+        """Face-basis coefficients of surface values (..., 4, nq, c), one
+        row per leading index, for weighted values: one matrix product."""
+        v = np.swapaxes(vals, -1, -2)
+        c = v.reshape(-1, v.shape[-1]) @ self.face_basis
+        return c.reshape(vals.shape[:-3] + (-1,))
+
+    def _traces(self, family, q, mode):
+        """Coefficients of the face-weighted traces of the degree-q span,
+        one row per function."""
+        quad = self.quad
+        tr = quad.trace(quad.span(family, q, quad.face_ref), mode)
+        return self.coefficients(tr * self.sqrt_w)
+
+
+def _trace_dimension(family, q):
+    """Dimension of the surface trace of a degree-q family on a
+    tetrahedron: the span less its interior bubbles for h1 and hcurl,
+    P_{q-1} on each face for the normal trace of hdiv."""
+    if family == "h1":
+        return _trace_dim_scalar(q)
+    if family == "hdiv":
+        return 2 * q * (q + 1)
+    return space_dimension("hcurl", q, 3) - q * (q - 1) * (q - 2) // 2
 
 
 @lru_cache(maxsize=None)
 def _duality_quadrature(q):
-    """The reference tetrahedron rule of the degree-q workspaces."""
-    return TetQuadrature(REFERENCE_TET, 2 * (q + 2))
+    """The reference tetrahedron rule of the degree-q workspaces, exact
+    for their integrands, which have degree at most 2q."""
+    return TetQuadrature(REFERENCE_TET, 2 * q)
 
 
 @lru_cache(maxsize=None)
@@ -134,9 +179,10 @@ def _graph_gram(family, q):
 
 @lru_cache(maxsize=None)
 def _graph_gram_factor(family, q):
-    c, lower = cho_factor(_graph_gram(family, q))
-    c.flags.writeable = False
-    return c, lower
+    """The upper Cholesky factor R of a graph Gram, G = R^T R."""
+    R = cholesky(_graph_gram(family, q))
+    R.flags.writeable = False
+    return R
 
 
 @lru_cache(maxsize=None)
@@ -151,19 +197,19 @@ def duality_norms(pairing, q, trace):
     ws = _workspace(pairing, q)
     t = trace.values(ws.quad) if hasattr(trace, "values") else trace
     t = np.asarray(t, dtype=float).reshape(ws.quad.face_weights.shape + (-1,))
-    tn2 = float(_BoundarySpace(ws.quad, t[None]).inner()[0, 0])
+    t_w = t * ws.sqrt_w
+    tn2 = float(np.sum(t_w * t_w))
     if tn2 < 1e-28:
         return 0.0, 0.0
-    b = ws.dual_trace.moments(t)
-    dual = float(np.sqrt(max(b @ cho_solve(ws.dual_chol, b), 0.0)))
-    r = ws.trace_onb.moments(t)
+    c = ws.coefficients(t_w)
+    dual = float(np.linalg.norm(solve_triangular(
+        ws.dual_factor, ws.dual_traces @ c, trans="T")))
+    r = ws.Ut @ c
     if tn2 - r @ r > 1e-10 * tn2:
         raise RuntimeError(
             f"trace is not attainable in the degree-{q} extension space "
             f"(unmatched surface energy {tn2 - r @ r:.3e})")
-    x0 = ws.pinv @ r
-    x = x0 - ws.N @ cho_solve(ws.null_chol, ws.N.T @ (ws.G_ext @ x0))
-    quot = float(np.sqrt(max(x @ ws.G_ext @ x, 0.0)))
+    quot = float(np.linalg.norm(r / ws.sv))
     return quot, dual
 
 
