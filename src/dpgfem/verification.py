@@ -112,8 +112,9 @@ class _DualityWorkspace:
         ext_mode, dual_mode = _MODES[pairing]
         self.quad = quad = _duality_quadrature(q)
         self.sqrt_w = np.sqrt(quad.face_weights)[..., None]
-        # weighted by the square roots of the face rule's weights, the
-        # degree-q face basis has orthonormal columns
+        # weighted by the square roots of the weights of the face rule
+        # (that of _duality_quadrature), the degree-q face basis has
+        # orthonormal columns
         rule = simplex_rule(2, 2 * q)
         self.face_basis = (modal_basis("l2", q, 2).values(rule.points)[:, :, 0]
                            * np.sqrt(rule.weights)).T
@@ -133,8 +134,8 @@ class _DualityWorkspace:
         self.sv, self.Ut = sv[:rank], Ut[:rank]
 
     def coefficients(self, vals):
-        """Face-basis coefficients of surface values (..., 4, nq, c), one
-        row per leading index, for weighted values: one matrix product."""
+        """Coefficients over the face basis of face-weighted surface
+        values (..., 4, nq, c), one row per leading index."""
         v = np.swapaxes(vals, -1, -2)
         c = v.reshape(-1, v.shape[-1]) @ self.face_basis
         return c.reshape(vals.shape[:-3] + (-1,))
