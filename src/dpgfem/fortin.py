@@ -18,15 +18,15 @@ span coefficients of their interpolants are one matrix.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigh, lu_factor, lu_solve, svd
 
-from .polynomials import CompiledPolys, Poly, scalar_monomials, space_dimension
+from .polynomials import Polys, monomials, space_dimension, trace_dimension
 from .quadrature import simplex_rule
-from .reference import _integrate, legendre01, modal_basis, push_derivs, \
-    push_values
+from .reference import _RANK_TOL, _integrate, legendre01, modal_basis, \
+    push_derivs, push_values
 
 TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -49,8 +49,6 @@ SHAPE_FAMILY = {
                           [0.0, 1.0, 0.0],
                           [0.3, 0.3, 0.1]]),
 }
-
-_RANK_TOL = 1e-9
 
 _FAMILY = {"grad": "h1", "curl": "hcurl", "div": "hdiv"}
 
@@ -222,25 +220,7 @@ def _piecewise_boundary(quad, m):
 def _scalar_volume_traces(quad, degree):
     """Orthonormal basis of the surface traces of volume P_degree."""
     return _BoundarySpace(quad, quad.span("h1", degree, quad.face_ref)) \
-        .orthonormalized(_trace_dim_scalar(degree))
-
-
-def _trace_dim_scalar(degree):
-    """Dimension of the surface trace of volume P_degree."""
-    interior = space_dimension("h1", degree - 4, 3) if degree >= 4 else 0
-    return space_dimension("h1", degree, 3) - interior
-
-
-def _trace_dim_tangential(degree):
-    """Dimension of the tangential surface trace of P_degree^3."""
-    if degree <= 2:
-        kernel = 0
-    elif degree == 3:
-        # the four face-bubble normal fields b_f n_f
-        kernel = 4
-    else:
-        raise ValueError("tangential trace dimension tabulated up to degree 3")
-    return 3 * space_dimension("h1", degree, 3) - kernel
+        .orthonormalized(trace_dimension("h1", degree))
 
 
 def _trace_complement(quad, p):
@@ -340,7 +320,7 @@ class FortinSystem:
             tangential = quad.trace(quad.span("vec", p + 1, quad.face_ref),
                                     "flat")
             self._face_test = _BoundarySpace(quad, tangential).orthonormalized(
-                _trace_dim_tangential(p + 1))
+                trace_dimension("vec", p + 1))
         else:
             self._vol_test = quad.span("vec", p + 1, quad.vol_ref)
             self._face_test = _scalar_volume_traces(quad, p + 2)
@@ -422,42 +402,23 @@ class FortinInterpolant:
 
 
 @lru_cache(maxsize=None)
-def _sample_polys(degree, op=None):
-    """Scalar monomials up to a degree, compiled; with op 'vec' the vector
-    fields q e_c, component-major; with 'grad' the gradients of the
-    scalars, with 'curl' or 'div' the curls or divergences of the vector
-    fields."""
-    polys = [q for k in range(degree + 1) for q in scalar_monomials(3, k)]
-    if op == "grad":
-        polys = [q.grad() for q in polys]
-    elif op is not None:
-        polys = [Poly(3, 3, {(alpha, c): coef
-                             for (alpha, _), coef in q.terms.items()})
-                 for c in range(3) for q in polys]
-        if op != "vec":
-            polys = [v.curl3d() if op == "curl" else v.div() for v in polys]
-    return CompiledPolys(polys)
+def _monomial_fields(degree, vector):
+    """The scalar monomials up to a degree, graded; as vector fields q e_c,
+    component-major."""
+    scalars = monomials(3, degree)
+    if not vector:
+        return scalars
+    c = scalars.coeffs[:, 0]
+    return Polys(scalars.exponents, (np.eye(3)[:, None, :, None] * c[:, None])
+                 .reshape(3 * len(c), 3, -1))
 
 
-class _DerivedSample:
-    """sum_f coefs[f] polys[f], evaluated as one monomial table times the
-    combined term coefficients."""
-
-    def __init__(self, polys, coefs, scalar=False):
-        self.polys = polys
-        self._terms = np.tensordot(coefs, polys.coeffs, axes=1).T
-        self._scalar = scalar
-
-    def __call__(self, points):
-        out = self.polys.monomials(points) @ self._terms
-        return out[:, 0] if self._scalar else out
-
-
-class PolySample(_DerivedSample):
+class PolySample:
     """Random linear combination of scalar monomials, point-callable.
 
     Scalar samples return (np,), vector samples (np, 3).  Derivatives
-    are exact through the monomial calculus.
+    are exact: the operator is applied to the monomial fields, whose
+    term coefficients are then combined with the sample's once.
     """
 
     def __init__(self, degree, coefs):
@@ -465,28 +426,28 @@ class PolySample(_DerivedSample):
         self.coefs = np.asarray(coefs, dtype=float)
         if self.coefs.shape[0] != space_dimension("h1", degree, 3):
             raise ValueError("coefficient count mismatch")
-        if self.scalar:
-            super().__init__(_sample_polys(degree), self.coefs, scalar=True)
-        else:
-            super().__init__(_sample_polys(degree, "vec"), self._flat)
+        self.polys = _monomial_fields(degree, not self.scalar)
 
     @property
     def scalar(self):
         return self.coefs.ndim == 1
 
-    @property
-    def _flat(self):
-        return self.coefs.T.ravel()
+    def _field(self, polys, points):
+        c = self.coefs if self.scalar else self.coefs.T.ravel()
+        out = polys.monomials(points) @ np.tensordot(c, polys.coeffs, axes=1).T
+        return out[:, 0] if polys.ncomp == 1 else out
+
+    def __call__(self, points):
+        return self._field(self.polys, points)
 
     def grad(self):
-        return _DerivedSample(_sample_polys(self.degree, "grad"), self.coefs)
+        return partial(self._field, self.polys.grad())
 
     def curl(self):
-        return _DerivedSample(_sample_polys(self.degree, "curl"), self._flat)
+        return partial(self._field, self.polys.curl())
 
     def div(self):
-        return _DerivedSample(_sample_polys(self.degree, "div"), self._flat,
-                              scalar=True)
+        return partial(self._field, self.polys.div())
 
 
 def default_samples(kind, p, seed=0, count=6, degree=None):
@@ -595,5 +556,5 @@ def fortin_bound_sweep(p, kinds=("grad", "curl", "div"),
 def perp_dimensions(p):
     """Dimensions (P0_perp, P_perp) of the surface complement spaces."""
     full = 4 * space_dimension("h1", p + 2, 2)
-    ctrace = _trace_dim_scalar(p + 2)
+    ctrace = trace_dimension("h1", p + 2)
     return full - ctrace - 3, full - ctrace

@@ -1,188 +1,39 @@
-"""Exact monomial calculus on simplices.
+"""Exact polynomial calculus on simplices, on coefficient arrays.
 
-Polynomial vector fields are stored as sparse collections of monomial terms
-so that gradients, curls and divergences can be formed exactly (integer
-exponent arithmetic) before anything is evaluated at quadrature points.
+A family of m polynomial fields with ncomp components in dim variables
+is one ``Polys``: a coefficient tensor (m, ncomp, nterms) over an
+exponent table (nterms, dim) that holds, in lexicographic order, the
+exponents some coefficient uses.  Gradients, curls, divergences, the
+products with x and the 90-degree rotation are index maps on the term
+axis (integer exponent arithmetic), so derivatives are formed exactly
+before anything is evaluated at points; every coefficient of the
+generators and of their derivatives is an integer.  The module also
+gives the dimensions of the spaces and of their traces on a tetrahedron.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-
-class Poly:
-    """A polynomial field with ``ncomp`` components in ``dim`` variables.
-
-    Terms are kept in a dict mapping ``(exponents, component)`` to a float
-    coefficient.  Exponents are tuples of length ``dim``.
-    """
-
-    __slots__ = ("dim", "ncomp", "terms")
-
-    def __init__(self, dim, ncomp=1, terms=None):
-        self.dim = dim
-        self.ncomp = ncomp
-        self.terms = dict(terms) if terms else {}
-
-    @staticmethod
-    def monomial(dim, alpha, comp=0, coef=1.0, ncomp=1):
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != dim:
-            raise ValueError("exponent length does not match dim")
-        return Poly(dim, ncomp, {(alpha, comp): float(coef)})
-
-    def _add_term(self, alpha, comp, coef):
-        key = (alpha, comp)
-        val = self.terms.get(key, 0.0) + coef
-        if val == 0.0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = val
-
-    def __add__(self, other):
-        if other.dim != self.dim or other.ncomp != self.ncomp:
-            raise ValueError("incompatible polynomials")
-        out = Poly(self.dim, self.ncomp, self.terms)
-        for (alpha, comp), coef in other.terms.items():
-            out._add_term(alpha, comp, coef)
-        return out
-
-    def __mul__(self, scalar):
-        scalar = float(scalar)
-        return Poly(
-            self.dim,
-            self.ncomp,
-            {key: coef * scalar for key, coef in self.terms.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def deriv(self, axis):
-        """Partial derivative of every component along ``axis``."""
-        out = Poly(self.dim, self.ncomp)
-        for (alpha, comp), coef in self.terms.items():
-            if alpha[axis] == 0:
-                continue
-            beta = list(alpha)
-            beta[axis] -= 1
-            out._add_term(tuple(beta), comp, coef * alpha[axis])
-        return out
-
-    def component(self, comp):
-        out = Poly(self.dim, 1)
-        for (alpha, c), coef in self.terms.items():
-            if c == comp:
-                out._add_term(alpha, 0, coef)
-        return out
-
-    def grad(self):
-        """Gradient of a scalar, returned as a dim-component field."""
-        if self.ncomp != 1:
-            raise ValueError("grad needs a scalar")
-        out = Poly(self.dim, self.dim)
-        for axis in range(self.dim):
-            d = self.deriv(axis)
-            for (alpha, _), coef in d.terms.items():
-                out._add_term(alpha, axis, coef)
-        return out
-
-    def div(self):
-        if self.ncomp != self.dim:
-            raise ValueError("div needs a dim-component field")
-        out = Poly(self.dim, 1)
-        for axis in range(self.dim):
-            d = self.component(axis).deriv(axis)
-            for (alpha, _), coef in d.terms.items():
-                out._add_term(alpha, 0, coef)
-        return out
-
-    def curl3d(self):
-        if self.dim != 3 or self.ncomp != 3:
-            raise ValueError("curl3d needs a 3D vector field")
-        out = Poly(3, 3)
-        pairs = [(1, 2), (2, 0), (0, 1)]
-        for comp, (a, b) in enumerate(pairs):
-            d = self.component(b).deriv(a) + (-1.0) * self.component(a).deriv(b)
-            for (alpha, _), coef in d.terms.items():
-                out._add_term(alpha, comp, coef)
-        return out
-
-    def rot2d(self):
-        """Scalar curl of a 2D vector field: d(v1)/dx - d(v0)/dy."""
-        if self.dim != 2 or self.ncomp != 2:
-            raise ValueError("rot2d needs a 2D vector field")
-        d = self.component(1).deriv(0) + (-1.0) * self.component(0).deriv(1)
-        return d
-
-    def cross_x(self):
-        """x cross self for a 3D vector field."""
-        if self.dim != 3 or self.ncomp != 3:
-            raise ValueError("cross_x needs a 3D vector field")
-        out = Poly(3, 3)
-        e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        # (x cross F)_i = eps_ijk x_j F_k
-        eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-               (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
-        for (alpha, k), coef in self.terms.items():
-            for i in range(3):
-                for j in range(3):
-                    s = eps.get((i, j, k))
-                    if s is None:
-                        continue
-                    beta = tuple(a + b for a, b in zip(alpha, e[j]))
-                    out._add_term(beta, i, s * coef)
-        return out
-
-    def times_x(self):
-        """x * self for a scalar, producing a dim-component field."""
-        if self.ncomp != 1:
-            raise ValueError("times_x needs a scalar")
-        out = Poly(self.dim, self.dim)
-        e = np.eye(self.dim, dtype=int)
-        for (alpha, _), coef in self.terms.items():
-            for i in range(self.dim):
-                beta = tuple(a + b for a, b in zip(alpha, e[i]))
-                out._add_term(beta, i, coef)
-        return out
-
-    def degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(alpha) for (alpha, _) in self.terms)
-
-    def __call__(self, points):
-        points = np.asarray(points, dtype=float)
-        vals = np.zeros((points.shape[0], self.ncomp))
-        for (alpha, comp), coef in self.terms.items():
-            term = np.ones(points.shape[0])
-            for axis, a in enumerate(alpha):
-                if a:
-                    term = term * points[:, axis] ** a
-            vals[:, comp] += coef * term
-        if self.ncomp == 1:
-            return vals[:, 0]
-        return vals
+# (a, b) of each component of a 3D curl or cross product: u_a v_b - u_b v_a
+_PAIRS = ((1, 2), (2, 0), (0, 1))
 
 
-class CompiledPolys:
-    """Batch evaluator for a list of Poly sharing dim and ncomp."""
+class Polys:
+    """m polynomial fields: ``coeffs`` (m, ncomp, nterms) over the
+    ``exponents`` (nterms, dim)."""
 
-    def __init__(self, polys):
-        if not polys:
-            raise ValueError("empty poly list")
-        self.dim = polys[0].dim
-        self.ncomp = polys[0].ncomp
-        exps = sorted({alpha for poly in polys for (alpha, _) in poly.terms})
-        index = {alpha: t for t, alpha in enumerate(exps)}
-        self.exponents = np.array(exps, dtype=int).reshape(len(exps), self.dim)
-        self.coeffs = np.zeros((len(polys), self.ncomp, len(exps)))
-        for f, poly in enumerate(polys):
-            if poly.dim != self.dim or poly.ncomp != self.ncomp:
-                raise ValueError("mixed poly shapes")
-            for (alpha, comp), coef in poly.terms.items():
-                self.coeffs[f, comp, index[alpha]] = coef
+    def __init__(self, exponents, coeffs):
+        self.exponents = exponents
+        self.coeffs = coeffs
+
+    @property
+    def dim(self):
+        return self.exponents.shape[1]
+
+    @property
+    def ncomp(self):
+        return self.coeffs.shape[1]
 
     def __len__(self):
         return self.coeffs.shape[0]
@@ -200,42 +51,119 @@ class CompiledPolys:
         return mono
 
     def eval(self, points, coeffs=None):
-        """Values with shape (nfunc, npts, ncomp), as one 2-D matrix
-        product of the term coefficients with the monomial table; given
-        ``coeffs`` (m, ncomp, nterms), the values of the fields with those
-        term coefficients instead, such as fixed combinations of the
-        polynomials folded into their coefficients once."""
+        """Values with shape (m, npts, ncomp), as one 2-D matrix product
+        of the term coefficients with the monomial table; given
+        ``coeffs`` (m', ncomp, nterms), the values of the fields with
+        those term coefficients instead, such as fixed combinations of
+        the fields folded into their coefficients once."""
         c = self.coeffs if coeffs is None else coeffs
         nf, nc, nt = c.shape
         out = c.reshape(nf * nc, nt) @ self.monomials(points).T
         return np.ascontiguousarray(out.reshape(nf, nc, -1).transpose(0, 2, 1))
 
+    def _terms(self):
+        """The nonzero terms: rows, components, exponents, coefficients."""
+        flat = np.flatnonzero(self.coeffs != 0)
+        rows, comps, t = np.unravel_index(flat, self.coeffs.shape)
+        return rows, comps, self.exponents[t], self.coeffs.ravel()[flat]
 
-def scalar_monomials(dim, degree):
-    """Homogeneous scalar monomials of the given total degree, as Polys."""
-    out = []
-    for alpha in itertools.combinations_with_replacement(range(dim), degree):
-        exps = [0] * dim
-        for a in alpha:
-            exps[a] += 1
-        out.append(Poly.monomial(dim, exps))
-    # fixed deterministic order: lexicographic on exponent tuples
-    out.sort(key=lambda q: next(iter(q.terms))[0])
-    return out
+    def _map(self, ncomp, terms):
+        """The fields sum over terms (out, comp, op, axis, sign) of sign
+        times component comp, differentiated along axis (op 'd'),
+        multiplied by x_axis (op 'x') or unchanged (op None), placed in
+        component out of ncomp."""
+        rows, comps, e, v = self._terms()
+        unit = np.eye(self.dim, dtype=e.dtype)
+        parts = []
+        for out, comp, op, axis, sign in terms:
+            if op == "d":
+                k = (comps == comp) & (e[:, axis] > 0)
+                part = (e[k] - unit[axis], sign * v[k] * e[k, axis])
+            else:
+                k = comps == comp
+                part = (e[k] + unit[axis] if op == "x" else e[k], sign * v[k])
+            parts.append((rows[k], np.full(k.sum(), out)) + part)
+        return _collect(len(self), ncomp, *map(np.concatenate, zip(*parts)))
+
+    def grad(self):
+        """Gradients of scalar fields, dim components."""
+        return self._map(self.dim, [(a, 0, "d", a, 1.0)
+                                    for a in range(self.dim)])
+
+    def div(self):
+        return self._map(1, [(0, a, "d", a, 1.0) for a in range(self.dim)])
+
+    def curl(self):
+        """The curl in 3D, the scalar rot d(v1)/dx - d(v0)/dy in 2D."""
+        if self.dim == 2:
+            return self._map(1, [(0, 1, "d", 0, 1.0), (0, 0, "d", 1, -1.0)])
+        return self._map(3, [t for i, (a, b) in enumerate(_PAIRS) for t in
+                             ((i, b, "d", a, 1.0), (i, a, "d", b, -1.0))])
+
+    def times_x(self):
+        """x times scalar fields, dim components."""
+        return self._map(self.dim, [(a, 0, "x", a, 1.0)
+                                    for a in range(self.dim)])
+
+    def cross_x(self):
+        """x cross 3D vector fields."""
+        return self._map(3, [t for i, (a, b) in enumerate(_PAIRS) for t in
+                             ((i, b, "x", a, 1.0), (i, a, "x", b, -1.0))])
+
+    def rot90(self):
+        """2D vector fields rotated by 90 degrees: (a, b) -> (-b, a)."""
+        return self._map(2, [(0, 1, None, 0, -1.0), (1, 0, None, 0, 1.0)])
 
 
-def vector_monomials(dim, degree):
-    """Homogeneous vector monomials (one nonzero component each)."""
-    out = []
-    for mono in scalar_monomials(dim, degree):
-        alpha = next(iter(mono.terms))[0]
-        for comp in range(dim):
-            out.append(Poly.monomial(dim, alpha, comp=comp, ncomp=dim))
-    return out
+def _collect(m, ncomp, rows, comps, exps, coefs):
+    """m fields of ncomp components from terms given by their rows,
+    components, exponents (n, dim) and coefficients, summed where they
+    meet, over the exponents left with a nonzero coefficient."""
+    # exponents below base as base-digit integers, ordered as the tuples
+    base = exps.max(initial=0) + 1
+    powers = base ** np.arange(exps.shape[1] - 1, -1, -1)
+    size = base ** exps.shape[1]
+    slots, where = np.unique((rows * ncomp + comps) * size + exps @ powers,
+                             return_inverse=True)
+    sums = np.bincount(where, weights=coefs, minlength=len(slots))
+    live = sums != 0
+    field, code = np.divmod(slots[live], size)
+    codes, column = np.unique(code, return_inverse=True)
+    out = np.zeros((m * ncomp, len(codes)))
+    out[field, column] = sums[live]
+    return Polys(codes[:, None] // powers % base, out.reshape(m, ncomp, -1))
 
 
-def family_generator_groups(family, degree, dim):
-    """Generators grouped by order so that prefixes span lower orders.
+def _stack(families):
+    """The fields of several families, in order, as one family."""
+    ends = np.cumsum([0] + [len(f) for f in families])
+    terms = [f._terms() for f in families]
+    rows = np.concatenate([t[0] + a for t, a in zip(terms, ends)])
+    rest = (np.concatenate(parts) for parts in list(zip(*terms))[1:])
+    return _collect(ends[-1], families[0].ncomp, rows, *rest)
+
+
+def monomials(dim, degree, ncomp=1):
+    """The monomials of total degree at most ``degree``, graded: by degree,
+    then in lexicographic order of their exponents; with ncomp > 1 each
+    times every unit vector, the component running fastest."""
+    grid = np.indices((degree + 1,) * dim).reshape(dim, -1).T
+    exps = grid[grid.sum(axis=1) <= degree]
+    n = len(exps)
+    graded = np.eye(n)[np.argsort(exps.sum(axis=1), kind="stable")]
+    coeffs = graded[:, None, None, :] * np.eye(ncomp)[None, :, :, None]
+    return Polys(exps, coeffs.reshape(n * ncomp, ncomp, n))
+
+
+def _orders(monos):
+    """The total degree of each field of a family of monomials."""
+    return monos.exponents.sum(axis=1)[monos.coeffs.any(axis=1).argmax(axis=1)]
+
+
+def family_generators(family, degree, dim):
+    """The generators of a family as one family, graded by order, and the
+    bounds of the order groups: the generators before a bound span the
+    family of that lower order.
 
     Families: 'h1' and 'l2' (scalar P_degree), 'hdiv' (R_degree),
     'hcurl' (N_degree; dim 3 is the Nedelec first kind space, dim 2 the
@@ -243,50 +171,32 @@ def family_generator_groups(family, degree, dim):
     The generating sets may be linearly dependent; callers are expected to
     orthonormalize with rank filtering.
     """
-    groups = []
-    if family in ("h1", "l2"):
-        for k in range(degree + 1):
-            groups.append(scalar_monomials(dim, k))
-    elif family == "vec":
-        for k in range(degree + 1):
-            groups.append(vector_monomials(dim, k))
-    elif family == "hdiv":
-        if degree < 1:
-            raise ValueError("hdiv needs degree >= 1")
-        for k in range(1, degree + 1):
-            group = vector_monomials(dim, k - 1)
-            group.extend(m.times_x() for m in scalar_monomials(dim, k - 1))
-            groups.append(group)
-    elif family == "hcurl":
-        if degree < 1:
-            raise ValueError("hcurl needs degree >= 1")
-        if dim == 3:
-            for k in range(1, degree + 1):
-                group = vector_monomials(3, k - 1)
-                group.extend(m.cross_x() for m in vector_monomials(3, k - 1))
-                groups.append(group)
-        elif dim == 2:
-            rot = lambda v: _rot90(v)
-            for k in range(1, degree + 1):
-                group = [rot(m) for m in vector_monomials(2, k - 1)]
-                group.extend(rot(m.times_x()) for m in scalar_monomials(2, k - 1))
-                groups.append(group)
-        else:
-            raise ValueError("hcurl needs dim 2 or 3")
+    if family not in ("h1", "l2", "hcurl", "hdiv", "vec"):
+        raise ValueError(f"unknown family {family!r} (degree {degree})")
+    first = 1 if family in ("hcurl", "hdiv") else 0
+    if degree < first:
+        raise ValueError(f"{family} needs degree >= {first}, got {degree}")
+    if family == "hcurl" and dim not in (2, 3):
+        raise ValueError("hcurl needs dim 2 or 3")
+    if family in ("h1", "l2", "vec"):
+        gens = monomials(dim, degree, dim if family == "vec" else 1)
+        orders = _orders(gens)
     else:
-        raise ValueError(f"unknown family {family!r}")
-    return groups
-
-
-def _rot90(v):
-    """Rotate a 2D vector field by 90 degrees: (a, b) -> (-b, a)."""
-    out = Poly(2, 2)
-    for (alpha, comp), coef in v.terms.items():
-        if comp == 0:
-            out._add_term(alpha, 1, coef)
+        # order k + 1: the vector monomials of degree k, then x cross
+        # them (3D hcurl) or x times the scalar ones
+        vec = monomials(dim, degree - 1, dim)
+        if family == "hcurl" and dim == 3:
+            source, extra = vec, vec.cross_x()
         else:
-            out._add_term(alpha, 0, -coef)
-    return out
+            source = monomials(dim, degree - 1)
+            extra = source.times_x()
+        orders = np.concatenate([_orders(vec), _orders(source)])
+        perm = np.argsort(orders, kind="stable")
+        gens = _stack([vec, extra])
+        gens = Polys(gens.exponents, gens.coeffs[perm])
+        if family == "hcurl" and dim == 2:
+            gens = gens.rot90()
+    return gens, np.concatenate([[0], np.cumsum(np.bincount(orders))])
 
 
 def space_dimension(family, degree, dim):
@@ -309,3 +219,21 @@ def space_dimension(family, degree, dim):
             return p * (p + 2)
         return p * (p + 2) * (p + 3) // 2
     raise ValueError(f"unknown family {family!r}")
+
+
+def trace_dimension(family, q):
+    """Dimension of the surface trace of a degree-q family on a
+    tetrahedron: the values of h1 = P_q, the normal components of hdiv
+    (P_{q-1} on each face), the tangential components of hcurl and of
+    vec = P_q^3; each is the span less the fields whose trace vanishes."""
+    if family == "h1":
+        interior = space_dimension("h1", q - 4, 3) if q >= 4 else 0
+        return space_dimension("h1", q, 3) - interior
+    if family == "hdiv":
+        return 2 * q * (q + 1)
+    if family == "hcurl":
+        return space_dimension("hcurl", q, 3) - q * (q - 1) * (q - 2) // 2
+    if family == "vec":
+        kernel = max(q - 2, 0) * (q - 1) * (q + 1) // 2
+        return space_dimension("vec", q, 3) - kernel
+    raise ValueError(f"no trace dimension for family {family!r}")

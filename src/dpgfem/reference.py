@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import lstsq
 from scipy.linalg import cholesky, eigh, solve_triangular
 
-from .polynomials import CompiledPolys, family_generator_groups, space_dimension
+from .polynomials import family_generators, space_dimension
 from .quadrature import simplex_rule
 from .simplex import (
     REF_VERTICES,
@@ -62,18 +62,16 @@ class ModalBasis:
         self.family = family
         self.degree = degree
         self.dim = dim
-        groups = family_generator_groups(family, degree, dim)
-        gens = [g for group in groups for g in group]
-        ends = np.cumsum([0] + [len(group) for group in groups])
-        self._slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-        self._gen_values = CompiledPolys(gens)
-        self.ncomp = self._gen_values.ncomp
+        gens, bounds = family_generators(family, degree, dim)
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._gen_values = gens
+        self.ncomp = gens.ncomp
         if family in ("h1", "l2"):
-            ders = [g.grad() for g in gens]
+            ders = gens.grad()
         elif family == "hdiv":
-            ders = [g.div() for g in gens]
+            ders = gens.div()
         else:
-            ders = [g.curl3d() if dim == 3 else g.rot2d() for g in gens]
+            ders = gens.curl()
         self._centroid = np.full(dim, 1.0 / (dim + 1))
         self.W = self._orthonormalize(self._gram())
         self.nfuncs = self.W.shape[0]
@@ -84,10 +82,9 @@ class ModalBasis:
                 f"expected {expected}")
         # W folded into the term coefficients, once per basis
         self._folded = {}
-        for kind, compiled in (("val", self._gen_values),
-                               ("der", CompiledPolys(ders))):
-            c = compiled.coeffs
-            self._folded[kind] = (compiled, (self.W @ c.reshape(len(c), -1))
+        for kind, polys in (("val", gens), ("der", ders)):
+            c = polys.coeffs
+            self._folded[kind] = (polys, (self.W @ c.reshape(len(c), -1))
                                   .reshape((self.nfuncs,) + c.shape[1:]))
         self._cache = {}
 
@@ -125,8 +122,8 @@ class ModalBasis:
         key = (kind, points.tobytes())
         out = self._cache.get(key)
         if out is None:
-            compiled, coeffs = self._folded[kind]
-            out = compiled.eval(points - self._centroid, coeffs)
+            polys, coeffs = self._folded[kind]
+            out = polys.eval(points - self._centroid, coeffs)
             self._cache[key] = out
         return out
 
@@ -185,17 +182,6 @@ def modal_basis(family, degree, dim):
         basis = ModalBasis(family, degree, dim)
         _MODAL_CACHE[key] = basis
     return basis
-
-
-def reference_basis(family, degree, dim):
-    """Public accessor for the modal reference basis (broken spaces)."""
-    if family not in ("h1", "l2", "hcurl", "hdiv", "vec"):
-        raise ValueError(f"unknown family {family!r}")
-    if family in ("hcurl", "hdiv") and degree < 1:
-        raise ValueError("degree must be >= 1 for hcurl/hdiv")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return modal_basis(family, degree, dim)
 
 
 # -- reference facet frames -------------------------------------------

@@ -24,11 +24,11 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular, svd
 
 from .formulations import MAXWELL_IDS, make_formulation
-from .fortin import _RANK_TOL, REFERENCE_TET, TetQuadrature, \
-    _trace_dim_scalar, default_samples
-from .polynomials import space_dimension
+from .fortin import REFERENCE_TET, TetQuadrature, default_samples
+from .polynomials import trace_dimension
 from .quadrature import simplex_rule
-from .reference import _contract, _integrate, conforming_basis, modal_basis
+from .reference import _RANK_TOL, _contract, _integrate, conforming_basis, \
+    modal_basis
 from .spaces import ElementTables, conforming_map
 from .system import Discretization, _adjoint, _lower_inverse
 
@@ -126,7 +126,7 @@ class _DualityWorkspace:
                                          trans="T"),
                         full_matrices=False)
         rank = int((sv > _RANK_TOL * sv[0]).sum())
-        expected = _trace_dimension(ext_family, q)
+        expected = trace_dimension(ext_family, q)
         if rank != expected:
             raise RuntimeError(
                 f"{pairing} workspace at q={q}: trace rank {rank}, "
@@ -146,17 +146,6 @@ class _DualityWorkspace:
         quad = self.quad
         tr = quad.trace(quad.span(family, q, quad.face_ref), mode)
         return self.coefficients(tr * self.sqrt_w)
-
-
-def _trace_dimension(family, q):
-    """Dimension of the surface trace of a degree-q family on a
-    tetrahedron: the span less its interior bubbles for h1 and hcurl,
-    P_{q-1} on each face for the normal trace of hdiv."""
-    if family == "h1":
-        return _trace_dim_scalar(q)
-    if family == "hdiv":
-        return 2 * q * (q + 1)
-    return space_dimension("hcurl", q, 3) - q * (q - 1) * (q - 2) // 2
 
 
 @lru_cache(maxsize=None)

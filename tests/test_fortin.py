@@ -27,7 +27,8 @@ def test_moment_system_square_with_expected_dimension(kind, p, bdim):
     assert sys_.M.shape == (bdim, bdim)
 
 
-@pytest.mark.parametrize("p,p0_perp,p_perp", [(1, 17, 20), (2, 23, 26)])
+@pytest.mark.parametrize("p,p0_perp,p_perp", [(1, 17, 20), (2, 23, 26),
+                                             (3, 29, 32)])
 def test_surface_complement_dimensions(p, p0_perp, p_perp):
     assert perp_dimensions(p) == (p0_perp, p_perp)
     assert _system("curl", p).dims["P0_perp"] == p0_perp
@@ -35,13 +36,13 @@ def test_surface_complement_dimensions(p, p0_perp, p_perp):
 
 
 @pytest.mark.parametrize("kind", ["grad", "curl", "div"])
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
 def test_moment_residuals_vanish(kind, p):
     res = fortin_moments(kind, p, system=_system(kind, p))
     assert res < 1e-9
 
 
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
 def test_commuting_identities(p):
     systems = {k: _system(k, p) for k in ("grad", "curl", "div")}
     assert fortin_commuting(p, systems=systems) < 1e-10

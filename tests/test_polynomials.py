@@ -1,25 +1,27 @@
-"""Exact monomial calculus and polynomial space dimensions."""
+"""Exact polynomial calculus on coefficient arrays and space dimensions."""
 
 import numpy as np
 import pytest
 
 from dpgfem.polynomials import (
-    CompiledPolys,
-    Poly,
-    family_generator_groups,
-    scalar_monomials,
+    Polys,
+    family_generators,
+    monomials,
     space_dimension,
-    vector_monomials,
+    trace_dimension,
 )
 
 
 def random_poly(rng, dim, ncomp, degree):
-    q = Poly(dim, ncomp)
-    source = scalar_monomials if ncomp == 1 else vector_monomials
-    for k in range(degree + 1):
-        for mono in source(dim, k):
-            q = q + float(rng.standard_normal()) * mono
-    return q
+    """One field: a random combination of the monomials up to a degree."""
+    monos = monomials(dim, degree, ncomp)
+    coefs = rng.standard_normal(len(monos))
+    return Polys(monos.exponents, np.tensordot(coefs, monos.coeffs, axes=1)[None])
+
+
+def values(poly, pts):
+    """The one field's values at the points, (npts, ncomp)."""
+    return poly.eval(pts)[0]
 
 
 def finite_difference(fn, pts, axis, h=1e-6):
@@ -30,39 +32,77 @@ def finite_difference(fn, pts, axis, h=1e-6):
     return (fn(ph) - fn(mh)) / (2 * h)
 
 
+def derivative(family, gens):
+    """The family derivative of the generators."""
+    if family in ("h1", "l2"):
+        return gens.grad()
+    return gens.div() if family == "hdiv" else gens.curl()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_grad_matches_finite_difference(dim, rng):
     q = random_poly(rng, dim, 1, 3)
     pts = rng.random((20, dim))
-    g = q.grad()(pts)
+    g = values(q.grad(), pts)
     for axis in range(dim):
-        fd = finite_difference(q, pts, axis)
+        fd = finite_difference(lambda x: values(q, x)[:, 0], pts, axis)
         assert np.allclose(g[:, axis], fd, atol=1e-7)
 
 
 def test_div_and_curl_match_finite_difference(rng):
     v = random_poly(rng, 3, 3, 3)
     pts = rng.random((20, 3))
-    dv = v.div()(pts)
-    fd = sum(finite_difference(lambda x, c=c: v(x)[:, c], pts, c)
-             for c in range(3))
+
+    def comp(c):
+        return lambda x: values(v, x)[:, c]
+
+    dv = values(v.div(), pts)[:, 0]
+    fd = sum(finite_difference(comp(c), pts, c) for c in range(3))
     assert np.allclose(dv, fd, atol=1e-6)
-    cv = v.curl3d()(pts)
-    fd0 = finite_difference(lambda x: v(x)[:, 2], pts, 1) \
-        - finite_difference(lambda x: v(x)[:, 1], pts, 2)
-    assert np.allclose(cv[:, 0], fd0, atol=1e-6)
+    cv = values(v.curl(), pts)
+    for c, (a, b) in enumerate([(1, 2), (2, 0), (0, 1)]):
+        fd = finite_difference(comp(b), pts, a) - finite_difference(comp(a), pts, b)
+        assert np.allclose(cv[:, c], fd, atol=1e-6)
+
+
+def test_rot_and_products_with_x_match_point_values(rng):
+    pts = rng.random((20, 3))
+    v = random_poly(rng, 3, 3, 3)
+    assert np.allclose(values(v.cross_x(), pts), np.cross(pts, values(v, pts)))
+    q = random_poly(rng, 3, 1, 3)
+    assert np.allclose(values(q.times_x(), pts), pts * values(q, pts))
+    w = random_poly(rng, 2, 2, 3)
+    x = pts[:, :2]
+    rotated = values(w.rot90(), x)
+    assert np.allclose(rotated, values(w, x)[:, ::-1] * [-1.0, 1.0])
+    fd = finite_difference(lambda y: values(w, y)[:, 1], x, 0) \
+        - finite_difference(lambda y: values(w, y)[:, 0], x, 1)
+    assert np.allclose(values(w.curl(), x)[:, 0], fd, atol=1e-6)
 
 
 def test_curl_of_gradient_vanishes(rng):
     q = random_poly(rng, 3, 1, 4)
-    assert not q.grad().curl3d().terms
+    curl = q.grad().curl()
+    assert curl.coeffs.shape == (1, 3, 0)
+    assert curl.exponents.shape == (0, 3)
 
 
 def test_rot_of_rotated_gradient(rng):
     # in 2D, rot(grad q) = 0 term by term
     q = random_poly(rng, 2, 1, 4)
-    g = q.grad()
-    assert not Poly(2, 2, g.terms).rot2d().terms
+    assert q.grad().curl().coeffs.shape == (1, 1, 0)
+
+
+def test_cancelled_terms_leave_the_exponent_table(rng):
+    """Exponents keep lexicographic order and hold only the terms some
+    coefficient uses."""
+    v = random_poly(rng, 3, 3, 4)
+    for poly in (v, v.curl(), v.div(), v.cross_x(), v.div().grad()):
+        e = poly.exponents
+        assert all(tuple(a) < tuple(b) for a, b in zip(e[:-1], e[1:]))
+        assert poly.coeffs.any(axis=(0, 1)).all()
+    # integer coefficients cancel exactly: div curl of the monomials
+    assert monomials(3, 4, 3).curl().div().coeffs.shape == (105, 1, 0)
 
 
 DIM_TABLE = [
@@ -84,31 +124,50 @@ def test_dimension_table(family, p, dim, expected):
     assert space_dimension(family, p, dim) == expected
 
 
+def _rank(polys, pts):
+    rows = polys.eval(pts).reshape(len(polys), -1)
+    return np.linalg.matrix_rank(rows, tol=1e-9)
+
+
 @pytest.mark.parametrize("family", ["h1", "hcurl", "hdiv", "vec"])
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 def test_generators_span_the_stated_dimension(family, dim, p, rng):
     """Numerical rank of the generating set equals the dimension formula."""
-    gens = [g for group in family_generator_groups(family, p, dim)
-            for g in group]
+    gens, _ = family_generators(family, p, dim)
     pts = rng.random((3 * len(gens) + 20, dim))
-    rows = np.array([np.ravel(g(pts)) for g in gens])
-    rank = np.linalg.matrix_rank(rows, tol=1e-9)
-    assert rank == space_dimension(family, p, dim)
+    assert _rank(gens, pts) == space_dimension(family, p, dim)
 
 
-def test_generator_prefixes_span_lower_orders():
-    groups = family_generator_groups("hdiv", 3, 3)
-    assert len(groups) == 3
-    sizes = np.cumsum([len(g) for g in groups])
-    assert sizes[-1] >= space_dimension("hdiv", 3, 3)
+def test_generator_prefixes_span_lower_orders(rng):
+    """The generators before each group bound span the family of that
+    order, so orthonormalizing in order grades the basis."""
+    p = 4
+    for family, dim in [("h1", 2), ("h1", 3), ("hdiv", 2), ("hdiv", 3),
+                        ("hcurl", 2), ("hcurl", 3), ("vec", 3)]:
+        gens, bounds = family_generators(family, p, dim)
+        first = 1 if family in ("hdiv", "hcurl") else 0
+        assert len(bounds) == p - first + 2
+        assert bounds[0] == 0 and bounds[-1] == len(gens)
+        pts = rng.random((3 * len(gens) + 20, dim))
+        for order, end in enumerate(bounds[1:], start=first):
+            prefix = Polys(gens.exponents, gens.coeffs[:end])
+            assert _rank(prefix, pts) == space_dimension(family, order, dim), \
+                (family, dim, order)
 
 
 def test_hcurl_needs_positive_degree():
-    with pytest.raises(ValueError):
-        family_generator_groups("hcurl", 0, 3)
-    with pytest.raises(ValueError):
-        family_generator_groups("hdiv", 0, 2)
+    with pytest.raises(ValueError, match="hcurl needs degree >= 1, got 0"):
+        family_generators("hcurl", 0, 3)
+    with pytest.raises(ValueError, match="hdiv needs degree >= 1, got 0"):
+        family_generators("hdiv", 0, 2)
+
+
+def test_bad_family_or_degree_is_named():
+    with pytest.raises(ValueError, match="h1 needs degree >= 0, got -1"):
+        family_generators("h1", -1, 2)
+    with pytest.raises(ValueError, match="unknown family 'unknown'"):
+        family_generators("unknown", 1, 2)
 
 
 def test_exact_sequence_on_generators(rng):
@@ -116,27 +175,35 @@ def test_exact_sequence_on_generators(rng):
     p = 2
     pts = rng.random((80, 3))
 
-    def span_matrix(family, degree, ncomp):
-        gens = [g for grp in family_generator_groups(family, degree, 3)
-                for g in grp]
-        return np.array([np.ravel(g(pts)) for g in gens])
+    def span_matrix(family, degree):
+        gens, _ = family_generators(family, degree, 3)
+        return gens.eval(pts).reshape(len(gens), -1)
 
-    def in_span(vec, M):
-        coef, *_ = np.linalg.lstsq(M.T, vec, rcond=None)
-        return np.linalg.norm(M.T @ coef - vec) < 1e-9 * max(
-            np.linalg.norm(vec), 1.0)
+    def in_span(fields, M):
+        rows = fields.eval(pts).reshape(len(fields), -1)
+        coef, *_ = np.linalg.lstsq(M.T, rows.T, rcond=None)
+        res = np.linalg.norm(M.T @ coef - rows.T, axis=0)
+        return np.all(res < 1e-9 * np.maximum(np.linalg.norm(rows, axis=1), 1.0))
 
-    N = span_matrix("hcurl", p, 3)
-    R = span_matrix("hdiv", p, 3)
-    P = span_matrix("l2", p - 1, 1)
-    for mono in scalar_monomials(3, p):
-        assert in_span(np.ravel(mono.grad()(pts)), N)
-    for grp in family_generator_groups("hcurl", p, 3):
-        for g in grp:
-            assert in_span(np.ravel(g.curl3d()(pts)), R)
-    for grp in family_generator_groups("hdiv", p, 3):
-        for g in grp:
-            assert in_span(np.ravel(g.div()(pts)), P)
+    N = span_matrix("hcurl", p)
+    R = span_matrix("hdiv", p)
+    P = span_matrix("l2", p - 1)
+    assert in_span(family_generators("h1", p, 3)[0].grad(), N)
+    assert in_span(family_generators("hcurl", p, 3)[0].curl(), R)
+    assert in_span(family_generators("hdiv", p, 3)[0].div(), P)
+
+
+@pytest.mark.parametrize("family", ["h1", "hcurl", "hdiv", "vec"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_trace_dimension_is_the_span_less_its_interior(family, k):
+    """The surface trace dimension on a tetrahedron is the span less the
+    fields with vanishing trace: the interior functions of the conforming
+    basis."""
+    from dpgfem.reference import conforming_basis
+
+    basis = conforming_basis(family, k, 3)
+    interior = sum(c for kind, _, c in basis.entity_dofs if kind == "interior")
+    assert trace_dimension(family, k) == space_dimension(family, k, 3) - interior
 
 
 def _monomial_points(dim):
@@ -174,26 +241,18 @@ def _term_by_term(exponents, points):
 @pytest.mark.parametrize("family", ["h1", "l2", "hdiv", "hcurl", "vec"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_monomial_tables_are_bit_identical_to_term_by_term(family, dim):
-    """CompiledPolys.monomials of the generators and of their family
-    derivatives equals the term-by-term product exactly, not to a
-    tolerance: every modal basis, and so every record, is built on it."""
+    """Polys.monomials of the generators and of their family derivatives
+    equals the term-by-term product exactly, not to a tolerance: every
+    modal basis, and so every record, is built on it."""
     pts = _monomial_points(dim)
     first = 1 if family in ("hdiv", "hcurl") else 0
     for degree in range(first, 8):
-        gens = [g for group in family_generator_groups(family, degree, dim)
-                for g in group]
-        if family in ("h1", "l2"):
-            ders = [g.grad() for g in gens]
-        elif family == "hdiv":
-            ders = [g.div() for g in gens]
-        else:
-            ders = [g.curl3d() if dim == 3 else g.rot2d() for g in gens]
-        for polys in (gens, ders):
-            compiled = CompiledPolys(polys)
-            if not len(compiled.exponents):
+        gens, _ = family_generators(family, degree, dim)
+        for polys in (gens, derivative(family, gens)):
+            if not len(polys.exponents):
                 continue  # the derivatives of constants
-            mono = compiled.monomials(pts)
+            mono = polys.monomials(pts)
             assert mono.flags.c_contiguous
             assert np.array_equal(
-                mono, _term_by_term(compiled.exponents, pts)), \
+                mono, _term_by_term(polys.exponents, pts)), \
                 (family, dim, degree)

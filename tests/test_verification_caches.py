@@ -83,7 +83,7 @@ def test_workspace_rank_is_the_trace_dimension(pairing, q):
 
 
 def test_workspace_rank_mismatch_is_reported(monkeypatch):
-    monkeypatch.setattr(verification, "_trace_dimension",
+    monkeypatch.setattr(verification, "trace_dimension",
                         lambda family, q: 11)
     with pytest.raises(RuntimeError, match=r"div/grad workspace at q=4: "
                        r"trace rank 40, expected 11"):
