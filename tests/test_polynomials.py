@@ -163,13 +163,6 @@ def test_hcurl_needs_positive_degree():
         family_generators("hdiv", 0, 2)
 
 
-def test_bad_family_or_degree_is_named():
-    with pytest.raises(ValueError, match="h1 needs degree >= 0, got -1"):
-        family_generators("h1", -1, 2)
-    with pytest.raises(ValueError, match="unknown family 'unknown'"):
-        family_generators("unknown", 1, 2)
-
-
 def test_exact_sequence_on_generators(rng):
     """grad P_p lands in N_p, curl N_p in R_p, div R_p in P_{p-1}."""
     p = 2
