@@ -5,8 +5,10 @@ its unbroken parent space; ``interface_quotient_gram`` is that norm's
 Gram, and ``opnorm`` reads it (through the trial-norm solver) for the
 norm of b.  The setups cover every interface kind: facet fluxes at p=1
 and p=2, an H1 skeleton beside a flux (ultraweak DCR with the
-coefficients of its manufactured case), H(curl) skeletons on the
-complex ultraweak Maxwell form and the economy primal Maxwell form.
+coefficients of its manufactured case, and alone on the dual mixed
+form), a flux on tetrahedra, H(curl) skeletons on the complex ultraweak
+Maxwell form, the economy primal Maxwell form and both guaranteed
+primal Maxwell forms.
 Pinned are, per interface slot, the Frobenius norm of the Gram and a
 seeded probe v^H G v.  The probe lives in the coordinates of the
 interface basis; its values for the H1 and H(curl) skeletons were
@@ -33,16 +35,24 @@ from dpgfem.system import Discretization
 
 def _setup(name):
     """(formulation, mesh) of one named setup."""
-    if name.startswith("maxwell"):
+    if name.startswith("maxwell") or name == "poisson_3d":
         mesh = build_structured("unit-cube", 1)
         if name == "maxwell_ultraweak":
             return make_formulation(name, 1), mesh
-        return make_formulation("maxwell_primal_E", 1, delta=2,
-                                mode="economy"), mesh
+        if name == "maxwell_primal_E_economy":
+            return make_formulation("maxwell_primal_E", 1, delta=2,
+                                    mode="economy"), mesh
+        # the 40-tet cube
+        mesh = refine_uniform(mesh)
+        if name == "poisson_3d":
+            return make_formulation("primal_poisson", 1, dim=3), mesh
+        return make_formulation(name, 1), mesh
     mesh = refine_uniform(build_structured("unit-square", 2))
     if name == "ultraweak_dcr":
         params = manufactured_case("dcr_sine_2d").params
         return make_formulation(name, 1, params=params), mesh
+    if name == "dual_mixed_dcr":
+        return make_formulation(name, 1), mesh
     return make_formulation("primal_poisson", int(name[-1])), mesh
 
 
@@ -63,7 +73,8 @@ def characterize(name):
 
 
 # Values recorded with the dense quotient Gram; the uhat, Hhat and
-# Ehat probes re-recorded with the canonical reference bases.
+# Ehat probes re-recorded with the canonical reference bases.  The last
+# four setups were recorded with the global trace embedding.
 PINNED = {
     "poisson_p1": {
         "sighat:frobenius": 52.629637028277365,
@@ -88,6 +99,22 @@ PINNED = {
     "maxwell_primal_E_economy": {
         "Hhat:frobenius": 9.176622055024843,
         "Hhat:probe": 52.78127155804012,
+    },
+    "dual_mixed_dcr": {
+        "uhat:frobenius": 73.10293830208936,
+        "uhat:probe": 529.2243018021345,
+    },
+    "poisson_3d": {
+        "sighat:frobenius": 69.87470129795413,
+        "sighat:probe": 400.2340834590961,
+    },
+    "maxwell_primal_E": {
+        "Hhat:frobenius": 466.0859914760944,
+        "Hhat:probe": 10375.18017442654,
+    },
+    "maxwell_primal_H": {
+        "Ehat:frobenius": 466.0859914760944,
+        "Ehat:probe": 10375.18017442654,
     },
 }
 
