@@ -387,7 +387,9 @@ class TraceField:
     'tangential' (v - (v.n)n against the canonical facet normal),
     'normal' (v.n, canonical normal) or 'flux' (facet-polynomial slots,
     whose representation is already the canonical-normal flux; ``flux``
-    is the reference operand of their facet basis).
+    is the reference operand of their facet basis).  ``active[lf]``
+    holds the local positions of the functions with a trace on local
+    facet lf.
     """
 
     def __init__(self, mesh, dofmap, kind, tables=None, flux=None):
@@ -398,20 +400,20 @@ class TraceField:
         nfac = mesh.dim + 1
         if kind == "flux":
             nb = flux.basis.nfuncs
-            self._active = [np.arange(lf * nb, (lf + 1) * nb)
-                            for lf in range(nfac)]
+            self.active = [np.arange(lf * nb, (lf + 1) * nb)
+                           for lf in range(nfac)]
             self._refs = [flux] * nfac
         else:
             if kind not in ("value", "normal", "tangential"):
                 raise ValueError(kind)
-            self._active, self._refs = zip(
+            self.active, self._refs = zip(
                 *facet_operands(tables, dofmap.local_functions))
 
     def facet_trace(self, cells, lf):
         """Traces on local facet lf of ``cells`` (an index array) of the
         local functions supported there: a (reference operand, factor)
         term, and the (F, na) orientation factors and global dofs."""
-        act = self._active[lf]
+        act = self.active[lf]
         dofs = self.dofmap.cell_dofs[cells][:, act]
         if self.kind == "flux":
             return (self._refs[lf], np.ones((1, 1))), np.ones(dofs.shape), dofs
@@ -425,47 +427,85 @@ class TraceField:
                 dofs)
 
 
-def _facet_blocks(mesh, tables, A, B):
-    """Per owner group: the (F, na, nb) facet products of the traces of
-    A and B, with A's and B's (F, na) and (F, nb) global dofs."""
-    for lf, cells in _owner_groups(mesh, tables):
-        xa, fa, ia = A.facet_trace(cells, lf)
-        xb, fb, ib = (xa, fa, ia) if B is A else B.facet_trace(cells, lf)
-        M = _contract([xb], [xa], tables.facet_scale(cells, lf))
-        yield M * fa[:, :, None] * fb[:, None, :], ia, ib
+def trace_mass(mesh, tables, A):
+    """Sparse facet-trace mass matrix of a trace field.
 
-
-def trace_mass(mesh, tables, A, B=None):
-    """Sparse facet-trace product matrix between two trace fields.
-
-    Entry (i, j) is sum over facets of int tr(phi_i^A) . tr(phi_j^B).
-    Each facet is visited once through its first owning cell, so both
-    fields must produce single-valued traces there.  ``tables`` supplies
-    the facet area scales and the owner groups (any tables of the mesh
-    built with the shared facet rule).
+    Entry (i, j) is sum over facets of int tr(phi_i) . tr(phi_j).  Each
+    facet is visited once through its first owning cell, so the field
+    must produce single-valued traces there.  ``tables`` supplies the
+    facet area scales and the owner groups (any tables of the mesh built
+    with the shared facet rule).
     """
-    B = A if B is None else B
-    return _block_matrix(_facet_blocks(mesh, tables, A, B),
-                         (A.dofmap.ndofs, B.dofmap.ndofs))
+    parts = []
+    for lf, cells in _owner_groups(mesh, tables):
+        x, f, dofs = A.facet_trace(cells, lf)
+        M = _contract([x], [x], tables.facet_scale(cells, lf))
+        parts.append((M * f[:, :, None] * f[:, None, :], dofs, dofs))
+    n = A.dofmap.ndofs
+    return _block_matrix(parts, (n, n))
 
 
-def trace_embedding(mesh, tables, P, I):
-    """Sparse V whose columns are the P coefficients with the traces of
-    the I functions: on each facet, the L2 projection of I's traces onto
-    P's, solved from that facet's mass blocks.  A P dof shared by several
-    facets gets the same value from each, up to rounding; the copies are
-    averaged.  The projection is exact where I's traces lie in P's trace
-    space, which the caller checks."""
-    parts = [_triplets(np.linalg.solve(Mq, C), ip, ii)
-             for (Mq, ip, _), (C, _, ii) in zip(
-                 _facet_blocks(mesh, tables, P, P),
-                 _facet_blocks(mesh, tables, P, I))]
-    r, c, v = (np.concatenate(a) for a in zip(*parts))
-    ni = I.dofmap.ndofs
-    key, inv = np.unique(r * ni + c, return_inverse=True)
-    val = np.bincount(inv, v) / np.bincount(inv)
-    return sparse.csc_matrix((val, (key // ni, key % ni)),
-                             shape=(P.dofmap.ndofs, ni))
+def facet_projection(Mp, C):
+    """(K, np, ni) coefficients in the parent traces of the L2
+    projections of the slot traces on one facet of K cells, from the
+    parent trace masses Mp (K, np, np) and the parent-slot trace products
+    C (K, np, ni) there."""
+    return np.linalg.solve(Mp, C)
+
+
+def _facet_products(tables, P, I, cells, lf):
+    """On local facet lf of ``cells``: the trace masses of the parent P,
+    the products of P's traces with the slot I's, and the squared norms
+    of I's traces, all in global orientation."""
+    (xp, fp, _), (xi, fi, _) = (T.facet_trace(cells, lf) for T in (P, I))
+    scale = tables.facet_scale(cells, lf)
+    Mp = _contract([xp], [xp], scale) * fp[:, :, None] * fp[:, None, :]
+    C = _contract([xi], [xp], scale) * fp[:, :, None] * fi[:, None, :]
+    Mi = _contract([xi], [xi], scale)
+    return Mp, C, np.diagonal(Mi, axis1=1, axis2=2) * fi ** 2
+
+
+def trace_lift(tables, P, I):
+    """(ncells, np, ni) per-cell lifts E_K of the slot I's local functions
+    into the parent skeleton P's, both in global orientation.
+
+    On each local facet E_K is the L2 projection of I's traces onto P's
+    (``facet_projection``); an entry that several facets produce gets
+    the same value from each, up to rounding, and the copies are
+    averaged.  The lift is exact where I's traces lie in P's trace
+    space: a trace that the averaged lift does not reproduce on some
+    facet, to 1e-8 of its squared norm plus 1e-13, raises.
+    """
+    nc, nfac = tables.mesh.ncells, tables.mesh.dim + 1
+    npar, ni = P.dofmap.cell_dofs.shape[1], I.dofmap.cell_dofs.shape[1]
+    pos = [np.ix_(P.active[lf], I.active[lf]) for lf in range(nfac)]
+    count = np.zeros((npar, ni))
+    for ix in pos:
+        count[ix] += 1
+    E = np.zeros((nc, npar, ni))
+    # a group holds its lifts and, per facet, the products of the
+    # functions with a trace there
+    held = npar * ni + sum(len(a) * (len(a) + len(b))
+                           for a, b in zip(P.active, I.active))
+    for part in cell_groups(nc, 8 * held):
+        cells = np.arange(nc)[part]
+        prods = [_facet_products(tables, P, I, cells, lf)
+                 for lf in range(nfac)]
+        Eg = E[part]
+        for (Mp, C, _), (r, c) in zip(prods, pos):
+            Eg[:, r, c] += facet_projection(Mp, C)
+        Eg /= np.maximum(count, 1)
+        for (Mp, C, tn2), (r, c) in zip(prods, pos):
+            # squared trace residual of every slot function on this facet
+            e = Eg[:, r, c]
+            r2 = np.sum(e * (Mp @ e - 2.0 * C), axis=1) + tn2
+            excess = r2 - 1e-8 * np.maximum(tn2, 1e-30) - 1e-13
+            j = np.unravel_index(np.argmax(excess), excess.shape)
+            if excess[j] > 0:
+                raise RuntimeError(
+                    f"interface trace not recoverable in the parent space "
+                    f"(residual {r2[j]:.3e} vs norm {tn2[j]:.3e})")
+    return E
 
 
 def trace_rhs(mesh, tables, A, target):
@@ -516,24 +556,25 @@ def skeleton_schur(tables, skel_map):
     return out
 
 
-def skeleton_quotient_apply(schur, skel_map, v):
-    """Minimum-energy-extension energy of a skeleton coefficient vector.
+def skeleton_quotient_apply(blocks, dofmap, v):
+    """Minimum-energy-extension energy of a coefficient vector v of a
+    slot, from the slot's per-cell quotient Grams ``blocks`` (ncells,
+    n, n) in global coefficients.
 
     The parent graph norm is minimized over all interior completions;
-    interior dofs are cell-local, so the minimization splits per cell
-    into the Schur complements ``schur`` of ``skeleton_schur``.  The
-    real part of c^H S c is x^T S x + y^T S y for c = x + iy, so the real
-    stack S is applied to real vectors only.
+    interior dofs are cell-local, so the minimization splits per cell.
+    The real part of c^H Q c is x^T Q x + y^T Q y for c = x + iy, so the
+    real stack Q is applied to real vectors only.
     """
-    c = v[skel_map.cell_dofs]
-    energy = sum((float(np.sum(part * (schur @ part[..., None])[..., 0]))
+    c = v[dofmap.cell_dofs]
+    energy = sum((float(np.sum(part * (blocks @ part[..., None])[..., 0]))
                   for part in (c.real, c.imag) if part.any()), 0.0)
     return max(energy, 0.0)
 
 
-def skeleton_quotient_gram(schur, skel_map):
-    """Sparse quotient-norm Gram on skeleton dofs: the sum of the per-cell
-    Schur complements ``schur`` of ``skeleton_schur``."""
-    n = skel_map.ndofs
-    return _block_matrix([(schur, skel_map.cell_dofs, skel_map.cell_dofs)],
+def skeleton_quotient_gram(blocks, dofmap):
+    """Sparse quotient-norm Gram of a slot: the sum of its per-cell
+    quotient Grams ``blocks`` (as for ``skeleton_quotient_apply``)."""
+    n = dofmap.ndofs
+    return _block_matrix([(blocks, dofmap.cell_dofs, dofmap.cell_dofs)],
                          (n, n))

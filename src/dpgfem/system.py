@@ -59,7 +59,7 @@ from .spaces import (
     skeleton_quotient_apply,
     skeleton_quotient_gram,
     skeleton_schur,
-    trace_embedding,
+    trace_lift,
     trace_mass,
     trace_rhs,
 )
@@ -456,13 +456,28 @@ class Discretization:
 
     def interface_quotient_gram(self, slot_name):
         """Sparse minimum-energy-extension Gram of one interface slot."""
+        names = [s.name for s in self.form.interface_slots]
+        if slot_name not in names:
+            raise ValueError(
+                f"{slot_name!r} is not an interface slot of {self.form.id}; "
+                f"its interface slots are {names}")
         slot = self.form.slot(slot_name)
         return self._interface_norm(slot).quotient_gram()
 
-    # -- trial-side norm operator and the norm of b ------------------------
+    # -- trial-side norm and the norm of b ---------------------------------
 
-    def xnorm_solver(self):
-        return _XNormSolver(self)
+    def trial_gram(self):
+        """Sparse (CSC) trial-norm Gram G_X over all trial dofs: one block
+        per slot, in slot order.  Conforming field slots use their family
+        graph norm, broken slots the L2 norm, interface slots their
+        quotient norm."""
+        form = self.form
+        blocks = [natural_gram(self._tables[s.name], self._maps[s.name],
+                               include_deriv=s.continuity == "conforming")
+                  for s in form.trial_slots]
+        blocks += [self.interface_quotient_gram(s.name)
+                   for s in form.interface_slots]
+        return sparse.block_diag(blocks, format="csc")
 
     def opnorm(self, niter=120, seed=0, tol=1e-11):
         """Largest generalized singular value of b over X x Y.
@@ -473,20 +488,21 @@ class Discretization:
         steps, a lower bound of ||b||: when the top of the spectrum is
         clustered the iteration stops before it converges.
         """
-        xs = self.xnorm_solver()
+        Gx = self.trial_gram()
+        lu = _factor(Gx)
         A = self._matrix()
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(self.ndof)
         if self.form.is_complex:
             v = v + 1j * rng.standard_normal(self.ndof)
-        v /= np.sqrt(np.real(np.vdot(v, xs.apply(v))))
+        v /= np.sqrt(np.real(np.vdot(v, Gx @ v)))
         val = 0.0
         for _ in range(niter):
             # y-residual application: A v = sum over cells B^H G^{-1} B v
             w = A @ v
             new = np.sqrt(max(float(np.real(np.vdot(v, w))), 0.0))
-            v = xs.solve(w)
-            nv = np.sqrt(np.real(np.vdot(v, xs.apply(v))))
+            v = _lusolve(lu, w)
+            nv = np.sqrt(np.real(np.vdot(v, Gx @ v)))
             if nv == 0:
                 return 0.0
             v /= nv
@@ -655,11 +671,13 @@ class _InterfaceNorm:
     """Projection and quotient-norm machinery for one interface slot.
 
     The slot is measured in the quotient norm of its conforming parent
-    space at the test degree: a slot function's trace is lifted into the
-    parent skeleton by the sparse trace embedding V, and the lift is
-    measured by the per-cell Schur complements of the parent graph Gram
-    onto the skeleton functions.  V, the Schur complements and the facet
-    masses are built on first use and kept.
+    space at the test degree.  Two conforming extensions of a slot
+    function differ by cell bubbles, so the norm is a sum over cells: on
+    each cell the lift E_K of the slot's local functions into the parent
+    skeleton functions (``trace_lift``) is measured by the Schur
+    complement S_K of the parent graph Gram onto the skeleton functions,
+    Q_K = E_K^T S_K E_K.  The Q_K and the slot's facet mass are built on
+    first use and kept.
     """
 
     def __init__(self, disc, slot):
@@ -678,7 +696,8 @@ class _InterfaceNorm:
         self.ptables = ElementTables(mesh, parent, disc.geo, disc.order)
         self.pskel = conforming_map(mesh, parent, disc.geo, skeleton=True)
         self.ptrace = TraceField(mesh, self.pskel, pkind, self.ptables)
-        self.itrace = TraceField(mesh, disc.dofmap(slot.name), ikind,
+        self.dofmap = disc.dofmap(slot.name)
+        self.itrace = TraceField(mesh, self.dofmap, ikind,
                                  disc._tables.get(slot.name),
                                  disc._flux.get(slot.name))
 
@@ -692,30 +711,13 @@ class _InterfaceNorm:
         return _factor(self._mass)
 
     @cached_property
-    def embedding(self):
-        """Sparse V: parent skeleton coefficients with the traces of the
-        slot functions, checked to reproduce them (Mq V = Cx)."""
-        mesh, tab = self.disc.mesh, self.ptables
-        V = trace_embedding(mesh, tab, self.ptrace, self.itrace)
-        Mq = trace_mass(mesh, tab, self.ptrace)
-        Cx = trace_mass(mesh, tab, self.ptrace, self.itrace)
-        # squared trace residual of every slot function; the parent trace
-        # reproduces it exactly by degree nesting
-        tn2 = self._mass.diagonal()
-        r2 = (np.asarray(V.multiply(Mq @ V).sum(axis=0)).ravel()
-              - 2.0 * np.asarray(V.multiply(Cx).sum(axis=0)).ravel() + tn2)
-        excess = r2 - 1e-8 * np.maximum(tn2, 1e-30) - 1e-13
-        j = int(np.argmax(excess))
-        if excess[j] > 0:
-            raise RuntimeError(
-                f"interface trace not recoverable in the parent space "
-                f"(residual {r2[j]:.3e} vs norm {tn2[j]:.3e})")
-        return V
-
-    @cached_property
-    def schur(self):
-        """Per-cell Schur complements onto the parent skeleton."""
-        return skeleton_schur(self.ptables, self.pskel)
+    def cell_grams(self):
+        """(ncells, n, n) per-cell quotient Grams Q_K = E_K^T S_K E_K of
+        the slot's local functions, in global coefficients."""
+        E = trace_lift(self.ptables, self.ptrace, self.itrace)
+        Q = np.swapaxes(E, 1, 2) @ (skeleton_schur(self.ptables, self.pskel)
+                                    @ E)
+        return 0.5 * (Q + np.swapaxes(Q, 1, 2))
 
     def project_exact(self, case):
         """Facet L2 projection of the exact trace onto the slot space."""
@@ -734,65 +736,13 @@ class _InterfaceNorm:
         b = trace_rhs(self.disc.mesh, self.ptables, self.itrace, target)
         return _lusolve(self._mass_lu, b)
 
-    def extension_energy(self, delta):
-        """Graph-norm energy of the minimal extension of a slot function."""
-        return skeleton_quotient_apply(self.schur, self.pskel,
-                                       self.embedding @ delta)
-
     def error(self, x, case):
         c = self.project_exact(case)
         off = self.disc.slot_offset[self.slot.name]
-        delta = c - x[off:off + self.disc.slot_size[self.slot.name]]
-        return float(np.sqrt(self.extension_energy(delta)))
+        delta = c - x[off:off + self.dofmap.ndofs]
+        return float(np.sqrt(skeleton_quotient_apply(self.cell_grams,
+                                                     self.dofmap, delta)))
 
     def quotient_gram(self):
-        """Sparse interface Gram V^T S V, with V the (real) trace embedding
-        into the parent skeleton and S the parent skeleton quotient
-        Gram."""
-        V = self.embedding
-        S = skeleton_quotient_gram(self.schur, self.pskel)
-        G = V.T @ (S @ V)
-        return (0.5 * (G + G.T)).tocsc()
-
-
-class _XNormSolver:
-    """Blockwise trial-norm Gram: apply and solve.
-
-    Conforming field slots use their family graph norm, broken slots
-    the L2 norm, interface slots the sparse quotient Gram; every block
-    is sparse and factorized by sparse LU.
-    """
-
-    def __init__(self, disc):
-        self.disc = disc
-        form = disc.form
-        grams = [(s, natural_gram(disc._tables[s.name], disc.dofmap(s.name),
-                                  include_deriv=s.continuity == "conforming"))
-                 for s in form.trial_slots]
-        grams += [(s, disc.interface_quotient_gram(s.name))
-                  for s in form.interface_slots]
-        self.blocks = []
-        for s, G in grams:
-            sl = slice(disc.slot_offset[s.name],
-                       disc.slot_offset[s.name] + disc.slot_size[s.name])
-            self.blocks.append((sl, G, _factor(G.tocsc())))
-
-    def apply(self, v):
-        out = np.zeros_like(v)
-        for sl, G, _ in self.blocks:
-            out[sl] = G @ v[sl]
-        return out
-
-    def solve(self, w):
-        out = np.zeros_like(w)
-        for sl, _, lu in self.blocks:
-            out[sl] = _lusolve(lu, w[sl])
-        return out
-
-    def dense(self):
-        """Dense Gram over all trial dofs (small meshes only)."""
-        n = self.disc.ndof
-        X = np.zeros((n, n), dtype=self.disc.form.dtype)
-        for sl, G, _ in self.blocks:
-            X[sl, sl] = G.toarray()
-        return X
+        """Sparse interface Gram: the sum of the per-cell quotient Grams."""
+        return skeleton_quotient_gram(self.cell_grams, self.dofmap)

@@ -390,7 +390,7 @@ def infsup_survey(formulations, mesh, p, delta=3, mode="guaranteed",
                                 params=params)
         disc = Discretization(form, mesh)
         T, free = _whitened_system(disc)
-        Gx = disc.xnorm_solver().dense()[np.ix_(free, free)]
+        Gx = disc.trial_gram().toarray()[np.ix_(free, free)]
         sv = _gen_singular_values(T[:, free], Gx)
         reports.append(SurveyReport(fid, _mesh_tag(mesh), p,
                                     float(sv[-1])))
@@ -418,7 +418,7 @@ def broken_stability_bound(formulation, mesh, p, delta=3, mode="guaranteed",
         make_formulation(formulation, p=p, delta=delta, mode=mode)
     disc = Discretization(form, mesh)
     T, free = _whitened_system(disc)
-    Gx = disc.xnorm_solver().dense()
+    Gx = disc.trial_gram().toarray()
     free_f = free[free < disc.ndof_field]
     # with Z = Q R, C^H Gy C = R^H R and C^H B = R^H Q^H T: the operator
     # on the conforming test subspace, whitened, is Q^H T
@@ -444,8 +444,7 @@ def broken_stability_bound(formulation, mesh, p, delta=3, mode="guaranteed",
 
 
 def _fortin_suite(seed):
-    from .fortin import fortin_build, fortin_commuting, fortin_moments, \
-        perp_dimensions
+    from .fortin import fortin_build, fortin_commuting, fortin_moments
     recs = []
     p = 1
     systems = {k: fortin_build(k, p) for k in ("grad", "curl", "div")}

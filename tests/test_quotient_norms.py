@@ -2,7 +2,7 @@
 
 Each interface slot is measured in the minimum-energy-extension norm of
 its unbroken parent space; ``interface_quotient_gram`` is that norm's
-Gram, and ``opnorm`` reads it (through the trial-norm solver) for the
+Gram, and ``opnorm`` reads it (through the trial-norm Gram) for the
 norm of b.  The setups cover every interface kind: facet fluxes at p=1
 and p=2, an H1 skeleton beside a flux (ultraweak DCR with the
 coefficients of its manufactured case, and alone on the dual mixed
@@ -27,7 +27,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from dpgfem import system
+from dpgfem import spaces
 from dpgfem.formulations import make_formulation, manufactured_case
 from dpgfem.meshes import build_structured, refine_uniform
 from dpgfem.system import Discretization
@@ -122,10 +122,8 @@ PINNED = {
 def converged_opnorm(disc):
     """||b||: the square root of the top eigenvalue of (A, G_X), with
     A the assembled DPG matrix and G_X the block trial-norm Gram."""
-    Gx = sparse.lil_matrix((disc.ndof, disc.ndof), dtype=disc.form.dtype)
-    for sl, G, _ in disc.xnorm_solver().blocks:
-        Gx[sl, sl] = G
-    lam = eigsh(disc._matrix(), k=1, M=Gx.tocsc(), which="LA", tol=0,
+    Gx = disc.trial_gram().astype(disc.form.dtype)
+    lam = eigsh(disc._matrix(), k=1, M=Gx, which="LA", tol=0,
                 return_eigenvectors=False)
     return float(np.sqrt(lam[0]))
 
@@ -160,14 +158,24 @@ def test_quotient_norms_match_pinned_values(name):
 
 def test_unrecoverable_trace_is_rejected(monkeypatch, eight_tri):
     """A lift that does not reproduce the slot traces fails loudly."""
-    embed = system.trace_embedding
+    project = spaces.facet_projection
 
     def perturbed(*args):
-        V = embed(*args).tocsc(copy=True)
-        V.data[::7] *= 1.001
-        return V
+        E = project(*args).copy()
+        E.reshape(-1)[::7] *= 1.001
+        return E
 
-    monkeypatch.setattr(system, "trace_embedding", perturbed)
+    monkeypatch.setattr(spaces, "facet_projection", perturbed)
     disc = Discretization(make_formulation("ultraweak_dcr", 1), eight_tri)
     with pytest.raises(RuntimeError, match="not recoverable"):
         disc.interface_quotient_gram("uhat")
+
+
+@pytest.mark.parametrize("name", ["u", "v", "nohat"])
+def test_quotient_gram_rejects_a_slot_that_is_not_an_interface(eight_tri,
+                                                               name):
+    disc = Discretization(make_formulation("primal_poisson", 1), eight_tri)
+    with pytest.raises(ValueError, match=rf"'{name}' is not an interface "
+                       r"slot of primal_poisson; its interface slots are "
+                       r"\['sighat'\]"):
+        disc.interface_quotient_gram(name)

@@ -18,8 +18,9 @@ the complex forms are exercised through Maxwell with non-default eps
 
 A second oracle does the same for the interface norms on the same
 meshes: the Schur complements of the parent graph Grams, the facet trace
-masses, the trace embedding and the facet projection of smooth exact
-traces of every interface slot, and the natural Gram of every
+masses, the quotient Gram V^T S V (V the global trace embedding, S the
+parent skeleton Gram) and the facet projection of smooth exact traces
+of every interface slot, and the natural Gram of every
 conforming trial slot, each from pushed tables summed point by point.
 """
 
@@ -30,7 +31,7 @@ from dpgfem.formulations import DCR_IDS, MAXWELL_IDS, ManufacturedCase, \
     exact_interface, make_formulation
 from dpgfem.meshes import SimplicialMesh, build_structured
 from dpgfem.reference import _integrate
-from dpgfem.spaces import natural_gram
+from dpgfem.spaces import natural_gram, skeleton_schur
 from dpgfem.system import Discretization
 
 # cells -> physical cells: x -> x @ A.T
@@ -312,6 +313,16 @@ class _PushedNorm:
                                          self.weights(ci, lf))
         return M
 
+    def quotient_gram(self):
+        """The global V^T S V: V the trace embedding below, S the sum of
+        the per-cell Schur complements over the parent skeleton dofs."""
+        skel = self.norm.pskel
+        S = np.zeros((skel.ndofs, skel.ndofs))
+        for idx, Sk in zip(skel.cell_dofs, self.schur()):
+            S[np.ix_(idx, idx)] += Sk
+        V = self.embedding()
+        return V.T @ S @ V
+
     def embedding(self):
         """Per facet, the L2 projection of the slot traces onto the
         parent's; copies of one entry from several facets averaged."""
@@ -386,7 +397,7 @@ def test_interface_norms_match_quadrature(fid, dim, mode, kind):
                                         disc.dofmap(s.name)))
     for s in form.interface_slots:
         oracle, norm = _PushedNorm(disc, s), disc._interface_norm(s)
-        _close(norm.schur, oracle.schur())
+        _close(skeleton_schur(norm.ptables, norm.pskel), oracle.schur())
         _close(norm._mass, oracle.mass())
-        _close(norm.embedding, oracle.embedding())
+        _close(disc.interface_quotient_gram(s.name), oracle.quotient_gram())
         _close(norm.project_exact(case), oracle.project(case))

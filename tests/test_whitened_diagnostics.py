@@ -33,7 +33,7 @@ def _dense(disc):
         Gy[rows, rows] = G
         B[rows, disc.cell_columns(ci)[0]] = Bk
     free = np.where(~disc.constrained_dofs())[0]
-    return Gy, B, disc.xnorm_solver().dense(), free
+    return Gy, B, disc.trial_gram().toarray(), free
 
 
 def _singular_values(B, Gy, Gx):
