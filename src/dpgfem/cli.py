@@ -80,6 +80,13 @@ class StudyConfig:
             raise ConfigError("theta must lie in (0, 1]")
         if mode == "study" and merged["levels"] < 1:
             raise ConfigError("levels must be a positive integer")
+        for key in ("max_iterations", "max_dofs"):
+            if key in merged and merged[key] < 1:
+                raise ConfigError(f"{key} must be a positive integer, got "
+                                  f"{merged[key]}")
+        if merged["seed"] < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got "
+                              f"{merged['seed']}")
         for k, v in merged.items():
             setattr(self, k, v)
         self.mode = mode

@@ -15,11 +15,13 @@ An operand is a slot name, alone for its values or after the word for
 its family derivative ("grad u", "div tau", "curl E").  A test trace is
 the test slot's value ("v"), its normal component ("n.tau") or its
 tangential cross product ("nx S") with the outward normal.  The exact
-trace names the manufactured field that the interface slot carries, with
-its sign, and "n." for the normal component of a flux.  A coefficient is
-a product of space-separated factors: "1", "i", a parameter name, or
-"1/" and a name to divide; a leading "-" negates a factor.  The vector
-beta multiplies a scalar operand or is dotted with a vector one.
+trace names the manufactured volume field whose trace the interface slot
+carries, with its sign; the slot's space (``spaces.InterfaceSpace``)
+takes the trace of its kind, the normal component for a flux.  A
+coefficient is a product of space-separated factors: "1", "i", a
+parameter name, or "1/" and a name to divide; a leading "-" negates a
+factor.  The vector beta multiplies a scalar operand or is dotted with a
+vector one.
 
 Conventions used throughout:
 
@@ -70,7 +72,7 @@ class Slot:
 # Parsed terms.  Operands are (slot, 'val' | 'der'); coefficients are
 # (constant, names multiplied, names divided).
 Block = namedtuple("Block", "test trial sum_trial groups")
-Pairing = namedtuple("Pairing", "coef slot facet test trace exact")
+Pairing = namedtuple("Pairing", "coef slot test trace exact")
 Load = namedtuple("Load", "coef test field")
 
 
@@ -125,7 +127,7 @@ _DCR2 = {  # div sigma - gamma u = -f2, tested with v
     "strong": ((("1", "div sigma", "v"), ("-gamma", "u", "v")), (),
                (("-1", "v", "f2"),)),
     "weak": ((("-1", "sigma", "grad v"), ("-gamma", "u", "v")),
-             (("1", "sighat", "v", "n.sigma"),), (("-1", "v", "f2"),)),
+             (("1", "sighat", "v", "sigma"),), (("-1", "v", "f2"),)),
 }
 _MAXWELL1 = {  # i omega mu H - curl E = 0, tested with R
     "strong": ((("i omega mu", "H", "R"), ("-1", "curl E", "R")), (), ()),
@@ -146,7 +148,7 @@ _MAXWELL2 = {  # i omega eps E + curl H = J, tested with S
 # curl(curl H / eps) - omega^2 mu H = curl(J / eps).
 _PRIMAL_DCR = ((("a", "grad u", "grad v"), ("a beta", "u", "grad v"),
                 ("gamma", "u", "v")),
-               (("1", "sighat", "v", "-n.sigma"),), (("1", "v", "f2"),))
+               (("1", "sighat", "v", "-sigma"),), (("1", "v", "f2"),))
 _PRIMAL_E = ((("1/mu", "curl E", "curl F"), ("-omega omega eps", "E", "F")),
              (("-i omega", "Hhat", "nx F", "H"),), (("i omega", "F", "J"),))
 _PRIMAL_H = ((("1/eps", "curl H", "curl F"), ("-omega omega mu", "H", "F")),
@@ -252,9 +254,7 @@ def make_formulation(id, p, delta=3, dim=None, params=None, mode="guaranteed"):
     terms = [(_coef(c), _operand(t), _operand(s)) for c, t, s in volume]
     # interface columns follow the slot order
     order = [s.name for s in interface]
-    facet = {s.name for s in interface if s.continuity == "facet"}
-    pairings = tuple(Pairing(_coef(c), slot, slot in facet, *_trace(trace),
-                             _exact(exact))
+    pairings = tuple(Pairing(_coef(c), slot, *_trace(trace), _exact(exact))
                      for c, slot, trace, exact in
                      sorted(pairings, key=lambda pr: order.index(pr[1])))
     loads = tuple(Load(_coef(c), _operand(s), field) for c, s, field in loads)
@@ -338,9 +338,7 @@ def _trace(text):
 
 
 def _exact(text):
-    sign = -1.0 if text.startswith("-") else 1.0
-    field, normal = _trace(text.lstrip("-"))
-    return sign, normal == "n.", field
+    return (-1.0, text[1:]) if text.startswith("-") else (1.0, text)
 
 
 def _blocks(terms):
@@ -371,13 +369,13 @@ def _blocks(terms):
 # per-cell factor: a kernel contracts the factors against reference
 # tensors (reference.reference_tensor) instead of summing over
 # quadrature points on every cell.  The context provides operands as
-# (reference operand, factor) terms, ctx.operand((name, 'val' | 'der')),
-# ctx.facet(name, lf) on local facet lf and ctx.flux(name) for
-# facet-flux slots, where a factor is (K, r, c), or (r, c) where the same
-# on every cell; the parent functions that skeleton slots use,
-# ctx.skeleton_functions(name), and ctx.skeleton_facet(name, lf), the
-# term of those with a trace on local facet lf and their positions among
-# them; the weight scales ctx.absdet (K,) and
+# (reference operand, factor) terms, ctx.operand((name, 'val' | 'der'))
+# and ctx.facet(name, lf) on local facet lf, where a factor is (K, r, c),
+# or (r, c) where the same on every cell; an interface slot's columns
+# from its space, ctx.interface(name): per local facet the term of the
+# functions with a trace there and their positions among the slot's
+# columns, the same for every kind of slot, and the number of columns;
+# the weight scales ctx.absdet (K,) and
 # ctx.facet_scale(lf) (K,); outward normals ctx.normal(lf) (K, dim);
 # quadrature points ctx.points (K, nq, dim) for the load; the test
 # layout ctx.ntest_local and ctx.test_offset(name); and coefficients
@@ -479,24 +477,17 @@ def bhat_block(form, ctx):
     """Interface part of the mixed form: rows test dofs, cols interface
     dofs (local layout per cell).  Orientation factors are applied by
     the caller through the dof maps."""
-    nfac = form.dim + 1
     cols, at = [], 0
     for pr in form.pairings:
         # per local facet: the slot's functions with a trace there, as a
         # (reference operand, factor) term, and their columns
-        if pr.facet:
-            x = ctx.flux(pr.slot)
-            nb = _size([x])
-            xs = [(x, at + lf * nb + np.arange(nb)) for lf in range(nfac)]
-            at += nfac * nb
-        else:
-            xs = [ctx.skeleton_facet(pr.slot, lf) for lf in range(nfac)]
-            xs = [(x, at + c) for x, c in xs]
-            at += len(ctx.skeleton_functions(pr.slot))
-        cols.append((pr, _coef_value(ctx, pr.coef), xs))
+        xs, ncols = ctx.interface(pr.slot)
+        cols.append((pr, _coef_value(ctx, pr.coef),
+                     [(x, at + c) for x, c in xs]))
+        at += ncols
     blk = np.zeros((ctx.ncells, ctx.ntest_local, at), dtype=form.dtype)
     normals = any(pr.trace for pr in form.pairings)
-    for lf in range(nfac):
+    for lf in range(form.dim + 1):
         area = ctx.facet_scale(lf)
         n = ctx.normal(lf) if normals else None
         for pr, c, xs in cols:
@@ -538,23 +529,28 @@ def load_vector(form, ctx, case):
     return l
 
 
-# -- exact interface traces ---------------------------------------------
+# -- exact fields ----------------------------------------------------------
+
+# The derivative of each family (reference.deriv_factor pushes it).
+_DERIVATIVE = {"h1": "grad", "l2": "grad", "hdiv": "div", "hcurl": "curl",
+               "vec": "curl"}
+
+
+def exact_names(slot):
+    """The case fields of a field slot's exact value and of its exact
+    family derivative, named by the family's derivative ("grad_u",
+    "div_sigma", "curl_E")."""
+    return slot.name, f"{_DERIVATIVE[slot.family]}_{slot.name}"
 
 
 def exact_interface(form, case, slot_name):
-    """Exact value of an interface slot, by the sign in its pairing.
-
-    Facet slots return a callable (x, n_canonical) -> scalar values;
-    skeleton slots return ('volume', field, sign) for the exact volume
-    field whose trace, times sign, the interface carries.
-    """
+    """(sign, field) of an interface slot: the case's exact volume field
+    whose trace, times sign, the slot carries; the slot's space takes
+    the trace of its kind."""
     for pr in form.pairings:
         if pr.slot == slot_name:
-            sign, normal, name = pr.exact
-            field = case.fields[name]
-            if normal:
-                return lambda x, n: sign * np.einsum("pc,pc->p", field(x), n)
-            return ("volume", field, sign)
+            sign, name = pr.exact
+            return sign, case.fields[name]
     raise KeyError(slot_name)
 
 

@@ -590,10 +590,18 @@ def read_mesh(path):
         with open(path) as fh:
             text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty mesh file: the header line "
+                         "'dpgmesh <dim> <nvertices> <ncells>' is missing")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "dpgmesh":
         raise ValueError("not a dpgmesh file")
     dim, nv, nc = int(head[1]), int(head[2]), int(head[3])
+    k = len(lines) - 1
+    if k < nv + nc:
+        kind, k, n = ("vertex", k, nv) if k < nv else ("cell", k - nv, nc)
+        raise ValueError(f"truncated mesh file: {kind} line {k + 1} of {n} "
+                         f"is missing")
     row = 1
     verts = []
     for _ in range(nv):

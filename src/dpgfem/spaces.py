@@ -7,11 +7,13 @@ kinds exist:
 
 * ``broken``       -- modal basis per cell, no coupling;
 * ``conforming``   -- entity-glued basis (H1, H(curl), H(div) families);
-* ``skeleton``     -- boundary traces of a conforming parent space
-                      (interface variables of u-hat type);
-* ``facet``        -- independent polynomial per facet (normal-flux
-                      interface variables, oriented by the canonical
-                      facet normal).
+* ``skeleton``     -- boundary traces of a conforming space (u-hat type);
+* ``facet``        -- independent polynomial per facet (normal fluxes,
+                      oriented by the canonical facet normal).
+
+The last two are interface spaces: one ``InterfaceSpace`` per distinct
+space, shared by the slots on it, decides its trace kind and holds its
+dofs, facet operands, trace mass and quotient norm.
 
 The slot Grams and the facet trace products integrate two bases on
 affine cells, so each is one contraction of per-cell factors with a
@@ -25,6 +27,8 @@ the cells.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 
@@ -34,8 +38,10 @@ from .reference import (
     RefOperand,
     _contract,
     _moments,
+    conforming_basis,
     deriv_factor,
     facet_points,
+    modal_basis,
     push_derivs,
     push_values,
     reference_table,
@@ -296,23 +302,6 @@ def facet_map(mesh, nb_per_facet):
                   np.repeat(boundary, nb))
 
 
-def facet_operands(tables, use=None):
-    """Per local facet: the positions in ``use`` (default: all functions)
-    of the conforming functions whose entity lies in the facet's closure,
-    and the reference operand of their values on that facet; every other
-    function has a zero trace on that facet."""
-    dim, ents = tables.mesh.dim, tables.basis.dof_entities()
-    use = np.arange(len(ents)) if use is None else np.asarray(use)
-    verts = [_local_vertices(dim, *ents[k][:2]) for k in use]
-    out = []
-    for lf, f in enumerate(local_facets(dim)):
-        act = np.array([col for col, v in enumerate(verts)
-                        if v is not None and set(v) <= set(f)], dtype=int)
-        funcs = tuple(use[act].tolist())
-        out.append((act, tables.reference("val", lf, funcs)))
-    return out
-
-
 # -- slot gram matrices -------------------------------------------------
 
 
@@ -380,34 +369,64 @@ def _owner_groups(mesh, tables):
             yield lf, cells[part]
 
 
+# -- interface spaces ------------------------------------------------
+
+# By (continuity, family) of an interface slot: its trace kind, and the
+# family and trace kind of its parent, whose quotient norm measures it.
+_INTERFACE_KINDS = {
+    ("skeleton", "h1"): ("value", "h1", "value"),
+    ("skeleton", "hcurl"): ("tangential", "hcurl", "tangential"),
+    ("skeleton", "vec"): ("tangential", "hcurl", "tangential"),
+    ("facet", "l2"): ("flux", "hdiv", "normal"),
+}
+
+
 class TraceField:
-    """Facet-trace view of a slot, for interface projections.
+    """Facet traces of the skeleton functions of a conforming space, or
+    for kind 'flux' of one independent polynomial per facet.
 
     kind selects the trace component: 'value' (scalar families),
     'tangential' (v - (v.n)n against the canonical facet normal),
-    'normal' (v.n, canonical normal) or 'flux' (facet-polynomial slots,
-    whose representation is already the canonical-normal flux; ``flux``
-    is the reference operand of their facet basis).  ``active[lf]``
-    holds the local positions of the functions with a trace on local
-    facet lf.
+    'normal' (v.n, canonical normal) or 'flux' (facet polynomials, whose
+    representation is already the canonical-normal flux).  Per local
+    facet lf, ``active[lf]`` holds the local positions of the functions
+    with a trace there (a conforming function's entity lies in the
+    facet's closure) and ``refs[lf]`` the reference operand of their
+    values on it.  ``tables`` is None for a flux.
     """
 
-    def __init__(self, mesh, dofmap, kind, tables=None, flux=None):
-        self.mesh = mesh
-        self.dofmap = dofmap
-        self.kind = kind
-        self.tables = tables
-        nfac = mesh.dim + 1
+    def __init__(self, mesh, geo, family, degree, kind, order):
+        self.mesh, self.geo, self.kind, self.order = mesh, geo, kind, order
+        dim = mesh.dim
         if kind == "flux":
-            nb = flux.basis.nfuncs
+            basis = modal_basis("l2", degree, dim - 1)
+            nb = basis.nfuncs
+            self.tables = None
+            self.dofmap = facet_map(mesh, nb)
             self.active = [np.arange(lf * nb, (lf + 1) * nb)
-                           for lf in range(nfac)]
-            self._refs = [flux] * nfac
-        else:
-            if kind not in ("value", "normal", "tangential"):
-                raise ValueError(kind)
-            self.active, self._refs = zip(
-                *facet_operands(tables, dofmap.local_functions))
+                           for lf in range(dim + 1)]
+            self.refs = [RefOperand(basis, "val", None, order)] * (dim + 1)
+            return
+        basis = conforming_basis(family, degree, dim)
+        self.tables = ElementTables(mesh, basis, geo, order)
+        self.dofmap = conforming_map(mesh, basis, geo, skeleton=True)
+        ents = basis.dof_entities()
+        use = np.asarray(self.dofmap.local_functions)
+        verts = [_local_vertices(dim, *ents[k][:2]) for k in use]
+        self.active, self.refs = [], []
+        for lf, f in enumerate(local_facets(dim)):
+            act = np.array([col for col, v in enumerate(verts)
+                            if v is not None and set(v) <= set(f)], dtype=int)
+            self.active.append(act)
+            self.refs.append(self.tables.reference("val", lf,
+                                                   tuple(use[act].tolist())))
+
+    def value_factor(self, cells):
+        """Per-cell factor of the values of every function on ``cells``
+        (an index array): the same ones on every cell for a flux."""
+        if self.tables is None:
+            return np.ones((1, 1))
+        return self.tables.factor("val", cells)
 
     def facet_trace(self, cells, lf):
         """Traces on local facet lf of ``cells`` (an index array) of the
@@ -415,16 +434,71 @@ class TraceField:
         term, and the (F, na) orientation factors and global dofs."""
         act = self.active[lf]
         dofs = self.dofmap.cell_dofs[cells][:, act]
+        F = self.value_factor(cells)
         if self.kind == "flux":
-            return (self._refs[lf], np.ones((1, 1))), np.ones(dofs.shape), dofs
-        F = self.tables.factor("val", cells)
+            return (self.refs[lf], F), np.ones(dofs.shape), dofs
         if self.kind != "value":
             n = self.mesh.facet_normals[self.mesh.cell_facet_ids[cells, lf]]
             n = n[:, :, None]
             F = F @ (n if self.kind == "normal"
                      else np.eye(len(n[0])) - n @ np.swapaxes(n, 1, 2))
-        return ((self._refs[lf], F), self.dofmap.cell_factors[cells][:, act],
+        return ((self.refs[lf], F), self.dofmap.cell_factors[cells][:, act],
                 dofs)
+
+
+class InterfaceSpace(TraceField):
+    """The space of the interface slots of one (family, degree,
+    continuity): traces of a parent space, the conforming space of the
+    family that ``_INTERFACE_KINDS`` gives at ``parent_degree``, measured
+    in its quotient norm.  Two conforming extensions differ by cell
+    bubbles, so the norm is a sum over cells: the lift E_K of the slot's
+    local functions into the parent skeleton functions (``trace_lift``)
+    is measured by the Schur complement S_K of the parent graph Gram onto
+    those, Q_K = E_K^T S_K E_K.  The parent traces, the Q_K and the facet
+    trace mass with its factorization by ``factor`` (a sparse HPD
+    factorization) are built on first use and kept.
+    """
+
+    def __init__(self, mesh, geo, slot, parent_degree, order, factor):
+        kind, self.parent_family, self.parent_kind = _INTERFACE_KINDS[
+            slot.continuity, slot.family]
+        super().__init__(mesh, geo, slot.family, slot.degree, kind, order)
+        self.key = (slot.family, slot.degree, slot.continuity)
+        self.parent_degree = parent_degree
+        self._factor = factor
+
+    def trace(self, v, n):
+        """The trace of this kind of values v, (P,) or (P, ncomp), at P
+        facet points with canonical facet normals n (P, dim)."""
+        if self.kind == "flux":
+            return np.einsum("pc,pc->p", v, n)
+        if self.kind == "tangential":
+            return v - np.sum(v * n, axis=1)[:, None] * n
+        return v
+
+    @cached_property
+    def parent(self):
+        """The skeleton traces of the parent space."""
+        return TraceField(self.mesh, self.geo, self.parent_family,
+                          self.parent_degree, self.parent_kind, self.order)
+
+    @cached_property
+    def mass(self):
+        """The slot's sparse facet trace mass matrix."""
+        return trace_mass(self.mesh, self.parent.tables, self)
+
+    @cached_property
+    def mass_lu(self):
+        return self._factor(self.mass)
+
+    @cached_property
+    def cell_grams(self):
+        """(ncells, n, n) per-cell quotient Grams Q_K = E_K^T S_K E_K of
+        the slot's local functions, in global coefficients."""
+        P = self.parent
+        E = trace_lift(P.tables, P, self)
+        Q = np.swapaxes(E, 1, 2) @ (skeleton_schur(P.tables, P.dofmap) @ E)
+        return 0.5 * (Q + np.swapaxes(Q, 1, 2))
 
 
 def trace_mass(mesh, tables, A):

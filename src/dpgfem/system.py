@@ -39,28 +39,18 @@ from scipy.linalg import cho_factor, cho_solve, inv
 from scipy.sparse.linalg import splu
 
 from . import formulations as fm
-from .reference import (
-    MeshGeometry,
-    RefOperand,
-    conforming_basis,
-    modal_basis,
-    reference_table,
-)
+from .reference import MeshGeometry, conforming_basis, modal_basis
 from .spaces import (
     ElementTables,
-    TraceField,
+    InterfaceSpace,
     broken_map,
     cell_classes,
     cell_groups,
     conforming_map,
-    facet_map,
-    facet_operands,
     natural_gram,
     skeleton_quotient_apply,
     skeleton_quotient_gram,
-    skeleton_schur,
-    trace_lift,
-    trace_mass,
+    trace_mass,  # noqa: F401 -- bench/test_bench.py reads system.trace_mass
     trace_rhs,
 )
 
@@ -92,17 +82,6 @@ class SingularSystemError(RuntimeError):
         self.smallest_ritz = smallest_ritz
 
 
-def _exact_names(slot_name):
-    """Exact field and exact derivative entries for a trial slot."""
-    table = {
-        "u": ("u", "grad_u"),
-        "sigma": ("sigma", "div_sigma"),
-        "E": ("E", "curl_E"),
-        "H": ("H", "curl_H"),
-    }
-    return table[slot_name]
-
-
 class Discretization:
     """One formulation realized on one mesh.
 
@@ -128,8 +107,8 @@ class Discretization:
 
         self._tables = {}
         self._maps = {}
-        self._flux = {}
-        self._skeleton_facets = {}
+        # interface slot name -> its space, one per distinct space
+        self._interfaces = {}
         self.slot_offset = {}
         self.slot_size = {}
         offset = 0
@@ -153,38 +132,34 @@ class Discretization:
             at += basis.nfuncs
         self.ntest_local = at
         self._ref_tables = self._tables[formulation.test_slots[0].name]
-        self._iface_norms = {}
         self._load = None
 
     # -- space construction -------------------------------------------
 
     def _build_slot(self, s):
         mesh, dim = self.mesh, self.mesh.dim
-        if s.continuity == "facet":
-            basis = modal_basis("l2", s.degree, dim - 1)
-            self._flux[s.name] = RefOperand(basis, "val", None, self.order)
-            return facet_map(mesh, basis.nfuncs)
-        basis = (conforming_basis(s.family, s.degree, dim)
-                 if s.continuity in ("conforming", "skeleton")
-                 else modal_basis(s.family, s.degree, dim))
+        if s.continuity in ("skeleton", "facet"):
+            key = (s.family, s.degree, s.continuity)
+            space = next((sp for sp in self._interfaces.values()
+                          if sp.key == key), None)
+            if space is None:
+                space = InterfaceSpace(mesh, self.geo, s,
+                                       self.form.p + self.form.delta,
+                                       self.order, _factor)
+            self._interfaces[s.name] = space
+            return space.dofmap
+        if s.continuity == "conforming":
+            basis = conforming_basis(s.family, s.degree, dim)
+        else:
+            basis = modal_basis(s.family, s.degree, dim)
         self._tables[s.name] = ElementTables(mesh, basis, self.geo,
                                              self.order)
         if s.continuity == "broken":
             return broken_map(mesh, basis.nfuncs)
-        dmap = conforming_map(mesh, basis, self.geo,
-                              skeleton=s.continuity == "skeleton")
-        if s.continuity == "skeleton":
-            self._skeleton_facets[s.name] = facet_operands(
-                self._tables[s.name], dmap.local_functions)
-        return dmap
+        return conforming_map(mesh, basis, self.geo)
 
     def dofmap(self, name):
         return self._maps[name]
-
-    def flux_basis(self, name):
-        """Values (nfuncs, nq) of a facet slot's basis at the facet rule's
-        points."""
-        return reference_table(self._flux[name])[0][:, :, 0]
 
     def test_offset(self, name):
         return self._test_offsets[name]
@@ -417,7 +392,7 @@ class Discretization:
         # (slot, 'val' | 'der') -> exact values at every quadrature point
         exact = {}
         for s in self.form.trial_slots:
-            fname, dname = _exact_names(s.name)
+            fname, dname = fm.exact_names(s)
             fields = {"val": case.fields[fname]}
             if (s.continuity == "conforming"
                     and case.fields.get(dname) is not None):
@@ -443,16 +418,28 @@ class Discretization:
             out[s.name] = {"l2": np.sqrt(e2), "natural": np.sqrt(e2 + d2)}
             total2 += e2 + d2
         for s in self.form.interface_slots:
-            err = self._interface_norm(s).error(x, case)
+            space = self._interfaces[s.name]
+            off = self.slot_offset[s.name]
+            delta = (self.project_exact(s, case)
+                     - x[off:off + space.dofmap.ndofs])
+            err = float(np.sqrt(skeleton_quotient_apply(
+                space.cell_grams, space.dofmap, delta)))
             out[s.name] = {"natural": err}
             total2 += err ** 2
         out["total"] = np.sqrt(total2)
         return out
 
-    def _interface_norm(self, slot):
-        if slot.name not in self._iface_norms:
-            self._iface_norms[slot.name] = _InterfaceNorm(self, slot)
-        return self._iface_norms[slot.name]
+    def project_exact(self, slot, case):
+        """Facet L2 projection of an interface slot's exact trace onto its
+        space, in the slot's coefficients."""
+        space = self._interfaces[slot.name]
+        sign, field = fm.exact_interface(self.form, case, slot.name)
+
+        def target(x, n):
+            return space.trace(sign * np.asarray(field(x)), n)
+
+        b = trace_rhs(self.mesh, space.parent.tables, space, target)
+        return _lusolve(space.mass_lu, b)
 
     def interface_quotient_gram(self, slot_name):
         """Sparse minimum-energy-extension Gram of one interface slot."""
@@ -461,8 +448,8 @@ class Discretization:
             raise ValueError(
                 f"{slot_name!r} is not an interface slot of {self.form.id}; "
                 f"its interface slots are {names}")
-        slot = self.form.slot(slot_name)
-        return self._interface_norm(slot).quotient_gram()
+        space = self._interfaces[slot_name]
+        return skeleton_quotient_gram(space.cell_grams, space.dofmap)
 
     # -- trial-side norm and the norm of b ---------------------------------
 
@@ -625,15 +612,11 @@ class _CellGroup:
         return (self.disc._tables[name].reference("val", lf),
                 self._factor(name, "val"))
 
-    def skeleton_facet(self, name, lf):
-        cols, ref = self.disc._skeleton_facets[name][lf]
-        return (ref, self._factor(name, "val")), cols
-
-    def flux(self, name):
-        return self.disc._flux[name], np.ones((1, 1))
-
-    def skeleton_functions(self, name):
-        return self.disc.dofmap(name).local_functions
+    def interface(self, name):
+        space = self.disc._interfaces[name]
+        F = space.value_factor(self.cells)
+        return ([((ref, F), act) for ref, act in zip(space.refs, space.active)],
+                space.dofmap.cell_dofs.shape[1])
 
     def facet_scale(self, lf):
         return self.disc._ref_tables.facet_scale(self.cells, lf)
@@ -665,84 +648,3 @@ def _smallest_ritz(A):
         return float(val[0])
     except Exception:
         return float("nan")
-
-
-class _InterfaceNorm:
-    """Projection and quotient-norm machinery for one interface slot.
-
-    The slot is measured in the quotient norm of its conforming parent
-    space at the test degree.  Two conforming extensions of a slot
-    function differ by cell bubbles, so the norm is a sum over cells: on
-    each cell the lift E_K of the slot's local functions into the parent
-    skeleton functions (``trace_lift``) is measured by the Schur
-    complement S_K of the parent graph Gram onto the skeleton functions,
-    Q_K = E_K^T S_K E_K.  The Q_K and the slot's facet mass are built on
-    first use and kept.
-    """
-
-    def __init__(self, disc, slot):
-        self.disc = disc
-        self.slot = slot
-        mesh, dim = disc.mesh, disc.mesh.dim
-        q = disc.form.p + disc.form.delta
-        if slot.continuity == "facet":
-            family, ikind, pkind = "hdiv", "flux", "normal"
-        elif slot.family == "h1":
-            family, ikind, pkind = "h1", "value", "value"
-        else:
-            family, ikind, pkind = "hcurl", "tangential", "tangential"
-        self.ikind = ikind
-        parent = conforming_basis(family, q, dim)
-        self.ptables = ElementTables(mesh, parent, disc.geo, disc.order)
-        self.pskel = conforming_map(mesh, parent, disc.geo, skeleton=True)
-        self.ptrace = TraceField(mesh, self.pskel, pkind, self.ptables)
-        self.dofmap = disc.dofmap(slot.name)
-        self.itrace = TraceField(mesh, self.dofmap, ikind,
-                                 disc._tables.get(slot.name),
-                                 disc._flux.get(slot.name))
-
-    @cached_property
-    def _mass(self):
-        """The slot's facet trace mass matrix."""
-        return trace_mass(self.disc.mesh, self.ptables, self.itrace)
-
-    @cached_property
-    def _mass_lu(self):
-        return _factor(self._mass)
-
-    @cached_property
-    def cell_grams(self):
-        """(ncells, n, n) per-cell quotient Grams Q_K = E_K^T S_K E_K of
-        the slot's local functions, in global coefficients."""
-        E = trace_lift(self.ptables, self.ptrace, self.itrace)
-        Q = np.swapaxes(E, 1, 2) @ (skeleton_schur(self.ptables, self.pskel)
-                                    @ E)
-        return 0.5 * (Q + np.swapaxes(Q, 1, 2))
-
-    def project_exact(self, case):
-        """Facet L2 projection of the exact trace onto the slot space."""
-        spec = fm.exact_interface(self.disc.form, case, self.slot.name)
-        if self.slot.continuity == "facet":
-            target = spec
-        else:
-            _, field, sign = spec
-            if self.ikind == "value":
-                def target(x, n):
-                    return sign * np.asarray(field(x))
-            else:
-                def target(x, n):
-                    v = sign * np.asarray(field(x))
-                    return v - np.sum(v * n, axis=1)[:, None] * n
-        b = trace_rhs(self.disc.mesh, self.ptables, self.itrace, target)
-        return _lusolve(self._mass_lu, b)
-
-    def error(self, x, case):
-        c = self.project_exact(case)
-        off = self.disc.slot_offset[self.slot.name]
-        delta = c - x[off:off + self.dofmap.ndofs]
-        return float(np.sqrt(skeleton_quotient_apply(self.cell_grams,
-                                                     self.dofmap, delta)))
-
-    def quotient_gram(self):
-        """Sparse interface Gram: the sum of the per-cell quotient Grams."""
-        return skeleton_quotient_gram(self.cell_grams, self.dofmap)

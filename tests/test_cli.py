@@ -119,6 +119,22 @@ def test_adaptive_requires_stop_key(tmp_path, capsys):
     assert "max_iterations or max_dofs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,message", [
+    ("max_iterations = 0", "max_iterations must be a positive integer"),
+    ("max_dofs = -5", "max_dofs must be a positive integer"),
+    ("seed = -1", "seed must be a nonnegative integer"),
+])
+def test_adaptive_limits_are_checked(tmp_path, capsys, line, message):
+    stop = "" if line.startswith("max_") else "max_iterations = 2\n"
+    cfg = _write_cfg(tmp_path, "\n".join([
+        "mode = adaptive", "formulation = primal_poisson",
+        "case = poisson_lshape_singular", "domain = l-shape",
+        "out = x.csv", line]) + "\n" + stop)
+    assert main([cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # -- driver runs -------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from dpgfem.formulations import (
     DCR_IDS,
     MAXWELL_IDS,
+    exact_names,
     make_formulation,
     manufactured_case,
 )
@@ -32,6 +33,24 @@ def test_maxwell_is_complex_and_3d(fid):
 def test_diffusion_is_real(fid):
     form = make_formulation(fid, 1)
     assert np.dtype(form.dtype) == np.float64
+
+
+@pytest.mark.parametrize("mode", ["guaranteed", "economy"])
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_exact_names_exist_in_the_matching_cases(fid, mode):
+    """Every exact field that measure_error reads, the value of each
+    field slot and the family derivative of each conforming one, is a
+    field of the manufactured cases of the formulation's problem."""
+    form = make_formulation(fid, 1, delta=2 if mode == "economy" else 3,
+                            mode=mode)
+    cases = (["maxwell_sine_3d"] if fid in MAXWELL_IDS
+             else ["poisson_sine_2d", "dcr_sine_2d"])
+    for s in form.trial_slots:
+        value, deriv = exact_names(s)
+        read = [value, deriv] if s.continuity == "conforming" else [value]
+        for name in cases:
+            assert set(read) <= set(manufactured_case(name).fields), \
+                (s.name, name)
 
 
 def test_primal_poisson_catalog_dimensions():

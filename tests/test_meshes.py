@@ -186,6 +186,20 @@ def test_mesh_io_roundtrip_keeps_facet_ids_and_tags(domain, n):
     assert back.boundary_tags == mesh.boundary_tags
 
 
+@pytest.mark.parametrize("keep,message", [
+    (0, "header line 'dpgmesh <dim> <nvertices> <ncells>' is missing"),
+    (4, "vertex line 4 of 9 is missing"),
+    (12, "cell line 3 of 8 is missing"),
+])
+def test_read_mesh_names_what_is_missing(eight_tri, keep, message):
+    """Empty or truncated text fails with the missing line named."""
+    buf = io.StringIO()
+    write_mesh(eight_tri, buf)
+    text = "".join(buf.getvalue().splitlines(keepends=True)[:keep])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_mesh(io.StringIO(text))
+
+
 def test_read_mesh_rejects_tag_on_no_facet(eight_tri):
     buf = io.StringIO()
     write_mesh(eight_tri, buf)

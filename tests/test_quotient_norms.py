@@ -179,3 +179,18 @@ def test_quotient_gram_rejects_a_slot_that_is_not_an_interface(eight_tri,
                        r"slot of primal_poisson; its interface slots are "
                        r"\['sighat'\]"):
         disc.interface_quotient_gram(name)
+
+
+@pytest.mark.parametrize("mode", ["guaranteed", "economy"])
+def test_slots_of_one_interface_space_share_it(mode, five_tet, eight_tri):
+    """Hhat and Ehat of the ultraweak Maxwell form are traces of one
+    space: one space object and one dof map.  The H1 skeleton and the
+    flux of the ultraweak DCR form are two spaces."""
+    form = make_formulation("maxwell_ultraweak", 1,
+                            delta=2 if mode == "economy" else 3, mode=mode)
+    disc = Discretization(form, five_tet)
+    assert disc._interfaces["Hhat"] is disc._interfaces["Ehat"]
+    assert disc.dofmap("Hhat") is disc.dofmap("Ehat")
+    dcr = Discretization(make_formulation("ultraweak_dcr", 1), eight_tri)
+    assert dcr._interfaces["uhat"] is not dcr._interfaces["sighat"]
+    assert dcr.dofmap("uhat") is not dcr.dofmap("sighat")

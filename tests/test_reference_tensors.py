@@ -30,7 +30,7 @@ import pytest
 from dpgfem.formulations import DCR_IDS, MAXWELL_IDS, ManufacturedCase, \
     exact_interface, make_formulation
 from dpgfem.meshes import SimplicialMesh, build_structured
-from dpgfem.reference import _integrate
+from dpgfem.reference import _integrate, reference_table
 from dpgfem.spaces import natural_gram, skeleton_schur
 from dpgfem.system import Discretization
 
@@ -155,12 +155,13 @@ def _oracle(disc, ci):
     nfac = form.dim + 1
     blocks = []
     for pr in form.pairings:
-        if pr.facet:
-            basis = disc.flux_basis(pr.slot)[:, :, None]
-            xs = [basis] * nfac
+        space = disc._interfaces[pr.slot]
+        flux = space.kind == "flux"
+        if flux:
+            xs = [reference_table(space.refs[0])[0]] * nfac
         else:
-            use = disc.dofmap(pr.slot).local_functions
-            xs = [ctx.facet(pr.slot, lf)[..., use, :, :]
+            use = space.dofmap.local_functions
+            xs = [space.tables.facet_values(ctx.cells, lf)[..., use, :, :]
                   for lf in range(nfac)]
         Bp = []
         for lf in range(nfac):
@@ -175,7 +176,7 @@ def _oracle(disc, ci):
             blk[:, r0:r0 + y.shape[-3]] = _integrate(
                 xs[lf], y, ctx.coef(pr.coef) * ctx.fw(lf))
             Bp.append(blk)
-        if pr.facet:
+        if flux:
             blocks.extend(Bp)
         else:
             blocks.append(sum(Bp))
@@ -268,18 +269,18 @@ class _PushedNorm:
     """The interface norm of one slot, recomputed from pushed tables."""
 
     def __init__(self, disc, slot):
-        norm = disc._interface_norm(slot)
-        self.disc, self.norm = disc, norm
+        space = disc._interfaces[slot.name]
+        self.disc, self.name = disc, slot.name
         self.ikind = _trace_kind(slot)
         self.pkind = "normal" if self.ikind == "flux" else self.ikind
-        self.imap = disc.dofmap(slot.name)
-        self.flux = (disc.flux_basis(slot.name) if slot.continuity == "facet"
-                     else None)
-        self.itab = disc._tables.get(slot.name)
+        self.imap = space.dofmap
+        self.flux = (reference_table(space.refs[0])[0][:, :, 0]
+                     if slot.continuity == "facet" else None)
+        self.itab = space.tables
+        self.ptab, self.pskel = space.parent.tables, space.parent.dofmap
 
     def parent(self, ci, lf):
-        n = self.norm
-        return _pushed_traces(self.disc, n.ptables, n.pskel, self.pkind,
+        return _pushed_traces(self.disc, self.ptab, self.pskel, self.pkind,
                               ci, lf)
 
     def slot(self, ci, lf):
@@ -287,10 +288,10 @@ class _PushedNorm:
                               ci, lf, self.flux)
 
     def weights(self, ci, lf):
-        return self.norm.ptables.facet_weights(ci, lf)
+        return self.ptab.facet_weights(ci, lf)
 
     def schur(self):
-        tab, skel = self.norm.ptables, self.norm.pskel
+        tab, skel = self.ptab, self.pskel
         use = list(skel.local_functions)
         rest = [k for k in range(tab.basis.nfuncs) if k not in use]
         out = []
@@ -316,7 +317,7 @@ class _PushedNorm:
     def quotient_gram(self):
         """The global V^T S V: V the trace embedding below, S the sum of
         the per-cell Schur complements over the parent skeleton dofs."""
-        skel = self.norm.pskel
+        skel = self.pskel
         S = np.zeros((skel.ndofs, skel.ndofs))
         for idx, Sk in zip(skel.cell_dofs, self.schur()):
             S[np.ix_(idx, idx)] += Sk
@@ -326,7 +327,7 @@ class _PushedNorm:
     def embedding(self):
         """Per facet, the L2 projection of the slot traces onto the
         parent's; copies of one entry from several facets averaged."""
-        total = np.zeros((self.norm.pskel.ndofs, self.imap.ndofs))
+        total = np.zeros((self.pskel.ndofs, self.imap.ndofs))
         count = np.zeros_like(total)
         for ci, lf in _owned_facets(self.disc.mesh):
             w = self.weights(ci, lf)
@@ -341,21 +342,19 @@ class _PushedNorm:
 
     def project(self, case):
         """Facet L2 projection of the slot's exact trace."""
-        disc, name = self.disc, self.norm.slot.name
-        spec = exact_interface(disc.form, case, name)
+        disc = self.disc
+        sign, field = exact_interface(disc.form, case, self.name)
         mesh = disc.mesh
         b = np.zeros(self.imap.ndofs, dtype=complex)
         for ci, lf in _owned_facets(mesh):
-            x = self.norm.ptables.physical_facet_points(ci, lf)
+            x = self.ptab.physical_facet_points(ci, lf)
             n = np.repeat(mesh.facet_normals[
                 mesh.cell_facet_ids[ci, lf]][None], len(x), axis=0)
-            if callable(spec):
-                t = spec(x, n)[:, None]
-            else:
-                _, field, sign = spec
-                t = sign * np.asarray(field(x)).reshape(len(x), -1)
-                if self.ikind == "tangential":
-                    t = t - np.sum(t * n, axis=1)[:, None] * n
+            t = sign * np.asarray(field(x)).reshape(len(x), -1)
+            if self.ikind == "flux":
+                t = np.sum(t * n, axis=1)[:, None]
+            elif self.ikind == "tangential":
+                t = t - np.sum(t * n, axis=1)[:, None] * n
             v, i = self.slot(ci, lf)
             np.add.at(b, i, np.einsum("ipc,pc,p->i", v, t,
                                       self.weights(ci, lf)))
@@ -396,8 +395,9 @@ def test_interface_norms_match_quadrature(fid, dim, mode, kind):
                    _pushed_natural_gram(disc._tables[s.name],
                                         disc.dofmap(s.name)))
     for s in form.interface_slots:
-        oracle, norm = _PushedNorm(disc, s), disc._interface_norm(s)
-        _close(skeleton_schur(norm.ptables, norm.pskel), oracle.schur())
-        _close(norm._mass, oracle.mass())
+        oracle, space = _PushedNorm(disc, s), disc._interfaces[s.name]
+        _close(skeleton_schur(space.parent.tables, space.parent.dofmap),
+               oracle.schur())
+        _close(space.mass, oracle.mass())
         _close(disc.interface_quotient_gram(s.name), oracle.quotient_gram())
-        _close(norm.project_exact(case), oracle.project(case))
+        _close(disc.project_exact(s, case), oracle.project(case))
