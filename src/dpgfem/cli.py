@@ -2,13 +2,11 @@
 
 The config is a flat key=value text file with "#" comments.  One
 positional argument names the file; --mode, --out and --seed override
-the corresponding keys.  The DPG_THREADS environment variable caps the
-worker count handed to the verification suites.
+the corresponding keys.
 """
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -203,13 +201,12 @@ def run_adaptive(cfg):
     return 0
 
 
-def run_verify(cfg, max_workers=1):
+def run_verify(cfg):
     suites = None
-    if cfg.get("suites"):
+    if cfg.get("suites") is not None:
         suites = tuple(s.strip() for s in cfg.suites.split(",") if s.strip())
     try:
-        records = verify_records(seed=cfg.seed, suites=suites,
-                                 max_workers=max_workers)
+        records = verify_records(seed=cfg.seed, suites=suites)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     write_report(records, cfg.out, "jsonl",
@@ -243,28 +240,13 @@ def run_describe(cfg, stream=None):
     return 0
 
 
-def _worker_cap():
-    raw = os.environ.get("DPG_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"DPG_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(
-            f"DPG_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
-def run_config(cfg, rate_all_levels=False, max_workers=1):
+def run_config(cfg, rate_all_levels=False):
     if cfg.mode == "study":
         return run_study(cfg, rate_all_levels=rate_all_levels)
     if cfg.mode == "adaptive":
         return run_adaptive(cfg)
     if cfg.mode == "verify":
-        return run_verify(cfg, max_workers=max_workers)
+        return run_verify(cfg)
     return run_describe(cfg)
 
 
@@ -284,8 +266,7 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config, overrides={
             "mode": args.mode, "out": args.out, "seed": args.seed})
-        return run_config(cfg, rate_all_levels=args.rate_all_levels,
-                          max_workers=_worker_cap())
+        return run_config(cfg, rate_all_levels=args.rate_all_levels)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

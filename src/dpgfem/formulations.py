@@ -560,18 +560,14 @@ def exact_interface(form, case, slot_name):
 class ManufacturedCase:
     """Named exact-solution data set.
 
-    fields maps names to vectorized callables of the physical points;
-    expected_rates maps (slot, norm) labels to the convergence order the
-    discretization should achieve.
+    fields maps names to vectorized callables of the physical points.
     """
 
-    def __init__(self, name, dim, params, fields, expected_rates,
-                 has_exact=True):
+    def __init__(self, name, dim, params, fields, has_exact=True):
         self.name = name
         self.dim = dim
         self.params = params
         self.fields = fields
-        self.expected_rates = expected_rates
         self.has_exact = has_exact
 
 
@@ -591,7 +587,7 @@ def _poisson_sine_2d():
               "div_sigma": lambda x: -f2(x)}
     return ManufacturedCase("poisson_sine_2d", 2,
                             {"a": 1.0, "beta": np.zeros(2), "gamma": 0.0},
-                            fields, {"u": None})
+                            fields)
 
 
 def _dcr_sine_2d():
@@ -620,7 +616,7 @@ def _dcr_sine_2d():
               "div_sigma": lambda x: gamma * u(x) - f2(x)}
     return ManufacturedCase("dcr_sine_2d", 2,
                             {"a": a, "beta": beta, "gamma": gamma},
-                            fields, {})
+                            fields)
 
 
 def _maxwell_sine_3d():
@@ -657,7 +653,7 @@ def _maxwell_sine_3d():
 
     fields = {"E": E, "curl_E": curlE, "H": H, "curl_H": curlH, "J": J}
     return ManufacturedCase("maxwell_sine_3d", 3,
-                            {"eps": eps, "mu": mu, "omega": om}, fields, {})
+                            {"eps": eps, "mu": mu, "omega": om}, fields)
 
 
 def _poisson_lshape_singular():
@@ -666,7 +662,7 @@ def _poisson_lshape_singular():
 
     return ManufacturedCase("poisson_lshape_singular", 2,
                             {"a": 1.0, "beta": np.zeros(2), "gamma": 0.0},
-                            {"f2": f2}, {}, has_exact=False)
+                            {"f2": f2}, has_exact=False)
 
 
 _CASES = {

@@ -469,9 +469,9 @@ def fortin_build(kind, p, vertices=None):
     return FortinSystem(kind, p, vertices=vertices)
 
 
-def fortin_moments(kind, p, samples=None, vertices=None, system=None):
+def fortin_moments(kind, p, samples=None, system=None):
     """Largest relative moment residual over the sample inputs."""
-    sys_ = system if system is not None else fortin_build(kind, p, vertices)
+    sys_ = system if system is not None else fortin_build(kind, p)
     if samples is None:
         samples = default_samples(kind, p)
     return float(sys_.moment_residuals(samples).max())
@@ -552,9 +552,3 @@ def fortin_bound_sweep(p, kinds=("grad", "curl", "div"),
                                 "weighted": float(cw), "full": float(cf)})
     return records
 
-
-def perp_dimensions(p):
-    """Dimensions (P0_perp, P_perp) of the surface complement spaces."""
-    full = 4 * space_dimension("h1", p + 2, 2)
-    ctrace = trace_dimension("h1", p + 2)
-    return full - ctrace - 3, full - ctrace

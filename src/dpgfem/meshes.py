@@ -114,10 +114,6 @@ class SimplicialMesh:
     def boundary_facets(self):
         return np.flatnonzero(self.facet_cells[:, 1] == -1)
 
-    @cached_property
-    def interior_facets(self):
-        return np.flatnonzero(self.facet_cells[:, 1] != -1)
-
     # -- geometry -----------------------------------------------------
 
     @cached_property
@@ -582,6 +578,23 @@ def write_mesh(mesh, path):
             fh.write(text)
 
 
+def _mesh_fields(kind, line, n, convert, skip=0):
+    """The n fields after the first ``skip`` of one vertex, cell or tag
+    line, converted."""
+    parts = line.split()[skip:]
+    if len(parts) != n:
+        raise ValueError(f"bad {kind} line: {line!r}")
+    out = []
+    for x in parts:
+        try:
+            out.append(convert(x))
+        except ValueError:
+            what = "a number" if convert is float else "an integer"
+            raise ValueError(f"bad {kind} line: {line!r}: {x!r} is not "
+                             f"{what}") from None
+    return out
+
+
 def read_mesh(path):
     """Read the plain-text mesh format written by :func:`write_mesh`."""
     if hasattr(path, "read"):
@@ -596,35 +609,34 @@ def read_mesh(path):
     head = lines[0].split()
     if len(head) != 4 or head[0] != "dpgmesh":
         raise ValueError("not a dpgmesh file")
-    dim, nv, nc = int(head[1]), int(head[2]), int(head[3])
+    counts = []
+    for name, raw in zip(("dim", "nvertices", "ncells"), head[1:]):
+        try:
+            counts.append(int(raw))
+        except ValueError:
+            raise ValueError(f"mesh header field {name} must be an integer, "
+                             f"got {raw!r}") from None
+        if counts[-1] < 0:
+            raise ValueError(f"mesh header field {name} must be "
+                             f"nonnegative, got {counts[-1]}")
+    dim, nv, nc = counts
     k = len(lines) - 1
     if k < nv + nc:
         kind, k, n = ("vertex", k, nv) if k < nv else ("cell", k - nv, nc)
         raise ValueError(f"truncated mesh file: {kind} line {k + 1} of {n} "
                          f"is missing")
-    row = 1
-    verts = []
-    for _ in range(nv):
-        parts = lines[row].split()
-        if len(parts) != dim:
-            raise ValueError(f"bad vertex line: {lines[row]!r}")
-        verts.append([float(x) for x in parts])
-        row += 1
-    cells = []
-    for _ in range(nc):
-        parts = lines[row].split()
-        if len(parts) != dim + 1:
-            raise ValueError(f"bad cell line: {lines[row]!r}")
-        cells.append([int(x) for x in parts])
-        row += 1
+    verts = [_mesh_fields("vertex", ln, dim, float)
+             for ln in lines[1:1 + nv]]
+    cells = [_mesh_fields("cell", ln, dim + 1, int)
+             for ln in lines[1 + nv:1 + nv + nc]]
     mesh = SimplicialMesh(dim, verts, cells)
     keys, tags = [], []
-    for ln in lines[row:]:
-        parts = ln.split()
-        if parts[0] != "tag" or len(parts) != dim + 2:
+    for ln in lines[1 + nv + nc:]:
+        if ln.split()[0] != "tag":
             raise ValueError(f"bad tag line: {ln!r}")
-        keys.append(sorted(int(x) for x in parts[1:-1]))
-        tags.append(int(parts[-1]))
+        *key, tag = _mesh_fields("tag", ln, dim + 1, int, skip=1)
+        keys.append(sorted(key))
+        tags.append(tag)
     fids = _find_rows(mesh.facets, np.array(keys, dtype=int).reshape(-1, dim))
     if np.any(fids < 0):
         raise ValueError(f"tag on a vertex set that is no facet: "

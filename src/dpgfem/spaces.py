@@ -42,8 +42,6 @@ from .reference import (
     deriv_factor,
     facet_points,
     modal_basis,
-    push_derivs,
-    push_values,
     reference_table,
     value_factor,
 )
@@ -91,9 +89,7 @@ class ElementTables:
     of two bases are contractions with reference tensors and data are
     pulled back by the factor.  Reference tables come from the
     process-wide cache on first use.  ``basis`` may be a modal or a
-    conforming basis object.  ``values``, ``derivs`` and
-    ``facet_values`` push whole tables to the cells; the tests' oracles
-    integrate them point by point.
+    conforming basis object.
     Per-cell lookups take one cell index, a slice or an index array of
     cells; the latter two add a leading cell axis (h1 values, the same
     on every cell, keep their reference shape).
@@ -121,16 +117,6 @@ class ElementTables:
     def volume_weights(self, ci):
         return self.geo.absdet[ci][..., None] * self.vrule.weights
 
-    def values(self, ci):
-        g = self.geo
-        return push_values(self.family, self.table("val"), g.J[ci], g.Jinv[ci],
-                           g.det[ci])
-
-    def derivs(self, ci):
-        g = self.geo
-        return push_derivs(self.family, self.table("der"), g.J[ci], g.Jinv[ci],
-                           g.det[ci])
-
     def reference(self, kind, lf=None, funcs=None):
         """The reference operand of the values ('val') or derivatives
         ('der') on the volume rule, or of the values on local facet lf;
@@ -154,14 +140,6 @@ class ElementTables:
         rule's weights."""
         fid = self.mesh.cell_facet_ids[ci, lf]
         return self.mesh.facet_areas[fid] / reference_volume(self.mesh.dim - 1)
-
-    def facet_weights(self, ci, lf):
-        return self.facet_scale(ci, lf)[..., None] * self.frule.weights
-
-    def facet_values(self, ci, lf):
-        g = self.geo
-        return push_values(self.family, self.table("val", lf), g.J[ci],
-                           g.Jinv[ci], g.det[ci])
 
     def physical_points(self, ci):
         return self.geo.map_points(ci, self.vrule.points)

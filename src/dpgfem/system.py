@@ -35,7 +35,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve, inv
+from scipy.linalg import (
+    cho_factor,  # noqa: F401 -- bench/test_bench.py reads system.cho_factor
+    inv,
+)
 from scipy.sparse.linalg import splu
 
 from . import formulations as fm
@@ -53,6 +56,12 @@ from .spaces import (
     trace_mass,  # noqa: F401 -- bench/test_bench.py reads system.trace_mass
     trace_rhs,
 )
+
+
+# opnorm's power iteration stops after this many steps, or once the
+# Rayleigh quotient moves by at most this much relative to max(it, 1)
+_OPNORM_STEPS = 120
+_OPNORM_TOL = 1e-11
 
 
 def _factor(A):
@@ -175,11 +184,6 @@ class Discretization:
                 for s in slots]
         facs = [self._maps[s.name].cell_factors for s in slots]
         return np.concatenate(dofs, axis=1), np.concatenate(facs, axis=1)
-
-    def cell_columns(self, ci):
-        """Global column dofs and factors of one cell, field slots first."""
-        dofs, facs = self._columns
-        return dofs[ci], facs[ci]
 
     def _groups(self, n):
         """Slices of n consecutive cells or classes, each evaluated as one
@@ -338,35 +342,6 @@ class Discretization:
             ortho = float(np.max(np.abs(resid[free])) / scale)
         return EstimateResult(np.sqrt(eta2), float(np.sqrt(eta2.sum())), ortho)
 
-    # -- explicit optimal-test Petrov-Galerkin path -----------------------
-
-    def pg_assemble(self, case=None):
-        """Assemble by explicitly constructing the optimal test functions.
-
-        Each trial column j gets its own test function t_j with
-        coefficients G^{-1} B e_j; the stiffness entry is b(phi_j, t_i).
-        Algebraically equal to the condensed normal equations, built
-        through the test-function route as an independent check.
-        """
-        dtype = self.form.dtype
-        rows, cols, vals = [], [], []
-        f = np.zeros(self.ndof, dtype=dtype)
-        for ci in range(self.mesh.ncells):
-            G, B, l = self.element_system(ci, case)
-            cho = cho_factor(G, lower=True)
-            T = cho_solve(cho, B)
-            M = T.conj().T @ B
-            f_K = T.conj().T @ l
-            idx, _ = self.cell_columns(ci)
-            rows.append(np.repeat(idx, len(idx)))
-            cols.append(np.tile(idx, len(idx)))
-            vals.append(M.ravel())
-            f[idx] += f_K
-        A = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.ndof, self.ndof), dtype=dtype).tocsc()
-        return A, f
-
     # -- errors against manufactured solutions ----------------------------
 
     def field_coefficients(self, x, name, ci):
@@ -466,14 +441,15 @@ class Discretization:
                    for s in form.interface_slots]
         return sparse.block_diag(blocks, format="csc")
 
-    def opnorm(self, niter=120, seed=0, tol=1e-11):
+    def opnorm(self, seed=0):
         """Largest generalized singular value of b over X x Y.
 
         Power iteration on G_X^{-1} B^H G_Y^{-1} B with the trial graph
         norms (quotient norms on interfaces) and the broken Y norm.
-        The result is the Rayleigh quotient after at most ``niter``
-        steps, a lower bound of ||b||: when the top of the spectrum is
-        clustered the iteration stops before it converges.
+        The result is the Rayleigh quotient after at most
+        ``_OPNORM_STEPS`` steps, a lower bound of ||b||: when the top of
+        the spectrum is clustered the iteration stops before it
+        converges.
         """
         Gx = self.trial_gram()
         lu = _factor(Gx)
@@ -484,7 +460,7 @@ class Discretization:
             v = v + 1j * rng.standard_normal(self.ndof)
         v /= np.sqrt(np.real(np.vdot(v, Gx @ v)))
         val = 0.0
-        for _ in range(niter):
+        for _ in range(_OPNORM_STEPS):
             # y-residual application: A v = sum over cells B^H G^{-1} B v
             w = A @ v
             new = np.sqrt(max(float(np.real(np.vdot(v, w))), 0.0))
@@ -493,7 +469,7 @@ class Discretization:
             if nv == 0:
                 return 0.0
             v /= nv
-            if abs(new - val) <= tol * max(new, 1.0):
+            if abs(new - val) <= _OPNORM_TOL * max(new, 1.0):
                 val = new
                 break
             val = new

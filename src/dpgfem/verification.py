@@ -185,8 +185,8 @@ def duality_norms(pairing, q, trace):
     if pairing not in _PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
     ws = _workspace(pairing, q)
-    t = trace.values(ws.quad) if hasattr(trace, "values") else trace
-    t = np.asarray(t, dtype=float).reshape(ws.quad.face_weights.shape + (-1,))
+    t = np.asarray(trace.values(ws.quad), dtype=float).reshape(
+        ws.quad.face_weights.shape + (-1,))
     t_w = t * ws.sqrt_w
     tn2 = float(np.sum(t_w * t_w))
     if tn2 < 1e-28:
@@ -334,8 +334,7 @@ def annihilation_check(formulation, mesh, p, delta=3, mode="guaranteed"):
     the form detects nonconformity.  Pairings are normalized by the
     broken Riesz norm of the functional and the test norm.
     """
-    form = formulation if not isinstance(formulation, str) else \
-        make_formulation(formulation, p=p, delta=delta, mode=mode)
+    form = make_formulation(formulation, p=p, delta=delta, mode=mode)
     disc = Discretization(form, mesh)
     if not form.interface_slots:
         raise ValueError("formulation has no interface unknowns")
@@ -402,20 +401,15 @@ BrokenStability = namedtuple(
     "c1_discrete c1_formula passed c0 chat b0norm")
 
 
-def broken_stability_bound(formulation, mesh, p, delta=3, mode="guaranteed",
-                           conforming_only=False):
+def broken_stability_bound(formulation, mesh, p, delta=3, mode="guaranteed"):
     """Check the inherited stability bound of the broken formulation.
 
     c0 is the inf-sup constant of the field form over the conforming
     test subspace, chat the interface inf-sup over the full broken
     space, and the bound combines them through
     1/c1^2 = 1/c0^2 + (1/chat^2) (|b0|/c0 + 1)^2.
-    With conforming_only=True the test space is restricted to the
-    conforming subspace and the interface unknowns are dropped, in
-    which case the measured constant is c0 itself.
     """
-    form = formulation if not isinstance(formulation, str) else \
-        make_formulation(formulation, p=p, delta=delta, mode=mode)
+    form = make_formulation(formulation, p=p, delta=delta, mode=mode)
     disc = Discretization(form, mesh)
     T, free = _whitened_system(disc)
     Gx = disc.trial_gram().toarray()
@@ -429,8 +423,6 @@ def broken_stability_bound(formulation, mesh, p, delta=3, mode="guaranteed",
     sv0 = _gen_singular_values(Q.conj().T @ T[:, free_f],
                                Gx[np.ix_(free_f, free_f)])
     c0, b0norm = float(sv0[-1]), float(sv0[0])
-    if conforming_only:
-        return BrokenStability(c0, c0, True, c0, None, b0norm)
     free_i = free[free >= disc.ndof_field]
     chat = float(_gen_singular_values(T[:, free_i],
                                       Gx[np.ix_(free_i, free_i)])[-1])
@@ -529,27 +521,26 @@ _SUITES = {
 }
 
 
-def verify_records(seed=0, suites=None, max_workers=1):
+def verify_records(seed=0, suites=None):
     """Run verification suites and return flat report records.
 
     Each record is a dict with keys suite, case, value, tolerance and
-    pass.  Records are ordered by the fixed suite order regardless of
-    worker count, so a fixed seed reproduces the report byte for byte.
+    pass, in the order of the suites named (all five, in their fixed
+    order, when None), so a fixed seed reproduces the report byte for
+    byte.
     """
     names = list(_SUITES) if suites is None else list(suites)
-    for name in names:
+    if not names:
+        raise ValueError("suites names no verification suite; choose from "
+                         + ", ".join(_SUITES))
+    for i, name in enumerate(names):
         if name not in _SUITES:
             raise ValueError(f"unknown verification suite {name!r}")
-    if max_workers > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            futures = {name: ex.submit(_SUITES[name], seed) for name in names}
-            chunks = [futures[name].result() for name in names]
-    else:
-        chunks = [_SUITES[name](seed) for name in names]
+        if name in names[:i]:
+            raise ValueError(f"suites names {name!r} twice")
     records = []
-    for chunk in chunks:
-        for suite, case, value, tol, ok in chunk:
+    for name in names:
+        for suite, case, value, tol, ok in _SUITES[name](seed):
             records.append({"suite": suite, "case": case,
                             "value": float(value), "tolerance": float(tol),
                             "pass": bool(ok)})

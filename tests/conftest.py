@@ -51,7 +51,7 @@ def _corner_load(R=0.35):
 
     return ManufacturedCase("poisson_lshape_corner", 2,
                             {"a": 1.0, "beta": np.zeros(2), "gamma": 0.0},
-                            {"f2": f2}, {}, has_exact=False)
+                            {"f2": f2}, has_exact=False)
 
 
 @pytest.fixture

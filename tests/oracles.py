@@ -4,17 +4,21 @@ The duality oracle takes a route apart from the one in ``src/dpgfem``:
 it integrates point by point on its own rule and solves the small dense
 system the definition gives, so that it shares no factorization, cache
 or shortcut with the code under test.  The facet trace matrices and the
-exact sequence check probe the reference bases; nothing in the library
-calls them.
+exact sequence check probe the reference bases; the pushed tables, the
+per-cell columns and the explicit Petrov-Galerkin assembly give the
+tests a second route to what the library computes by contraction and
+condensation; nothing in the library calls any of them.
 """
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from dpgfem.fortin import REFERENCE_TET, TetQuadrature
+from dpgfem.polynomials import space_dimension, trace_dimension
 from dpgfem.quadrature import simplex_rule
 from dpgfem.reference import _RANK_TOL, _independent, _integrate, _inv_sqrt, \
-    facet_outward_normal, facet_points, modal_basis
+    facet_outward_normal, facet_points, modal_basis, push_derivs, push_values
 from dpgfem.simplex import facet_parametrization, local_facets
 from dpgfem.verification import _MODES, _PAIRINGS
 
@@ -146,3 +150,71 @@ def exact_sequence_check(p, dim):
     divs = rt.derivs(rule.points)
     out["div_in_scalar"] = proj_residual(divs, scal.values(rule.points))
     return out
+
+
+# -- pushed tables, mesh facets and element columns ---------------------
+
+
+def pushed_values(tables, ci, lf=None):
+    """The values of an ``ElementTables`` basis pushed to one cell or a
+    slice or index array of cells, on the volume rule or on the rule of
+    local facet lf."""
+    g = tables.geo
+    return push_values(tables.family, tables.table("val", lf), g.J[ci],
+                       g.Jinv[ci], g.det[ci])
+
+
+def pushed_derivs(tables, ci):
+    """The derivatives of an ``ElementTables`` basis pushed to cells."""
+    g = tables.geo
+    return push_derivs(tables.family, tables.table("der"), g.J[ci],
+                       g.Jinv[ci], g.det[ci])
+
+
+def facet_weights(tables, ci, lf):
+    """Physical weights of the facet rule on local facet lf of cells."""
+    return tables.facet_scale(ci, lf)[..., None] * tables.frule.weights
+
+
+def interior_facets(mesh):
+    """Ids of the facets shared by two cells."""
+    return np.flatnonzero(mesh.facet_cells[:, 1] != -1)
+
+
+def cell_columns(disc, ci):
+    """Global column dofs and factors of one cell, field slots first."""
+    dofs, facs = disc._columns
+    return dofs[ci], facs[ci]
+
+
+def perp_dimensions(p):
+    """Dimensions (P0_perp, P_perp) of the surface complement spaces of
+    the Fortin operators, from the counting formula."""
+    full = 4 * space_dimension("h1", p + 2, 2)
+    ctrace = trace_dimension("h1", p + 2)
+    return full - ctrace - 3, full - ctrace
+
+
+def pg_assemble(disc, case=None):
+    """Assemble by explicitly constructing the optimal test functions.
+
+    Each trial column j gets its own test function t_j with
+    coefficients G^{-1} B e_j; the stiffness entry is b(phi_j, t_i).
+    Algebraically equal to the condensed normal equations, built cell
+    by cell through the test-function route as an independent check.
+    """
+    dtype = disc.form.dtype
+    rows, cols, vals = [], [], []
+    f = np.zeros(disc.ndof, dtype=dtype)
+    for ci in range(disc.mesh.ncells):
+        G, B, l = disc.element_system(ci, case)
+        T = cho_solve(cho_factor(G, lower=True), B)
+        idx, _ = cell_columns(disc, ci)
+        rows.append(np.repeat(idx, len(idx)))
+        cols.append(np.tile(idx, len(idx)))
+        vals.append((T.conj().T @ B).ravel())
+        f[idx] += T.conj().T @ l
+    A = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(disc.ndof, disc.ndof), dtype=dtype).tocsc()
+    return A, f

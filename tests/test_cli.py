@@ -216,22 +216,19 @@ def test_verify_unknown_suite(tmp_path, capsys):
     assert "suite" in capsys.readouterr().err
 
 
-def test_verify_thread_cap_matches_sequential(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-    base = "mode = verify\nsuites = annihilation,stability\nout = {}\n"
-    assert main([_write_cfg(tmp_path, base.format(out1), "s.cfg")]) == 0
-    monkeypatch.setenv("DPG_THREADS", "2")
-    assert main([_write_cfg(tmp_path, base.format(out2), "p.cfg")]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_invalid_thread_cap(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("DPG_THREADS", value)
-    cfg = _write_cfg(tmp_path, "mode = verify\nsuites = stability\n"
-                               "out = x.jsonl\n")
+@pytest.mark.parametrize("suites,message", [
+    (",", "suites names no verification suite"),
+    ("", "suites names no verification suite"),
+    ("stability, stability", "suites names 'stability' twice"),
+], ids=["comma", "blank", "repeated"])
+def test_verify_suites_must_name_each_suite_once(tmp_path, capsys, suites,
+                                                 message):
+    out = tmp_path / "x.jsonl"
+    cfg = _write_cfg(tmp_path, f"mode = verify\nsuites = {suites}\n"
+                               f"out = {out}\n")
     assert main([cfg]) == 2
-    assert "DPG_THREADS" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_describe_prints_structure(tmp_path, capsys):

@@ -76,7 +76,7 @@ def _dcr_case(params, dim):
     fields = {"u": u, "grad_u": grad_u, "sigma": sigma,
               "div_sigma": div_sigma,
               "f2": lambda x: gamma * u(x) - div_sigma(x)}
-    return ManufacturedCase("dcr_tables", dim, params, fields, {})
+    return ManufacturedCase("dcr_tables", dim, params, fields)
 
 
 def _maxwell_case(params):
@@ -92,7 +92,7 @@ def _maxwell_case(params):
               "H": lambda x: base["curl_E"](x) / (1j * om * mu),
               "curl_H": curl_H,
               "J": lambda x: 1j * om * eps * base["E"](x) + curl_H(x)}
-    return ManufacturedCase("maxwell_tables", 3, params, fields, {})
+    return ManufacturedCase("maxwell_tables", 3, params, fields)
 
 
 def _probe(rng, n, complex_):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from dpgfem.fortin import SHAPE_FAMILY, default_samples, fortin_bound_sweep, \
-    fortin_build, fortin_commuting, fortin_moments, perp_dimensions
+    fortin_build, fortin_commuting, fortin_moments
+from oracles import perp_dimensions
 
 _CACHE = {}
 

@@ -16,6 +16,7 @@ from dpgfem.meshes import (
     shape_regularity,
     write_mesh,
 )
+from oracles import interior_facets
 
 
 @pytest.mark.parametrize("n,cells", [(1, 2), (2, 8), (3, 18)])
@@ -128,7 +129,7 @@ def test_refinement_records_parents(two_tri):
 
 
 def test_facet_adjacency(eight_tri):
-    interior = eight_tri.interior_facets
+    interior = interior_facets(eight_tri)
     boundary = eight_tri.boundary_facets
     assert len(interior) + len(boundary) == eight_tri.nfacets
     assert len(boundary) == 8
@@ -166,7 +167,7 @@ def test_cell_with_repeated_vertex_rejected():
 
 
 def test_tag_on_interior_facet_rejected(eight_tri):
-    fid = int(eight_tri.interior_facets[0])
+    fid = int(interior_facets(eight_tri)[0])
     with pytest.raises(ValueError, match="tag on interior facet"):
         SimplicialMesh(2, eight_tri.vertices, eight_tri.cells,
                        boundary_tags={fid: 1})
@@ -196,6 +197,32 @@ def test_read_mesh_names_what_is_missing(eight_tri, keep, message):
     buf = io.StringIO()
     write_mesh(eight_tri, buf)
     text = "".join(buf.getvalue().splitlines(keepends=True)[:keep])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_mesh(io.StringIO(text))
+
+
+def _edit_line(text, row, edit):
+    lines = text.splitlines(keepends=True)
+    lines[row] = edit(lines[row])
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("row,edit,message", [
+    (0, lambda ln: ln.replace(" 9 ", " x "),
+     "mesh header field nvertices must be an integer, got 'x'"),
+    (0, lambda ln: ln.replace(" 8\n", " -8\n"),
+     "mesh header field ncells must be nonnegative, got -8"),
+    (3, lambda ln: "0.5 abc\n", "bad vertex line: '0.5 abc': 'abc' is not "
+                                 "a number"),
+    (11, lambda ln: "0 1 2.5\n", "bad cell line: '0 1 2.5': '2.5' is not "
+                                  "an integer"),
+], ids=["count-not-integer", "count-negative", "vertex-field", "cell-field"])
+def test_read_mesh_names_the_bad_field(eight_tri, row, edit, message):
+    """A header count that is no integer or is negative, and a vertex or
+    cell field that does not parse, fail with the field or line named."""
+    buf = io.StringIO()
+    write_mesh(eight_tri, buf)
+    text = _edit_line(buf.getvalue(), row, edit)
     with pytest.raises(ValueError, match=re.escape(message)):
         read_mesh(io.StringIO(text))
 

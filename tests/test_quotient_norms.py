@@ -14,12 +14,13 @@ seeded probe v^H G v.  The probe lives in the coordinates of the
 interface basis; its values for the H1 and H(curl) skeletons were
 re-recorded once, when the reference bases were made canonical.
 
-``opnorm`` stops its power iteration after at most ``niter`` steps, so
-its value is a lower bound that depends on how the start vector meets
+``opnorm`` stops its power iteration after at most a fixed number of
+steps (``system._OPNORM_STEPS``), so its value is a lower bound that depends on how the start vector meets
 the top eigenspace, and with it on the bases.  The pinned norm of b is
 instead the square root of the converged top eigenvalue of the pencil
-(A, G_X), computed here with ``eigsh``; ``opnorm`` must not exceed it
-and must come within 1 % of it.
+(A, G_X), computed here with ``eigsh`` from a fixed seeded start
+vector, so that ARPACK draws nothing from process-wide random state;
+``opnorm`` must not exceed it and must come within 1 % of it.
 """
 
 import numpy as np
@@ -123,7 +124,9 @@ def converged_opnorm(disc):
     """||b||: the square root of the top eigenvalue of (A, G_X), with
     A the assembled DPG matrix and G_X the block trial-norm Gram."""
     Gx = disc.trial_gram().astype(disc.form.dtype)
-    lam = eigsh(disc._matrix(), k=1, M=Gx, which="LA", tol=0,
+    v0 = np.random.default_rng(0).standard_normal(disc.ndof).astype(
+        disc.form.dtype)
+    lam = eigsh(disc._matrix(), k=1, M=Gx, which="LA", tol=0, v0=v0,
                 return_eigenvectors=False)
     return float(np.sqrt(lam[0]))
 

@@ -2,7 +2,7 @@
 
 The oracle below evaluates the test Gram G and the mixed block B of one
 cell the direct way: every basis table is pushed to the physical cell
-(``ElementTables.values``, ``derivs``, ``facet_values``), coefficients,
+(``oracles.pushed_values``, ``pushed_derivs``), coefficients,
 convection vectors and facet normals are applied at the quadrature
 points, and each block is a weighted sum over the points
 (``reference._integrate``).  ``Discretization.element_system`` must
@@ -33,6 +33,7 @@ from dpgfem.meshes import SimplicialMesh, build_structured
 from dpgfem.reference import _integrate, reference_table
 from dpgfem.spaces import natural_gram, skeleton_schur
 from dpgfem.system import Discretization
+from oracles import cell_columns, facet_weights, pushed_derivs, pushed_values
 
 # cells -> physical cells: x -> x @ A.T
 MAPS = {
@@ -79,15 +80,15 @@ class _Pushed:
     def table(self, operand):
         name, op = operand
         tab = self.disc._tables[name]
-        return tab.derivs(self.cells) if op == "der" \
-            else tab.values(self.cells)
+        return pushed_derivs(tab, self.cells) if op == "der" \
+            else pushed_values(tab, self.cells)
 
     def facet(self, name, lf):
-        return self.disc._tables[name].facet_values(self.cells, lf)
+        return pushed_values(self.disc._tables[name], self.cells, lf)
 
     def fw(self, lf):
-        return self.disc._ref_tables.facet_weights(self.cells,
-                                                   lf)[:, None, :, None]
+        return facet_weights(self.disc._ref_tables, self.cells,
+                             lf)[:, None, :, None]
 
     def normal(self, lf):
         return self.disc.geo.outward_normal(self.cells, lf)[:, None, None, :]
@@ -161,7 +162,7 @@ def _oracle(disc, ci):
             xs = [reference_table(space.refs[0])[0]] * nfac
         else:
             use = space.dofmap.local_functions
-            xs = [space.tables.facet_values(ctx.cells, lf)[..., use, :, :]
+            xs = [pushed_values(space.tables, ctx.cells, lf)[..., use, :, :]
                   for lf in range(nfac)]
         Bp = []
         for lf in range(nfac):
@@ -182,7 +183,7 @@ def _oracle(disc, ci):
             blocks.append(sum(Bp))
     B = np.concatenate([B0] + blocks, axis=-1)
     G = 0.5 * (G + np.swapaxes(G.conj(), -1, -2))
-    return G[0], B[0] * disc.cell_columns(ci)[1]
+    return G[0], B[0] * cell_columns(disc, ci)[1]
 
 
 @pytest.mark.parametrize("kind", sorted(MAPS))
@@ -225,7 +226,7 @@ def _smooth_case(dim):
         return np.exp(x[:, ::-1] / 3) - 1j * sigma(x)
 
     return ManufacturedCase("smooth", dim, {},
-                            {"u": u, "sigma": sigma, "E": E, "H": H}, {})
+                            {"u": u, "sigma": sigma, "E": E, "H": H})
 
 
 def _trace_kind(slot):
@@ -247,7 +248,7 @@ def _pushed_traces(disc, tables, dofmap, kind, ci, lf, flux=None):
     else:
         cols = np.arange(dofmap.cell_dofs.shape[1])
         use = dofmap.local_functions
-        v = tables.facet_values(ci, lf)[cols if use is None
+        v = pushed_values(tables, ci, lf)[cols if use is None
                                         else np.asarray(use)]
         vals = v
         if kind != "value":
@@ -288,7 +289,7 @@ class _PushedNorm:
                               ci, lf, self.flux)
 
     def weights(self, ci, lf):
-        return self.ptab.facet_weights(ci, lf)
+        return facet_weights(self.ptab, ci, lf)
 
     def schur(self):
         tab, skel = self.ptab, self.pskel
@@ -298,7 +299,7 @@ class _PushedNorm:
         for ci in range(self.disc.mesh.ncells):
             w = tab.volume_weights(ci)
             M = sum(np.einsum("ipc,jpc,p->ij", t, t, w)
-                    for t in (tab.values(ci), tab.derivs(ci)))
+                    for t in (pushed_values(tab, ci), pushed_derivs(tab, ci)))
             S = M[np.ix_(use, use)] - M[np.ix_(use, rest)] @ np.linalg.solve(
                 M[np.ix_(rest, rest)], M[np.ix_(rest, use)])
             f = skel.cell_factors[ci]
@@ -367,7 +368,8 @@ def _pushed_natural_gram(tables, dofmap):
     for ci in range(tables.mesh.ncells):
         w = tables.volume_weights(ci)
         M = sum(np.einsum("ipc,jpc,p->ij", t, t, w)
-                for t in (tables.values(ci), tables.derivs(ci)))
+                for t in (pushed_values(tables, ci),
+                          pushed_derivs(tables, ci)))
         f, idx = dofmap.cell_factors[ci], dofmap.cell_dofs[ci]
         G[np.ix_(idx, idx)] += M * np.outer(f, f)
     return G

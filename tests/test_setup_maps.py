@@ -22,6 +22,7 @@ from dpgfem.spaces import (
     facet_owners,
     natural_gram,
 )
+from oracles import pushed_derivs, pushed_values
 
 
 def _lshape():
@@ -170,7 +171,7 @@ def _reference_gram(tables, dofmap, include_deriv):
     use = dofmap.local_functions
     for ci in range(tables.mesh.ncells):
         w = tables.volume_weights(ci)
-        parts = [tables.values(ci)] + ([tables.derivs(ci)]
+        parts = [pushed_values(tables, ci)] + ([pushed_derivs(tables, ci)]
                                        if include_deriv else [])
         M = 0.0
         for t in parts:

@@ -128,12 +128,11 @@ def test_broken_stability_bound_holds(n, c1, formula):
 
 
 def test_conforming_restriction_degenerates_to_field_constant(two_tri):
-    res = broken_stability_bound("primal_poisson", two_tri, p=1,
-                                 conforming_only=True)
-    assert res.c1_discrete == res.c0
-    assert res.c1_formula == res.c0
-    assert res.chat is None
+    """c0, the field form's inf-sup constant over the conforming test
+    subspace, bounds the broken constant's formula from above."""
+    res = broken_stability_bound("primal_poisson", two_tri, p=1)
     assert res.c0 == pytest.approx(0.967960, rel=1e-4)
+    assert res.c1_formula < res.c0
 
 
 def test_verify_records_shape_and_determinism():
@@ -143,11 +142,19 @@ def test_verify_records_shape_and_determinism():
         assert set(r) == {"suite", "case", "value", "tolerance", "pass"}
         assert isinstance(r["value"], float)
         assert r["pass"] is True
-    again = verify_records(suites=("annihilation", "stability"),
-                           max_workers=2)
+    again = verify_records(suites=("annihilation", "stability"))
     assert again == recs
 
 
 def test_verify_records_unknown_suite():
     with pytest.raises(ValueError, match="unknown verification suite"):
         verify_records(suites=("fortin", "nope"))
+
+
+@pytest.mark.parametrize("suites,message", [
+    ((), "suites names no verification suite"),
+    (("stability", "fortin", "stability"), "suites names 'stability' twice"),
+], ids=["empty", "repeated"])
+def test_verify_records_rejects_empty_or_repeated_suites(suites, message):
+    with pytest.raises(ValueError, match=message):
+        verify_records(suites=suites)

@@ -2,8 +2,8 @@
 
 The duality workspaces share one rule per degree and one graph Gram and
 Cholesky factor per (family, degree), and each takes one SVD whose rank
-must be the dimension of its trace space.  Clearing them, or filling them
-from two worker threads, must reproduce every record bit for bit.
+must be the dimension of its trace space.  Clearing them must reproduce
+every record bit for bit.
 """
 
 import numpy as np
@@ -22,12 +22,12 @@ def _clear_caches():
         cached.cache_clear()
 
 
-def test_verify_records_do_not_depend_on_workers():
+def test_verify_records_survive_cleared_caches():
     recs = verify_records()
     assert len(recs) == 30
     assert all(r["pass"] for r in recs)
     _clear_caches()
-    assert verify_records(max_workers=2) == recs
+    assert verify_records() == recs
 
 
 def test_duality_tables_survive_cleared_caches():

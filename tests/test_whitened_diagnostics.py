@@ -17,6 +17,7 @@ from dpgfem.meshes import build_structured
 from dpgfem.system import Discretization
 from dpgfem.verification import INFSUP_DCR_IDS, annihilation_check, \
     broken_stability_bound, conforming_test_embedding, infsup_survey
+from oracles import cell_columns
 
 REL = 1e-12
 
@@ -31,7 +32,7 @@ def _dense(disc):
         G, Bk, _ = disc.element_system(ci)
         rows = slice(ci * nt, (ci + 1) * nt)
         Gy[rows, rows] = G
-        B[rows, disc.cell_columns(ci)[0]] = Bk
+        B[rows, cell_columns(disc, ci)[0]] = Bk
     free = np.where(~disc.constrained_dofs())[0]
     return Gy, B, disc.trial_gram().toarray(), free
 
