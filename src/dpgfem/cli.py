@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .adaptivity import HISTORY_COLUMNS, adaptive_solve
-from .formulations import make_formulation, manufactured_case
+from .formulations import check_case, make_formulation, manufactured_case
 from .meshes import build_structured, refine_uniform
 from .reports import fitted_rate, write_report
 from .system import Discretization
@@ -145,17 +145,24 @@ def _case_for(cfg):
         raise ConfigError(str(exc)) from None
 
 
-def _mesh0(cfg):
+def _problem(cfg):
+    """The level-0 mesh, the case and the formulation of a study or an
+    adaptive run, with the case checked against the formulation."""
     try:
-        return build_structured(cfg.domain, cfg.subdivisions)
+        mesh = build_structured(cfg.domain, cfg.subdivisions)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    case = _case_for(cfg)
+    form = _formulation_for(cfg, mesh.dim)
+    try:
+        check_case(form, case)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return mesh, case, form
 
 
 def run_study(cfg, rate_all_levels=False):
-    mesh = _mesh0(cfg)
-    case = _case_for(cfg)
-    form = _formulation_for(cfg, mesh.dim)
+    mesh, case, form = _problem(cfg)
     slot_names = [s.name for s in form.trial_slots + form.interface_slots]
     fields = ["level", "h", "dofs"] + [f"err_{n}" for n in slot_names] \
         + ["err_total", "eta", "rate"]
@@ -189,9 +196,7 @@ def run_study(cfg, rate_all_levels=False):
 
 
 def run_adaptive(cfg):
-    mesh0 = _mesh0(cfg)
-    case = _case_for(cfg)
-    form = _formulation_for(cfg, mesh0.dim)
+    mesh0, case, form = _problem(cfg)
     history, _ = adaptive_solve(
         form, mesh0, case, cfg.theta,
         max_iterations=cfg.get("max_iterations"),

@@ -14,10 +14,11 @@ all cells of a group at once.  The term kinds are
 An operand is a slot name, alone for its values or after the word for
 its family derivative ("grad u", "div tau", "curl E").  A test trace is
 the test slot's value ("v"), its normal component ("n.tau") or its
-tangential cross product ("nx S") with the outward normal.  The exact
-trace names the manufactured volume field whose trace the interface slot
-carries, with its sign; the slot's space (``spaces.InterfaceSpace``)
-takes the trace of its kind, the normal component for a flux.  A
+rotated tangential trace ("nx S") with the outward normal: the kinds
+'value', 'normal' and 'rotated' of ``reference.trace_factor``.  The
+exact trace names the manufactured volume field whose trace the
+interface slot carries, with its sign; the slot's space
+(``spaces.InterfaceSpace``) takes the trace of its kind.  A
 coefficient is a product of space-separated factors: "1", "i", a
 parameter name, or "1/" and a name to divide; a leading "-" negates a
 factor.  The vector beta multiplies a scalar operand or is dotted with a
@@ -26,8 +27,9 @@ vector one.
 Conventions used throughout:
 
 * forms are sesquilinear with conjugation on the test argument;
-* scalar-flux interfaces store the flux with respect to the canonical
-  facet normal, so a cell sees the value times its orientation sign;
+* facet-polynomial interfaces store a normal trace with respect to the
+  canonical facet normal, so a cell sees the value times its
+  orientation sign;
 * tangential interfaces are represented by a conforming parent field W
   and enter through the pairing <W, n x S> = int W . conj(n x S) taken
   over each element boundary with the outward normal.
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reference import _contract, _moments
+from .reference import _contract, _moments, trace_factor
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ class Formulation:
     test_slots: tuple
     y_norm: str  # 'natural' | 'graph'
     # per test slot: None (no conforming subspace restriction, i.e. the
-    # L2 case) or (family, zero_boundary) of the conforming subspace
+    # L2 case) or whether the conforming subspace of the slot's family
+    # vanishes on the boundary
     y0_rule: tuple = ()
     blocks: tuple = ()
     pairings: tuple = ()
@@ -246,8 +249,7 @@ def make_formulation(id, p, delta=3, dim=None, params=None, mode="guaranteed"):
     q = p + delta
     trial = tuple(_slot(s, p, dim, mode) for s in trial)
     interface = tuple(_slot(s, p, dim, mode) for s in interface)
-    y0 = tuple(None if zero is None else (family, zero)
-               for _, family, zero in test)
+    y0 = tuple(zero for _, _, zero in test)
     test = tuple(Slot(name, family, q, "broken", _ncomp(family, dim),
                       deriv_in_norm=zero is not None)
                  for name, family, zero in test)
@@ -330,10 +332,15 @@ def _operand(text):
     return words[-1], "der" if len(words) == 2 else "val"
 
 
+# the test traces of the catalog's pairings, by their prefix, as
+# reference.trace_factor kinds
+_TRACE_KINDS = {"": "value", "n.": "normal", "nx": "rotated"}
+
+
 def _trace(text):
-    for kind in ("n.", "nx "):
-        if text.startswith(kind):
-            return text[len(kind):], kind.strip()
+    for prefix in ("n.", "nx "):
+        if text.startswith(prefix):
+            return text[len(prefix):], prefix.strip()
     return text, ""
 
 
@@ -486,19 +493,13 @@ def bhat_block(form, ctx):
                      [(x, at + c) for x, c in xs]))
         at += ncols
     blk = np.zeros((ctx.ncells, ctx.ntest_local, at), dtype=form.dtype)
-    normals = any(pr.trace for pr in form.pairings)
     for lf in range(form.dim + 1):
-        area = ctx.facet_scale(lf)
-        n = ctx.normal(lf) if normals else None
+        area, n = ctx.facet_scale(lf), ctx.normal(lf)
         for pr, c, xs in cols:
             if c is None:
                 continue
             yr, F = ctx.facet(pr.test, lf)
-            if pr.trace == "n.":
-                F = F @ n[:, :, None]
-            elif pr.trace == "nx":
-                # n x y = y @ N with N[d] = n x e_d
-                F = F @ np.cross(n[:, None, :], np.eye(3))
+            F = F @ trace_factor(_TRACE_KINDS[pr.trace], n)
             (xr, Fx), c0 = xs[lf]
             part = _contract([(xr, _scaled(c, Fx))], [(yr, F)], area)
             r0 = ctx.test_offset(pr.test)
@@ -552,6 +553,25 @@ def exact_interface(form, case, slot_name):
             sign, name = pr.exact
             return sign, case.fields[name]
     raise KeyError(slot_name)
+
+
+def check_case(form, case):
+    """Raise a ValueError, naming the case, when it does not fit the
+    formulation: its dimension differs from the form's (and so the
+    mesh's), or it lacks a field that the loads read or, when it has an
+    exact solution, one that measuring the error reads."""
+    if case.dim != form.dim:
+        raise ValueError(
+            f"case {case.name!r} is {case.dim}-dimensional, but "
+            f"{form.id!r} is solved on a {form.dim}-dimensional mesh")
+    names = [ld.field for ld in form.loads]
+    if case.has_exact:
+        names += [exact_names(s)[0] for s in form.trial_slots]
+        names += [pr.exact[1] for pr in form.pairings]
+    for name in names:
+        if name not in case.fields:
+            raise ValueError(f"case {case.name!r} has no field {name!r}, "
+                             f"which {form.id!r} reads")
 
 
 # -- manufactured cases -------------------------------------------------

@@ -26,15 +26,13 @@ from scipy.linalg import eigh, lu_factor, lu_solve, svd
 from .polynomials import Polys, monomials, space_dimension, trace_dimension
 from .quadrature import simplex_rule
 from .reference import _RANK_TOL, _integrate, legendre01, modal_basis, \
-    push_derivs, push_values
+    push_derivs, push_values, trace_factor
+from .simplex import REF_VERTICES, local_edges, local_facets
 
-TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-
-REFERENCE_TET = np.array([[0.0, 0.0, 0.0],
-                          [1.0, 0.0, 0.0],
-                          [0.0, 1.0, 0.0],
-                          [0.0, 0.0, 1.0]])
+REFERENCE_TET = REF_VERTICES[3]
+TET_EDGES = tuple(local_edges(3))
+# face i lies opposite vertex i
+TET_FACES = tuple(local_facets(3)[::-1])
 
 # shapes used by the bound sweep: a mild shear and a flattened element
 # with aspect ratio around ten
@@ -53,7 +51,7 @@ SHAPE_FAMILY = {
 _FAMILY = {"grad": "h1", "curl": "hcurl", "div": "hdiv"}
 
 # the surface trace each interpolant's face moments act on
-_FACE_MODE = {"grad": "value", "curl": "nx", "div": "ndot"}
+_FACE_MODE = {"grad": "value", "curl": "rotated", "div": "normal"}
 
 
 def _as_field(a):
@@ -146,21 +144,11 @@ class TetQuadrature:
         return vals[:, :nv], vals[:, nv:].reshape(
             (len(vals),) + self.face_weights.shape + vals.shape[-1:])
 
-    def trace(self, vals, mode):
-        """Per-face trace of values (..., 4, nq, c) at the face points:
-        the scalar 'value', the normal component 'ndot', the rotated
-        tangential trace 'nx' (n x v) or the flat tangential part 'flat'
-        ((I - n n^T) v).  Scalar traces keep a unit component axis."""
-        n = self.face_normals[:, None, :]
-        if mode == "value":
-            return vals[..., :1]
-        if mode == "ndot":
-            return vals @ self.face_normals[:, :, None]
-        if mode == "nx":
-            return np.cross(n, vals)
-        if mode == "flat":
-            return vals - (vals @ self.face_normals[:, :, None]) * n
-        raise ValueError(f"unknown trace mode {mode!r}")
+    def trace(self, vals, kind):
+        """Per-face trace (``reference.trace_factor``) of values
+        (..., 4, nq, c) at the face points, with the outward face
+        normals: (..., 4, nq, r)."""
+        return vals @ trace_factor(kind, self.face_normals)
 
 
 class _BoundarySpace:
@@ -290,18 +278,18 @@ class FortinSystem:
             flux = _BoundarySpace(quad, np.concatenate(
                 [perp.blocks, meanfree.blocks]))
             self.dims["P_perp"] = flux.dim
-            rows = [flux.moment_matrix(quad.trace(self.face_vals, "ndot"))]
+            rows = [flux.moment_matrix(quad.trace(self.face_vals, "normal"))]
         else:
             perp, _ = _trace_complement(quad, p)
             self.dims["P0_perp"] = perp.dim
             face_curls = quad.span(self.family, p + 3, quad.face_ref, True)
             # the one remaining constraint: tangential moment against the
             # tangential coordinate field (local coordinates)
-            xt = quad.trace(quad.local(quad.face_points)[None], "flat")
+            xt = quad.trace(quad.local(quad.face_points)[None], "tangential")
             rows = [self._edge_rows(p + 2, tangential=True),
-                    perp.moment_matrix(quad.trace(face_curls, "ndot")),
+                    perp.moment_matrix(quad.trace(face_curls, "normal")),
                     _BoundarySpace(quad, xt).moment_matrix(
-                        quad.trace(self.face_vals, "flat"))]
+                        quad.trace(self.face_vals, "tangential"))]
         _, sv, Vt = svd(np.concatenate(rows), full_matrices=True)
         rank = int((sv > _RANK_TOL * max(sv[0], 1e-30)).sum())
         self.bcoeff = Vt[rank:].T  # span coefficients of the B basis
@@ -318,7 +306,7 @@ class FortinSystem:
         elif self.kind == "curl":
             self._vol_test = quad.span("vec", p, quad.vol_ref)
             tangential = quad.trace(quad.span("vec", p + 1, quad.face_ref),
-                                    "flat")
+                                    "tangential")
             self._face_test = _BoundarySpace(quad, tangential).orthonormalized(
                 trace_dimension("vec", p + 1))
         else:

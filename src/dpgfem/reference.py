@@ -596,6 +596,24 @@ def deriv_factor(family, J, Jinv, det):
     raise ValueError(family)
 
 
+def trace_factor(kind, n):
+    """The matrix M (..., c, r) with trace = values @ M, for values on a
+    facet with unit normal n (..., d), one matrix per normal: 'value' of
+    a scalar (M = 1), 'normal' (v.n), 'tangential' (v - (v.n)n) or, in
+    3D, 'rotated' (n x v)."""
+    n = np.asarray(n)
+    if kind == "value":
+        return np.ones(n.shape[:-1] + (1, 1))
+    if kind == "normal":
+        return n[..., :, None]
+    if kind == "tangential":
+        return np.eye(n.shape[-1]) - n[..., :, None] * n[..., None, :]
+    if kind == "rotated":
+        # row d is n x e_d
+        return np.cross(n[..., None, :], np.eye(3))
+    raise ValueError(f"unknown trace kind {kind!r}")
+
+
 def push_values(family, vals, J, Jinv, det):
     """Push reference basis values to a physical cell, or to a stack of
     cells (see value_factor).  h1 values are the same on every cell and

@@ -43,6 +43,7 @@ from .reference import (
     facet_points,
     modal_basis,
     reference_table,
+    trace_factor,
     value_factor,
 )
 from .simplex import facet_measure, local_edges, local_facets
@@ -349,34 +350,34 @@ def _owner_groups(mesh, tables):
 
 # -- interface spaces ------------------------------------------------
 
-# By (continuity, family) of an interface slot: its trace kind, and the
-# family and trace kind of its parent, whose quotient norm measures it.
+# By (continuity, family) of an interface slot: its trace kind
+# (reference.trace_factor), which its parent shares, and the family of
+# the parent, whose quotient norm measures it.
 _INTERFACE_KINDS = {
-    ("skeleton", "h1"): ("value", "h1", "value"),
-    ("skeleton", "hcurl"): ("tangential", "hcurl", "tangential"),
-    ("skeleton", "vec"): ("tangential", "hcurl", "tangential"),
-    ("facet", "l2"): ("flux", "hdiv", "normal"),
+    ("skeleton", "h1"): ("value", "h1"),
+    ("skeleton", "hcurl"): ("tangential", "hcurl"),
+    ("skeleton", "vec"): ("tangential", "hcurl"),
+    ("facet", "l2"): ("normal", "hdiv"),
 }
 
 
 class TraceField:
-    """Facet traces of the skeleton functions of a conforming space, or
-    for kind 'flux' of one independent polynomial per facet.
+    """Facet traces of the skeleton functions of a conforming space, or,
+    for the family 'l2', of one independent polynomial per facet.
 
-    kind selects the trace component: 'value' (scalar families),
-    'tangential' (v - (v.n)n against the canonical facet normal),
-    'normal' (v.n, canonical normal) or 'flux' (facet polynomials, whose
-    representation is already the canonical-normal flux).  Per local
-    facet lf, ``active[lf]`` holds the local positions of the functions
-    with a trace there (a conforming function's entity lies in the
-    facet's closure) and ``refs[lf]`` the reference operand of their
-    values on it.  ``tables`` is None for a flux.
+    kind is the trace (``reference.trace_factor``) against the canonical
+    facet normal: 'value' (scalar families), 'tangential' or 'normal'.
+    Facet polynomials (``tables`` None) already are their normal trace
+    along the canonical normal.  Per local facet lf, ``active[lf]``
+    holds the local positions of the functions with a trace there (a
+    conforming function's entity lies in the facet's closure) and
+    ``refs[lf]`` the reference operand of their values on it.
     """
 
     def __init__(self, mesh, geo, family, degree, kind, order):
         self.mesh, self.geo, self.kind, self.order = mesh, geo, kind, order
         dim = mesh.dim
-        if kind == "flux":
+        if family == "l2":
             basis = modal_basis("l2", degree, dim - 1)
             nb = basis.nfuncs
             self.tables = None
@@ -401,7 +402,8 @@ class TraceField:
 
     def value_factor(self, cells):
         """Per-cell factor of the values of every function on ``cells``
-        (an index array): the same ones on every cell for a flux."""
+        (an index array): the same ones on every cell for facet
+        polynomials."""
         if self.tables is None:
             return np.ones((1, 1))
         return self.tables.factor("val", cells)
@@ -412,14 +414,10 @@ class TraceField:
         term, and the (F, na) orientation factors and global dofs."""
         act = self.active[lf]
         dofs = self.dofmap.cell_dofs[cells][:, act]
-        F = self.value_factor(cells)
-        if self.kind == "flux":
-            return (self.refs[lf], F), np.ones(dofs.shape), dofs
-        if self.kind != "value":
-            n = self.mesh.facet_normals[self.mesh.cell_facet_ids[cells, lf]]
-            n = n[:, :, None]
-            F = F @ (n if self.kind == "normal"
-                     else np.eye(len(n[0])) - n @ np.swapaxes(n, 1, 2))
+        if self.tables is None:
+            return (self.refs[lf], np.ones((1, 1))), np.ones(dofs.shape), dofs
+        n = self.mesh.facet_normals[self.mesh.cell_facet_ids[cells, lf]]
+        F = self.value_factor(cells) @ trace_factor(self.kind, n)
         return ((self.refs[lf], F), self.dofmap.cell_factors[cells][:, act],
                 dofs)
 
@@ -438,7 +436,7 @@ class InterfaceSpace(TraceField):
     """
 
     def __init__(self, mesh, geo, slot, parent_degree, order, factor):
-        kind, self.parent_family, self.parent_kind = _INTERFACE_KINDS[
+        kind, self.parent_family = _INTERFACE_KINDS[
             slot.continuity, slot.family]
         super().__init__(mesh, geo, slot.family, slot.degree, kind, order)
         self.key = (slot.family, slot.degree, slot.continuity)
@@ -446,19 +444,16 @@ class InterfaceSpace(TraceField):
         self._factor = factor
 
     def trace(self, v, n):
-        """The trace of this kind of values v, (P,) or (P, ncomp), at P
-        facet points with canonical facet normals n (P, dim)."""
-        if self.kind == "flux":
-            return np.einsum("pc,pc->p", v, n)
-        if self.kind == "tangential":
-            return v - np.sum(v * n, axis=1)[:, None] * n
-        return v
+        """The trace of this kind, (P, r), of values v, (P,) or (P, ncomp),
+        at P facet points with canonical facet normals n (P, dim)."""
+        return np.einsum("pc,pcr->pr", np.reshape(v, (len(n), -1)),
+                         trace_factor(self.kind, n))
 
     @cached_property
     def parent(self):
         """The skeleton traces of the parent space."""
         return TraceField(self.mesh, self.geo, self.parent_family,
-                          self.parent_degree, self.parent_kind, self.order)
+                          self.parent_degree, self.kind, self.order)
 
     @cached_property
     def mass(self):

@@ -229,6 +229,8 @@ class Discretization:
         """(ncells, ntest_local) whitened loads L^{-1} l of one case; those
         of the last case object are kept, for assemble and estimate."""
         if self._load is None or self._load[0] is not case:
+            if case is not None:
+                fm.check_case(self.form, case)
             st, nc = self.element_stacks, self.mesh.ncells
             z = np.empty((nc, self.ntest_local), dtype=self.form.dtype)
             for part in st.parts:
@@ -360,6 +362,7 @@ class Discretization:
         """
         if not case.has_exact:
             raise ValueError(f"case {case.name!r} has no exact solution")
+        fm.check_case(self.form, case)
         rtab = self._ref_tables
         w = rtab.volume_weights(slice(None))
         pts = rtab.physical_points(slice(None))

@@ -27,9 +27,8 @@ from .formulations import MAXWELL_IDS, make_formulation
 from .fortin import REFERENCE_TET, TetQuadrature, default_samples
 from .polynomials import trace_dimension
 from .quadrature import simplex_rule
-from .reference import _RANK_TOL, _contract, _integrate, conforming_basis, \
-    modal_basis
-from .spaces import ElementTables, conforming_map
+from .reference import _RANK_TOL, _integrate, conforming_basis, modal_basis
+from .spaces import conforming_map
 from .system import Discretization, _adjoint, _lower_inverse
 
 # the diffusion forms of the inf-sup survey (primal_poisson is primal_dcr
@@ -44,50 +43,14 @@ _PAIRINGS = {
     "curlD/curlT": ("hcurl", "hcurl"),
 }
 
-# TetQuadrature.trace modes of the extension and the dual field of each
+# TetQuadrature.trace kinds of the extension and the dual field of each
 # pairing: the dual field enters through the complementary trace
 _MODES = {
-    "grad/div": ("value", "ndot"),
-    "div/grad": ("ndot", "value"),
-    "curlT/curlD": ("flat", "nx"),
-    "curlD/curlT": ("nx", "flat"),
+    "grad/div": ("value", "normal"),
+    "div/grad": ("normal", "value"),
+    "curlT/curlD": ("tangential", "rotated"),
+    "curlD/curlT": ("rotated", "tangential"),
 }
-
-
-# -- trace samples -------------------------------------------------------
-
-
-class ScalarTrace:
-    """Boundary values of a scalar field given as a point callable."""
-
-    mode = "value"
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def values(self, quad):
-        return quad.trace(quad.sample([self.fn])[1], self.mode)[0]
-
-
-class NormalTrace(ScalarTrace):
-    """n . tau of a vector field, one scalar block per face."""
-
-    mode = "ndot"
-
-
-class TangentialTrace(ScalarTrace):
-    """Tangential boundary data of a vector field.
-
-    flavor 'D' is the rotated trace n x E, flavor 'T' the flat
-    tangential component (n x E) x n.
-    """
-
-    def __init__(self, fn, flavor):
-        if flavor not in ("T", "D"):
-            raise ValueError("flavor must be 'T' or 'D'")
-        super().__init__(fn)
-        self.flavor = flavor
-        self.mode = "nx" if flavor == "D" else "flat"
 
 
 # -- duality gap ---------------------------------------------------------
@@ -180,13 +143,14 @@ def _workspace(pairing, q):
     return _DualityWorkspace(pairing, q)
 
 
-def duality_norms(pairing, q, trace):
-    """(quotient, dual) norms of one polynomial trace at degree q."""
+def duality_norms(pairing, q, field):
+    """(quotient, dual) norms at degree q of the trace of one polynomial
+    field, a point callable, of the kind of the pairing's extension."""
     if pairing not in _PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
     ws = _workspace(pairing, q)
-    t = np.asarray(trace.values(ws.quad), dtype=float).reshape(
-        ws.quad.face_weights.shape + (-1,))
+    quad = ws.quad
+    t = quad.trace(quad.sample([field])[1], _MODES[pairing][0])[0]
     t_w = t * ws.sqrt_w
     tn2 = float(np.sum(t_w * t_w))
     if tn2 < 1e-28:
@@ -203,24 +167,20 @@ def duality_norms(pairing, q, trace):
     return quot, dual
 
 
-def duality_gap(pairing, q, trace):
-    """|quotient/dual - 1| for one trace; 0 when the trace vanishes."""
-    quot, dual = duality_norms(pairing, q, trace)
+def duality_gap(pairing, q, field):
+    """|quotient/dual - 1| for the trace of one field; 0 when the trace
+    vanishes."""
+    quot, dual = duality_norms(pairing, q, field)
     if dual == 0.0 and quot == 0.0:
         return 0.0
     return abs(quot / dual - 1.0)
 
 
 def duality_traces(pairing, degree, seed=0, count=5):
-    """Fixed random polynomial traces compatible with one pairing."""
+    """Fixed random polynomial fields, scalar for 'grad/div' and vector
+    otherwise, whose traces the pairing measures."""
     kind = "grad" if pairing == "grad/div" else "curl"
-    fields = default_samples(kind, 1, seed=seed, count=count, degree=degree)
-    if pairing == "grad/div":
-        return [ScalarTrace(f) for f in fields]
-    if pairing == "div/grad":
-        return [NormalTrace(f) for f in fields]
-    flavor = "T" if pairing.startswith("curlT") else "D"
-    return [TangentialTrace(f, flavor) for f in fields]
+    return default_samples(kind, 1, seed=seed, count=count, degree=degree)
 
 
 def duality_suite(p=1, seed=0, count=5, qs=None):
@@ -229,9 +189,9 @@ def duality_suite(p=1, seed=0, count=5, qs=None):
         qs = (p + 2, p + 4, p + 6)
     out = {}
     for pairing in _PAIRINGS:
-        traces = duality_traces(pairing, min(qs) - 2, seed=seed, count=count)
-        out[pairing] = np.array([[duality_gap(pairing, q, t) for q in qs]
-                                 for t in traces])
+        fields = duality_traces(pairing, min(qs) - 2, seed=seed, count=count)
+        out[pairing] = np.array([[duality_gap(pairing, q, f) for q in qs]
+                                 for f in fields])
     return out
 
 
@@ -276,36 +236,32 @@ def conforming_test_embedding(disc):
     """Broken-test coefficients of a basis of the conforming subspace.
 
     Columns follow the formulation's per-slot conforming rules: slots
-    with a (family, zero_boundary) rule contribute a globally matched
-    basis expanded cell by cell in the broken test functions; slots
-    without a rule are L2-type and contribute their full broken block.
+    with a rule contribute a globally matched basis of the conforming
+    space of their own family and degree, which vanishes on the boundary
+    when the rule says so; slots without a rule are L2-type and
+    contribute their full broken block.  A conforming function's broken
+    coefficients on every cell are the conforming basis's modal
+    coefficients, since both bases push to the cell the same way.
     """
     mesh = disc.mesh
     nt = disc.ntest_local
     ny = nt * mesh.ncells
     pieces = []
-    for s, rule in zip(disc.form.test_slots, disc.form.y0_rule):
-        tab_b = disc._tables[s.name]
-        nb = tab_b.basis.nfuncs
+    for s, zero_b in zip(disc.form.test_slots, disc.form.y0_rule):
+        nb = disc._tables[s.name].basis.nfuncs
         # each cell's rows of the slot's broken functions
         rows = (np.arange(mesh.ncells)[:, None] * nt
                 + disc.test_offset(s.name) + np.arange(nb))
-        if rule is None:
+        if zero_b is None:
             C = np.zeros((ny, rows.size))
             C[rows, np.arange(rows.size).reshape(rows.shape)] = 1.0
             pieces.append(C)
             continue
-        family, zero_b = rule
-        basis_c = conforming_basis(family, s.degree, mesh.dim)
+        basis_c = conforming_basis(s.family, s.degree, mesh.dim)
         cmap = conforming_map(mesh, basis_c, disc.geo)
-        tab_c = ElementTables(mesh, basis_c, disc.geo, disc.order)
-        vb, vc = ([(tab.reference("val"), tab.factor("val", slice(None)))]
-                  for tab in (tab_b, tab_c))
-        T = np.linalg.solve(_contract(vb, vb, disc.geo.absdet),
-                            _contract(vc, vb, disc.geo.absdet))
         C = np.zeros((ny, cmap.ndofs))
         C[rows[:, :, None], cmap.cell_dofs[:, None, :]] = \
-            T * cmap.cell_factors[:, None, :]
+            basis_c.coeffs.T * cmap.cell_factors[:, None, :]
         if zero_b:
             C = C[:, ~cmap.boundary]
         pieces.append(C)

@@ -23,9 +23,9 @@ from dpgfem.simplex import facet_parametrization, local_facets
 from dpgfem.verification import _MODES, _PAIRINGS
 
 
-def min_energy_extension_norms(pairing, q, traces):
-    """(quotient, dual) norms of each of some traces at degree q, by a
-    KKT solve.
+def min_energy_extension_norms(pairing, q, fields):
+    """(quotient, dual) norms of the traces of some fields (point
+    callables) at degree q, by a KKT solve.
 
     The quotient norm is the graph norm of the minimum-energy extension
     in the degree-q extension family whose trace matches the L2
@@ -51,8 +51,8 @@ def min_energy_extension_norms(pairing, q, traces):
         tr = quad.trace(quad.span(family, q, quad.face_ref), mode)
         return (tr * sw).reshape(len(tr), -1)
 
-    t_w = np.stack([(trace.values(quad) * sw).ravel() for trace in traces],
-                   axis=1)
+    t_w = np.stack([(quad.trace(quad.sample([f])[1], ext_mode)[0] * sw).ravel()
+                    for f in fields], axis=1)
 
     # the trace constraint E^T x = P t_w, reduced to its k independent rows
     U, s, Vt = np.linalg.svd(weighted_traces(ext_family, ext_mode).T,
@@ -62,7 +62,7 @@ def min_energy_extension_norms(pairing, q, traces):
     G = graph_gram(ext_family)
     n = len(G)
     K = np.block([[G, C.T], [C, np.zeros((k, k))]])
-    x = np.linalg.solve(K, np.vstack([np.zeros((n, len(traces))), c]))[:n]
+    x = np.linalg.solve(K, np.vstack([np.zeros((n, len(fields))), c]))[:n]
     quot = np.sqrt(np.sum(x * (G @ x), axis=0))
 
     b = weighted_traces(dual_family, dual_mode) @ t_w

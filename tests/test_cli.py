@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from dpgfem.cli import main
+from dpgfem.formulations import make_formulation, manufactured_case
+from dpgfem.meshes import build_structured
 from dpgfem.reports import fitted_rate, write_report
+from dpgfem.system import Discretization
 
 
 def _write_cfg(tmp_path, text, name="run.cfg"):
@@ -133,6 +136,34 @@ def test_adaptive_limits_are_checked(tmp_path, capsys, line, message):
     assert main([cfg]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("mode,formulation,case,domain,message", [
+    ("study", "primal_poisson", "maxwell_sine_3d", "unit-cube",
+     "case 'maxwell_sine_3d' has no field 'f2'"),
+    ("study", "primal_poisson", "poisson_sine_2d", "unit-cube",
+     "case 'poisson_sine_2d' is 2-dimensional"),
+    ("adaptive", "maxwell_primal_E", "poisson_lshape_singular", "unit-cube",
+     "case 'poisson_lshape_singular' is 2-dimensional"),
+], ids=["study-missing-field", "study-dimension", "adaptive-dimension"])
+def test_case_that_does_not_fit_is_a_config_error(tmp_path, capsys, mode,
+                                                  formulation, case, domain,
+                                                  message):
+    cfg = _write_cfg(tmp_path, "\n".join([
+        f"mode = {mode}", f"formulation = {formulation}", f"case = {case}",
+        f"domain = {domain}", "subdivisions = 1", "levels = 2",
+        "max_iterations = 2", "out = x.csv"]) + "\n")
+    assert main([cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_discretization_names_a_missing_case_field():
+    form = make_formulation("primal_poisson", 1, dim=3)
+    disc = Discretization(form, build_structured("unit-cube", 1))
+    case = manufactured_case("maxwell_sine_3d")
+    with pytest.raises(ValueError, match="'maxwell_sine_3d' has no field 'f2'"):
+        disc.assemble(case)
 
 
 # -- driver runs -------------------------------------------------------------

@@ -157,7 +157,7 @@ def _oracle(disc, ci):
     blocks = []
     for pr in form.pairings:
         space = disc._interfaces[pr.slot]
-        flux = space.kind == "flux"
+        flux = space.tables is None
         if flux:
             xs = [reference_table(space.refs[0])[0]] * nfac
         else:

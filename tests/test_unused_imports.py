@@ -1,10 +1,14 @@
-"""No module of ``src/dpgfem`` imports a name that it never uses.
+"""No module of ``src/dpgfem`` imports a name that it never uses, and
+none defines a name that nothing names.
 
 No linter is part of the toolchain, so this reads each module's syntax
 tree: every name that an import binds must be read somewhere in the
 module, unless the import's line carries ``# noqa: F401`` (a name kept
 for readers outside the module, such as the benchmark's tracer).
-``__init__`` is skipped, since it imports to re-export.
+``__init__`` is skipped, since it imports to re-export.  Every
+module-level function, class and constant must be named (read, imported,
+or given as a string, as the benchmark's tracer gives the names it
+wraps) by some file in ``src/dpgfem``, ``tests`` or ``bench``.
 """
 
 import ast
@@ -12,8 +16,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dpgfem"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dpgfem"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                  *(ROOT / "bench").rglob("*.py")])
 
 
 def unused_imports(source):
@@ -50,3 +57,62 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def definitions(source):
+    """(line, name) of the module-level functions, classes and constants
+    of a source, dunder names left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def names_read(source):
+    """Every name a source names: a name or attribute it reads, a name it
+    imports, or a string constant."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def test_the_guard_sees_a_dead_definition():
+    source = ("import numpy as np\n"
+              "LIMIT = 3\n"
+              "UNUSED = 4\n"
+              "def used():\n"
+              "    return np.zeros(LIMIT)\n"
+              "def dead():\n"
+              "    return used()\n"
+              "class Dead:\n"
+              "    pass\n")
+    named = names_read(source)
+    assert [d for d in definitions(source) if d[1] not in named] == [
+        (3, "UNUSED"), (6, "dead"), (8, "Dead")]
+
+
+_NAMED = set()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dead_definition(module):
+    if not _NAMED:
+        for path in READERS:
+            _NAMED.update(names_read(path.read_text(encoding="utf-8")))
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert [d for d in definitions(source) if d[1] not in _NAMED] == []

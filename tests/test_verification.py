@@ -6,7 +6,7 @@ import pytest
 from dpgfem.fortin import PolySample
 from dpgfem.meshes import build_structured, refine_uniform
 from dpgfem.polynomials import space_dimension
-from dpgfem.verification import INFSUP_DCR_IDS, ScalarTrace, annihilation_check, \
+from dpgfem.verification import INFSUP_DCR_IDS, annihilation_check, \
     broken_stability_bound, duality_gap, duality_suite, infsup_survey, \
     verify_records
 from dpgfem.formulations import MAXWELL_IDS
@@ -33,7 +33,7 @@ def test_duality_gap_non_increasing_in_degree():
 
 def test_duality_gap_zero_trace():
     ncoef = space_dimension("h1", 2, 3)
-    zero = ScalarTrace(PolySample(2, np.zeros(ncoef)))
+    zero = PolySample(2, np.zeros(ncoef))
     assert duality_gap("grad/div", 3, zero) == 0.0
 
 
@@ -42,19 +42,15 @@ def test_duality_unknown_pairing():
         duality_gap("grad/curl", 3, None)
 
 
-class _FaceIndicator:
-    """1 on face 0, 0 elsewhere: not a trace of any smooth field."""
-
-    def values(self, quad):
-        nq = quad.face_params.shape[0]
-        t = np.zeros((4, nq))
-        t[0] = 1.0
-        return t
+def _face_indicator(x):
+    """1 on face 0 of the reference tetrahedron (x + y + z = 1), 0
+    elsewhere: not a trace of any smooth field."""
+    return (np.abs(x.sum(axis=1) - 1.0) < 1e-12).astype(float)
 
 
 def test_unattainable_trace_is_rejected():
     with pytest.raises(RuntimeError, match="not attainable"):
-        duality_gap("grad/div", 3, _FaceIndicator())
+        duality_gap("grad/div", 3, _face_indicator)
 
 
 @pytest.mark.parametrize("fid,domain", [
