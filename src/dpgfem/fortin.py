@@ -23,10 +23,11 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.linalg import eigh, lu_factor, lu_solve, svd
 
+from .meshes import SimplicialMesh
 from .polynomials import Polys, monomials, space_dimension, trace_dimension
 from .quadrature import simplex_rule
-from .reference import _RANK_TOL, _integrate, legendre01, modal_basis, \
-    push_derivs, push_values, trace_factor
+from .reference import _RANK_TOL, _integrate, edge_points, facet_points, \
+    legendre01, modal_basis, push_derivs, push_values, trace_factor
 from .simplex import REF_VERTICES, local_edges, local_facets
 
 REFERENCE_TET = REF_VERTICES[3]
@@ -67,55 +68,50 @@ def _flat(blocks):
 class TetQuadrature:
     """Volume, face and edge rules on a tetrahedron given by vertices.
 
-    Points are physical; each point set also keeps its preimage on the
-    reference tetrahedron (``vol_ref``, ``face_ref``, ``edge_ref``), where
-    span() evaluates a modal basis before pushing it through the affine
-    map x = v0 + J x_ref.  Faces and edges lead the point axes: face
-    points are (4, nq, 3), edge points (6, ne, 3).
+    The tetrahedron is a one-cell mesh, which gives the affine map
+    x = v0 + J x_ref, the diameter h and the face normals and areas, and
+    rejects a flat tetrahedron.  Points are physical; each point set also
+    keeps its preimage on the reference tetrahedron (``vol_ref``,
+    ``face_ref``, ``edge_ref``), where span() evaluates a modal basis
+    before pushing it through the map.  Faces and edges lead the point
+    axes: face points are (4, nq, 3), edge points (6, ne, 3).
     """
 
     def __init__(self, vertices, order):
         v = np.asarray(vertices, dtype=float)
         if v.shape != (4, 3):
             raise ValueError("need 4 tetrahedron vertices in 3D")
-        self.vertices = v
+        self.mesh = mesh = SimplicialMesh(3, v, [[0, 1, 2, 3]])
+        geo = mesh.geometry
+        self.vertices = mesh.vertices
         self.centroid = v.mean(axis=0)
-        self.h = max(np.linalg.norm(v[a] - v[b]) for a, b in TET_EDGES)
-        self.J = (v[1:] - v[0]).T
-        self.det = np.linalg.det(self.J)
-        if abs(self.det) < 1e-14:
-            raise ValueError("degenerate tetrahedron")
-        self.Jinv = np.linalg.inv(self.J)
-        ref = REFERENCE_TET
+        self.h = mesh.cell_diameters[0]
+        self.J, self.det, self.Jinv = geo.J[0], geo.det[0], geo.Jinv[0]
         vrule = simplex_rule(3, order)
         self.vol_ref = vrule.points
         self.vol_points = self.physical(vrule.points)
         self.vol_weights = vrule.weights * abs(self.det)
         frule = simplex_rule(2, order)
         self.face_params = frule.points
-        self.face_ref = np.stack([ref[a] + frule.points @ np.stack(
-            [ref[b] - ref[a], ref[c] - ref[a]]) for a, b, c in TET_FACES])
+        self.face_ref = np.stack([facet_points(3, f, frule.points)
+                                  for f in TET_FACES])
         self.face_points = self.physical(self.face_ref)
-        cross = np.stack([np.cross(v[b] - v[a], v[c] - v[a])
-                          for a, b, c in TET_FACES])
-        norms = np.linalg.norm(cross, axis=1)
-        self.face_weights = norms[:, None] * frule.weights
-        # face fi is opposite vertex fi; orient its normal away from it
-        n = cross / norms[:, None]
-        away = np.sum(n * (v[[f[0] for f in TET_FACES]] - v), axis=1)
-        self.face_normals = np.where(away[:, None] < 0, -n, n)
+        # face i, opposite vertex i, is local facet 3 - i of the cell
+        lf = np.arange(3, -1, -1)
+        areas = mesh.facet_areas[mesh.cell_facet_ids[0, lf]]
+        self.face_weights = 2.0 * areas[:, None] * frule.weights
+        self.face_normals = geo.outward_normal(0, lf)
         erule = simplex_rule(1, order)
         self.edge_params = erule.points[:, 0]
-        self.edge_ref = np.stack([ref[a] + np.outer(self.edge_params,
-                                                    ref[b] - ref[a])
-                                  for a, b in TET_EDGES])
+        self.edge_ref = np.stack([edge_points(3, e, self.edge_params)
+                                  for e in TET_EDGES])
         d = np.stack([v[b] - v[a] for a, b in TET_EDGES])
         lengths = np.linalg.norm(d, axis=1)
         self.edge_weights = lengths[:, None] * erule.weights
         self.edge_tangents = d / lengths[:, None]
 
     def physical(self, ref):
-        return self.vertices[0] + ref @ self.J.T
+        return self.mesh.geometry.map_points(0, ref)
 
     def reference(self, points):
         return (np.asarray(points, dtype=float) - self.vertices[0]) @ self.Jinv.T
@@ -290,7 +286,11 @@ class FortinSystem:
                     perp.moment_matrix(quad.trace(face_curls, "normal")),
                     _BoundarySpace(quad, xt).moment_matrix(
                         quad.trace(self.face_vals, "tangential"))]
-        _, sv, Vt = svd(np.concatenate(rows), full_matrices=True)
+        # edge and face rows carry different physical scales, so
+        # equilibrate before judging the rank, as in _build_moments
+        C = np.concatenate(rows)
+        C /= np.maximum(np.linalg.norm(C, axis=1), 1e-300)[:, None]
+        _, sv, Vt = svd(C, full_matrices=True)
         rank = int((sv > _RANK_TOL * max(sv[0], 1e-30)).sum())
         self.bcoeff = Vt[rank:].T  # span coefficients of the B basis
         self.bdim = self.bcoeff.shape[1]

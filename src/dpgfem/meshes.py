@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -17,6 +18,8 @@ import numpy as np
 from .simplex import local_edges, local_facets
 
 _STRUCTURED_DOMAINS = ("unit-square", "unit-cube", "l-shape")
+# a cell with |det J| <= _FLAT diam^dim is flat, whatever its size
+_FLAT = 1e-14
 
 
 class SimplicialMesh:
@@ -55,8 +58,13 @@ class SimplicialMesh:
         if np.any(np.diff(self.cells, axis=1) == 0):
             raise ValueError("cell with repeated vertex")
         self._build_facets()
-        if np.any(self.cell_volumes <= 0.0):
-            raise ValueError("degenerate cell with zero volume")
+        absdet = self.geometry.absdet
+        flat = np.flatnonzero(absdet <= _FLAT * self.cell_diameters ** dim)
+        if len(flat):
+            ci = flat[0]
+            raise ValueError(
+                f"degenerate cell {ci} with vertices {self.cells[ci].tolist()}: "
+                f"|det J| = {absdet[ci]:.3g} is at most {_FLAT:g} diam^{dim}")
         self._set_tags({} if boundary_tags is None else boundary_tags)
         if parents is None:
             parents = np.arange(len(self.cells))
@@ -117,10 +125,13 @@ class SimplicialMesh:
     # -- geometry -----------------------------------------------------
 
     @cached_property
+    def geometry(self):
+        """The affine maps of the cells (``MeshGeometry``), built once."""
+        return MeshGeometry(self)
+
+    @cached_property
     def signed_volumes(self):
-        v = self.vertices[self.cells]
-        J = v[:, 1:, :] - v[:, :1, :]
-        return np.linalg.det(J) / math.factorial(self.dim)
+        return self.geometry.det / math.factorial(self.dim)
 
     @cached_property
     def cell_volumes(self):
@@ -128,13 +139,9 @@ class SimplicialMesh:
 
     @cached_property
     def cell_diameters(self):
-        v = self.vertices[self.cells]
-        diam = np.zeros(self.ncells)
-        n = self.dim + 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                diam = np.maximum(diam, np.linalg.norm(v[:, i] - v[:, j], axis=1))
-        return diam
+        ends = self.cells[:, np.array(local_edges(self.dim))]
+        d = self.vertices[ends[..., 0]] - self.vertices[ends[..., 1]]
+        return np.linalg.norm(d, axis=-1).max(axis=1)
 
     @cached_property
     def facet_areas(self):
@@ -188,12 +195,57 @@ class SimplicialMesh:
 
 def shape_regularity(mesh):
     """Max over cells of diameter divided by inradius."""
-    vols = mesh.cell_volumes
-    if np.any(vols <= 0.0):
-        raise ValueError("degenerate cell")
     surf = mesh.facet_areas[mesh.cell_facet_ids].sum(axis=1)
-    inradius = mesh.dim * vols / surf
+    inradius = mesh.dim * mesh.cell_volumes / surf
     return float((mesh.cell_diameters / inradius).max())
+
+
+class MeshGeometry:
+    """The cells' affine maps x = origin + J x_ref, their determinants
+    and inverses (on first use, so a flat cell fails in the mesh, not in
+    the inversion), outward facet normals and shape classes.  Per-cell
+    lookups take a cell index, a slice or an index array of cells.  The
+    mesh is held by a weak reference, so the two form no cycle."""
+
+    def __init__(self, mesh):
+        self.mesh = weakref.proxy(mesh)
+        v = mesh.vertices[mesh.cells]
+        self.origin = v[:, 0, :]
+        self.J = np.swapaxes(v[:, 1:, :] - v[:, :1, :], 1, 2)  # (nc, d, d)
+        self.det = np.linalg.det(self.J)
+        self.absdet = np.abs(self.det)
+
+    @cached_property
+    def Jinv(self):
+        return np.linalg.inv(self.J)
+
+    @cached_property
+    def shape_classes(self):
+        """Classes of cells with the same Jacobian and |det|, on which
+        every cell Gram of a basis is the same (``cell_classes``)."""
+        return cell_classes(self.J, self.absdet)
+
+    def map_points(self, ci, ref_points):
+        return self.origin[ci][..., None, :] + ref_points @ np.swapaxes(
+            self.J[ci], -1, -2)
+
+    def outward_normal(self, ci=slice(None), lf=slice(None)):
+        """Unit outward normals of local facets lf of cells ci; of every
+        local facet of every cell, (ncells, dim + 1, dim), by default."""
+        fid = self.mesh.cell_facet_ids[ci, lf]
+        sign = self.mesh.cell_facet_signs[ci, lf]
+        return sign[..., None] * self.mesh.facet_normals[fid]
+
+
+def cell_classes(*values):
+    """Classes of cells whose ``values`` (real arrays with the cells on
+    their first axis) are the same bit for bit: the first cell of each
+    class, in ascending order, and the class index of every cell."""
+    key = np.ascontiguousarray(np.concatenate(
+        [np.reshape(v, (len(v), -1)) for v in values], axis=1, dtype=float))
+    first, _, cls = _first_seen(
+        key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0])
+    return first, cls
 
 
 def _first_seen(keys):

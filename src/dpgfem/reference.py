@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import lstsq
 from scipy.linalg import cholesky, eigh, solve_triangular
 
+from .meshes import SimplicialMesh
 from .polynomials import family_generators, space_dimension
 from .quadrature import simplex_rule
 from .simplex import (
@@ -193,19 +195,15 @@ def facet_points(dim, local_facet, params):
     return b[None, :] + params @ A.T
 
 
+@lru_cache(maxsize=None)
+def _reference_cell(dim):
+    """The reference simplex as a one-cell mesh."""
+    return SimplicialMesh(dim, REF_VERTICES[dim], [list(range(dim + 1))])
+
+
 def facet_outward_normal(dim, local_facet):
-    verts = REF_VERTICES[dim]
-    fverts = verts[list(local_facet)]
-    opp = [i for i in range(dim + 1) if i not in local_facet][0]
-    if dim == 2:
-        t = fverts[1] - fverts[0]
-        n = np.array([t[1], -t[0]])
-    else:
-        n = np.cross(fverts[1] - fverts[0], fverts[2] - fverts[0])
-    n = n / np.linalg.norm(n)
-    if np.dot(n, fverts.mean(axis=0) - verts[opp]) < 0:
-        n = -n
-    return n
+    lf = local_facets(dim).index(tuple(local_facet))
+    return _reference_cell(dim).geometry.outward_normal(0, lf)
 
 
 def edge_points(dim, local_edge, s):
@@ -529,33 +527,7 @@ def _build_hdiv(degree, dim):
                               data, entity)
 
 
-# -- physical geometry -------------------------------------------------
-
-
-class MeshGeometry:
-    """Affine cell maps and pullback data for a mesh.
-
-    Per-cell lookups take one cell index or a slice of cells; a slice
-    adds a leading cell axis to the result.
-    """
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        v = mesh.vertices[mesh.cells]
-        self.origin = v[:, 0, :]
-        self.J = np.swapaxes(v[:, 1:, :] - v[:, :1, :], 1, 2)  # (nc, d, d)
-        self.det = np.linalg.det(self.J)
-        self.Jinv = np.linalg.inv(self.J)
-        self.absdet = np.abs(self.det)
-
-    def map_points(self, ci, ref_points):
-        return self.origin[ci][..., None, :] + ref_points @ np.swapaxes(
-            self.J[ci], -1, -2)
-
-    def outward_normal(self, ci, lf):
-        fid = self.mesh.cell_facet_ids[ci, lf]
-        sign = self.mesh.cell_facet_signs[ci, lf]
-        return sign[..., None] * self.mesh.facet_normals[fid]
+# -- pushforwards -----------------------------------------------------
 
 
 def _times(tab, M):

@@ -21,8 +21,8 @@ reference tensor (``reference._contract``), the same as the element
 kernels; only data that vary over a facet are summed point by point.
 A cell Gram depends only on the cell's Jacobian, so the natural Grams
 and the skeleton Schur complements are computed once per class of
-cells with bit-identical Jacobians (``cell_classes``) and gathered to
-the cells.
+cells with bit-identical Jacobians (the mesh geometry's
+``shape_classes``) and gathered to the cells.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .meshes import _first_seen
 from .quadrature import reference_volume, simplex_rule
 from .reference import (
-    MeshGeometry,
     RefOperand,
     _contract,
     _moments,
@@ -63,21 +63,6 @@ def cell_groups(ncells, cell_bytes):
     return [slice(s, min(s + size, ncells)) for s in range(0, ncells, size)]
 
 
-def cell_classes(*values):
-    """Classes of cells whose ``values`` (real arrays with the cells on
-    their first axis) are the same bit for bit: the first cell of each
-    class, in ascending order, and the class index of every cell."""
-    key = np.ascontiguousarray(np.concatenate(
-        [np.reshape(v, (len(v), -1)) for v in values], axis=1, dtype=float))
-    key = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
-    _, first, inverse = np.unique(key, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
-
-
 # -- element tables ----------------------------------------------------
 
 
@@ -96,11 +81,11 @@ class ElementTables:
     on every cell, keep their reference shape).
     """
 
-    def __init__(self, mesh, basis, geometry=None, order=None):
+    def __init__(self, mesh, basis, order=None):
         self.mesh = mesh
         self.basis = basis
         self.family = basis.family
-        self.geo = geometry if geometry is not None else MeshGeometry(mesh)
+        self.geo = mesh.geometry
         order = order if order else 2 * basis.degree + 2
         self.vrule = simplex_rule(mesh.dim, order)
         self.frule = simplex_rule(mesh.dim - 1, order)
@@ -109,11 +94,6 @@ class ElementTables:
         """Slices of n consecutive cells or classes, each small enough to
         hold their Grams as one stack."""
         return cell_groups(n, 8 * self.basis.nfuncs ** 2)
-
-    def shape_classes(self):
-        """Classes of cells with the same Jacobian and |det|, on which
-        every cell Gram of this basis is the same (``cell_classes``)."""
-        return cell_classes(self.geo.J, self.geo.absdet)
 
     def volume_weights(self, ci):
         return self.geo.absdet[ci][..., None] * self.vrule.weights
@@ -221,14 +201,14 @@ def _global_entities(mesh):
             "interior": (np.arange(nc)[:, None], np.zeros(nc, dtype=bool))}
 
 
-def _hdiv_factors(mesh, geo, ents):
+def _hdiv_factors(mesh, ents):
     """(ncells, len(ents)) orientation factors of H(div) functions:
     sign(det) on every function, times the facet sign over the reference
     facet measure on facet functions."""
     dim = mesh.dim
     facet_kind = "edge" if dim == 2 else "face"
     measure = [facet_measure(dim, f) for f in local_facets(dim)]
-    sdet = np.sign(geo.det)
+    sdet = np.sign(mesh.geometry.det)
     out = np.repeat(sdet[:, None], len(ents), axis=1)
     for col, (kind, loc, _) in enumerate(ents):
         if kind == facet_kind:
@@ -236,14 +216,13 @@ def _hdiv_factors(mesh, geo, ents):
     return out
 
 
-def conforming_map(mesh, basis, geometry=None, skeleton=False):
+def conforming_map(mesh, basis, skeleton=False):
     """Numbering of a conforming space; ``skeleton=True`` keeps only the
     non-interior (boundary-trace carrying) functions.
 
     Global dofs are numbered in order of first appearance, cells in
     ascending order and each cell's functions in local order.
     """
-    geo = geometry if geometry is not None else MeshGeometry(mesh)
     ents = basis.dof_entities()
     use = [k for k, (kind, _, _) in enumerate(ents)
            if not (skeleton and kind == "interior")]
@@ -256,13 +235,11 @@ def conforming_map(mesh, basis, geometry=None, skeleton=False):
     code = np.array([kinds.index(ents[k][0]) for k in use])
     # one integer per (entity kind, entity, index within the entity)
     key = (eids * (j.max() + 1) + j) * len(kinds) + code
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=int)
-    rank[np.argsort(first)] = np.arange(len(first))
-    cell_dofs = rank[inv].reshape(key.shape)
+    first, _, dof = _first_seen(key.ravel())
+    cell_dofs = dof.reshape(key.shape)
     boundary = np.zeros(len(first), dtype=bool)
     boundary[cell_dofs] = on_bnd
-    factors = (_hdiv_factors(mesh, geo, [ents[k] for k in use])
+    factors = (_hdiv_factors(mesh, [ents[k] for k in use])
                if basis.family == "hdiv" else np.ones(key.shape))
     local = use if skeleton else None
     return DofMap(len(first), cell_dofs, factors, boundary, local)
@@ -317,7 +294,7 @@ def natural_gram(tables, dofmap, include_deriv=True):
     L2 norm of the values plus, when ``include_deriv``, the L2 norm of
     the family derivative (giving H1/H(curl)/H(div) graph norms).
     """
-    reps, cls = tables.shape_classes()
+    reps, cls = tables.geo.shape_classes
     f = dofmap.cell_factors
     M = np.empty((len(reps),) + f.shape[-1:] * 2)
     for part in tables.groups(len(reps)):
@@ -374,8 +351,8 @@ class TraceField:
     ``refs[lf]`` the reference operand of their values on it.
     """
 
-    def __init__(self, mesh, geo, family, degree, kind, order):
-        self.mesh, self.geo, self.kind, self.order = mesh, geo, kind, order
+    def __init__(self, mesh, family, degree, kind, order):
+        self.mesh, self.kind, self.order = mesh, kind, order
         dim = mesh.dim
         if family == "l2":
             basis = modal_basis("l2", degree, dim - 1)
@@ -387,8 +364,8 @@ class TraceField:
             self.refs = [RefOperand(basis, "val", None, order)] * (dim + 1)
             return
         basis = conforming_basis(family, degree, dim)
-        self.tables = ElementTables(mesh, basis, geo, order)
-        self.dofmap = conforming_map(mesh, basis, geo, skeleton=True)
+        self.tables = ElementTables(mesh, basis, order)
+        self.dofmap = conforming_map(mesh, basis, skeleton=True)
         ents = basis.dof_entities()
         use = np.asarray(self.dofmap.local_functions)
         verts = [_local_vertices(dim, *ents[k][:2]) for k in use]
@@ -435,10 +412,10 @@ class InterfaceSpace(TraceField):
     factorization) are built on first use and kept.
     """
 
-    def __init__(self, mesh, geo, slot, parent_degree, order, factor):
+    def __init__(self, mesh, slot, parent_degree, order, factor):
         kind, self.parent_family = _INTERFACE_KINDS[
             slot.continuity, slot.family]
-        super().__init__(mesh, geo, slot.family, slot.degree, kind, order)
+        super().__init__(mesh, slot.family, slot.degree, kind, order)
         self.key = (slot.family, slot.degree, slot.continuity)
         self.parent_degree = parent_degree
         self._factor = factor
@@ -452,7 +429,7 @@ class InterfaceSpace(TraceField):
     @cached_property
     def parent(self):
         """The skeleton traces of the parent space."""
-        return TraceField(self.mesh, self.geo, self.parent_family,
+        return TraceField(self.mesh, self.parent_family,
                           self.parent_degree, self.kind, self.order)
 
     @cached_property
@@ -587,7 +564,7 @@ def skeleton_schur(tables, skel_map):
     coefficients (orientation factors applied)."""
     use = list(skel_map.local_functions)
     interior = [k for k in range(tables.basis.nfuncs) if k not in set(use)]
-    reps, cls = tables.shape_classes()
+    reps, cls = tables.geo.shape_classes
     f = skel_map.cell_factors
     S = np.empty((len(reps),) + f.shape[-1:] * 2)
     for part in tables.groups(len(reps)):

@@ -42,12 +42,12 @@ from scipy.linalg import (
 from scipy.sparse.linalg import splu
 
 from . import formulations as fm
-from .reference import MeshGeometry, conforming_basis, modal_basis
+from .meshes import cell_classes
+from .reference import conforming_basis, modal_basis
 from .spaces import (
     ElementTables,
     InterfaceSpace,
     broken_map,
-    cell_classes,
     cell_groups,
     conforming_map,
     natural_gram,
@@ -110,7 +110,6 @@ class Discretization:
                     f"{np.shape(val)}")
         self.form = formulation
         self.mesh = mesh
-        self.geo = MeshGeometry(mesh)
         # the degree of every volume and facet rule
         self.order = 2 * (formulation.p + formulation.delta) + 4
 
@@ -135,8 +134,7 @@ class Discretization:
         at = 0
         for s in formulation.test_slots:
             basis = modal_basis(s.family, s.degree, mesh.dim)
-            self._tables[s.name] = ElementTables(mesh, basis, self.geo,
-                                                 self.order)
+            self._tables[s.name] = ElementTables(mesh, basis, self.order)
             self._test_offsets[s.name] = at
             at += basis.nfuncs
         self.ntest_local = at
@@ -152,8 +150,7 @@ class Discretization:
             space = next((sp for sp in self._interfaces.values()
                           if sp.key == key), None)
             if space is None:
-                space = InterfaceSpace(mesh, self.geo, s,
-                                       self.form.p + self.form.delta,
+                space = InterfaceSpace(mesh, s, self.form.p + self.form.delta,
                                        self.order, _factor)
             self._interfaces[s.name] = space
             return space.dofmap
@@ -161,11 +158,10 @@ class Discretization:
             basis = conforming_basis(s.family, s.degree, dim)
         else:
             basis = modal_basis(s.family, s.degree, dim)
-        self._tables[s.name] = ElementTables(mesh, basis, self.geo,
-                                             self.order)
+        self._tables[s.name] = ElementTables(mesh, basis, self.order)
         if s.continuity == "broken":
             return broken_map(mesh, basis.nfuncs)
-        return conforming_map(mesh, basis, self.geo)
+        return conforming_map(mesh, basis)
 
     def dofmap(self, name):
         return self._maps[name]
@@ -197,13 +193,12 @@ class Discretization:
         on which the element kernels read the same values: the Jacobian,
         |det|, the facet areas and outward normals, and the coefficients
         given per cell."""
-        mesh, geo = self.mesh, self.geo
-        fids = mesh.cell_facet_ids
-        normals = mesh.cell_facet_signs[:, :, None] * mesh.facet_normals[fids]
+        mesh, geo = self.mesh, self.mesh.geometry
         coefs = [val for key, val in self.form.params.items()
                  if np.ndim(val) - (key == "beta") == 1]
-        return cell_classes(geo.J, geo.absdet, mesh.facet_areas[fids],
-                            normals, *coefs)
+        return cell_classes(geo.J, geo.absdet,
+                            mesh.facet_areas[mesh.cell_facet_ids],
+                            geo.outward_normal(), *coefs)
 
     def _evaluate(self, group):
         """(G, B) stacks of a cell group, B in local coefficients."""
@@ -568,7 +563,7 @@ class _CellGroup:
         self.ncells = len(cells)
         self.ntest_local = disc.ntest_local
         self.test_offset = disc.test_offset
-        self.absdet = disc.geo.absdet[cells]
+        self.absdet = disc.mesh.geometry.absdet[cells]
         self._factors = {}
 
     @cached_property
@@ -601,7 +596,7 @@ class _CellGroup:
         return self.disc._ref_tables.facet_scale(self.cells, lf)
 
     def normal(self, lf):
-        return self.disc.geo.outward_normal(self.cells, lf)
+        return self.disc.mesh.geometry.outward_normal(self.cells, lf)
 
     def coef(self, key):
         """A constant, or per-cell values shaped to broadcast against

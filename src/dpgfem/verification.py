@@ -258,7 +258,7 @@ def conforming_test_embedding(disc):
             pieces.append(C)
             continue
         basis_c = conforming_basis(s.family, s.degree, mesh.dim)
-        cmap = conforming_map(mesh, basis_c, disc.geo)
+        cmap = conforming_map(mesh, basis_c)
         C = np.zeros((ny, cmap.ndofs))
         C[rows[:, :, None], cmap.cell_dofs[:, None, :]] = \
             basis_c.coeffs.T * cmap.cell_factors[:, None, :]

@@ -15,17 +15,18 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from dpgfem import meshes
 from dpgfem.formulations import make_formulation, manufactured_case
 from dpgfem.meshes import (
     SimplicialMesh,
     build_structured,
+    cell_classes,
     refine_marked,
     refine_uniform,
 )
-from dpgfem.reference import MeshGeometry, _contract, conforming_basis
+from dpgfem.reference import _contract, conforming_basis
 from dpgfem.spaces import (
     ElementTables,
-    cell_classes,
     conforming_map,
     natural_gram,
     skeleton_schur,
@@ -111,10 +112,9 @@ def _cell_gram(tables, ci, include_deriv=True):
 
 
 def _space(mesh, family, degree, skeleton):
-    geo = MeshGeometry(mesh)
     basis = conforming_basis(family, degree, mesh.dim)
-    tables = ElementTables(mesh, basis, geo, 2 * degree + 4)
-    return tables, conforming_map(mesh, basis, geo, skeleton=skeleton)
+    tables = ElementTables(mesh, basis, 2 * degree + 4)
+    return tables, conforming_map(mesh, basis, skeleton=skeleton)
 
 
 @pytest.mark.parametrize("family,degree", [("h1", 2), ("hdiv", 2)])
@@ -163,7 +163,7 @@ def test_uniform_square_shares_a_few_classes():
     mesh = build_structured("unit-square", 2)
     while mesh.ncells < 2048:
         mesh = refine_uniform(mesh)
-    geo = MeshGeometry(mesh)
+    geo = mesh.geometry
     reps, cls = cell_classes(geo.J, geo.absdet)
     assert mesh.ncells == 2048 and len(reps) <= 12
     # each class is named by its first cell, and its cells share the
@@ -177,7 +177,7 @@ def test_uniform_square_shares_a_few_classes():
 def test_per_cell_coefficients_split_classes():
     mesh = _square()
     a = 1.0 + 0.25 * (np.arange(mesh.ncells) % 4)
-    geo = MeshGeometry(mesh)
+    geo = mesh.geometry
     shapes = len(cell_classes(geo.J, geo.absdet)[0])
     disc = Discretization(
         make_formulation("primal_dcr", 1, params=dict(DCR, a=a)), mesh)
@@ -188,7 +188,39 @@ def test_per_cell_coefficients_split_classes():
 
 def test_jittered_mesh_has_one_class_per_cell():
     mesh = _jittered()
-    geo = MeshGeometry(mesh)
+    geo = mesh.geometry
     assert len(cell_classes(geo.J, geo.absdet)[0]) == mesh.ncells
     disc = Discretization(make_formulation("primal_poisson", 1), mesh)
     assert np.array_equal(disc.element_stacks.cls, np.arange(mesh.ncells))
+
+
+def test_one_geometry_per_mesh(monkeypatch):
+    """Every layer built on a mesh reads the mesh's one geometry, and its
+    shape classes are computed once, however many Grams use them."""
+    built, classified = [], []
+
+    class Counted(meshes.MeshGeometry):
+        def __init__(self, mesh):
+            built.append(mesh)
+            super().__init__(mesh)
+
+    def counted(*values):
+        classified.append(len(values))
+        return cell_classes(*values)
+
+    base = _lshape()
+    monkeypatch.setattr(meshes, "MeshGeometry", Counted)
+    monkeypatch.setattr(meshes, "cell_classes", counted)
+    mesh = SimplicialMesh(2, base.vertices, base.cells)
+    geo = mesh.geometry
+    discs = [Discretization(make_formulation(fid, 1), mesh)
+             for fid in ("ultraweak_dcr", "primal_dcr")]
+    space = discs[0]._interfaces["uhat"]
+    tables, dmap = _space(mesh, "h1", 2, False)
+    natural_gram(tables, dmap)
+    assert len(space.cell_grams) == mesh.ncells
+    assert built == [mesh] and classified == [2]
+    assert tables.geo is geo and space.tables.geo is geo
+    assert space.parent.tables.geo is geo
+    assert all(t.geo is geo for d in discs for t in d._tables.values())
+    assert geo.shape_classes is mesh.geometry.shape_classes

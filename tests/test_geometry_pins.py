@@ -15,7 +15,7 @@ import pytest
 from dpgfem.formulations import make_formulation
 from dpgfem.fortin import SHAPE_FAMILY, TetQuadrature
 from dpgfem.reference import conforming_basis
-from dpgfem.spaces import ElementTables, conforming_map
+from dpgfem.spaces import conforming_map
 from dpgfem.system import Discretization
 from test_cell_classes import DCR, MESHES
 
@@ -74,8 +74,7 @@ def test_tet_quadrature_arrays_are_pinned(field):
 
 
 def _shape_classes(mesh):
-    basis = conforming_basis("h1", 1, mesh.dim)
-    return ElementTables(mesh, basis).shape_classes()
+    return mesh.geometry.shape_classes
 
 
 def _kernel_classes(mesh, fid, per_cell):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from dpgfem.fortin import REFERENCE_TET, TetQuadrature
 from dpgfem.meshes import (
     SimplicialMesh,
     build_structured,
@@ -164,6 +165,34 @@ def test_cell_with_repeated_vertex_rejected():
     verts = [(0, 0), (1, 0), (0, 1), (1, 1)]
     with pytest.raises(ValueError, match="repeated vertex"):
         SimplicialMesh(2, verts, [(0, 1, 2), (1, 3, 3)])
+
+
+def _flat_tet():
+    """Four vertices in one plane: |det J| is about 2e-17."""
+    a, b, c = np.random.default_rng(1).standard_normal((3, 3))
+    return np.array([a, b, c, a + 0.3 * (b - a) + 0.4 * (c - a)])
+
+
+def test_numerically_flat_cell_rejected():
+    verts = _flat_tet()
+    with pytest.raises(ValueError, match=r"degenerate cell 0 .*\|det J\|"):
+        SimplicialMesh(3, verts, [(0, 1, 2, 3)])
+    buf = io.StringIO()
+    buf.write("dpgmesh 3 4 1\n")
+    buf.writelines(" ".join(f"{x:.17g}" for x in v) + "\n" for v in verts)
+    buf.write("0 1 2 3\n")
+    buf.seek(0)
+    with pytest.raises(ValueError, match="degenerate cell 0"):
+        read_mesh(buf)
+    with pytest.raises(ValueError, match="degenerate cell 0"):
+        TetQuadrature(verts, 4)
+
+
+def test_small_cell_is_not_flat():
+    # the flatness test is scale free: a tiny regular cell passes
+    quad = TetQuadrature(REFERENCE_TET * 1e-6, 4)
+    assert quad.mesh.cell_volumes[0] == pytest.approx(1e-18 / 6, rel=1e-12)
+    assert quad.vol_weights.sum() == pytest.approx(1e-18 / 6, rel=1e-12)
 
 
 def test_tag_on_interior_facet_rejected(eight_tri):

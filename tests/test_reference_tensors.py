@@ -91,7 +91,7 @@ class _Pushed:
                              lf)[:, None, :, None]
 
     def normal(self, lf):
-        return self.disc.geo.outward_normal(self.cells, lf)[:, None, None, :]
+        return self.disc.mesh.geometry.outward_normal(self.cells, lf)[:, None, None, :]
 
     def coef(self, coef, conj=False):
         const, mul, div = coef

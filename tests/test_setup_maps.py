@@ -13,7 +13,7 @@ import pytest
 from scipy import sparse
 
 from dpgfem.meshes import build_structured, refine_marked, refine_uniform
-from dpgfem.reference import MeshGeometry, conforming_basis
+from dpgfem.reference import conforming_basis
 from dpgfem.simplex import facet_measure, local_edges, local_facets
 from dpgfem.spaces import (
     ElementTables,
@@ -106,7 +106,7 @@ def _reference_numbering(mesh, basis, use):
 
 
 def _reference_hdiv_factors(mesh, basis, use):
-    det = MeshGeometry(mesh).det
+    det = mesh.geometry.det
     facet_kind = "edge" if mesh.dim == 2 else "face"
     ents = basis.dof_entities()
     out = np.ones((mesh.ncells, len(use)))

@@ -6,9 +6,10 @@ tree: every name that an import binds must be read somewhere in the
 module, unless the import's line carries ``# noqa: F401`` (a name kept
 for readers outside the module, such as the benchmark's tracer).
 ``__init__`` is skipped, since it imports to re-export.  Every
-module-level function, class and constant must be named (read, imported,
-or given as a string, as the benchmark's tracer gives the names it
-wraps) by some file in ``src/dpgfem``, ``tests`` or ``bench``.
+module-level function, class and constant, and every method and property
+of a class, must be named (read as a name or an attribute, imported, or
+given as a string, as the benchmark's tracer gives the names it wraps)
+by some file in ``src/dpgfem``, ``tests`` or ``bench``.
 """
 
 import ast
@@ -75,6 +76,15 @@ def definitions(source):
             if not (name.startswith("__") and name.endswith("__"))]
 
 
+def methods(source):
+    """(line, name) of the methods and properties of every class of a
+    source, dunder names left out."""
+    return [(f.lineno, f.name) for c in ast.walk(ast.parse(source))
+            if isinstance(c, ast.ClassDef) for f in c.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
 def names_read(source):
     """Every name a source names: a name or attribute it reads, a name it
     imports, or a string constant."""
@@ -106,13 +116,42 @@ def test_the_guard_sees_a_dead_definition():
         (3, "UNUSED"), (6, "dead"), (8, "Dead")]
 
 
+def test_the_guard_sees_a_dead_method():
+    source = ("class Tables:\n"
+              "    def __init__(self, n):\n"
+              "        self.n = self.size()\n"
+              "    def size(self):\n"
+              "        return 3\n"
+              "    @property\n"
+              "    def shape(self):\n"
+              "        return (self.n,)\n"
+              "    def classes(self):\n"
+              "        return getattr(self, 'shape')\n"
+              "    def dead(self):\n"
+              "        return None\n"
+              "t = Tables(2).classes()\n")
+    named = names_read(source)
+    assert [d for d in methods(source) if d[1] not in named] == [
+        (11, "dead")]
+
+
 _NAMED = set()
+
+
+def _named():
+    if not _NAMED:
+        for path in READERS:
+            _NAMED.update(names_read(path.read_text(encoding="utf-8")))
+    return _NAMED
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_dead_definition(module):
-    if not _NAMED:
-        for path in READERS:
-            _NAMED.update(names_read(path.read_text(encoding="utf-8")))
     source = (SRC / module).read_text(encoding="utf-8")
-    assert [d for d in definitions(source) if d[1] not in _NAMED] == []
+    assert [d for d in definitions(source) if d[1] not in _named()] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dead_method(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert [d for d in methods(source) if d[1] not in _named()] == []
