@@ -22,7 +22,10 @@ def _clear_caches():
         cached.cache_clear()
 
 
-def test_verify_records_survive_cleared_caches():
+def test_verify_records_survive_cleared_caches(monkeypatch):
+    # in this process: forked workers would neither read nor fill the
+    # caches that are cleared here
+    monkeypatch.setattr(verification, "_worker_count", lambda n: 0)
     recs = verify_records()
     assert len(recs) == 30
     assert all(r["pass"] for r in recs)
