@@ -18,7 +18,8 @@ stability bound that the broken test space inherits from its conforming
 subspace.  The duality workspaces integrate on the degree-2q rule, exact
 for their integrands, share one graph Gram and Cholesky factor per
 (family, degree), and take one SVD each, of the trace map in the
-whitened coordinates of that factor.  The last three suites read the
+whitened coordinates of that factor; the two H(curl) pairings share
+one, on two in-face components.  The last three suites read the
 element stacks in whitened coordinates, T = diag(L_K^{-1}) B and
 Z = diag(L_K^H) C, so the broken test Gram diag(L_K L_K^H) is never
 formed or factored.  Every span is a modal basis tabulated as one
@@ -40,7 +41,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular, svd
 
 from .formulations import MAXWELL_IDS, make_formulation
-from .fortin import REFERENCE_TET, TetQuadrature, default_samples
+from .fortin import REFERENCE_TET, TET_FACES, TetQuadrature, default_samples
 from .polynomials import trace_dimension
 from .quadrature import simplex_rule
 from .reference import _RANK_TOL, _integrate, conforming_basis, modal_basis
@@ -84,6 +85,12 @@ class _DualityWorkspace:
     graph norm |S^{-1} U^T c|, and the dual norm of the trace is
     |R_dual^{-T} b| for b its moments against the dual span.  Rules and
     graph Gram factors are shared.
+
+    Tangential data keep two components, in an orthonormal frame
+    (e1, e2 = n x e1) of each face.  In that frame the rotated trace
+    n x v is the tangential trace turned by 90 degrees, (t1, t2) ->
+    (-t2, t1), so the curlD/curlT workspace reuses the curlT/curlD SVD
+    with the rows of U^T turned the same way.
     """
 
     def __init__(self, pairing, q):
@@ -97,20 +104,42 @@ class _DualityWorkspace:
         rule = simplex_rule(2, 2 * q)
         self.face_basis = (modal_basis("l2", q, 2).values(rule.points)[:, :, 0]
                            * np.sqrt(rule.weights)).T
+        corners = quad.vertices[np.array(TET_FACES)]
+        e1 = corners[:, 1] - corners[:, 0]
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        self.frame = np.stack([e1, np.cross(quad.face_normals, e1)],
+                              axis=-1)
         self.ext_factor = _graph_gram_factor(ext_family, q)
         self.dual_factor = _graph_gram_factor(dual_family, q)
         self.dual_traces = self._traces(dual_family, q, dual_mode)
+        if ext_mode == "rotated":
+            tangential = _workspace("curlT/curlD", q)
+            self.sv, self.Ut = tangential.sv, _turned(tangential.Ut)
+        else:
+            self.sv, self.Ut = self._factor(pairing, q, ext_family, ext_mode)
+
+    def _factor(self, pairing, q, family, mode):
+        """Singular values and right singular vectors U^T of the whitened
+        traces of the degree-q extension span, cut at its trace rank."""
         _, sv, Ut = svd(solve_triangular(self.ext_factor,
-                                         self._traces(ext_family, q, ext_mode),
+                                         self._traces(family, q, mode),
                                          trans="T"),
                         full_matrices=False)
         rank = int((sv > _RANK_TOL * sv[0]).sum())
-        expected = trace_dimension(ext_family, q)
+        expected = trace_dimension(family, q)
         if rank != expected:
             raise RuntimeError(
                 f"{pairing} workspace at q={q}: trace rank {rank}, "
                 f"expected {expected}")
-        self.sv, self.Ut = sv[:rank], Ut[:rank]
+        return sv[:rank], Ut[:rank]
+
+    def trace(self, vals, mode):
+        """Face-weighted trace of one kind of values (..., 4, nq, c) at
+        the face points, tangential data in the face frames."""
+        t = self.quad.trace(vals, mode)
+        if mode in ("tangential", "rotated"):
+            t = t @ self.frame
+        return t * self.sqrt_w
 
     def coefficients(self, vals):
         """Coefficients over the face basis of face-weighted surface
@@ -123,8 +152,16 @@ class _DualityWorkspace:
         """Coefficients of the face-weighted traces of the degree-q span,
         one row per function."""
         quad = self.quad
-        tr = quad.trace(quad.span(family, q, quad.face_ref), mode)
-        return self.coefficients(tr * self.sqrt_w)
+        return self.coefficients(
+            self.trace(quad.span(family, q, quad.face_ref), mode))
+
+
+def _turned(coeffs):
+    """Face coefficients (..., 4 * 2 * nb) of in-face vector data turned
+    by 90 degrees in each face, (t1, t2) -> (-t2, t1)."""
+    c = coeffs.reshape(coeffs.shape[:-1] + (4, 2, -1))
+    return np.stack([-c[..., 1, :], c[..., 0, :]],
+                    axis=-2).reshape(coeffs.shape)
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +203,7 @@ def duality_norms(pairing, q, field):
         raise ValueError(f"unknown pairing {pairing!r}")
     ws = _workspace(pairing, q)
     quad = ws.quad
-    t = quad.trace(quad.sample([field])[1], _MODES[pairing][0])[0]
-    t_w = t * ws.sqrt_w
+    t_w = ws.trace(quad.sample([field])[1], _MODES[pairing][0])[0]
     tn2 = float(np.sum(t_w * t_w))
     if tn2 < 1e-28:
         return 0.0, 0.0
@@ -493,9 +529,9 @@ _SUITES = {
 }
 
 
-# the suites by their time in a fresh process with one BLAS thread,
-# longest first: duality 0.48 s, infsup 0.31 s, fortin 0.12 s,
-# annihilation 0.07 s, stability 0.01 s
+# the suites by their time in a fresh process with one BLAS thread on a
+# 2-core x86-64 machine, longest first: duality 0.34 s, infsup 0.31 s,
+# fortin 0.08 s, annihilation 0.07 s, stability 0.04 s
 _LONGEST_FIRST = ("duality", "infsup", "fortin", "annihilation", "stability")
 
 
