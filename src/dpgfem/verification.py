@@ -31,11 +31,8 @@ product.
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import get_context
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, svd
@@ -554,6 +551,10 @@ def _worker_count(nsuites):
 def _records_from_workers(names, seed, workers):
     """Each suite one task of a pool of forked workers, submitted longest
     first; the records in the order of names."""
+    # imported on first use, so that importing dpgfem does not pay for them
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
     futures = {}
     with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
         try:
