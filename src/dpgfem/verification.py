@@ -556,6 +556,10 @@ def _records_from_workers(names, seed, workers):
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
     futures = {}
+    # fork, not spawn: a spawned worker would import numpy, scipy and
+    # dpgfem again, about as long as the suites it runs.  The caller
+    # must hold no lock in another thread; OpenBLAS quiesces its own
+    # threads across fork.
     with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
         try:
             for name in sorted(names, key=_LONGEST_FIRST.index):
