@@ -112,23 +112,18 @@ class _DualityWorkspace:
         if ext_mode == "rotated":
             tangential = _workspace("curlT/curlD", q)
             self.sv, self.Ut = tangential.sv, _turned(tangential.Ut)
-        else:
-            self.sv, self.Ut = self._factor(pairing, q, ext_family, ext_mode)
-
-    def _factor(self, pairing, q, family, mode):
-        """Singular values and right singular vectors U^T of the whitened
-        traces of the degree-q extension span, cut at its trace rank."""
+            return
         _, sv, Ut = svd(solve_triangular(self.ext_factor,
-                                         self._traces(family, q, mode),
+                                         self._traces(ext_family, q, ext_mode),
                                          trans="T"),
                         full_matrices=False)
         rank = int((sv > _RANK_TOL * sv[0]).sum())
-        expected = trace_dimension(family, q)
+        expected = trace_dimension(ext_family, q)
         if rank != expected:
             raise RuntimeError(
                 f"{pairing} workspace at q={q}: trace rank {rank}, "
                 f"expected {expected}")
-        return sv[:rank], Ut[:rank]
+        self.sv, self.Ut = sv[:rank], Ut[:rank]
 
     def trace(self, vals, mode):
         """Face-weighted trace of one kind of values (..., 4, nq, c) at
