@@ -23,8 +23,8 @@ def _clear_caches():
 
 
 def test_verify_records_survive_cleared_caches(monkeypatch):
-    # in this process: forked workers would neither read nor fill the
-    # caches that are cleared here
+    # in this process: forked workers fill only their own copies of the
+    # caches cleared here
     monkeypatch.setattr(verification, "_worker_count", lambda n: 0)
     recs = verify_records()
     assert len(recs) == 30
