@@ -14,6 +14,12 @@ pushed to the tetrahedron, so one code path serves the reference
 tetrahedron and the shape-family sweeps.  Interpolation is linear: the
 moments of m fields are one right-hand side with m columns, and the
 span coefficients of their interpolants are one matrix.
+
+Functions on the tetrahedron's surface have one representation,
+TetQuadrature.surface: coefficients of a trace over an orthonormal
+basis of polynomials on each face, so that face moments are dot
+products.  The spaces of face moments are matrices of such rows, and
+the duality workspaces of ``verification.py`` use the same coefficients.
 """
 
 from __future__ import annotations
@@ -60,11 +66,6 @@ def _as_field(a):
     return a[:, None] if a.ndim == 1 else a
 
 
-def _flat(blocks):
-    """Surface blocks (n, 4, nq, c) as point tables (n, 4 nq, c)."""
-    return blocks.reshape(blocks.shape[0], -1, blocks.shape[-1])
-
-
 class TetQuadrature:
     """Volume, face and edge rules on a tetrahedron given by vertices.
 
@@ -75,6 +76,11 @@ class TetQuadrature:
     ``face_ref``, ``edge_ref``), where span() evaluates a modal basis
     before pushing it through the map.  Faces and edges lead the point
     axes: face points are (4, nq, 3), edge points (6, ne, 3).
+
+    Functions on the surface are surface() coefficients over an
+    orthonormal basis of P_{order // 2} on each face: ``face_basis``
+    (nq, nb), scaled by the square roots of the face rule's weights, and
+    tangential data in the frames (e1, n x e1) of ``frame`` (4, 3, 2).
     """
 
     def __init__(self, vertices, order):
@@ -101,6 +107,13 @@ class TetQuadrature:
         areas = mesh.facet_areas[mesh.cell_facet_ids[0, lf]]
         self.face_weights = 2.0 * areas[:, None] * frule.weights
         self.face_normals = geo.outward_normal(0, lf)
+        self.face_basis = (
+            modal_basis("l2", order // 2, 2).values(frule.points)[:, :, 0]
+            * np.sqrt(frule.weights)).T
+        corners = self.vertices[np.array(TET_FACES)]
+        e1 = corners[:, 1] - corners[:, 0]
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        self.frame = np.stack([e1, np.cross(self.face_normals, e1)], axis=-1)
         erule = simplex_rule(1, order)
         self.edge_params = erule.points[:, 0]
         self.edge_ref = np.stack([edge_points(3, e, self.edge_params)
@@ -146,76 +159,62 @@ class TetQuadrature:
         normals: (..., 4, nq, r)."""
         return vals @ trace_factor(kind, self.face_normals)
 
+    def surface(self, vals, kind):
+        """Coefficients over the face basis of one kind of trace of values
+        (..., 4, nq, c) at the face points, tangential data in the face
+        frames: (..., 4 r nb), faces then trace components leading.  Dot
+        products of these rows are face integrals."""
+        t = self.trace(vals, kind)
+        if kind in ("tangential", "rotated"):
+            t = t @ self.frame
+        t = np.swapaxes(t * np.sqrt(self.face_weights)[..., None], -1, -2)
+        c = t.reshape(-1, t.shape[-1]) @ self.face_basis
+        return c.reshape(vals.shape[:-3] + (-1,))
 
-class _BoundarySpace:
-    """Functions on the tet surface stored by face-quadrature values,
-    blocks (n, 4, nq, c); the inner product is the weighted sum over
-    faces."""
 
-    def __init__(self, quad, blocks):
-        self.quad = quad
-        self.blocks = np.asarray(blocks, dtype=float)
+def _orthonormal(rows, expected=None):
+    """Orthonormal rows spanning the row space of surface coefficients."""
+    _, sv, Vt = svd(rows, full_matrices=False)
+    keep = sv > _RANK_TOL * max(sv[0], 1e-30)
+    if expected is not None and int(keep.sum()) != expected:
+        raise RuntimeError(
+            f"boundary space rank {int(keep.sum())}, expected {expected}")
+    return Vt[keep]
 
-    @property
-    def dim(self):
-        return self.blocks.shape[0]
 
-    def moment_matrix(self, fields):
-        """Moments against a batch of fields (m, 4, nq, c) -> (n, m)."""
-        return _integrate(_flat(fields), _flat(self.blocks),
-                          self.quad.face_weights.reshape(-1, 1))
-
-    def inner(self, other):
-        return self.moment_matrix(other.blocks)
-
-    def orthonormalized(self, expected=None):
-        w = np.sqrt(self.quad.face_weights.reshape(-1, 1))
-        U, sv, _ = svd((_flat(self.blocks) * w).reshape(self.dim, -1),
-                       full_matrices=False)
-        keep = sv > _RANK_TOL * max(sv[0], 1e-30)
-        if expected is not None and int(keep.sum()) != expected:
-            raise RuntimeError(
-                f"boundary space rank {int(keep.sum())}, expected {expected}")
-        C = (U[:, keep] / sv[keep]).T
-        return _BoundarySpace(self.quad,
-                              np.tensordot(C, self.blocks, axes=1))
-
-    def complement_of(self, sub, expected=None):
-        """Orthogonal complement of span(sub) inside this span."""
-        onb = self.orthonormalized()
-        U, sv, _ = svd(onb.inner(sub), full_matrices=True)
-        rank = int((sv > _RANK_TOL * max(sv[0], 1e-30)).sum())
-        if expected is not None and U.shape[1] - rank != expected:
-            raise RuntimeError(
-                f"complement dimension {U.shape[1] - rank}, expected {expected}")
-        return _BoundarySpace(self.quad,
-                              np.tensordot(U[:, rank:].T, onb.blocks, axes=1))
+def _complement(span, sub, expected=None):
+    """Orthonormal rows of the complement of span(sub) inside span(span)."""
+    onb = _orthonormal(span)
+    U, sv, _ = svd(onb @ sub.T, full_matrices=True)
+    rank = int((sv > _RANK_TOL * max(sv[0], 1e-30)).sum())
+    if expected is not None and U.shape[1] - rank != expected:
+        raise RuntimeError(
+            f"complement dimension {U.shape[1] - rank}, expected {expected}")
+    return U[:, rank:].T @ onb
 
 
 def _piecewise_boundary(quad, m):
-    """Discontinuous per-face polynomials of degree <= m on the surface."""
-    vals = modal_basis("l2", m, 2).values(quad.face_params)[:, :, 0]
-    blocks = np.zeros((4, len(vals)) + quad.face_weights.shape + (1,))
-    for fi in range(4):
-        blocks[fi, :, fi, :, 0] = vals
-    return _BoundarySpace(quad, blocks.reshape((-1,) + blocks.shape[2:]))
+    """Discontinuous per-face polynomials of degree <= m on the surface:
+    the first dim P_m functions of each face's graded basis."""
+    n = 4 * quad.face_basis.shape[1]
+    rows = np.eye(n).reshape(4, -1, n)[:, :space_dimension("l2", m, 2)]
+    return rows.reshape(-1, n)
 
 
 def _scalar_volume_traces(quad, degree):
     """Orthonormal basis of the surface traces of volume P_degree."""
-    return _BoundarySpace(quad, quad.span("h1", degree, quad.face_ref)) \
-        .orthonormalized(trace_dimension("h1", degree))
+    return _orthonormal(
+        quad.surface(quad.span("h1", degree, quad.face_ref), "value"),
+        trace_dimension("h1", degree))
 
 
 def _trace_complement(quad, p):
     """Per-face P_{p+2} orthogonal to the traces of volume P_{p+2} and
-    to the per-face constants, with the per-face constants."""
-    constants = _piecewise_boundary(quad, 0)
-    joined = _BoundarySpace(quad, np.concatenate(
-        [_scalar_volume_traces(quad, p + 2).blocks, constants.blocks]))
-    perp = _piecewise_boundary(quad, p + 2).complement_of(
-        joined.orthonormalized(), expected=6 * p + 11)
-    return perp, constants
+    to the per-face constants."""
+    joined = np.concatenate([_scalar_volume_traces(quad, p + 2),
+                             _piecewise_boundary(quad, 0)])
+    return _complement(_piecewise_boundary(quad, p + 2), joined,
+                       expected=6 * p + 11)
 
 
 class FortinSystem:
@@ -262,30 +261,29 @@ class FortinSystem:
         if self.kind == "grad":
             rows = [self._edge_rows(p + 3, tangential=False)]
         elif self.kind == "div":
-            perp, constants = _trace_complement(quad, p)
+            perp = _trace_complement(quad, p)
             # Flux constraints use the trace-and-constant complement plus
             # the mean-free per-face constants, not the plain complement of
             # the traces.  Both choices have the same dimension, but only
             # this one is annihilated by boundary fluxes of curls (Stokes
             # around each face), which the curl/div compatibility check
             # downstream depends on.
-            ones = _BoundarySpace(quad, np.ones((1,) + perp.blocks.shape[1:]))
-            meanfree = constants.complement_of(ones, expected=3)
-            flux = _BoundarySpace(quad, np.concatenate(
-                [perp.blocks, meanfree.blocks]))
-            self.dims["P_perp"] = flux.dim
-            rows = [flux.moment_matrix(quad.trace(self.face_vals, "normal"))]
+            ones = quad.surface(np.ones((1,) + quad.face_weights.shape + (1,)),
+                                "value")
+            flux = np.concatenate([perp, _complement(
+                _piecewise_boundary(quad, 0), ones, expected=3)])
+            self.dims["P_perp"] = len(flux)
+            rows = [flux @ quad.surface(self.face_vals, "normal").T]
         else:
-            perp, _ = _trace_complement(quad, p)
-            self.dims["P0_perp"] = perp.dim
+            perp = _trace_complement(quad, p)
+            self.dims["P0_perp"] = len(perp)
             face_curls = quad.span(self.family, p + 3, quad.face_ref, True)
             # the one remaining constraint: tangential moment against the
             # tangential coordinate field (local coordinates)
-            xt = quad.trace(quad.local(quad.face_points)[None], "tangential")
+            xt = quad.surface(quad.local(quad.face_points)[None], "tangential")
             rows = [self._edge_rows(p + 2, tangential=True),
-                    perp.moment_matrix(quad.trace(face_curls, "normal")),
-                    _BoundarySpace(quad, xt).moment_matrix(
-                        quad.trace(self.face_vals, "tangential"))]
+                    perp @ quad.surface(face_curls, "normal").T,
+                    xt @ quad.surface(self.face_vals, "tangential").T]
         # edge and face rows carry different physical scales, so
         # equilibrate before judging the rank, as in _build_moments
         C = np.concatenate(rows)
@@ -302,12 +300,12 @@ class FortinSystem:
         quad, p = self.quad, self.p
         if self.kind == "grad":
             self._vol_test = quad.span("h1", p - 1, quad.vol_ref)
-            self._face_test = _piecewise_boundary(quad, p).orthonormalized()
+            self._face_test = _piecewise_boundary(quad, p)
         elif self.kind == "curl":
             self._vol_test = quad.span("vec", p, quad.vol_ref)
-            tangential = quad.trace(quad.span("vec", p + 1, quad.face_ref),
-                                    "tangential")
-            self._face_test = _BoundarySpace(quad, tangential).orthonormalized(
+            self._face_test = _orthonormal(
+                quad.surface(quad.span("vec", p + 1, quad.face_ref),
+                             "tangential"),
                 trace_dimension("vec", p + 1))
         else:
             self._vol_test = quad.span("vec", p + 1, quad.vol_ref)
@@ -336,7 +334,7 @@ class FortinSystem:
         quad = self.quad
         return np.concatenate([
             _integrate(vol, self._vol_test, quad.vol_weights[:, None]),
-            self._face_test.moment_matrix(quad.trace(face, self.mode))])
+            self._face_test @ quad.surface(face, self.mode).T])
 
     def solve(self, vol, face):
         """Span coefficients (nspan, m) and scalar-mode means (m,) of the

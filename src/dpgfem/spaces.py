@@ -272,8 +272,10 @@ def _triplets(blocks, rows, cols):
 def _block_matrix(parts, shape):
     """Sparse sum, in CSC form, of the blocks of (blocks, rows, cols)
     parts."""
-    r, c, v = (np.concatenate(a) for a in zip(*(_triplets(*p)
-                                                 for p in parts)))
+    # one part is used as it is: a copy would raise the peak memory of
+    # the largest assemblies
+    r, c, v = (a[0] if len(a) == 1 else np.concatenate(a)
+               for a in zip(*(_triplets(*p) for p in parts)))
     return sparse.coo_matrix((v, (r, c)), shape=shape).tocsc()
 
 

@@ -47,6 +47,7 @@ from .reference import conforming_basis, modal_basis
 from .spaces import (
     ElementTables,
     InterfaceSpace,
+    _block_matrix,
     broken_map,
     cell_groups,
     conforming_map,
@@ -250,11 +251,7 @@ class Discretization:
         vals = (_adjoint(st.W) @ st.W)[st.cls]
         vals *= facs[:, :, None]
         vals *= facs[:, None, :]
-        m = dofs.shape[1]
-        rows, cols = np.repeat(dofs, m, axis=1), np.tile(dofs, (1, m))
-        return sparse.coo_matrix(
-            (vals.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(self.ndof, self.ndof), dtype=self.form.dtype).tocsc()
+        return _block_matrix([(vals, dofs, dofs)], (self.ndof, self.ndof))
 
     def assemble(self, case=None):
         """Hermitian condensed system (A, f), cells in ascending order."""

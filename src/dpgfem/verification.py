@@ -16,10 +16,11 @@ tetrahedron; interface annihilation by conforming test functions;
 dense inf-sup surveys over the formulation catalog; and the
 stability bound that the broken test space inherits from its conforming
 subspace.  The duality workspaces integrate on the degree-2q rule, exact
-for their integrands, share one graph Gram and Cholesky factor per
-(family, degree), and take one SVD each, of the trace map in the
-whitened coordinates of that factor; the two H(curl) pairings share
-one, on two in-face components.  The last three suites read the
+for their integrands, hold surface data as the TetQuadrature.surface
+coefficients the Fortin spaces use, share one graph Gram and Cholesky
+factor per (family, degree), and take one SVD each, of the trace map
+in the whitened coordinates of that factor; the two H(curl) pairings
+share one, on two in-face components.  The last three suites read the
 element stacks in whitened coordinates, T = diag(L_K^{-1}) B and
 Z = diag(L_K^H) C, so the broken test Gram diag(L_K L_K^H) is never
 formed or factored.  Every span is a modal basis tabulated as one
@@ -38,10 +39,9 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular, svd
 
 from .formulations import MAXWELL_IDS, make_formulation
-from .fortin import REFERENCE_TET, TET_FACES, TetQuadrature, default_samples
+from .fortin import REFERENCE_TET, TetQuadrature, default_samples
 from .polynomials import trace_dimension
-from .quadrature import simplex_rule
-from .reference import _RANK_TOL, _integrate, conforming_basis, modal_basis
+from .reference import _RANK_TOL, _integrate, conforming_basis
 from .spaces import conforming_map
 from .system import Discretization, _adjoint, _lower_inverse
 
@@ -73,7 +73,7 @@ _MODES = {
 class _DualityWorkspace:
     """Trace maps for one (pairing, q), factored once.
 
-    Surface data are kept as coefficients over a face-weighted
+    Surface data are TetQuadrature.surface coefficients over an
     orthonormal basis of P_q on each face, which holds the trace of
     every degree-q field.  With G = R^T R the graph Gram of a span, the
     whitened span R^{-T} is orthonormal in the graph norm.  The traces
@@ -83,8 +83,8 @@ class _DualityWorkspace:
     |R_dual^{-T} b| for b its moments against the dual span.  Rules and
     graph Gram factors are shared.
 
-    Tangential data keep two components, in an orthonormal frame
-    (e1, e2 = n x e1) of each face.  In that frame the rotated trace
+    Tangential data keep two components, in the quadrature's orthonormal
+    frame (e1, e2 = n x e1) of each face.  In that frame the rotated trace
     n x v is the tangential trace turned by 90 degrees, (t1, t2) ->
     (-t2, t1), so the curlD/curlT workspace reuses the curlT/curlD SVD
     with the rows of U^T turned the same way.
@@ -94,28 +94,16 @@ class _DualityWorkspace:
         ext_family, dual_family = _PAIRINGS[pairing]
         ext_mode, dual_mode = _MODES[pairing]
         self.quad = quad = _duality_quadrature(q)
-        self.sqrt_w = np.sqrt(quad.face_weights)[..., None]
-        # weighted by the square roots of the weights of the face rule
-        # (that of _duality_quadrature), the degree-q face basis has
-        # orthonormal columns
-        rule = simplex_rule(2, 2 * q)
-        self.face_basis = (modal_basis("l2", q, 2).values(rule.points)[:, :, 0]
-                           * np.sqrt(rule.weights)).T
-        corners = quad.vertices[np.array(TET_FACES)]
-        e1 = corners[:, 1] - corners[:, 0]
-        e1 /= np.linalg.norm(e1, axis=1)[:, None]
-        self.frame = np.stack([e1, np.cross(quad.face_normals, e1)],
-                              axis=-1)
         self.ext_factor = _graph_gram_factor(ext_family, q)
         self.dual_factor = _graph_gram_factor(dual_family, q)
-        self.dual_traces = self._traces(dual_family, q, dual_mode)
+        self.dual_traces = quad.surface(
+            quad.span(dual_family, q, quad.face_ref), dual_mode)
         if ext_mode == "rotated":
             tangential = _workspace("curlT/curlD", q)
             self.sv, self.Ut = tangential.sv, _turned(tangential.Ut)
             return
-        _, sv, Ut = svd(solve_triangular(self.ext_factor,
-                                         self._traces(ext_family, q, ext_mode),
-                                         trans="T"),
+        ext = quad.surface(quad.span(ext_family, q, quad.face_ref), ext_mode)
+        _, sv, Ut = svd(solve_triangular(self.ext_factor, ext, trans="T"),
                         full_matrices=False)
         rank = int((sv > _RANK_TOL * sv[0]).sum())
         expected = trace_dimension(ext_family, q)
@@ -124,28 +112,6 @@ class _DualityWorkspace:
                 f"{pairing} workspace at q={q}: trace rank {rank}, "
                 f"expected {expected}")
         self.sv, self.Ut = sv[:rank], Ut[:rank]
-
-    def trace(self, vals, mode):
-        """Face-weighted trace of one kind of values (..., 4, nq, c) at
-        the face points, tangential data in the face frames."""
-        t = self.quad.trace(vals, mode)
-        if mode in ("tangential", "rotated"):
-            t = t @ self.frame
-        return t * self.sqrt_w
-
-    def coefficients(self, vals):
-        """Coefficients over the face basis of face-weighted surface
-        values (..., 4, nq, c), one row per leading index."""
-        v = np.swapaxes(vals, -1, -2)
-        c = v.reshape(-1, v.shape[-1]) @ self.face_basis
-        return c.reshape(vals.shape[:-3] + (-1,))
-
-    def _traces(self, family, q, mode):
-        """Coefficients of the face-weighted traces of the degree-q span,
-        one row per function."""
-        quad = self.quad
-        return self.coefficients(
-            self.trace(quad.span(family, q, quad.face_ref), mode))
 
 
 def _turned(coeffs):
@@ -195,11 +161,15 @@ def duality_norms(pairing, q, field):
         raise ValueError(f"unknown pairing {pairing!r}")
     ws = _workspace(pairing, q)
     quad = ws.quad
-    t_w = ws.trace(quad.sample([field])[1], _MODES[pairing][0])[0]
-    tn2 = float(np.sum(t_w * t_w))
+    mode = _MODES[pairing][0]
+    face = quad.sample([field])[1]
+    # judge attainability on the point energy of the trace, not on its
+    # surface coefficients, which drop any part above degree q
+    t = quad.trace(face, mode)[0]
+    tn2 = float(np.sum(t * t * quad.face_weights[..., None]))
     if tn2 < 1e-28:
         return 0.0, 0.0
-    c = ws.coefficients(t_w)
+    c = quad.surface(face, mode)[0]
     dual = float(np.linalg.norm(solve_triangular(
         ws.dual_factor, ws.dual_traces @ c, trans="T")))
     r = ws.Ut @ c

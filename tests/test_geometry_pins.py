@@ -47,6 +47,8 @@ QUAD_PINS = {
     "face_points": "2cf26fe31ec6d648",
     "face_weights": "c0846f9df27dabbb",
     "face_normals": "e398aa0fa92a8ac1",
+    "face_basis": "c4c267b987a7b644",
+    "frame": "cd464abef0a74ea5",
     "edge_params": "f3a190c5c42cda84",
     "edge_ref": "cf6d979e9a8d4e8e",
     "edge_weights": "994cdb807df6f346",
