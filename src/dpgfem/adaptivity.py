@@ -65,11 +65,16 @@ def mark(est, theta):
     Cells are taken by descending eta_K, ties broken by ascending cell
     id, until the marked cells hold at least theta^2 of the squared
     total.  theta = 1 marks every cell with a positive indicator; an
-    all-zero estimator yields the empty set.
+    all-zero estimator yields the empty set, and a NaN or infinite
+    indicator is an error.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"marking fraction must lie in (0, 1], got {theta}")
     eta_cells = np.asarray(getattr(est, "eta_cells", est), dtype=float)
+    bad = np.count_nonzero(~np.isfinite(eta_cells))
+    if bad:
+        raise ValueError(f"{bad} of {len(eta_cells)} error indicators are "
+                         f"not finite")
     q = eta_cells ** 2
     npos = int(np.count_nonzero(q > 0.0))
     if npos == 0:

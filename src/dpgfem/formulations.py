@@ -523,6 +523,11 @@ def load_vector(form, ctx, case):
         if c is None:
             continue
         f = np.asarray(case.fields[ld.field](x.reshape(-1, dim)))
+        bad = np.count_nonzero(~np.isfinite(f.reshape(K * nq, -1)).all(1))
+        if bad:
+            raise ValueError(
+                f"case {case.name!r}: field {ld.field!r} is not finite at "
+                f"{bad} of the {K * nq} quadrature points of {K} cells")
         m = _moments(c * f.reshape(K, nq, -1), ctx.operand(ld.test),
                      ctx.absdet)
         at = ctx.test_offset(ld.test[0])

@@ -229,9 +229,8 @@ class MeshGeometry:
         return self.origin[ci][..., None, :] + ref_points @ np.swapaxes(
             self.J[ci], -1, -2)
 
-    def outward_normal(self, ci=slice(None), lf=slice(None)):
-        """Unit outward normals of local facets lf of cells ci; of every
-        local facet of every cell, (ncells, dim + 1, dim), by default."""
+    def outward_normal(self, ci, lf):
+        """Unit outward normals of local facets lf of cells ci."""
         fid = self.mesh.cell_facet_ids[ci, lf]
         sign = self.mesh.cell_facet_signs[ci, lf]
         return sign[..., None] * self.mesh.facet_normals[fid]

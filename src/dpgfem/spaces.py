@@ -15,7 +15,7 @@ The last two are interface spaces: one ``InterfaceSpace`` per distinct
 space, shared by the slots on it, decides its trace kind and holds its
 dofs, facet operands, trace mass and quotient norm.
 
-The slot Grams and the facet trace products integrate two bases on
+The slot Grams and the facet trace masses integrate two bases on
 affine cells, so each is one contraction of per-cell factors with a
 reference tensor (``reference._contract``), the same as the element
 kernels; only data that vary over a facet are summed point by point.
@@ -40,6 +40,7 @@ from .reference import (
     _moments,
     conforming_basis,
     deriv_factor,
+    facet_outward_normal,
     facet_points,
     modal_basis,
     reference_table,
@@ -406,12 +407,12 @@ class InterfaceSpace(TraceField):
     continuity): traces of a parent space, the conforming space of the
     family that ``_INTERFACE_KINDS`` gives at ``parent_degree``, measured
     in its quotient norm.  Two conforming extensions differ by cell
-    bubbles, so the norm is a sum over cells: the lift E_K of the slot's
-    local functions into the parent skeleton functions (``trace_lift``)
-    is measured by the Schur complement S_K of the parent graph Gram onto
-    those, Q_K = E_K^T S_K E_K.  The parent traces, the Q_K and the facet
-    trace mass with its factorization by ``factor`` (a sparse HPD
-    factorization) are built on first use and kept.
+    bubbles, so the norm is a sum over cells: the coefficients E_K of the
+    slot's local functions over the parent skeleton functions
+    (``embedding``) are measured by the Schur complement S_K of the
+    parent graph Gram onto those, Q_K = E_K^T S_K E_K.  The parent
+    traces, E, the Q_K and the facet trace mass with its factorization
+    by ``factor`` (a sparse HPD factorization) are built on first use.
     """
 
     def __init__(self, mesh, slot, parent_degree, order, factor):
@@ -444,13 +445,51 @@ class InterfaceSpace(TraceField):
         return self._factor(self.mass)
 
     @cached_property
+    def embedding(self):
+        """(np, ni) coefficients E over the parent skeleton functions
+        that reproduce the slot's traces on the reference cell, to 1e-8
+        of their squared norms plus 1e-13, or raise.  A skeleton slot's
+        functions are parent functions pushed by the same map: E_K = E.
+        Facet polynomial j on facet lf is the normal trace of the parent
+        face function (lf, j) (the l2 facet modal bases are graded), and
+        in global orientation E_K is E times the facet area."""
+        ti, tp = _reference_traces(self), _reference_traces(self.parent)
+        E = np.linalg.lstsq(tp.T, ti.T, rcond=None)[0]
+        r2, tn2 = (np.sum(t ** 2, axis=1) for t in (ti - E.T @ tp, ti))
+        j = np.argmax(r2 - 1e-8 * tn2)
+        if r2[j] > 1e-8 * tn2[j] + 1e-13:
+            raise RuntimeError(
+                f"interface trace not recoverable in the parent space "
+                f"(residual {r2[j]:.3e} vs norm {tn2[j]:.3e})")
+        return E
+
+    @cached_property
     def cell_grams(self):
         """(ncells, n, n) per-cell quotient Grams Q_K = E_K^T S_K E_K of
         the slot's local functions, in global coefficients."""
-        P = self.parent
-        E = trace_lift(P.tables, P, self)
-        Q = np.swapaxes(E, 1, 2) @ (skeleton_schur(P.tables, P.dofmap) @ E)
+        P, E = self.parent, self.embedding
+        Q = E.T @ skeleton_schur(P.tables, P.dofmap) @ E
+        if self.tables is None:
+            area = np.repeat(self.mesh.facet_areas[self.mesh.cell_facet_ids],
+                             len(self.active[0]), axis=1)
+            Q *= area[:, :, None] * area[:, None, :]
         return 0.5 * (Q + np.swapaxes(Q, 1, 2))
+
+
+def _reference_traces(T):
+    """(n, m) traces of a trace field's n local functions on the facets
+    of the reference cell, at the facet rule's points scaled by the
+    square roots of its weights: products of rows are facet integrals."""
+    dim = T.mesh.dim
+    out = []
+    for lf, f in enumerate(local_facets(dim)):
+        tab, w = reference_table(T.refs[lf])
+        if T.tables is not None:
+            tab = tab @ trace_factor(T.kind, facet_outward_normal(dim, f))
+        t = np.zeros((T.dofmap.cell_dofs.shape[1],) + tab.shape[1:])
+        t[T.active[lf]] = tab * np.sqrt(w)[:, None]
+        out.append(t.reshape(len(t), -1))
+    return np.concatenate(out, axis=1)
 
 
 def trace_mass(mesh, tables, A):
@@ -469,69 +508,6 @@ def trace_mass(mesh, tables, A):
         parts.append((M * f[:, :, None] * f[:, None, :], dofs, dofs))
     n = A.dofmap.ndofs
     return _block_matrix(parts, (n, n))
-
-
-def facet_projection(Mp, C):
-    """(K, np, ni) coefficients in the parent traces of the L2
-    projections of the slot traces on one facet of K cells, from the
-    parent trace masses Mp (K, np, np) and the parent-slot trace products
-    C (K, np, ni) there."""
-    return np.linalg.solve(Mp, C)
-
-
-def _facet_products(tables, P, I, cells, lf):
-    """On local facet lf of ``cells``: the trace masses of the parent P,
-    the products of P's traces with the slot I's, and the squared norms
-    of I's traces, all in global orientation."""
-    (xp, fp, _), (xi, fi, _) = (T.facet_trace(cells, lf) for T in (P, I))
-    scale = tables.facet_scale(cells, lf)
-    Mp = _contract([xp], [xp], scale) * fp[:, :, None] * fp[:, None, :]
-    C = _contract([xi], [xp], scale) * fp[:, :, None] * fi[:, None, :]
-    Mi = _contract([xi], [xi], scale)
-    return Mp, C, np.diagonal(Mi, axis1=1, axis2=2) * fi ** 2
-
-
-def trace_lift(tables, P, I):
-    """(ncells, np, ni) per-cell lifts E_K of the slot I's local functions
-    into the parent skeleton P's, both in global orientation.
-
-    On each local facet E_K is the L2 projection of I's traces onto P's
-    (``facet_projection``); an entry that several facets produce gets
-    the same value from each, up to rounding, and the copies are
-    averaged.  The lift is exact where I's traces lie in P's trace
-    space: a trace that the averaged lift does not reproduce on some
-    facet, to 1e-8 of its squared norm plus 1e-13, raises.
-    """
-    nc, nfac = tables.mesh.ncells, tables.mesh.dim + 1
-    npar, ni = P.dofmap.cell_dofs.shape[1], I.dofmap.cell_dofs.shape[1]
-    pos = [np.ix_(P.active[lf], I.active[lf]) for lf in range(nfac)]
-    count = np.zeros((npar, ni))
-    for ix in pos:
-        count[ix] += 1
-    E = np.zeros((nc, npar, ni))
-    # a group holds its lifts and, per facet, the products of the
-    # functions with a trace there
-    held = npar * ni + sum(len(a) * (len(a) + len(b))
-                           for a, b in zip(P.active, I.active))
-    for part in cell_groups(nc, 8 * held):
-        cells = np.arange(nc)[part]
-        prods = [_facet_products(tables, P, I, cells, lf)
-                 for lf in range(nfac)]
-        Eg = E[part]
-        for (Mp, C, _), (r, c) in zip(prods, pos):
-            Eg[:, r, c] += facet_projection(Mp, C)
-        Eg /= np.maximum(count, 1)
-        for (Mp, C, tn2), (r, c) in zip(prods, pos):
-            # squared trace residual of every slot function on this facet
-            e = Eg[:, r, c]
-            r2 = np.sum(e * (Mp @ e - 2.0 * C), axis=1) + tn2
-            excess = r2 - 1e-8 * np.maximum(tn2, 1e-30) - 1e-13
-            j = np.unravel_index(np.argmax(excess), excess.shape)
-            if excess[j] > 0:
-                raise RuntimeError(
-                    f"interface trace not recoverable in the parent space "
-                    f"(residual {r2[j]:.3e} vs norm {tn2[j]:.3e})")
-    return E
 
 
 def trace_rhs(mesh, tables, A, target):

@@ -19,14 +19,14 @@ eta_K is the norm of L^{-1} l - W x_K = L^H eps_K.  Assembly, the
 estimator, the operator norm and the dense diagnostics read the
 stacks; only the load is evaluated per case.
 
-On an affine cell G and B depend only on the values the kernels read
-there: the Jacobian and |det|, the facet areas and outward normals, and
-the coefficients given per cell.  Meshes repeat a few cell shapes, so
-the stacks are computed once per class of cells on which those values
-are the same bit for bit, and each cell keeps only its class index.  B
-is kept in local coefficients; the per-cell orientation factors D of
-the global columns scale it after the gather, B_K = B_class D_K, and
-are never folded into a class.
+On an affine cell G and B depend only on the Jacobian and |det|, of
+which the facet areas and outward normals are functions, and on the
+coefficients given per cell.  Meshes repeat a few cell shapes, so the
+stacks are computed once per class of cells on which those are the same
+bit for bit, and each cell keeps only its class index.  B is kept in
+local coefficients; the per-cell orientation factors D of the global
+columns scale it after the gather, B_K = B_class D_K, and are never
+folded into a class.
 """
 
 from __future__ import annotations
@@ -191,15 +191,14 @@ class Discretization:
 
     def _cell_classes(self):
         """(first cell, class index of every cell) of the classes of cells
-        on which the element kernels read the same values: the Jacobian,
-        |det|, the facet areas and outward normals, and the coefficients
-        given per cell."""
-        mesh, geo = self.mesh, self.mesh.geometry
+        with the same Jacobian, |det| and coefficients given per cell, on
+        which the element kernels read the same values."""
+        geo = self.mesh.geometry
         coefs = [val for key, val in self.form.params.items()
                  if np.ndim(val) - (key == "beta") == 1]
-        return cell_classes(geo.J, geo.absdet,
-                            mesh.facet_areas[mesh.cell_facet_ids],
-                            geo.outward_normal(), *coefs)
+        if coefs:
+            return cell_classes(geo.J, geo.absdet, *coefs)
+        return geo.shape_classes
 
     def _evaluate(self, group):
         """(G, B) stacks of a cell group, B in local coefficients."""
@@ -282,12 +281,10 @@ class Discretization:
                 f"condensed system is singular ({exc}); "
                 f"smallest Ritz value {ritz:.3e}", ritz) from exc
         xf = lu.solve(ff)
-        scale = np.linalg.norm(ff)
-        if scale > 0:
-            rel = np.linalg.norm(Aff @ xf - ff) / scale
-            if rel > 1e-10:
-                raise RuntimeError(
-                    f"linear solve residual {rel:.3e} exceeds 1e-10")
+        rel = np.linalg.norm(Aff @ xf - ff) / (np.linalg.norm(ff) or 1.0)
+        if not rel <= 1e-10:  # a NaN residual fails too
+            raise RuntimeError(
+                f"linear solve residual {rel:.3e} exceeds 1e-10")
         x = np.zeros(self.ndof, dtype=f.dtype)
         x[free] = xf
         return x

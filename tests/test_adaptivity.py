@@ -32,6 +32,13 @@ def test_mark_rejects_bad_fraction(theta):
         mark(np.array([1.0]), theta)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mark_rejects_non_finite_indicators(bad):
+    with pytest.raises(ValueError, match="1 of 3 error indicators are not "
+                       "finite"):
+        mark(np.array([1.0, bad, 0.5]), 0.5)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_mark_is_minimal_greedy_set(seed):
     rng = np.random.default_rng(seed)

@@ -159,19 +159,15 @@ def test_quotient_norms_match_pinned_values(name):
         assert got[key] == pytest.approx(value, rel=1e-10), key
 
 
-def test_unrecoverable_trace_is_rejected(monkeypatch, eight_tri):
-    """A lift that does not reproduce the slot traces fails loudly."""
-    project = spaces.facet_projection
-
-    def perturbed(*args):
-        E = project(*args).copy()
-        E.reshape(-1)[::7] *= 1.001
-        return E
-
-    monkeypatch.setattr(spaces, "facet_projection", perturbed)
-    disc = Discretization(make_formulation("ultraweak_dcr", 1), eight_tri)
-    with pytest.raises(RuntimeError, match="not recoverable"):
-        disc.interface_quotient_gram("uhat")
+def test_unrecoverable_trace_is_rejected(eight_tri):
+    """An interface space whose traces its parent does not reproduce
+    fails loudly: over degree-1 parents, the degree-2 H1 skeleton of the
+    ultraweak DCR form and its degree-1 flux, of which the lowest-order
+    Raviart-Thomas face functions give only the constants."""
+    for slot in make_formulation("ultraweak_dcr", 1).interface_slots:
+        space = spaces.InterfaceSpace(eight_tri, slot, 1, 8, None)
+        with pytest.raises(RuntimeError, match="not recoverable"):
+            space.cell_grams
 
 
 @pytest.mark.parametrize("name", ["u", "v", "nohat"])

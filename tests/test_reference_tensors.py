@@ -382,12 +382,22 @@ def _close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("kind", sorted(MAPS))
-@pytest.mark.parametrize("fid,dim,mode", CONFIGS,
-                         ids=[f"{f}-{d}d-{m}" for f, d, m in CONFIGS])
-def test_interface_norms_match_quadrature(fid, dim, mode, kind):
+# p=2 gives the flux more than one function per facet and the skeletons
+# a higher degree; it runs on the sheared meshes only, to bound the time
+NORM_CASES = [(f, d, m, 1, k) for f, d, m in CONFIGS for k in sorted(MAPS)] + [
+    (f, d, m, 2, "sheared") for f, d, m in [
+        ("ultraweak_dcr", 2, "guaranteed"), ("ultraweak_dcr", 3, "guaranteed"),
+        ("maxwell_ultraweak", 3, "guaranteed"),
+        ("maxwell_ultraweak", 3, "economy")]]
+
+
+@pytest.mark.parametrize(
+    "fid,dim,mode,p,kind", NORM_CASES,
+    ids=[f"{f}-{d}d-{m}" + (f"-p{p}" if p > 1 else "") + f"-{k}"
+         for f, d, m, p, k in NORM_CASES])
+def test_interface_norms_match_quadrature(fid, dim, mode, p, kind):
     mesh = _mesh(kind, dim)
-    form = make_formulation(fid, 1, delta=2 if mode == "economy" else 3,
+    form = make_formulation(fid, p, delta=2 if mode == "economy" else 3,
                             dim=dim, params=_params(fid, mesh), mode=mode)
     disc = Discretization(form, mesh)
     case = _smooth_case(dim)

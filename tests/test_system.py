@@ -273,6 +273,32 @@ def test_solve_errors_on_zeroed_free_dof(eight_tri):
     assert abs(info.value.smallest_ritz) < 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_load_names_case_field_and_points(eight_tri, bad):
+    """A load that is NaN or inf somewhere is rejected before the solve,
+    which would otherwise return a NaN solution."""
+    case = manufactured_case("poisson_sine_2d")
+    f2 = case.fields["f2"]
+    fields = dict(case.fields,
+                  f2=lambda x: np.where(x[:, 0] > 0.75, bad, f2(x)))
+    broken = ManufacturedCase("sine_with_holes", 2, case.params, fields)
+    disc = Discretization(make_formulation("primal_poisson", 1), eight_tri)
+    x = disc._ref_tables.physical_points(np.arange(8)).reshape(-1, 2)
+    n = int(np.count_nonzero(x[:, 0] > 0.75))
+    assert 0 < n < len(x)
+    with pytest.raises(ValueError, match=rf"case 'sine_with_holes': field "
+                       rf"'f2' is not finite at {n} of the {len(x)} "):
+        disc.assemble(broken)
+
+
+def test_solve_rejects_a_non_finite_right_hand_side(eight_tri):
+    disc = Discretization(make_formulation("primal_poisson", 1), eight_tri)
+    A, f = disc.assemble(manufactured_case("poisson_sine_2d"))
+    f[np.flatnonzero(~disc.constrained_dofs())[0]] = np.nan
+    with pytest.raises(RuntimeError, match="residual nan exceeds 1e-10"):
+        disc.solve(A, f)
+
+
 @pytest.mark.parametrize("fid,case_name,mesh_name", [
     ("maxwell_primal_E", "maxwell_sine_3d", "five_tet"),
     ("ultraweak_dcr", "dcr_sine_2d", "eight_tri"),
