@@ -2,7 +2,9 @@
 
 The config is a flat key=value text file with "#" comments.  One
 positional argument names the file; --mode, --out and --seed override
-the corresponding keys.
+the corresponding keys.  The keys are tables, each read by one loop:
+their types (``_TYPES``), defaults, the keys each mode requires, and
+the least value of each integer key that has one.
 """
 
 import argparse
@@ -23,13 +25,12 @@ class ConfigError(ValueError):
     pass
 
 
-_INT_KEYS = ("p", "delta", "subdivisions", "levels", "max_iterations",
-             "max_dofs", "seed")
-_FLOAT_KEYS = ("theta",)
-_STR_KEYS = ("mode", "formulation", "domain", "case", "out", "suites")
-_KNOWN = set(_INT_KEYS) | set(_FLOAT_KEYS) | set(_STR_KEYS)
-
-_MODES = ("study", "adaptive", "verify", "describe")
+# every config key and the type its text is read as
+_TYPES = (dict.fromkeys(("p", "delta", "subdivisions", "levels",
+                         "max_iterations", "max_dofs", "seed"), int)
+          | {"theta": float}
+          | dict.fromkeys(("mode", "formulation", "domain", "case", "out",
+                           "suites"), str))
 
 _REQUIRED = {
     "study": ("formulation", "case", "domain", "levels", "out"),
@@ -38,23 +39,20 @@ _REQUIRED = {
     "describe": ("formulation",),
 }
 
-_DEFAULTS = {
-    "p": 1,
-    "delta": 3,
-    "subdivisions": 2,
-    "theta": 0.5,
-    "seed": 0,
-}
+_MODES = tuple(_REQUIRED)
+
+_DEFAULTS = {"p": 1, "delta": 3, "subdivisions": 2, "theta": 0.5, "seed": 0}
+
+# the least value of an integer key, checked whenever the key is given
+_LEAST = {"p": 1, "delta": 1, "levels": 1, "max_iterations": 1,
+          "max_dofs": 1, "seed": 0}
 
 
 class StudyConfig:
-    """Validated flat configuration for one driver run."""
+    """Validated flat configuration for one driver run; its keys are
+    those of ``_TYPES``, already checked by ``_coerce``."""
 
     def __init__(self, values):
-        unknown = [k for k in values if k not in _KNOWN]
-        if unknown:
-            raise ConfigError(
-                f"unknown config key {unknown[0]!r}")
         merged = dict(_DEFAULTS)
         merged.update(values)
         mode = merged.get("mode")
@@ -70,24 +68,15 @@ class StudyConfig:
         if missing:
             raise ConfigError(
                 "missing required config keys: " + ", ".join(missing))
-        if merged["p"] < 1:
-            raise ConfigError("p must be a positive integer")
-        if merged["delta"] < 1:
-            raise ConfigError("delta must be a positive integer")
+        for key, least in _LEAST.items():
+            if key in merged and merged[key] < least:
+                kind = "positive" if least else "nonnegative"
+                raise ConfigError(f"{key} must be a {kind} integer, got "
+                                  f"{merged[key]}")
         if not 0.0 < merged["theta"] <= 1.0:
             raise ConfigError("theta must lie in (0, 1]")
-        if mode == "study" and merged["levels"] < 1:
-            raise ConfigError("levels must be a positive integer")
-        for key in ("max_iterations", "max_dofs"):
-            if key in merged and merged[key] < 1:
-                raise ConfigError(f"{key} must be a positive integer, got "
-                                  f"{merged[key]}")
-        if merged["seed"] < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got "
-                              f"{merged['seed']}")
         for k, v in merged.items():
             setattr(self, k, v)
-        self.mode = mode
         self.values = merged
 
     def get(self, key, default=None):
@@ -95,19 +84,15 @@ class StudyConfig:
 
 
 def _coerce(key, raw):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r} needs an integer, got {raw!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r} needs a number, got {raw!r}") from None
-    return raw
+    kind = _TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(
+            f"config key {key!r} needs {what}, got {raw!r}") from None
 
 
 def parse_config(path, overrides=None):
@@ -121,8 +106,6 @@ def parse_config(path, overrides=None):
                 raise ConfigError(
                     f"{path}:{lineno}: expected key=value, got {text!r}")
             key, raw = (s.strip() for s in text.split("=", 1))
-            if key not in _KNOWN:
-                raise ConfigError(f"unknown config key {key!r}")
             values[key] = _coerce(key, raw)
     for key, raw in (overrides or {}).items():
         if raw is not None:

@@ -596,29 +596,10 @@ class ManufacturedCase:
         self.has_exact = has_exact
 
 
-def _poisson_sine_2d():
-    def u(x):
-        return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-
-    def grad_u(x):
-        s1, c1 = np.sin(np.pi * x[:, 0]), np.cos(np.pi * x[:, 0])
-        s2, c2 = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
-        return np.pi * np.stack([c1 * s2, s1 * c2], axis=1)
-
-    def f2(x):
-        return 2.0 * np.pi ** 2 * u(x)
-
-    fields = {"u": u, "grad_u": grad_u, "sigma": grad_u, "f2": f2,
-              "div_sigma": lambda x: -f2(x)}
-    return ManufacturedCase("poisson_sine_2d", 2,
-                            {"a": 1.0, "beta": np.zeros(2), "gamma": 0.0},
-                            fields)
-
-
-def _dcr_sine_2d():
-    a = 1.0
-    beta = np.array([0.3, -0.2])
-    gamma = 0.5
+def _sine_2d(name, beta, gamma):
+    """u = sin(pi x) sin(pi y) for -div(grad u + u beta) + gamma u = f2,
+    with a = 1 and div beta = 0."""
+    beta = np.asarray(beta, dtype=float)
 
     def u(x):
         return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
@@ -629,19 +610,16 @@ def _dcr_sine_2d():
         return np.pi * np.stack([c1 * s2, s1 * c2], axis=1)
 
     def sigma(x):
-        return a * grad_u(x) + a * u(x)[:, None] * beta[None, :]
+        return grad_u(x) + u(x)[:, None] * beta
 
     def f2(x):
-        # -div sigma + gamma u with div(a beta) = 0
-        return (2.0 * np.pi ** 2 * a * u(x)
-                - a * np.einsum("pc,c->p", grad_u(x), beta)
-                + gamma * u(x))
+        return (2.0 * np.pi ** 2 * u(x)
+                - np.einsum("pc,c->p", grad_u(x), beta) + gamma * u(x))
 
     fields = {"u": u, "grad_u": grad_u, "sigma": sigma, "f2": f2,
               "div_sigma": lambda x: gamma * u(x) - f2(x)}
-    return ManufacturedCase("dcr_sine_2d", 2,
-                            {"a": a, "beta": beta, "gamma": gamma},
-                            fields)
+    return ManufacturedCase(name, 2,
+                            {"a": 1.0, "beta": beta, "gamma": gamma}, fields)
 
 
 def _maxwell_sine_3d():
@@ -691,8 +669,8 @@ def _poisson_lshape_singular():
 
 
 _CASES = {
-    "poisson_sine_2d": _poisson_sine_2d,
-    "dcr_sine_2d": _dcr_sine_2d,
+    "poisson_sine_2d": lambda: _sine_2d("poisson_sine_2d", (0.0, 0.0), 0.0),
+    "dcr_sine_2d": lambda: _sine_2d("dcr_sine_2d", (0.3, -0.2), 0.5),
     "maxwell_sine_3d": _maxwell_sine_3d,
     "poisson_lshape_singular": _poisson_lshape_singular,
 }

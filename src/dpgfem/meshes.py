@@ -49,6 +49,10 @@ class SimplicialMesh:
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != dim:
             raise ValueError("vertices must have shape (nvertices, dim)")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise ValueError(f"vertex {bad[0]} has a non-finite coordinate: "
+                             f"{self.vertices[bad[0]].tolist()}")
         cells = np.array(cells, dtype=int)
         if cells.ndim != 2 or cells.shape[1] != dim + 1:
             raise ValueError("cells must have shape (ncells, dim + 1)")
@@ -75,7 +79,7 @@ class SimplicialMesh:
             refinement_edges = _longest_edges(self.vertices, self.cells)
         self.refinement_edges = refinement_edges
         for arr in (self.vertices, self.cells, self.facets, self.facet_cells,
-                    self.facet_local, self.parents):
+                    self.facet_local, self.cell_facet_ids, self.parents):
             arr.flags.writeable = False
 
     def _build_facets(self):
@@ -94,6 +98,7 @@ class SimplicialMesh:
                         axis=1)
         side[count == 1, 1] = -1
         self.facets = keys[first]
+        self.cell_facet_ids = fid.reshape(-1, nlf)
         self.facet_cells = np.where(side >= 0, side // nlf, -1)
         self.facet_local = np.where(side >= 0, side % nlf, -1)
 
@@ -173,16 +178,6 @@ class SimplicialMesh:
         outward = centroids[fids] - self.vertices[self.cells[:, opposite]]
         s = np.sum(self.facet_normals[fids] * outward, axis=-1)
         return np.where(s > 0, 1, -1)
-
-    @cached_property
-    def cell_facet_ids(self):
-        ids = np.zeros((self.ncells, self.dim + 1), dtype=int)
-        fids = np.arange(self.nfacets)
-        for side in (0, 1):
-            cells = self.facet_cells[:, side]
-            on = cells >= 0
-            ids[cells[on], self.facet_local[on, side]] = fids[on]
-        return ids
 
     @cached_property
     def mesh_size(self):
@@ -444,10 +439,14 @@ def refine_marked(mesh, marked):
     an edge with a midpoint, until a sweep bisects none; an edge-to-cells
     map finds the cells that a new midpoint leaves hanging.
     """
-    marked = sorted(set(int(m) for m in marked))
+    ids = set()
     for m in marked:
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+            raise ValueError(f"marked cell id {m!r} is not an integer")
         if m < 0 or m >= mesh.ncells:
             raise ValueError(f"marked cell id {m} out of range")
+        ids.add(int(m))
+    marked = sorted(ids)
     if not marked:
         return mesh
 

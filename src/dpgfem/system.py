@@ -269,6 +269,9 @@ class Discretization:
 
     def solve(self, A, f):
         """Direct solve of the reduced system; returns the full vector."""
+        if A.shape != (self.ndof, self.ndof):
+            raise ValueError(f"A has shape {A.shape}, but ndof is {self.ndof}")
+        self._check_vector("f", f)
         mask = self.constrained_dofs()
         free = np.where(~mask)[0]
         Aff = A[np.ix_(free, free)].tocsc()
@@ -288,6 +291,12 @@ class Discretization:
         x = np.zeros(self.ndof, dtype=f.dtype)
         x[free] = xf
         return x
+
+    def _check_vector(self, name, v):
+        """Raise a ValueError unless v holds one entry per dof."""
+        if np.shape(v) != (self.ndof,):
+            raise ValueError(f"{name} has shape {np.shape(v)}, but ndof is "
+                             f"{self.ndof}")
 
     def conditioning(self, A):
         """One-norm condition estimate of the reduced condensed matrix.
@@ -319,6 +328,7 @@ class Discretization:
 
     def estimate(self, x, case=None):
         """Residual error indicators and the Riesz orthogonality check."""
+        self._check_vector("x", x)
         st = self.element_stacks
         z = self._whitened_load(case)
         e = z - st.apply(x[self._columns[0]])
@@ -352,6 +362,7 @@ class Discretization:
         if not case.has_exact:
             raise ValueError(f"case {case.name!r} has no exact solution")
         fm.check_case(self.form, case)
+        self._check_vector("x", x)
         rtab = self._ref_tables
         w = rtab.volume_weights(slice(None))
         pts = rtab.physical_points(slice(None))

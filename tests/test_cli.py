@@ -126,6 +126,9 @@ def test_adaptive_requires_stop_key(tmp_path, capsys):
     ("max_iterations = 0", "max_iterations must be a positive integer"),
     ("max_dofs = -5", "max_dofs must be a positive integer"),
     ("seed = -1", "seed must be a nonnegative integer"),
+    ("p = 0", "p must be a positive integer"),
+    ("delta = 0", "delta must be a positive integer"),
+    ("levels = 0", "levels must be a positive integer"),
 ])
 def test_adaptive_limits_are_checked(tmp_path, capsys, line, message):
     stop = "" if line.startswith("max_") else "max_iterations = 2\n"

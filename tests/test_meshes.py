@@ -117,6 +117,19 @@ def test_marked_out_of_range_rejected(two_tri):
     assert refine_marked(two_tri, set()) is two_tri
 
 
+@pytest.mark.parametrize("marked", [np.arange(8) == 5, [0.7], [True],
+                                    ["1"]],
+                         ids=["bool-mask", "float", "bool", "text"])
+def test_marked_ids_must_be_integers(eight_tri, marked):
+    with pytest.raises(ValueError, match="marked cell id .* is not an int"):
+        refine_marked(eight_tri, marked)
+
+
+def test_marked_numpy_integers_accepted(eight_tri):
+    assert np.array_equal(refine_marked(eight_tri, np.array([5])).cells,
+                          refine_marked(eight_tri, {5}).cells)
+
+
 def test_refinement_records_parents(two_tri):
     fine = refine_marked(two_tri, {0})
     assert fine.ncells > two_tri.ncells
@@ -188,6 +201,15 @@ def test_numerically_flat_cell_rejected():
         TetQuadrature(verts, 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(eight_tri, bad):
+    verts = eight_tri.vertices.copy()
+    verts[4, 1] = bad
+    with pytest.raises(ValueError,
+                       match="vertex 4 has a non-finite coordinate"):
+        SimplicialMesh(2, verts, eight_tri.cells)
+
+
 def test_small_cell_is_not_flat():
     # the flatness test is scale free: a tiny regular cell passes
     quad = TetQuadrature(REFERENCE_TET * 1e-6, 4)
@@ -253,6 +275,15 @@ def test_read_mesh_names_the_bad_field(eight_tri, row, edit, message):
     write_mesh(eight_tri, buf)
     text = _edit_line(buf.getvalue(), row, edit)
     with pytest.raises(ValueError, match=re.escape(message)):
+        read_mesh(io.StringIO(text))
+
+
+def test_read_mesh_rejects_nan_vertex(eight_tri):
+    buf = io.StringIO()
+    write_mesh(eight_tri, buf)
+    text = _edit_line(buf.getvalue(), 3, lambda ln: "nan 0.5\n")
+    with pytest.raises(ValueError,
+                       match="vertex 2 has a non-finite coordinate"):
         read_mesh(io.StringIO(text))
 
 

@@ -105,6 +105,27 @@ def test_solve_errors_on_singular_matrix(two_tri):
     assert abs(info.value.smallest_ritz) < 1e-10
 
 
+@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+def test_coefficient_vector_of_wrong_length_rejected(eight_tri, extra):
+    form = make_formulation("primal_poisson", 1)
+    case = manufactured_case("poisson_sine_2d")
+    disc = Discretization(form, eight_tri)
+    A, f = disc.assemble(case)
+    x = disc.solve(A, f)
+    n = disc.ndof
+    bad = np.resize(x, n + extra)
+    message = rf"x has shape \({n + extra},\), but ndof is {n}"
+    with pytest.raises(ValueError, match=message):
+        disc.estimate(bad, case)
+    with pytest.raises(ValueError, match=message):
+        disc.measure_error(bad, case)
+    with pytest.raises(ValueError, match=message.replace("x", "f", 1)):
+        disc.solve(A, np.resize(f, n + extra))
+    with pytest.raises(ValueError,
+                       match=rf"A has shape \({n + extra}, {n + extra}\)"):
+        disc.solve(sparse.eye(n + extra, format="csr"), f)
+
+
 def test_error_decreases_under_refinement(two_tri):
     form = make_formulation("primal_poisson", 1)
     case = manufactured_case("poisson_sine_2d")

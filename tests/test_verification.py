@@ -9,6 +9,7 @@ from dpgfem.polynomials import space_dimension
 from dpgfem.verification import INFSUP_DCR_IDS, annihilation_check, \
     broken_stability_bound, duality_gap, duality_suite, infsup_survey, \
     verify_records
+from dpgfem import verification
 from dpgfem.formulations import MAXWELL_IDS
 
 _SUITE = {}
@@ -140,6 +141,31 @@ def test_verify_records_shape_and_determinism():
         assert r["pass"] is True
     again = verify_records(suites=("annihilation", "stability"))
     assert again == recs
+
+
+# each relation with one value at its bound and one to either side
+_HOLDS = {"<": (False, False, True), "<=": (True, False, True),
+          ">": (False, True, False), ">=": (True, True, False),
+          "==": (True, False, False)}
+
+
+def test_suite_records_pass_follows_the_relation(monkeypatch):
+    def fake(seed):
+        for relation in _HOLDS:
+            for value in (1.0, 1.5, 0.5):
+                yield f"{relation}{value}", value, relation, 1.0
+    monkeypatch.setitem(verification._SUITES, "fortin", fake)
+    recs = verification._suite_records("fortin", 0)
+    assert [r["pass"] for r in recs] == [ok for oks in _HOLDS.values()
+                                         for ok in oks]
+    assert {r["suite"] for r in recs} == {"fortin"}
+    assert {r["tolerance"] for r in recs} == {1.0}
+
+
+def test_stability_tolerance_is_the_bound_of_the_margin():
+    recs = verify_records(suites=("stability",))
+    assert [r["tolerance"] for r in recs] == [-1e-10, -1e-10]
+    assert all(r["pass"] and r["value"] >= -1e-10 for r in recs)
 
 
 def test_verify_records_unknown_suite():
