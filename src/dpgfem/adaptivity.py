@@ -98,8 +98,10 @@ def adaptive_solve(formulation, mesh0, case, theta, max_iterations=None,
     """
     if max_iterations is None and max_dofs is None:
         raise ValueError("need a stopping rule: max_iterations or max_dofs")
-    if max_iterations is not None and max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
+    for name, limit in (("max_iterations", max_iterations),
+                        ("max_dofs", max_dofs)):
+        if limit is not None and limit < 1:
+            raise ValueError(f"{name} must be at least 1, got {limit}")
     history = AdaptiveHistory()
     mesh = mesh0
     while True:

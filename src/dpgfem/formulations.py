@@ -3,7 +3,7 @@
 Each formulation couples field slots (volume unknowns), interface slots
 (skeleton unknowns) and broken test slots.  It is one catalog entry: its
 slots and a table of terms, which one generic evaluator integrates on
-all cells of a group at once.  The term kinds are
+all cells of a group at once.  The catalog writes three kinds of term:
 
 * volume terms (coef, trial operand, test operand), integrating
   coef T x . conj(S y) over the cell;
@@ -40,17 +40,21 @@ with alpha = 1/a, and the Maxwell operator is
 A(H, E) = (i omega mu H - curl E, i omega eps E + curl H).
 The first-order forms write each of the two equations either strong or
 integrated by parts ("weak"); the ultraweak forms integrate both, so
-their volume terms are (x, A* y), and their graph test norm
-||y||^2 + ||A* y||^2 reads the adjoint rows off the same terms.
+their volume terms are (x, A* y), and their test norm is the graph norm
+||y||^2 + ||A* y||^2; the others take the natural norm.  The test inner
+product is a term table too, built from the volume terms (``_gram``),
+and one integrator turns either table into a stack, G or B's volume part.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
+from .meshes import _integer
 from .reference import _contract, _moments, trace_factor
 
 
@@ -73,7 +77,6 @@ class Slot:
 
 # Parsed terms.  Operands are (slot, 'val' | 'der'); coefficients are
 # (constant, names multiplied, names divided).
-Block = namedtuple("Block", "test trial sum_trial groups")
 Pairing = namedtuple("Pairing", "coef slot test trace exact")
 Load = namedtuple("Load", "coef test field")
 
@@ -94,11 +97,11 @@ class Formulation:
     # L2 case) or whether the conforming subspace of the slot's family
     # vanishes on the boundary
     y0_rule: tuple = ()
-    blocks: tuple = ()
+    # terms (cx, x, cy, y) of b's volume part and the test norm
+    volume: tuple = ()
+    gram: tuple = ()
     pairings: tuple = ()
     loads: tuple = ()
-    # graph norm: per trial slot, the ((coef, test operand), ...) of A* y
-    adjoint_rows: tuple = ()
 
     @property
     def is_complex(self):
@@ -230,10 +233,10 @@ def make_formulation(id, p, delta=3, dim=None, params=None, mode="guaranteed"):
     """
     if id not in FORMULATION_IDS:
         raise ValueError(f"unknown formulation id {id!r}")
-    if p < 1:
-        raise ValueError("degree parameter p must be >= 1")
-    if delta not in (2, 3):
-        raise ValueError("test enrichment delta must be 2 or 3")
+    if _integer("p", p) < 1:
+        raise ValueError(f"degree parameter p must be >= 1, got {p}")
+    if _integer("delta", delta) not in (2, 3):
+        raise ValueError(f"test enrichment delta must be 2 or 3, got {delta}")
     if mode not in ("guaranteed", "economy"):
         raise ValueError(f"unknown mode {mode!r}")
     maxwell = id in MAXWELL_IDS
@@ -253,25 +256,23 @@ def make_formulation(id, p, delta=3, dim=None, params=None, mode="guaranteed"):
     test = tuple(Slot(name, family, q, "broken", _ncomp(family, dim),
                       deriv_in_norm=zero is not None)
                  for name, family, zero in test)
-    terms = [(_coef(c), _operand(t), _operand(s)) for c, t, s in volume]
+    volume = tuple((_coef(c), _operand(x), _coef("1"), _operand(y))
+                   for c, x, y in volume)
     # interface columns follow the slot order
     order = [s.name for s in interface]
     pairings = tuple(Pairing(_coef(c), slot, *_trace(trace), _exact(exact))
                      for c, slot, trace, exact in
                      sorted(pairings, key=lambda pr: order.index(pr[1])))
     loads = tuple(Load(_coef(c), _operand(s), field) for c, s, field in loads)
-    coefs = [t[0] for t in terms] + [t.coef for t in pairings + loads]
+    coefs = [t[0] for t in volume] + [t.coef for t in pairings + loads]
     params = _check_params(params, {k for c in coefs for k in c[1] + c[2]},
                            dim)
     # a form that takes no trial derivative is ultraweak: its volume
     # terms are (x, A* y), and its test norm the graph norm
-    graph = all(x[1] == "val" for _, x, _ in terms)
-    rows = tuple((s.name, tuple((c, y) for c, x, y in terms
-                                if x == (s.name, "val")))
-                 for s in trial) if graph else ()
+    graph = all(x[1] == "val" for _, x, _, _ in volume)
     return Formulation(id, dim, p, delta, mode, params, trial, interface,
-                       test, "graph" if graph else "natural", y0,
-                       _blocks(terms), pairings, loads, rows)
+                       test, "graph" if graph else "natural", y0, volume,
+                       _gram(test, trial, volume, graph), pairings, loads)
 
 
 def _check_params(params, names, dim):
@@ -348,24 +349,24 @@ def _exact(text):
     return (-1.0, text[1:]) if text.startswith("-") else (1.0, text)
 
 
-def _blocks(terms):
-    """Group volume terms by (test, trial) slot block.  Within a block the
-    terms that share an operand are summed on the other side first, on
-    whichever side needs fewer integrations."""
-    blocks = {}
-    for c, x, y in terms:
-        blocks.setdefault((y[0], x[0]), []).append((c, x, y))
-    out = []
-    for (test, trial), block in blocks.items():
-        by_test, by_trial = {}, {}
-        for c, x, y in block:
-            by_test.setdefault(y, []).append((c, x))
-            by_trial.setdefault(x, []).append((c, y))
-        sum_trial = len(by_test) <= len(by_trial)
-        groups = by_test if sum_trial else by_trial
-        out.append(Block(test, trial, sum_trial,
-                         tuple((k, tuple(v)) for k, v in groups.items())))
-    return tuple(out)
+def _gram(test, trial, volume, graph):
+    """The test norm's terms: the test slots' values, and their
+    derivatives where deriv_in_norm is set (natural norm) or, per trial
+    slot, the pairwise products of the adjoint row, its volume terms
+    with conjugated coefficients by test slot (graph norm)."""
+    one = _coef("1")
+    gram = [(one, (s.name, kind), one, (s.name, kind)) for s in test
+            for kind in ("val", "der")[:1 + (s.deriv_in_norm and not graph)]]
+    for s in trial if graph else ():
+        row = {}
+        for (const, mul, div), x, _, y in volume:
+            if x == (s.name, "val"):
+                row.setdefault(y[0], []).append(
+                    ((const.conjugate(), mul, div), y))
+        for a in row.values():
+            for b in row.values():
+                gram += [(cb, yb, ca, ya) for cb, yb in b for ca, ya in a]
+    return tuple(gram)
 
 
 # -- form evaluation on a group of cells --------------------------------
@@ -413,50 +414,34 @@ def _scaled(c, tab):
     return (tab * c).sum(axis=-1, keepdims=True)
 
 
-def _combine(ctx, pairs, conj):
-    """The terms of sum c x over (coef, operand) pairs, zero ones left
-    out; with conj, of sum conj(c) x."""
-    out = []
-    for coef, operand in pairs:
-        c = _coef_value(ctx, coef)
-        if c is not None:
-            ref, F = ctx.operand(operand)
-            out.append((ref, _scaled(np.conj(c) if conj else c, F)))
+def _volume(ctx, terms, cols, shape):
+    """The (K,) + shape stack of the terms (cx, x, cy, y), zero ones left
+    out: rows at the test offset of y's slot, columns at cols(x's slot).
+    Consecutive terms of one block are summed before they enter the
+    stack, so a block that several rows add to rounds row by row."""
+    parts = [(_coef_value(ctx, cx), x, _coef_value(ctx, cy), y)
+             for cx, x, cy, y in terms]
+    parts = [t for t in parts if t[0] is not None and t[2] is not None]
+    complex_ = any(np.iscomplexobj(c) for t in parts for c in t[::2])
+    out = np.zeros((ctx.ncells,) + shape, dtype=complex if complex_ else float)
+    for (test, trial), block in groupby(parts, lambda t: (t[3][0], t[1][0])):
+        part = _contract(((_term(ctx, cx, x), _term(ctx, cy, y))
+                          for cx, x, cy, y in block), ctx.absdet)
+        r0, c0 = ctx.test_offset(test), cols(trial)
+        out[:, r0:r0 + part.shape[1], c0:c0 + part.shape[2]] += part
     return out
 
 
-def _size(terms):
-    return terms[0][0].basis.nfuncs
+def _term(ctx, c, operand):
+    ref, F = ctx.operand(operand)
+    return ref, _scaled(c, F)
 
 
 def y_gram(form, ctx):
     """Hermitian positive definite Grams of the Y inner product, real
-    for the natural norm."""
-    n, vol = ctx.ntest_local, ctx.absdet
-    G = np.zeros((ctx.ncells, n, n),
-                 dtype=form.dtype if form.adjoint_rows else float)
-    for s in form.test_slots:
-        at = ctx.test_offset(s.name)
-        kinds = ["val"]
-        if s.deriv_in_norm and form.y_norm == "natural":
-            kinds.append("der")
-        for kind in kinds:
-            v = [ctx.operand((s.name, kind))]
-            m = _size(v)
-            G[:, at:at + m, at:at + m] += _contract(v, v, vol)
-    # ||A* y||^2, one row of the adjoint per trial slot, summed per test
-    # slot
-    for _, entries in form.adjoint_rows:
-        rows = {}
-        for coef, operand in entries:
-            rows.setdefault(operand[0], []).extend(
-                _combine(ctx, [(coef, operand)], conj=True))
-        rows = [(ctx.test_offset(name), terms)
-                for name, terms in rows.items() if terms]
-        for ra, ya in rows:
-            for rb, xb in rows:
-                G[:, ra:ra + _size(ya), rb:rb + _size(xb)] += _contract(
-                    xb, ya, vol)
+    where its terms are."""
+    n = ctx.ntest_local
+    G = _volume(ctx, form.gram, ctx.test_offset, (n, n))
     return 0.5 * (G + np.swapaxes(G.conj(), -1, -2))
 
 
@@ -465,19 +450,8 @@ def b0_block(form, ctx):
     cols, at = {}, 0
     for s in form.trial_slots:
         cols[s.name] = at
-        at += _size([ctx.operand((s.name, "val"))])
-    blk = np.zeros((ctx.ncells, ctx.ntest_local, at), dtype=form.dtype)
-    for b in form.blocks:
-        r0, c0 = ctx.test_offset(b.test), cols[b.trial]
-        for shared, pairs in b.groups:
-            summed = _combine(ctx, pairs, conj=not b.sum_trial)
-            if not summed:
-                continue
-            one = [ctx.operand(shared)]
-            x, y = (summed, one) if b.sum_trial else (one, summed)
-            blk[:, r0:r0 + _size(y), c0:c0 + _size(x)] += _contract(
-                x, y, ctx.absdet)
-    return blk
+        at += ctx.operand((s.name, "val"))[0].basis.nfuncs
+    return _volume(ctx, form.volume, cols.get, (ctx.ntest_local, at))
 
 
 def bhat_block(form, ctx):
@@ -501,7 +475,7 @@ def bhat_block(form, ctx):
             yr, F = ctx.facet(pr.test, lf)
             F = F @ trace_factor(_TRACE_KINDS[pr.trace], n)
             (xr, Fx), c0 = xs[lf]
-            part = _contract([(xr, _scaled(c, Fx))], [(yr, F)], area)
+            part = _contract([((xr, _scaled(c, Fx)), (yr, F))], area)
             r0 = ctx.test_offset(pr.test)
             blk[:, r0:r0 + part.shape[1], c0] += part
     return blk

@@ -32,7 +32,7 @@ from scipy.linalg import eigh, lu_factor, lu_solve, svd
 from .meshes import SimplicialMesh
 from .polynomials import Polys, monomials, space_dimension, trace_dimension
 from .quadrature import simplex_rule
-from .reference import _RANK_TOL, _integrate, edge_points, facet_points, \
+from .reference import _integrate, _rank, edge_points, facet_points, \
     legendre01, modal_basis, push_derivs, push_values, trace_factor
 from .simplex import REF_VERTICES, local_edges, local_facets
 
@@ -175,18 +175,18 @@ class TetQuadrature:
 def _orthonormal(rows, expected=None):
     """Orthonormal rows spanning the row space of surface coefficients."""
     _, sv, Vt = svd(rows, full_matrices=False)
-    keep = sv > _RANK_TOL * max(sv[0], 1e-30)
-    if expected is not None and int(keep.sum()) != expected:
-        raise RuntimeError(
-            f"boundary space rank {int(keep.sum())}, expected {expected}")
-    return Vt[keep]
+    rank = _rank(sv)
+    if expected is not None and rank != expected:
+        raise RuntimeError(f"boundary space rank {rank}, expected {expected}")
+    # a C-ordered copy: products with the F-ordered view round differently
+    return Vt[:rank].copy()
 
 
 def _complement(span, sub, expected=None):
     """Orthonormal rows of the complement of span(sub) inside span(span)."""
     onb = _orthonormal(span)
     U, sv, _ = svd(onb @ sub.T, full_matrices=True)
-    rank = int((sv > _RANK_TOL * max(sv[0], 1e-30)).sum())
+    rank = _rank(sv)
     if expected is not None and U.shape[1] - rank != expected:
         raise RuntimeError(
             f"complement dimension {U.shape[1] - rank}, expected {expected}")
@@ -289,8 +289,7 @@ class FortinSystem:
         C = np.concatenate(rows)
         C /= np.maximum(np.linalg.norm(C, axis=1), 1e-300)[:, None]
         _, sv, Vt = svd(C, full_matrices=True)
-        rank = int((sv > _RANK_TOL * max(sv[0], 1e-30)).sum())
-        self.bcoeff = Vt[rank:].T  # span coefficients of the B basis
+        self.bcoeff = Vt[_rank(sv):].T  # span coefficients of the B basis
         self.bdim = self.bcoeff.shape[1]
         self.dims["B"] = self.bdim
 
@@ -321,8 +320,8 @@ class FortinSystem:
         self._row_scale = 1.0 / np.maximum(np.linalg.norm(M, axis=1), 1e-300)
         Ms = M * self._row_scale[:, None]
         sv = svd(Ms, compute_uv=False)
-        if sv[-1] <= _RANK_TOL * sv[0]:
-            rank = int((sv > _RANK_TOL * sv[0]).sum())
+        rank = _rank(sv)
+        if rank < len(sv):
             raise RuntimeError(
                 f"moment system numerically singular (rank {rank} of {M.shape[0]})")
         self.M = M

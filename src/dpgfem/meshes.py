@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import weakref
 from functools import cached_property
 
@@ -309,6 +310,13 @@ _CUBE_TETS = np.array([
 ])
 
 
+def _integer(name, value):
+    """value, checked to be a Python or numpy integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def build_structured(domain, n):
     """Build a structured mesh of a named domain.
 
@@ -318,8 +326,8 @@ def build_structured(domain, n):
     """
     if domain not in _STRUCTURED_DOMAINS:
         raise ValueError(f"unknown domain {domain!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if _integer("n", n) < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if domain == "l-shape" and n % 2 != 0:
         raise ValueError("l-shape needs even n for an exact quadrant cut")
     nv = n + 1

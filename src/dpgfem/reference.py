@@ -36,6 +36,12 @@ from .simplex import (
 _RANK_TOL = 1e-9
 
 
+def _rank(sv):
+    """The numerical rank of descending singular values: the number above
+    _RANK_TOL times the largest (or times 1e-30 when that vanishes)."""
+    return int((sv > _RANK_TOL * max(sv.max(initial=0.0), 1e-30)).sum())
+
+
 # -- modal bases ------------------------------------------------------
 
 
@@ -282,8 +288,7 @@ def _orthonormal_nullspace(C):
         null = np.eye(n)
     else:
         _, sv, Vt = np.linalg.svd(C, full_matrices=True)
-        rank = int((sv > _RANK_TOL * max(sv[0], 1e-30)).sum()) if len(sv) else 0
-        null = Vt[rank:]
+        null = Vt[_rank(sv):]
     P = null.T @ null
     keep = _independent(P, np.full(n, _RANK_TOL))
     return _inv_sqrt(P[np.ix_(keep, keep)]) @ P[keep]
@@ -662,20 +667,20 @@ def reference_tensor(x, y):
     return T
 
 
-def _contract(xs, ys, scale):
-    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack, for
-    x and y sums of (reference operand, factor) terms and weights scale
-    (K,) times the reference rule's: each pair of terms adds
-    C @ T, C = scale F_x conj(F_y)^T and T their reference tensor."""
+def _contract(pairs, scale):
+    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack, summed
+    in order over pairs (x, y) of (reference operand, factor) terms, with
+    weights scale (K,) times the reference rule's: each pair adds C @ T,
+    C = scale F_x conj(F_y)^T and T their reference tensor."""
     out = 0.0
-    for xr, Fx in xs:
-        for yr, Fy in ys:
-            T = reference_tensor(xr, yr)
-            r, s, ny, nx = T.shape
-            C = scale[:, None, None] * (Fx @ np.swapaxes(Fy.conj(), -1, -2))
-            C, T = C.reshape(-1, r * s), T.reshape(r * s, -1)
-            CT = C @ T if np.isrealobj(C) else C.real @ T + 1j * (C.imag @ T)
-            out += CT.reshape(-1, ny, nx)
+    for (xr, Fx), (yr, Fy) in pairs:
+        T = reference_tensor(xr, yr)
+        r, s, ny, nx = T.shape
+        C = scale[:, None, None] * (Fx @ np.swapaxes(Fy.conj(), -1, -2))
+        C, T = C.reshape(-1, r * s), T.reshape(r * s, -1)
+        # unnamed, so that each pair's product is freed once it is added
+        out += (C @ T if np.isrealobj(C)
+                else C.real @ T + 1j * (C.imag @ T)).reshape(-1, ny, nx)
     return out
 
 

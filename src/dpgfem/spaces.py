@@ -286,8 +286,8 @@ def _cell_grams(tables, cells, include_deriv=True, use=None):
     cells."""
     M = 0.0
     for kind in ("val", "der")[:1 + include_deriv]:
-        x = [(tables.reference(kind), tables.factor(kind, cells))]
-        M = M + _contract(x, x, tables.geo.absdet[cells])
+        x = (tables.reference(kind), tables.factor(kind, cells))
+        M = M + _contract([(x, x)], tables.geo.absdet[cells])
     return M if use is None else M[:, use][:, :, use]
 
 
@@ -504,7 +504,7 @@ def trace_mass(mesh, tables, A):
     parts = []
     for lf, cells in _owner_groups(mesh, tables):
         x, f, dofs = A.facet_trace(cells, lf)
-        M = _contract([x], [x], tables.facet_scale(cells, lf))
+        M = _contract([(x, x)], tables.facet_scale(cells, lf))
         parts.append((M * f[:, :, None] * f[:, None, :], dofs, dofs))
     n = A.dofmap.ndofs
     return _block_matrix(parts, (n, n))

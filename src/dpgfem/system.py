@@ -42,7 +42,7 @@ from scipy.linalg import (
 from scipy.sparse.linalg import splu
 
 from . import formulations as fm
-from .meshes import cell_classes
+from .meshes import _integer, cell_classes
 from .reference import conforming_basis, modal_basis
 from .spaces import (
     ElementTables,
@@ -210,6 +210,9 @@ class Discretization:
 
     def element_system(self, ci, case=None):
         """(G, B, l) on one cell, trial columns in global coefficients."""
+        if not 0 <= _integer("ci", ci) < self.mesh.ncells:
+            raise ValueError(f"cell index ci={ci} is out of range for "
+                             f"ncells={self.mesh.ncells}")
         group = _CellGroup(self, np.array([ci]))
         G, B = self._evaluate(group)
         l = fm.load_vector(self.form, group, case)

@@ -79,6 +79,17 @@ def test_adaptive_solve_needs_stop_rule(lshape):
         adaptive_solve(form, lshape, case, 0.5)
 
 
+@pytest.mark.parametrize("limits", [{"max_iterations": 0},
+                                    {"max_dofs": 0},
+                                    {"max_iterations": 3, "max_dofs": -5}])
+def test_adaptive_solve_rejects_limits_below_one(lshape, limits):
+    form = make_formulation("primal_poisson", 1)
+    case = manufactured_case("poisson_lshape_singular")
+    name = "max_dofs" if "max_dofs" in limits else "max_iterations"
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        adaptive_solve(form, lshape, case, 0.5, **limits)
+
+
 def test_adaptive_solve_single_iteration_at_dof_cap(lshape):
     form = make_formulation("primal_poisson", 1)
     case = manufactured_case("poisson_lshape_singular")

@@ -106,8 +106,8 @@ def _cell_gram(tables, ci, include_deriv=True):
     one = slice(ci, ci + 1)
     M = 0.0
     for kind in ("val", "der")[:1 + include_deriv]:
-        x = [(tables.reference(kind), tables.factor(kind, one))]
-        M = M + _contract(x, x, tables.geo.absdet[one])
+        x = (tables.reference(kind), tables.factor(kind, one))
+        M = M + _contract([(x, x)], tables.geo.absdet[one])
     return M[0]
 
 

@@ -125,6 +125,14 @@ def test_invalid_inputs_rejected():
         fid = "maxwell_primal_E" if key in ("eps", "omega") else "primal_dcr"
         with pytest.raises(ValueError, match=repr(key)):
             make_formulation(fid, 1, params={key: value})
+    # degrees that are not Python or numpy integers, or are bools
+    for key, value in [("p", 1.5), ("p", "2"), ("p", True),
+                       ("delta", 2.0), ("delta", True)]:
+        with pytest.raises(ValueError,
+                           match=f"{key} must be an integer, got {value!r}"):
+            make_formulation("primal_poisson", **{"p": 1, key: value})
+    form = make_formulation("primal_poisson", np.int64(2), np.int64(3))
+    assert (form.p, form.delta) == (2, 3)
 
 
 def test_poisson_sine_load(rng):

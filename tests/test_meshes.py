@@ -51,6 +51,16 @@ def test_zero_subdivisions_rejected():
         build_structured("nonexistent-domain", 1)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", True])
+def test_non_integer_subdivisions_rejected(n):
+    with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+        build_structured("unit-square", n)
+
+
+def test_numpy_integer_subdivisions_accepted():
+    assert build_structured("unit-square", np.int64(2)).ncells == 8
+
+
 def test_uniform_refinement_quadruples_triangles(eight_tri):
     fine = refine_uniform(eight_tri)
     assert fine.ncells == 32

@@ -130,13 +130,16 @@ def _oracle(disc, ci):
         for v in parts:
             m = v.shape[-3]
             G[:, at:at + m, at:at + m] += _integrate(v, v, ctx.w)
-    for name, entries in form.adjoint_rows:
-        A = np.zeros((1, n, ctx.w.shape[2], form.slot(name).ncomp),
-                     dtype=dtype)
-        for coef, operand in entries:
-            at = disc.test_offset(operand[0])
-            part = _times(ctx.coef(coef, conj=True), ctx.table(operand))
-            A[:, at:at + part.shape[-3]] += part
+    # ||A* y||^2: per trial slot, A* y sums conj(cx) cy y over the volume
+    # terms (cx, x, cy, y) on the slot's values
+    for s in form.trial_slots if form.y_norm == "graph" else ():
+        A = np.zeros((1, n, ctx.w.shape[2], s.ncomp), dtype=dtype)
+        for cx, x, cy, y in form.volume:
+            if x == (s.name, "val"):
+                at = disc.test_offset(y[0])
+                part = _times(ctx.coef(cx, conj=True),
+                              _times(ctx.coef(cy), ctx.table(y)))
+                A[:, at:at + part.shape[-3]] += part
         G += _integrate(A, A, ctx.w)
 
     cols, at = {}, 0
@@ -144,14 +147,12 @@ def _oracle(disc, ci):
         cols[s.name] = at
         at += ctx.table((s.name, "val")).shape[-3]
     B0 = np.zeros((1, n, at), dtype=dtype)
-    for b in form.blocks:
-        r0, c0 = disc.test_offset(b.test), cols[b.trial]
-        for shared, pairs in b.groups:
-            for coef, other in pairs:
-                x, y = (other, shared) if b.sum_trial else (shared, other)
-                X, Y = ctx.table(x), ctx.table(y)
-                B0[:, r0:r0 + Y.shape[-3], c0:c0 + X.shape[-3]] += \
-                    _integrate(_times(ctx.coef(coef), X), Y, ctx.w)
+    for cx, x, cy, y in form.volume:
+        r0, c0 = disc.test_offset(y[0]), cols[x[0]]
+        X = _times(ctx.coef(cx), ctx.table(x))
+        Y = _times(ctx.coef(cy), ctx.table(y))
+        B0[:, r0:r0 + Y.shape[-3], c0:c0 + X.shape[-3]] += \
+            _integrate(X, Y, ctx.w)
 
     nfac = form.dim + 1
     blocks = []

@@ -17,6 +17,15 @@ def _random_spd(rng, n):
     return M @ M.T + n * np.eye(n)
 
 
+def test_element_system_rejects_cell_ids_out_of_range(two_tri):
+    disc = Discretization(make_formulation("primal_poisson", 1), two_tri)
+    for ci in (-1, two_tri.ncells):
+        with pytest.raises(ValueError, match=f"ci={ci} .* ncells=2"):
+            disc.element_system(ci)
+    with pytest.raises(ValueError, match="ci must be an integer"):
+        disc.element_system(0.5)
+
+
 def test_condense_zero_form(rng):
     G = _random_spd(rng, 7)
     B = np.zeros((7, 4))

@@ -63,7 +63,6 @@ def test_conforming_tests_annihilate_interface_terms(fid, domain):
     res = annihilation_check(fid, mesh, p=1)
     assert res.conforming_max < 1e-12
     assert res.witness > 1e-3
-    assert res.passed
 
 
 def test_annihilation_needs_interface_unknowns(two_tri):
@@ -118,7 +117,6 @@ def test_infsup_survey_rejects_large_mesh(eight_tri):
 def test_broken_stability_bound_holds(n, c1, formula):
     mesh = build_structured("unit-square", n)
     res = broken_stability_bound("primal_poisson", mesh, p=1)
-    assert res.passed
     assert res.c1_discrete >= res.c1_formula - 1e-10
     assert res.c1_discrete == pytest.approx(c1, rel=1e-4)
     assert res.c1_formula == pytest.approx(formula, rel=1e-4)
