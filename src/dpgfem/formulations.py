@@ -27,12 +27,11 @@ vector one.
 Conventions used throughout:
 
 * forms are sesquilinear with conjugation on the test argument;
-* facet-polynomial interfaces store a normal trace with respect to the
-  canonical facet normal, so a cell sees the value times its
-  orientation sign;
-* tangential interfaces are represented by a conforming parent field W
-  and enter through the pairing <W, n x S> = int W . conj(n x S) taken
-  over each element boundary with the outward normal.
+* every interface slot is the skeleton of a conforming space W (H1,
+  H(div), H(curl) or vector H1) and enters through its trace with the
+  outward normal: the value of W, its normal component W.n, or its
+  tangential part, paired as <W, n x S> = int W . conj(n x S) over
+  each element boundary.
 
 The diffusion-convection-reaction operator is
 A(sigma, u) = (alpha sigma - grad u - beta u, div sigma - gamma u)
@@ -62,9 +61,10 @@ from .reference import _contract, _moments, trace_factor
 class Slot:
     """One variable of a formulation.
 
-    continuity is 'conforming', 'broken', 'skeleton' or 'facet'.  For
-    skeleton slots family/degree describe the conforming parent space;
-    for facet slots they describe the per-facet polynomial.
+    continuity is 'conforming', 'broken' or 'skeleton'.  A skeleton
+    (interface) slot holds the traces of the conforming space that
+    family and degree describe: the flux of degree p+1 in H(div) has
+    normal traces P_p on each facet.
     """
     name: str
     family: str
@@ -167,7 +167,7 @@ _PRIMAL_H = ((("1/eps", "curl H", "curl F"), ("-omega omega mu", "H", "F")),
 # on the boundary.  In guaranteed mode the conforming Maxwell fields
 # "hcurl" become full vector H1 ("vec"), their interface parents one
 # degree higher.
-_SIGHAT = ("sighat", "l2", 0, "facet")
+_SIGHAT = ("sighat", "hdiv", 1, "skeleton")
 _UHAT = ("uhat", "h1", 1, "skeleton", True)
 _HHAT = ("Hhat", "hcurl", 0, "skeleton")
 _EHAT = ("Ehat", "hcurl", 0, "skeleton", True)
@@ -240,6 +240,10 @@ def make_formulation(id, p, delta=3, dim=None, params=None, mode="guaranteed"):
     if mode not in ("guaranteed", "economy"):
         raise ValueError(f"unknown mode {mode!r}")
     maxwell = id in MAXWELL_IDS
+    # the Maxwell Fortin operators (fortin.py) map into degree p + 3
+    if maxwell and mode == "guaranteed" and delta < 3:
+        raise ValueError(f"{id!r} in guaranteed mode needs delta >= 3, got "
+                         f"{delta}; economy mode takes delta 2")
     if dim is None:
         dim = 3 if maxwell else 2
     if maxwell and dim != 3:
@@ -381,8 +385,9 @@ def _gram(test, trial, volume, graph):
 # and ctx.facet(name, lf) on local facet lf, where a factor is (K, r, c),
 # or (r, c) where the same on every cell; an interface slot's columns
 # from its space, ctx.interface(name): per local facet the term of the
-# functions with a trace there and their positions among the slot's
-# columns, the same for every kind of slot, and the number of columns;
+# traces, with the outward normal, of the functions with a trace there
+# and their positions among the slot's columns, and the number of
+# columns;
 # the weight scales ctx.absdet (K,) and
 # ctx.facet_scale(lf) (K,); outward normals ctx.normal(lf) (K, dim);
 # quadrature points ctx.points (K, nq, dim) for the load; the test
@@ -460,8 +465,9 @@ def bhat_block(form, ctx):
     the caller through the dof maps."""
     cols, at = [], 0
     for pr in form.pairings:
-        # per local facet: the slot's functions with a trace there, as a
-        # (reference operand, factor) term, and their columns
+        # per local facet: the traces of the slot's functions with a
+        # trace there, as a (reference operand, factor) term, and their
+        # columns
         xs, ncols = ctx.interface(pr.slot)
         cols.append((pr, _coef_value(ctx, pr.coef),
                      [(x, at + c) for x, c in xs]))
@@ -523,6 +529,13 @@ def exact_names(slot):
     return slot.name, f"{_DERIVATIVE[slot.family]}_{slot.name}"
 
 
+def measured_names(slot):
+    """The case fields that measuring a field slot's error reads: its
+    exact value and, for a conforming slot, its exact family
+    derivative."""
+    return exact_names(slot)[:1 + (slot.continuity == "conforming")]
+
+
 def exact_interface(form, case, slot_name):
     """(sign, field) of an interface slot: the case's exact volume field
     whose trace, times sign, the slot carries; the slot's space takes
@@ -538,14 +551,17 @@ def check_case(form, case):
     """Raise a ValueError, naming the case, when it does not fit the
     formulation: its dimension differs from the form's (and so the
     mesh's), or it lacks a field that the loads read or, when it has an
-    exact solution, one that measuring the error reads."""
+    exact solution, one that measuring the error reads: the value of
+    every field slot, the family derivative of every conforming one and
+    the exact trace of every interface slot."""
     if case.dim != form.dim:
         raise ValueError(
             f"case {case.name!r} is {case.dim}-dimensional, but "
             f"{form.id!r} is solved on a {form.dim}-dimensional mesh")
     names = [ld.field for ld in form.loads]
     if case.has_exact:
-        names += [exact_names(s)[0] for s in form.trial_slots]
+        names += [name for s in form.trial_slots
+                  for name in measured_names(s)]
         names += [pr.exact[1] for pr in form.pairings]
     for name in names:
         if name not in case.fields:

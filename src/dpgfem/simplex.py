@@ -10,6 +10,8 @@ without per-facet permutation tables.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -47,10 +49,9 @@ def facet_parametrization(dim, local_facet):
     return A, b
 
 
+@lru_cache(maxsize=None)
 def facet_measure(dim, local_facet):
-    """Surface measure of a reference facet."""
+    """Surface measure of a reference facet (a tuple of local vertices)."""
     A, _ = facet_parametrization(dim, local_facet)
     gram = A.T @ A
-    from math import factorial, sqrt
-
     return sqrt(np.linalg.det(gram)) / factorial(dim - 1)

@@ -2,18 +2,18 @@
 
 A slot (one field or interface variable of a formulation) is realized
 by a dof map that knows, per cell, which global dofs its local basis
-functions touch and with what orientation factor.  Four continuity
+functions touch and with what orientation factor.  Three continuity
 kinds exist:
 
 * ``broken``       -- modal basis per cell, no coupling;
 * ``conforming``   -- entity-glued basis (H1, H(curl), H(div) families);
-* ``skeleton``     -- boundary traces of a conforming space (u-hat type);
-* ``facet``        -- independent polynomial per facet (normal fluxes,
-                      oriented by the canonical facet normal).
+* ``skeleton``     -- boundary traces of a conforming space.
 
-The last two are interface spaces: one ``InterfaceSpace`` per distinct
-space, shared by the slots on it, decides its trace kind and holds its
-dofs, facet operands, trace mass and quotient norm.
+Every interface space is a skeleton: the values of H1 (u-hat), the
+normal traces of H(div) (the flux, one unit per facet area) or the
+tangential traces of H(curl) or vector H1.  One ``InterfaceSpace`` per
+distinct space, shared by the slots on it, decides its trace kind and
+holds its dofs, facet operands, trace mass and quotient norm.
 
 The slot Grams and the facet trace masses integrate two bases on
 affine cells, so each is one contraction of per-cell factors with a
@@ -42,7 +42,6 @@ from .reference import (
     deriv_factor,
     facet_outward_normal,
     facet_points,
-    modal_basis,
     reference_table,
     trace_factor,
     value_factor,
@@ -188,17 +187,21 @@ def _global_entities(mesh):
     bfacets = mesh.facets[mesh.boundary_facets]
     bverts = np.zeros(nv, dtype=bool)
     bverts[bfacets.ravel()] = True
-    # edges are keyed by their sorted vertex pair
-    ledges = np.array(local_edges(dim))
-    ekeys, eids = np.unique(mesh.cells[:, ledges[:, 0]] * nv
-                            + mesh.cells[:, ledges[:, 1]],
-                            return_inverse=True)
-    fedges = np.array(local_edges(dim - 1))
-    bedges = np.isin(ekeys, bfacets[:, fedges[:, 0]] * nv
-                     + bfacets[:, fedges[:, 1]])
-    return {"vertex": (mesh.cells, bverts),
-            "edge": (eids.reshape(nc, len(ledges)), bedges),
-            "face": (mesh.cell_facet_ids, mesh.facet_cells[:, 1] < 0),
+    faces = (mesh.cell_facet_ids, mesh.facet_cells[:, 1] < 0)
+    if dim == 2:
+        # a triangle's edges are its facets, in the same local order
+        edges = faces
+    else:
+        # edges are keyed by their sorted vertex pair
+        ledges = np.array(local_edges(dim))
+        ekeys, eids = np.unique(mesh.cells[:, ledges[:, 0]] * nv
+                                + mesh.cells[:, ledges[:, 1]],
+                                return_inverse=True)
+        fedges = np.array(local_edges(dim - 1))
+        edges = (eids.reshape(nc, len(ledges)),
+                 np.isin(ekeys, bfacets[:, fedges[:, 0]] * nv
+                         + bfacets[:, fedges[:, 1]]))
+    return {"vertex": (mesh.cells, bverts), "edge": edges, "face": faces,
             "interior": (np.arange(nc)[:, None], np.zeros(nc, dtype=bool))}
 
 
@@ -208,12 +211,13 @@ def _hdiv_factors(mesh, ents):
     facet measure on facet functions."""
     dim = mesh.dim
     facet_kind = "edge" if dim == 2 else "face"
-    measure = [facet_measure(dim, f) for f in local_facets(dim)]
+    measure = np.array([facet_measure(dim, f) for f in local_facets(dim)])
     sdet = np.sign(mesh.geometry.det)
     out = np.repeat(sdet[:, None], len(ents), axis=1)
-    for col, (kind, loc, _) in enumerate(ents):
-        if kind == facet_kind:
-            out[:, col] = mesh.cell_facet_signs[:, loc] * sdet / measure[loc]
+    cols = [col for col, (kind, _, _) in enumerate(ents) if kind == facet_kind]
+    loc = [ents[col][1] for col in cols]
+    out[:, cols] = (mesh.cell_facet_signs[:, loc] * sdet[:, None]
+                    / measure[loc])
     return out
 
 
@@ -244,19 +248,6 @@ def conforming_map(mesh, basis, skeleton=False):
                if basis.family == "hdiv" else np.ones(key.shape))
     local = use if skeleton else None
     return DofMap(len(first), cell_dofs, factors, boundary, local)
-
-
-def facet_map(mesh, nb_per_facet):
-    """One independent polynomial block per facet, oriented canonically."""
-    nb = nb_per_facet
-    nc = mesh.ncells
-    cell_dofs = (mesh.cell_facet_ids[:, :, None] * nb
-                 + np.arange(nb)).reshape(nc, -1)
-    factors = np.repeat(mesh.cell_facet_signs, nb, axis=1).astype(float)
-    boundary = np.zeros(mesh.nfacets, dtype=bool)
-    boundary[mesh.boundary_facets] = True
-    return DofMap(mesh.nfacets * nb, cell_dofs, factors,
-                  np.repeat(boundary, nb))
 
 
 # -- slot gram matrices -------------------------------------------------
@@ -330,47 +321,44 @@ def _owner_groups(mesh, tables):
 
 # -- interface spaces ------------------------------------------------
 
-# By (continuity, family) of an interface slot: its trace kind
-# (reference.trace_factor), which its parent shares, and the family of
-# the parent, whose quotient norm measures it.
+# By family of an interface slot: its trace kind (reference.trace_factor),
+# which its parent shares, and the family of the parent, whose quotient
+# norm measures it.
 _INTERFACE_KINDS = {
-    ("skeleton", "h1"): ("value", "h1"),
-    ("skeleton", "hcurl"): ("tangential", "hcurl"),
-    ("skeleton", "vec"): ("tangential", "hcurl"),
-    ("facet", "l2"): ("normal", "hdiv"),
+    "h1": ("value", "h1"),
+    "hdiv": ("normal", "hdiv"),
+    "hcurl": ("tangential", "hcurl"),
+    "vec": ("tangential", "hcurl"),
 }
 
 
 class TraceField:
-    """Facet traces of the skeleton functions of a conforming space, or,
-    for the family 'l2', of one independent polynomial per facet.
+    """Facet traces of the skeleton functions of a conforming space.
 
     kind is the trace (``reference.trace_factor``) against the canonical
     facet normal: 'value' (scalar families), 'tangential' or 'normal'.
-    Facet polynomials (``tables`` None) already are their normal trace
-    along the canonical normal.  Per local facet lf, ``active[lf]``
-    holds the local positions of the functions with a trace there (a
-    conforming function's entity lies in the facet's closure) and
-    ``refs[lf]`` the reference operand of their values on it.
+    Normal traces carry one unit of flux per facet area: the dof map's
+    factors include the area of each function's facet, so the traces of
+    a facet's functions along its canonical normal are the facet modal
+    basis.  Per local facet lf, ``active[lf]`` holds the local positions
+    of the functions with a trace there (a conforming function's entity
+    lies in the facet's closure) and ``refs[lf]`` the reference operand
+    of their values on it.
     """
 
     def __init__(self, mesh, family, degree, kind, order):
         self.mesh, self.kind, self.order = mesh, kind, order
         dim = mesh.dim
-        if family == "l2":
-            basis = modal_basis("l2", degree, dim - 1)
-            nb = basis.nfuncs
-            self.tables = None
-            self.dofmap = facet_map(mesh, nb)
-            self.active = [np.arange(lf * nb, (lf + 1) * nb)
-                           for lf in range(dim + 1)]
-            self.refs = [RefOperand(basis, "val", None, order)] * (dim + 1)
-            return
         basis = conforming_basis(family, degree, dim)
         self.tables = ElementTables(mesh, basis, order)
         self.dofmap = conforming_map(mesh, basis, skeleton=True)
         ents = basis.dof_entities()
         use = np.asarray(self.dofmap.local_functions)
+        if kind == "normal":
+            # every skeleton function of H(div) lies on one facet
+            lfs = [ents[k][1] for k in use]
+            self.dofmap.cell_factors *= mesh.facet_areas[
+                mesh.cell_facet_ids[:, lfs]]
         verts = [_local_vertices(dim, *ents[k][:2]) for k in use]
         self.active, self.refs = [], []
         for lf, f in enumerate(local_facets(dim)):
@@ -380,31 +368,21 @@ class TraceField:
             self.refs.append(self.tables.reference("val", lf,
                                                    tuple(use[act].tolist())))
 
-    def value_factor(self, cells):
-        """Per-cell factor of the values of every function on ``cells``
-        (an index array): the same ones on every cell for facet
-        polynomials."""
-        if self.tables is None:
-            return np.ones((1, 1))
-        return self.tables.factor("val", cells)
-
     def facet_trace(self, cells, lf):
         """Traces on local facet lf of ``cells`` (an index array) of the
         local functions supported there: a (reference operand, factor)
         term, and the (F, na) orientation factors and global dofs."""
         act = self.active[lf]
         dofs = self.dofmap.cell_dofs[cells][:, act]
-        if self.tables is None:
-            return (self.refs[lf], np.ones((1, 1))), np.ones(dofs.shape), dofs
         n = self.mesh.facet_normals[self.mesh.cell_facet_ids[cells, lf]]
-        F = self.value_factor(cells) @ trace_factor(self.kind, n)
+        F = self.tables.factor("val", cells) @ trace_factor(self.kind, n)
         return ((self.refs[lf], F), self.dofmap.cell_factors[cells][:, act],
                 dofs)
 
 
 class InterfaceSpace(TraceField):
-    """The space of the interface slots of one (family, degree,
-    continuity): traces of a parent space, the conforming space of the
+    """The space of the interface slots of one (family, degree): traces
+    of a parent space, the conforming space of the
     family that ``_INTERFACE_KINDS`` gives at ``parent_degree``, measured
     in its quotient norm.  Two conforming extensions differ by cell
     bubbles, so the norm is a sum over cells: the coefficients E_K of the
@@ -416,10 +394,9 @@ class InterfaceSpace(TraceField):
     """
 
     def __init__(self, mesh, slot, parent_degree, order, factor):
-        kind, self.parent_family = _INTERFACE_KINDS[
-            slot.continuity, slot.family]
+        kind, self.parent_family = _INTERFACE_KINDS[slot.family]
         super().__init__(mesh, slot.family, slot.degree, kind, order)
-        self.key = (slot.family, slot.degree, slot.continuity)
+        self.key = (slot.family, slot.degree)
         self.parent_degree = parent_degree
         self._factor = factor
 
@@ -448,11 +425,9 @@ class InterfaceSpace(TraceField):
     def embedding(self):
         """(np, ni) coefficients E over the parent skeleton functions
         that reproduce the slot's traces on the reference cell, to 1e-8
-        of their squared norms plus 1e-13, or raise.  A skeleton slot's
-        functions are parent functions pushed by the same map: E_K = E.
-        Facet polynomial j on facet lf is the normal trace of the parent
-        face function (lf, j) (the l2 facet modal bases are graded), and
-        in global orientation E_K is E times the facet area."""
+        of their squared norms plus 1e-13, or raise.  A slot's functions
+        are parent functions pushed by the same map and scaled by the
+        same dof factors, so E_K = E on every cell."""
         ti, tp = _reference_traces(self), _reference_traces(self.parent)
         E = np.linalg.lstsq(tp.T, ti.T, rcond=None)[0]
         r2, tn2 = (np.sum(t ** 2, axis=1) for t in (ti - E.T @ tp, ti))
@@ -469,10 +444,6 @@ class InterfaceSpace(TraceField):
         the slot's local functions, in global coefficients."""
         P, E = self.parent, self.embedding
         Q = E.T @ skeleton_schur(P.tables, P.dofmap) @ E
-        if self.tables is None:
-            area = np.repeat(self.mesh.facet_areas[self.mesh.cell_facet_ids],
-                             len(self.active[0]), axis=1)
-            Q *= area[:, :, None] * area[:, None, :]
         return 0.5 * (Q + np.swapaxes(Q, 1, 2))
 
 
@@ -484,8 +455,7 @@ def _reference_traces(T):
     out = []
     for lf, f in enumerate(local_facets(dim)):
         tab, w = reference_table(T.refs[lf])
-        if T.tables is not None:
-            tab = tab @ trace_factor(T.kind, facet_outward_normal(dim, f))
+        tab = tab @ trace_factor(T.kind, facet_outward_normal(dim, f))
         t = np.zeros((T.dofmap.cell_dofs.shape[1],) + tab.shape[1:])
         t[T.active[lf]] = tab * np.sqrt(w)[:, None]
         out.append(t.reshape(len(t), -1))

@@ -43,7 +43,7 @@ from scipy.sparse.linalg import splu
 
 from . import formulations as fm
 from .meshes import _integer, cell_classes
-from .reference import conforming_basis, modal_basis
+from .reference import conforming_basis, modal_basis, trace_factor
 from .spaces import (
     ElementTables,
     InterfaceSpace,
@@ -146,8 +146,8 @@ class Discretization:
 
     def _build_slot(self, s):
         mesh, dim = self.mesh, self.mesh.dim
-        if s.continuity in ("skeleton", "facet"):
-            key = (s.family, s.degree, s.continuity)
+        if s.continuity == "skeleton":
+            key = (s.family, s.degree)
             space = next((sp for sp in self._interfaces.values()
                           if sp.key == key), None)
             if space is None:
@@ -373,13 +373,8 @@ class Discretization:
         # (slot, 'val' | 'der') -> exact values at every quadrature point
         exact = {}
         for s in self.form.trial_slots:
-            fname, dname = fm.exact_names(s)
-            fields = {"val": case.fields[fname]}
-            if (s.continuity == "conforming"
-                    and case.fields.get(dname) is not None):
-                fields["der"] = case.fields[dname]
-            for op, field in fields.items():
-                ex = np.asarray(field(pts.reshape(-1, dim)))
+            for op, name in zip(("val", "der"), fm.measured_names(s)):
+                ex = np.asarray(case.fields[name](pts.reshape(-1, dim)))
                 exact[s.name, op] = ex.reshape(nc, nq, -1)
         sq = dict.fromkeys(exact, 0.0)
         for cells in self._groups(nc):
@@ -596,8 +591,10 @@ class _CellGroup:
 
     def interface(self, name):
         space = self.disc._interfaces[name]
-        F = space.value_factor(self.cells)
-        return ([((ref, F), act) for ref, act in zip(space.refs, space.active)],
+        F = space.tables.factor("val", self.cells)
+        return ([((ref, F @ trace_factor(space.kind, self.normal(lf))), act)
+                 for lf, (ref, act) in enumerate(zip(space.refs,
+                                                     space.active))],
                 space.dofmap.cell_dofs.shape[1])
 
     def facet_scale(self, lf):

@@ -54,14 +54,15 @@ def test_exact_names_exist_in_the_matching_cases(fid, mode):
 
 
 def test_primal_poisson_catalog_dimensions():
-    """Per-cell counts in 2D: quadratic trial, linear facet flux,
-    quartic broken test."""
+    """Per-cell counts in 2D: quadratic trial, a flux in the quadratic
+    H(div) skeleton (linear normal traces), quartic broken test."""
     form = make_formulation("primal_poisson", 1, delta=3)
     u = form.trial_slots[0]
     assert (u.family, u.degree, u.continuity, u.zero_boundary) == \
         ("h1", 2, "conforming", True)
     sig = form.interface_slots[0]
-    assert sig.degree == 1 and sig.continuity == "facet"
+    assert (sig.family, sig.degree, sig.continuity) == \
+        ("hdiv", 2, "skeleton")
     assert not sig.zero_boundary
     v = form.test_slots[0]
     assert v.degree == 4  # 15 functions per triangle
@@ -98,6 +99,18 @@ def test_economy_mode_switches_families_and_enrichment():
     guar = make_formulation("maxwell_primal_E", 1)
     assert guar.trial_slots[0].family == "vec"
     assert guar.test_slots[0].degree == 4
+
+
+@pytest.mark.parametrize("fid", MAXWELL_IDS)
+def test_guaranteed_maxwell_needs_delta_three(fid):
+    """The Maxwell Fortin operators map into degree p + 3, so guaranteed
+    mode rejects delta 2, where three of the forms are singular; economy
+    mode keeps it."""
+    with pytest.raises(ValueError, match=rf"'{fid}' in guaranteed mode "
+                       r"needs delta >= 3, got 2"):
+        make_formulation(fid, 1, delta=2)
+    assert make_formulation(fid, 1, delta=2, mode="economy").delta == 2
+    assert make_formulation(fid, 1, delta=3).delta == 3
 
 
 def test_invalid_inputs_rejected():

@@ -30,7 +30,7 @@ import pytest
 from dpgfem.formulations import DCR_IDS, MAXWELL_IDS, ManufacturedCase, \
     exact_interface, make_formulation
 from dpgfem.meshes import SimplicialMesh, build_structured
-from dpgfem.reference import _integrate, reference_table
+from dpgfem.reference import _integrate
 from dpgfem.spaces import natural_gram, skeleton_schur
 from dpgfem.system import Discretization
 from oracles import cell_columns, facet_weights, pushed_derivs, pushed_values
@@ -154,34 +154,29 @@ def _oracle(disc, ci):
         B0[:, r0:r0 + Y.shape[-3], c0:c0 + X.shape[-3]] += \
             _integrate(X, Y, ctx.w)
 
-    nfac = form.dim + 1
     blocks = []
     for pr in form.pairings:
         space = disc._interfaces[pr.slot]
-        flux = space.tables is None
-        if flux:
-            xs = [reference_table(space.refs[0])[0]] * nfac
-        else:
-            use = space.dofmap.local_functions
-            xs = [pushed_values(space.tables, ctx.cells, lf)[..., use, :, :]
-                  for lf in range(nfac)]
-        Bp = []
-        for lf in range(nfac):
+        use = space.dofmap.local_functions
+        Bp = 0.0
+        for lf in range(form.dim + 1):
+            x = pushed_values(space.tables, ctx.cells, lf)[..., use, :, :]
             y = ctx.facet(pr.test, lf)
             nrm = ctx.normal(lf)
+            # the flux meets the test value through its outward normal
+            # component
+            if form.slot(pr.slot).family == "hdiv":
+                x = (x * nrm).sum(axis=-1, keepdims=True)
             if pr.trace == "n.":
                 y = (y * nrm).sum(axis=-1, keepdims=True)
             elif pr.trace == "nx":
                 y = np.cross(nrm, y)
-            blk = np.zeros((1, n, xs[lf].shape[-3]), dtype=dtype)
+            blk = np.zeros((1, n, x.shape[-3]), dtype=dtype)
             r0 = disc.test_offset(pr.test)
             blk[:, r0:r0 + y.shape[-3]] = _integrate(
-                xs[lf], y, ctx.coef(pr.coef) * ctx.fw(lf))
-            Bp.append(blk)
-        if flux:
-            blocks.extend(Bp)
-        else:
-            blocks.append(sum(Bp))
+                x, y, ctx.coef(pr.coef) * ctx.fw(lf))
+            Bp = Bp + blk
+        blocks.append(Bp)
     B = np.concatenate([B0] + blocks, axis=-1)
     G = 0.5 * (G + np.swapaxes(G.conj(), -1, -2))
     return G[0], B[0] * cell_columns(disc, ci)[1]
@@ -231,32 +226,25 @@ def _smooth_case(dim):
 
 
 def _trace_kind(slot):
-    if slot.continuity == "facet":
-        return "flux"
-    return "value" if slot.family == "h1" else "tangential"
+    return {"h1": "value", "hdiv": "normal"}.get(slot.family, "tangential")
 
 
-def _pushed_traces(disc, tables, dofmap, kind, ci, lf, flux=None):
+def _pushed_traces(disc, tables, dofmap, kind, ci, lf):
     """Pushed traces on local facet lf of cell ci of the functions whose
     trace there is not zero: values (n, nq, c) and their global dofs (n,).
-    Volume traces are multiplied by the orientation factors; a flux
-    already is the flux along the canonical normal."""
+    The traces are taken along the canonical facet normal and multiplied
+    by the orientation factors."""
     mesh = disc.mesh
-    if kind == "flux":
-        nb = len(flux)
-        cols = np.arange(lf * nb, (lf + 1) * nb)
-        vals = flux[:, :, None]
-    else:
-        cols = np.arange(dofmap.cell_dofs.shape[1])
-        use = dofmap.local_functions
-        v = pushed_values(tables, ci, lf)[cols if use is None
-                                        else np.asarray(use)]
-        vals = v
-        if kind != "value":
-            n = mesh.facet_normals[mesh.cell_facet_ids[ci, lf]]
-            vn = (v @ n)[..., None]
-            vals = vn if kind == "normal" else v - vn * n
-        vals = vals * dofmap.cell_factors[ci][cols][:, None, None]
+    cols = np.arange(dofmap.cell_dofs.shape[1])
+    use = dofmap.local_functions
+    v = pushed_values(tables, ci, lf)[cols if use is None
+                                    else np.asarray(use)]
+    vals = v
+    if kind != "value":
+        n = mesh.facet_normals[mesh.cell_facet_ids[ci, lf]]
+        vn = (v @ n)[..., None]
+        vals = vn if kind == "normal" else v - vn * n
+    vals = vals * dofmap.cell_factors[ci][cols][:, None, None]
     size = np.sqrt(np.sum(vals ** 2, axis=(1, 2)))
     keep = size > 1e-8 * size.max()
     return vals[keep], dofmap.cell_dofs[ci][cols][keep]
@@ -273,21 +261,18 @@ class _PushedNorm:
     def __init__(self, disc, slot):
         space = disc._interfaces[slot.name]
         self.disc, self.name = disc, slot.name
-        self.ikind = _trace_kind(slot)
-        self.pkind = "normal" if self.ikind == "flux" else self.ikind
+        self.kind = _trace_kind(slot)
         self.imap = space.dofmap
-        self.flux = (reference_table(space.refs[0])[0][:, :, 0]
-                     if slot.continuity == "facet" else None)
         self.itab = space.tables
         self.ptab, self.pskel = space.parent.tables, space.parent.dofmap
 
     def parent(self, ci, lf):
-        return _pushed_traces(self.disc, self.ptab, self.pskel, self.pkind,
+        return _pushed_traces(self.disc, self.ptab, self.pskel, self.kind,
                               ci, lf)
 
     def slot(self, ci, lf):
-        return _pushed_traces(self.disc, self.itab, self.imap, self.ikind,
-                              ci, lf, self.flux)
+        return _pushed_traces(self.disc, self.itab, self.imap, self.kind,
+                              ci, lf)
 
     def weights(self, ci, lf):
         return facet_weights(self.ptab, ci, lf)
@@ -353,9 +338,9 @@ class _PushedNorm:
             n = np.repeat(mesh.facet_normals[
                 mesh.cell_facet_ids[ci, lf]][None], len(x), axis=0)
             t = sign * np.asarray(field(x)).reshape(len(x), -1)
-            if self.ikind == "flux":
+            if self.kind == "normal":
                 t = np.sum(t * n, axis=1)[:, None]
-            elif self.ikind == "tangential":
+            elif self.kind == "tangential":
                 t = t - np.sum(t * n, axis=1)[:, None] * n
             v, i = self.slot(ci, lf)
             np.add.at(b, i, np.einsum("ipc,pc,p->i", v, t,

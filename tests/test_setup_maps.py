@@ -2,10 +2,11 @@
 
 The references below are the straightforward loops over cells and
 facets: the first owning cell and local facet of each facet, facet
-orientation from the vertex opposite the facet, facet-polynomial
-numbering, H(div) orientation and scaling factors, and the sum of
-per-cell natural-norm Grams.  The mesh-wide implementations must give
-the same integers and factors exactly, and the same Grams to rounding.
+orientation from the vertex opposite the facet, the numbering of the
+flux (one block of dofs per facet), H(div) orientation and scaling
+factors, and the sum of per-cell natural-norm Grams.  The mesh-wide
+implementations must give the same integers and factors exactly, and
+the same Grams to rounding.
 """
 
 import numpy as np
@@ -17,8 +18,8 @@ from dpgfem.reference import conforming_basis
 from dpgfem.simplex import facet_measure, local_edges, local_facets
 from dpgfem.spaces import (
     ElementTables,
+    TraceField,
     conforming_map,
-    facet_map,
     facet_owners,
     natural_gram,
 )
@@ -65,16 +66,14 @@ def _reference_owners(mesh):
 def _reference_facet_map(mesh, nb):
     nfac = mesh.dim + 1
     cell_dofs = np.zeros((mesh.ncells, nfac * nb), dtype=int)
-    factors = np.ones((mesh.ncells, nfac * nb))
     for ci in range(mesh.ncells):
         for lf in range(nfac):
             sl = slice(lf * nb, (lf + 1) * nb)
             cell_dofs[ci, sl] = mesh.cell_facet_ids[ci, lf] * nb + np.arange(nb)
-            factors[ci, sl] = mesh.cell_facet_signs[ci, lf]
     boundary = np.zeros(mesh.nfacets * nb, dtype=bool)
     for fid in mesh.boundary_facets:
         boundary[fid * nb:(fid + 1) * nb] = True
-    return cell_dofs, factors, boundary
+    return cell_dofs, boundary
 
 
 def _reference_numbering(mesh, basis, use):
@@ -125,14 +124,24 @@ def test_signs_owners_and_facet_maps_match_reference(mesh_name):
     mesh = MESHES[mesh_name]()
     assert np.array_equal(mesh.cell_facet_signs, _reference_signs(mesh))
     assert np.array_equal(facet_owners(mesh), _reference_owners(mesh))
-    for nb in (1, 3):
-        fmap = facet_map(mesh, nb)
-        ref = _reference_facet_map(mesh, nb)
+    # the flux: normal traces of the H(div) skeleton of degree k, one
+    # block of nb dofs per facet, scaled by the facet area
+    for k in (1, 2, 3):
+        flux = TraceField(mesh, "hdiv", k, "normal", 2 * k + 2)
+        fmap, basis = flux.dofmap, flux.tables.basis
+        use = list(fmap.local_functions)
+        nb = len(use) // (mesh.dim + 1)
         assert fmap.ndofs == mesh.nfacets * nb
-        for got, want in zip((fmap.cell_dofs, fmap.cell_factors,
-                              fmap.boundary), ref):
+        for got, want in zip((fmap.cell_dofs, fmap.boundary),
+                             _reference_facet_map(mesh, nb)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+        ents = basis.dof_entities()
+        area = mesh.facet_areas[mesh.cell_facet_ids[:, [ents[j][1]
+                                                        for j in use]]]
+        want = _reference_hdiv_factors(mesh, basis, use) * area
+        assert np.all(np.abs(fmap.cell_factors - want)
+                      <= 1e-15 * np.abs(want))
 
 
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))

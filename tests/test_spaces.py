@@ -1,17 +1,20 @@
 """Global dof maps, assembled Gram matrices and trace continuity."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dpgfem.meshes import build_structured
+from dpgfem.formulations import make_formulation
+from dpgfem.meshes import build_structured, refine_uniform
 from dpgfem.reference import conforming_basis
 from dpgfem.spaces import (
     ElementTables,
     broken_map,
     conforming_map,
-    facet_map,
     natural_gram,
 )
+from dpgfem.system import Discretization
 from oracles import interior_facets, pushed_derivs, pushed_values
 
 
@@ -25,8 +28,6 @@ def test_h1_conforming_count_on_two_triangles(two_tri):
 def test_broken_and_facet_maps(eight_tri):
     bm = broken_map(eight_tri, 6)
     assert bm.ndofs == 6 * eight_tri.ncells
-    fm = facet_map(eight_tri, 2)
-    assert fm.ndofs == 2 * eight_tri.nfacets
 
 
 @pytest.mark.parametrize("family,degree", [("h1", 2), ("hdiv", 1)])
@@ -109,3 +110,19 @@ def test_piecewise_volume_integrals(eight_tri):
     total = sum(tables.volume_weights(ci).sum()
                 for ci in range(eight_tri.ncells))
     assert abs(total - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("dim,p", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_flux_basis_is_the_facet_modal_basis(dim, p):
+    """The flux dofs carry one unit per facet area: the normal traces of
+    the H(div) skeleton functions of a facet are its orthonormal modal
+    basis, so the trace mass is diagonal, |F| (d-1)! per function."""
+    mesh = refine_uniform(build_structured(
+        "unit-square" if dim == 2 else "unit-cube", 1))
+    disc = Discretization(make_formulation("primal_poisson", p, dim=dim),
+                          mesh)
+    space = disc._interfaces["sighat"]
+    nb = space.dofmap.ndofs // mesh.nfacets
+    want = np.diag(np.repeat(mesh.facet_areas * math.factorial(dim - 1), nb))
+    got = space.mass.toarray()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)

@@ -321,6 +321,24 @@ def test_non_finite_load_names_case_field_and_points(eight_tri, bad):
         disc.assemble(broken)
 
 
+def test_measure_error_requires_the_derivative_of_a_conforming_field(
+        eight_tri):
+    """The natural norm of a conforming slot reads its exact family
+    derivative; a case without it is rejected, naming the case and the
+    field, rather than measured in the L2 part alone."""
+    case = manufactured_case("poisson_sine_2d")
+    fields = {k: v for k, v in case.fields.items() if k != "grad_u"}
+    partial = ManufacturedCase("sine_without_gradient", 2, case.params,
+                               fields)
+    disc = Discretization(make_formulation("primal_poisson", 1), eight_tri)
+    x = disc.solve(*disc.assemble(case))
+    with pytest.raises(ValueError, match="case 'sine_without_gradient' has "
+                       "no field 'grad_u'"):
+        disc.measure_error(x, partial)
+    err = disc.measure_error(x, case)["u"]
+    assert err["natural"] > 10 * err["l2"]
+
+
 def test_solve_rejects_a_non_finite_right_hand_side(eight_tri):
     disc = Discretization(make_formulation("primal_poisson", 1), eight_tri)
     A, f = disc.assemble(manufactured_case("poisson_sine_2d"))
