@@ -603,8 +603,9 @@ def _sine_2d(name, beta, gamma):
         return grad_u(x) + u(x)[:, None] * beta
 
     def f2(x):
-        return (2.0 * np.pi ** 2 * u(x)
-                - np.einsum("pc,c->p", grad_u(x), beta) + gamma * u(x))
+        ux = u(x)
+        return (2.0 * np.pi ** 2 * ux
+                - np.einsum("pc,c->p", grad_u(x), beta) + gamma * ux)
 
     fields = {"u": u, "grad_u": grad_u, "sigma": sigma, "f2": f2,
               "div_sigma": lambda x: gamma * u(x) - f2(x)}

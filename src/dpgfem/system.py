@@ -37,6 +37,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import (
     cho_factor,  # noqa: F401 -- bench/test_bench.py reads system.cho_factor
+    eigh_tridiagonal,
     inv,
 )
 from scipy.sparse.linalg import splu
@@ -59,10 +60,19 @@ from .spaces import (
 )
 
 
-# opnorm's power iteration stops after this many steps, or once the
-# Rayleigh quotient moves by at most this much relative to max(it, 1)
-_OPNORM_STEPS = 120
+# opnorm's Lanczos iteration stops after this many steps, or once its
+# top Ritz value moves by at most this much relative to max(it, 1).
+# 18 steps reach the value of a 120-step power iteration
+# (tests/oracles.py) on every tested setup; 27, the fewest that do, bring
+# the p=2 Poisson setup of tests/test_quotient_norms.py within 1e-3 of
+# the converged norm.
+_OPNORM_STEPS = 27
 _OPNORM_TOL = 1e-11
+
+
+# SuperLU's supernode relaxation and panel size for _factor (see there)
+_LU_RELAX = 3
+_LU_PANEL = 16
 
 
 def _factor(A):
@@ -72,8 +82,27 @@ def _factor(A):
     diagonal is a stable pivot sequence.  With a symmetric minimum-degree
     ordering of A + A^T and diagonal pivots, L and U each have the
     sparsity of the Cholesky factor under that ordering.
+
+    Supernodes are relaxed to at most ``_LU_RELAX`` columns, where
+    SuperLU's default relaxation pads the small supernodes of these
+    matrices with stored zeros (72.2 against 64.4 million stored entries
+    on the 2 560-tet Maxwell matrix), and updated in panels of
+    ``_LU_PANEL`` columns.  Panels of 8 were slightly faster in 2D but
+    slower in 3D, so both values were chosen across both (factorization
+    time relative to the defaults, every matrix of a run refactored in
+    one process, one BLAS thread, medians of interleaved repetitions):
+
+        matrices                                     defaults   3, 16
+        study_2d, 23 (to 10 241 dofs)                  172 ms    0.67
+        adaptive_lshape, 48 (to 3 835 dofs)            203 ms    0.98
+        maxwell_ultraweak, 320 tets (8 076 dofs)       471 ms    1.02
+        maxwell_ultraweak, 2 560 tets (64 152 dofs)   43.7 s     0.74
+
+    The fill L + U stays that of the defaults to 0.1 % on every matrix
+    above 100 dofs of the first three rows.
     """
     return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                relax=_LU_RELAX, panel_size=_LU_PANEL,
                 options={"SymmetricMode": True})
 
 
@@ -286,7 +315,8 @@ class Discretization:
             raise SingularSystemError(
                 f"condensed system is singular ({exc}); "
                 f"smallest Ritz value {ritz:.3e}", ritz) from exc
-        xf = lu.solve(ff)
+        # a complex matrix takes a complex load whole, a real one by parts
+        xf = lu.solve(ff) if np.iscomplexobj(Aff) else _lusolve(lu, ff)
         rel = np.linalg.norm(Aff @ xf - ff) / (np.linalg.norm(ff) or 1.0)
         if not rel <= 1e-10:  # a NaN residual fails too
             raise RuntimeError(
@@ -445,12 +475,14 @@ class Discretization:
     def opnorm(self, seed=0):
         """Largest generalized singular value of b over X x Y.
 
-        Power iteration on G_X^{-1} B^H G_Y^{-1} B with the trial graph
-        norms (quotient norms on interfaces) and the broken Y norm.
-        The result is the Rayleigh quotient after at most
-        ``_OPNORM_STEPS`` steps, a lower bound of ||b||: when the top of
-        the spectrum is clustered the iteration stops before it
-        converges.
+        ||b||^2 is the top eigenvalue of the pencil (A, G_X): A the
+        condensed matrix B^H G_Y^{-1} B with the broken Y norm, G_X the
+        trial graph norms (quotient norms on interfaces).  A Lanczos
+        iteration on G_X^{-1} A, in the G_X inner product and fully
+        reorthogonalized, runs from a seeded random vector for at most
+        ``_OPNORM_STEPS`` steps and returns the square root of its top
+        Ritz value.  That is a lower bound of ||b||: when the top of the
+        spectrum is clustered the iteration stops before it converges.
         """
         Gx = self.trial_gram()
         lu = _factor(Gx)
@@ -459,22 +491,29 @@ class Discretization:
         v = rng.standard_normal(self.ndof)
         if self.form.is_complex:
             v = v + 1j * rng.standard_normal(self.ndof)
-        v /= np.sqrt(np.real(np.vdot(v, Gx @ v)))
+        # the G_X-orthonormal Lanczos vectors, one per row
+        Q = np.zeros((min(_OPNORM_STEPS, self.ndof), self.ndof), v.dtype)
+        Q[0] = v / np.sqrt(np.real(np.vdot(v, Gx @ v)))
+        alpha, beta = [], []
         val = 0.0
-        for _ in range(_OPNORM_STEPS):
-            # y-residual application: A v = sum over cells B^H G^{-1} B v
-            w = A @ v
-            new = np.sqrt(max(float(np.real(np.vdot(v, w))), 0.0))
-            v = _lusolve(lu, w)
-            nv = np.sqrt(np.real(np.vdot(v, Gx @ v)))
-            if nv == 0:
-                return 0.0
-            v /= nv
-            if abs(new - val) <= _OPNORM_TOL * max(new, 1.0):
-                val = new
-                break
+        for k in range(len(Q)):
+            # w = G_X^{-1} A q_k, G_X-orthogonalized against q_0..q_k
+            # (two classical Gram-Schmidt passes); G_X w = A q_k at first
+            Aq = A @ Q[k]
+            alpha.append(np.real(np.vdot(Q[k], Aq)))
+            w, Gw = _lusolve(lu, Aq), Aq
+            for _ in range(2):
+                w -= (Q[:k + 1].conj() @ Gw) @ Q[:k + 1]
+                Gw = Gx @ w
+            beta.append(np.sqrt(max(np.real(np.vdot(w, Gw)), 0.0)))
+            top = eigh_tridiagonal(alpha, beta[:-1], eigvals_only=True,
+                                   select="i", select_range=(k, k))[0]
+            new = np.sqrt(max(top, 0.0))
+            if (abs(new - val) <= _OPNORM_TOL * max(new, 1.0)
+                    or beta[-1] == 0 or k + 1 == len(Q)):
+                return float(new)
             val = new
-        return float(val)
+            Q[k + 1] = w / beta[-1]
 
 
 class EstimateResult:

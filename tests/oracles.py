@@ -7,7 +7,9 @@ or shortcut with the code under test.  The facet trace matrices and the
 exact sequence check probe the reference bases; the pushed tables, the
 per-cell columns and the explicit Petrov-Galerkin assembly give the
 tests a second route to what the library computes by contraction and
-condensation; nothing in the library calls any of them.
+condensation; the power iteration is the lower bound of ||b|| that
+``Discretization.opnorm`` must not fall below; nothing in the library
+calls any of them.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from dpgfem.quadrature import simplex_rule
 from dpgfem.reference import _RANK_TOL, _independent, _integrate, _inv_sqrt, \
     facet_outward_normal, facet_points, modal_basis, push_derivs, push_values
 from dpgfem.simplex import facet_parametrization, local_facets
+from dpgfem.system import _factor, _lusolve
 from dpgfem.verification import _MODES, _PAIRINGS
 
 
@@ -218,3 +221,34 @@ def pg_assemble(disc, case=None):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(disc.ndof, disc.ndof), dtype=dtype).tocsc()
     return A, f
+
+
+def power_opnorm(disc, seed=0, steps=120, tol=1e-11):
+    """Power iteration on G_X^{-1} B^H G_Y^{-1} B for ||b||: the
+    Rayleigh quotient after at most ``steps`` steps, or once it moves by
+    at most ``tol`` relative to max(it, 1).  A lower bound of ||b||:
+    when the top of the spectrum is clustered the iteration stops
+    before it converges."""
+    Gx = disc.trial_gram()
+    lu = _factor(Gx)
+    A = disc._matrix()
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(disc.ndof)
+    if disc.form.is_complex:
+        v = v + 1j * rng.standard_normal(disc.ndof)
+    v /= np.sqrt(np.real(np.vdot(v, Gx @ v)))
+    val = 0.0
+    for _ in range(steps):
+        # y-residual application: A v = sum over cells B^H G^{-1} B v
+        w = A @ v
+        new = np.sqrt(max(float(np.real(np.vdot(v, w))), 0.0))
+        v = _lusolve(lu, w)
+        nv = np.sqrt(np.real(np.vdot(v, Gx @ v)))
+        if nv == 0:
+            return 0.0
+        v /= nv
+        if abs(new - val) <= tol * max(new, 1.0):
+            val = new
+            break
+        val = new
+    return float(val)

@@ -14,13 +14,16 @@ seeded probe v^H G v.  The probe lives in the coordinates of the
 interface basis; its values for the H1 and H(curl) skeletons were
 re-recorded once, when the reference bases were made canonical.
 
-``opnorm`` stops its power iteration after at most a fixed number of
-steps (``system._OPNORM_STEPS``), so its value is a lower bound that depends on how the start vector meets
-the top eigenspace, and with it on the bases.  The pinned norm of b is
-instead the square root of the converged top eigenvalue of the pencil
-(A, G_X), computed here with ``eigsh`` from a fixed seeded start
-vector, so that ARPACK draws nothing from process-wide random state;
-``opnorm`` must not exceed it and must come within 1 % of it.
+``opnorm`` runs a Lanczos iteration on the pencil (A, G_X) for at most
+a fixed number of steps (``system._OPNORM_STEPS``), so its value is the
+top Ritz value of a Krylov space, a lower bound that depends on how the
+start vector meets the top eigenspace, and with it on the bases.  The
+pinned norm of b is instead the square root of the converged top
+eigenvalue of the pencil, computed here with ``eigsh`` from a fixed
+seeded start vector, so that ARPACK draws nothing from process-wide
+random state.  ``opnorm`` must not exceed it and must come within 1e-3
+of it, and it must not fall below the 120-step power iteration it
+replaced (``oracles.power_opnorm``).
 """
 
 import numpy as np
@@ -32,6 +35,7 @@ from dpgfem import spaces
 from dpgfem.formulations import make_formulation, manufactured_case
 from dpgfem.meshes import build_structured, refine_uniform
 from dpgfem.system import Discretization
+from oracles import power_opnorm
 
 
 def _setup(name):
@@ -147,7 +151,10 @@ def test_opnorm_is_below_the_converged_norm_of_b(name):
     disc = Discretization(form, mesh)
     top = converged_opnorm(disc)
     assert top == pytest.approx(CONVERGED_OPNORM[name], rel=1e-10)
-    assert 0.99 * top <= disc.opnorm(seed=0) <= top * (1 + 1e-12)
+    bnorm = disc.opnorm(seed=0)
+    assert power_opnorm(disc, seed=0) <= bnorm <= top * (1 + 1e-12)
+    assert bnorm >= (1 - 1e-3) * top
+    assert bnorm >= 0.99 * top
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 
+from dpgfem.adaptivity import adaptive_solve
 from dpgfem.formulations import ManufacturedCase, make_formulation, \
     manufactured_case
 from dpgfem.meshes import build_structured, refine_marked, refine_uniform
-from dpgfem.system import Discretization, SingularSystemError, condense
+from dpgfem.system import Discretization, SingularSystemError, _factor, \
+    condense
 from oracles import cell_columns, pg_assemble
 from test_quotient_norms import converged_opnorm
 
@@ -244,6 +247,56 @@ def test_exact_solution_in_trial_space_is_reproduced(eight_tri):
     assert disc.estimate(x, case).eta < 1e-9
 
 
+def test_real_system_solves_a_complex_load(two_tri):
+    """A real condensed matrix takes a complex load, solved as two real
+    solves."""
+    disc = Discretization(make_formulation("primal_poisson", 1), two_tri)
+    A, f = disc.assemble(manufactured_case("poisson_sine_2d"))
+    x = disc.solve(A, f)
+    z = disc.solve(A, 1j * f)
+    assert z.dtype == complex
+    assert np.abs(z - 1j * x).max() <= 1e-14 * np.abs(x).max()
+
+
+def _factor_setup(name):
+    """(Discretization, case) of one matrix class the LU sees."""
+    if name == "maxwell_ultraweak":
+        return (Discretization(make_formulation(name, 1),
+                               build_structured("unit-cube", 1)),
+                manufactured_case("maxwell_sine_3d"))
+    if name == "lshape_adaptive":
+        case = manufactured_case("poisson_lshape_singular")
+        _, state = adaptive_solve(make_formulation("primal_poisson", 2),
+                                  build_structured("l-shape", 2), case, 0.5,
+                                  max_iterations=6)
+        return state.disc, case
+    mesh = build_structured("unit-square", 2)
+    for _ in range(3):
+        mesh = refine_uniform(mesh)
+    return (Discretization(make_formulation("primal_poisson", 1), mesh),
+            manufactured_case("poisson_sine_2d"))
+
+
+@pytest.mark.parametrize("name", ["poisson_512", "lshape_adaptive",
+                                  "maxwell_ultraweak"])
+def test_factor_settings_keep_accuracy_and_fill(name):
+    """With its supernode settings _factor solves the reduced condensed
+    system to a relative residual of 1e-12 and keeps the fill of
+    SuperLU's defaults to 0.1 %: on a uniform 2D mesh, a graded
+    adaptive one and a complex 3D system."""
+    disc, case = _factor_setup(name)
+    A, f = disc.assemble(case)
+    free = np.flatnonzero(~disc.constrained_dofs())
+    Aff, ff = A[np.ix_(free, free)].tocsc(), f[free]
+    lu = _factor(Aff)
+    x = lu.solve(ff)
+    assert np.linalg.norm(Aff @ x - ff) <= 1e-12 * np.linalg.norm(ff)
+    ref = splu(Aff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True})
+    nnz, ref_nnz = lu.L.nnz + lu.U.nnz, ref.L.nnz + ref.U.nnz
+    assert abs(nnz - ref_nnz) <= 1e-3 * ref_nnz
+
+
 def test_constraint_count_primal_poisson(two_tri):
     form = make_formulation("primal_poisson", 1)
     disc = Discretization(form, two_tri)
@@ -266,8 +319,9 @@ def test_conditioning_snapshot(eight_tri):
     ("maxwell_ultraweak", 1, "unit-cube", 1.713171),
 ])
 def test_continuity_norm_snapshot(fid, p, mesh_name, value):
-    """The snapshot is the converged norm of b; opnorm stops its power
-    iteration early, so it is checked as a close lower bound."""
+    """The snapshot is the converged norm of b; opnorm stops its Lanczos
+    iteration after a fixed number of steps, so it is checked as a close
+    lower bound."""
     mesh = build_structured(mesh_name, 1)
     disc = Discretization(make_formulation(fid, p), mesh)
     top = converged_opnorm(disc)
