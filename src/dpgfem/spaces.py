@@ -253,22 +253,48 @@ def conforming_map(mesh, basis, skeleton=False):
 # -- slot gram matrices -------------------------------------------------
 
 
-def _triplets(blocks, rows, cols):
+def _triplets(blocks, rows, cols, shape):
     """Flat (row, column, value) entries of (K, m, n) blocks placed at
-    rows (K, m) and columns (K, n)."""
+    rows (K, m) and columns (K, n) of a matrix of the given shape.
+
+    The indices take scipy's index type for that shape, 32-bit below
+    2**31 rows and columns: the CSC matrix is built with it anyway, so
+    wider indices would only double the index bytes of the triple, the
+    largest transient of an assembly, and be copied down by scipy.
+    """
     m, n = blocks.shape[-2:]
+    index = sparse.get_index_dtype(maxval=max(shape))
+    rows, cols = rows.astype(index, copy=False), cols.astype(index, copy=False)
     return (np.repeat(rows, n, axis=1).ravel(),
             np.tile(cols, (1, m)).ravel(), blocks.ravel())
 
 
 def _block_matrix(parts, shape):
     """Sparse sum, in CSC form, of the blocks of (blocks, rows, cols)
-    parts."""
+    parts.
+
+    The triple's indices take scipy's index type for the shape
+    (``_triplets``): 4 bytes below 2**31 rows, which give the same CSC
+    values, indices and pointers as 8-byte ones at half the index bytes.
+    """
     # one part is used as it is: a copy would raise the peak memory of
     # the largest assemblies
     r, c, v = (a[0] if len(a) == 1 else np.concatenate(a)
-               for a in zip(*(_triplets(*p) for p in parts)))
+               for a in zip(*(_triplets(*p, shape) for p in parts)))
     return sparse.coo_matrix((v, (r, c)), shape=shape).tocsc()
+
+
+def _accumulate(idx, vals, n):
+    """Length-n sums of the values at the integer positions idx (arrays of
+    one shape), each position's values added in the order given, as
+    ``np.add.at`` adds them; complex values are summed by parts."""
+    idx, vals = np.ravel(idx), np.ravel(vals)
+    if not np.iscomplexobj(vals):
+        return np.bincount(idx, weights=vals, minlength=n)
+    out = np.empty(n, dtype=vals.dtype)
+    out.real = np.bincount(idx, weights=vals.real, minlength=n)
+    out.imag = np.bincount(idx, weights=vals.imag, minlength=n)
+    return out
 
 
 def _cell_grams(tables, cells, include_deriv=True, use=None):
@@ -500,10 +526,8 @@ def trace_rhs(mesh, tables, A, target):
                      tables.facet_scale(cells, lf))
         idx.append(ia.ravel())
         vals.append((m * f).ravel())
-    vals = np.concatenate(vals)
-    b = np.zeros(A.dofmap.ndofs, dtype=vals.dtype)
-    np.add.at(b, np.concatenate(idx), vals)
-    return b
+    return _accumulate(np.concatenate(idx), np.concatenate(vals),
+                       A.dofmap.ndofs)
 
 
 def skeleton_schur(tables, skel_map):

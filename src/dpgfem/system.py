@@ -48,6 +48,7 @@ from .reference import conforming_basis, modal_basis, trace_factor
 from .spaces import (
     ElementTables,
     InterfaceSpace,
+    _accumulate,
     _block_matrix,
     broken_map,
     cell_groups,
@@ -253,8 +254,9 @@ class Discretization:
         return _ElementStacks(self)
 
     def _whitened_load(self, case):
-        """(ncells, ntest_local) whitened loads L^{-1} l of one case; those
-        of the last case object are kept, for assemble and estimate."""
+        """The (ncells, ntest_local) whitened loads z = L^{-1} l of one
+        case and its assembled load f = sum of W_K^H z_K; those of the
+        last case object are kept, for assemble and estimate."""
         if self._load is None or self._load[0] is not case:
             if case is not None:
                 fm.check_case(self.form, case)
@@ -264,14 +266,12 @@ class Discretization:
                 group = _CellGroup(self, np.arange(nc)[part])
                 z[part] = _matvec(st.Linv[st.cls[part]],
                                   fm.load_vector(self.form, group, case))
-            self._load = (case, z)
-        return self._load[1]
+            self._load = (case, z, self._scatter(st.adjoint_apply(z)))
+        return self._load[1:]
 
     def _scatter(self, vals):
         """Sum (ncells, nloc) per-cell column values into a global vector."""
-        out = np.zeros(self.ndof, dtype=vals.dtype)
-        np.add.at(out, self._columns[0], vals)
-        return out
+        return _accumulate(self._columns[0], vals, self.ndof)
 
     # -- global system ---------------------------------------------------
 
@@ -286,8 +286,11 @@ class Discretization:
 
     def assemble(self, case=None):
         """Hermitian condensed system (A, f), cells in ascending order."""
-        f_K = self.element_stacks.adjoint_apply(self._whitened_load(case))
-        return self._matrix(), self._scatter(f_K)
+        # the load first: its temporaries, made after the matrix, would
+        # raise the peak memory (by 20 MB of 322 on 320 Maxwell tets); a
+        # copy, so that the kept load does not change with the caller's
+        f = self._whitened_load(case)[1].copy()
+        return self._matrix(), f
 
     def constrained_dofs(self):
         """Mask of dofs removed by homogeneous essential conditions."""
@@ -301,12 +304,8 @@ class Discretization:
 
     def solve(self, A, f):
         """Direct solve of the reduced system; returns the full vector."""
-        if A.shape != (self.ndof, self.ndof):
-            raise ValueError(f"A has shape {A.shape}, but ndof is {self.ndof}")
-        self._check_vector("f", f)
-        mask = self.constrained_dofs()
-        free = np.where(~mask)[0]
-        Aff = A[np.ix_(free, free)].tocsc()
+        free, Aff = self._free_block(A)
+        f = self._check_vector("f", f)
         ff = f[free]
         try:
             lu = _factor(Aff)
@@ -321,15 +320,29 @@ class Discretization:
         if not rel <= 1e-10:  # a NaN residual fails too
             raise RuntimeError(
                 f"linear solve residual {rel:.3e} exceeds 1e-10")
-        x = np.zeros(self.ndof, dtype=f.dtype)
+        x = np.zeros(self.ndof, dtype=np.result_type(Aff.dtype, f.dtype))
         x[free] = xf
         return x
 
     def _check_vector(self, name, v):
-        """Raise a ValueError unless v holds one entry per dof."""
-        if np.shape(v) != (self.ndof,):
-            raise ValueError(f"{name} has shape {np.shape(v)}, but ndof is "
+        """v as an array, or a ValueError unless it holds one entry per
+        dof."""
+        v = np.asarray(v)
+        if v.shape != (self.ndof,):
+            raise ValueError(f"{name} has shape {v.shape}, but ndof is "
                              f"{self.ndof}")
+        return v
+
+    def _free_block(self, A):
+        """The dofs that no essential condition removes and the CSC block
+        of a sparse ndof x ndof matrix A on them, or a ValueError."""
+        if not sparse.issparse(A):
+            raise ValueError(f"A must be a scipy sparse matrix, not "
+                             f"{type(A).__name__}")
+        if A.shape != (self.ndof, self.ndof):
+            raise ValueError(f"A has shape {A.shape}, but ndof is {self.ndof}")
+        free = np.flatnonzero(~self.constrained_dofs())
+        return free, A[np.ix_(free, free)].tocsc()
 
     def conditioning(self, A):
         """One-norm condition estimate of the reduced condensed matrix.
@@ -337,9 +350,7 @@ class Discretization:
         Reported as a diagnostic; near-resonant Maxwell parameters show
         up here rather than through any dedicated detection.
         """
-        mask = self.constrained_dofs()
-        free = np.where(~mask)[0]
-        Aff = A[np.ix_(free, free)].tocsc()
+        Aff = self._free_block(A)[1]
         if Aff.shape[0] == 0:
             return 1.0
         try:
@@ -361,13 +372,12 @@ class Discretization:
 
     def estimate(self, x, case=None):
         """Residual error indicators and the Riesz orthogonality check."""
-        self._check_vector("x", x)
+        x = self._check_vector("x", x)
         st = self.element_stacks
-        z = self._whitened_load(case)
+        z, fvec = self._whitened_load(case)
         e = z - st.apply(x[self._columns[0]])
         eta2 = np.sum(np.abs(e) ** 2, axis=1)
         resid = self._scatter(st.adjoint_apply(e))
-        fvec = self._scatter(st.adjoint_apply(z))
         free = ~self.constrained_dofs()
         scale = np.max(np.abs(fvec[free])) if np.any(free) else 0.0
         if scale == 0.0:
@@ -395,7 +405,7 @@ class Discretization:
         if not case.has_exact:
             raise ValueError(f"case {case.name!r} has no exact solution")
         fm.check_case(self.form, case)
-        self._check_vector("x", x)
+        x = self._check_vector("x", x)
         rtab = self._ref_tables
         w = rtab.volume_weights(slice(None))
         pts = rtab.physical_points(slice(None))

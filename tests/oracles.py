@@ -7,7 +7,8 @@ or shortcut with the code under test.  The facet trace matrices and the
 exact sequence check probe the reference bases; the pushed tables, the
 per-cell columns and the explicit Petrov-Galerkin assembly give the
 tests a second route to what the library computes by contraction and
-condensation; the power iteration is the lower bound of ||b|| that
+condensation; the 64-bit COO sum is the sparse sum that the library's
+32-bit index triples must reproduce; the power iteration is the lower bound of ||b|| that
 ``Discretization.opnorm`` must not fall below; nothing in the library
 calls any of them.
 """
@@ -221,6 +222,21 @@ def pg_assemble(disc, case=None):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(disc.ndof, disc.ndof), dtype=dtype).tocsc()
     return A, f
+
+
+def coo_sum64(parts, shape):
+    """CSC sum of the (blocks, rows, cols) parts of ``spaces._block_matrix``
+    from a COO triple with 64-bit row and column indices: block k's entry
+    (i, j) sits at (rows[k, i], cols[k, j]), parts and cells in order."""
+    r, c, v = [], [], []
+    for blocks, rows, cols in parts:
+        m, n = blocks.shape[-2:]
+        r.append(np.repeat(rows.astype(np.int64), n, axis=1).ravel())
+        c.append(np.tile(cols.astype(np.int64), (1, m)).ravel())
+        v.append(blocks.ravel())
+    return sparse.coo_matrix(
+        (np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+        shape=shape).tocsc()
 
 
 def power_opnorm(disc, seed=0, steps=120, tol=1e-11):

@@ -138,6 +138,41 @@ def test_coefficient_vector_of_wrong_length_rejected(eight_tri, extra):
         disc.solve(sparse.eye(n + extra, format="csr"), f)
 
 
+def test_vectors_given_as_lists_are_accepted(eight_tri):
+    """solve, estimate and measure_error take any array-like vector."""
+    case = manufactured_case("poisson_sine_2d")
+    disc = Discretization(make_formulation("primal_poisson", 1), eight_tri)
+    A, f = disc.assemble(case)
+    x = disc.solve(A, f)
+    assert np.array_equal(disc.solve(A, f.tolist()), x)
+    assert disc.estimate(x.tolist(), case).eta == disc.estimate(x, case).eta
+    assert (disc.measure_error(x.tolist(), case)["total"]
+            == disc.measure_error(x, case)["total"])
+
+
+def test_dense_matrix_rejected_by_name(eight_tri):
+    disc = Discretization(make_formulation("primal_poisson", 1), eight_tri)
+    A, f = disc.assemble(manufactured_case("poisson_sine_2d"))
+    message = "A must be a scipy sparse matrix, not ndarray"
+    with pytest.raises(ValueError, match=message):
+        disc.solve(A.toarray(), f)
+    with pytest.raises(ValueError, match=message):
+        disc.conditioning(A.toarray())
+
+
+def test_complex_system_keeps_the_imaginary_part_of_a_real_load(five_tet):
+    """A complex matrix with a real load gives a complex solution, the
+    one of the same load given as complex."""
+    form = make_formulation("maxwell_primal_E", 2, delta=2, mode="economy")
+    disc = Discretization(form, five_tet)
+    A, f = disc.assemble(manufactured_case("maxwell_sine_3d"))
+    assert np.iscomplexobj(A.data)
+    x = disc.solve(A, f.real)
+    ref = disc.solve(A, f.real + 0j)
+    assert x.dtype == complex and np.abs(x.imag).max() > 0
+    assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_error_decreases_under_refinement(two_tri):
     form = make_formulation("primal_poisson", 1)
     case = manufactured_case("poisson_sine_2d")
