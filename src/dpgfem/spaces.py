@@ -13,20 +13,25 @@ Every interface space is a skeleton: the values of H1 (u-hat), the
 normal traces of H(div) (the flux, one unit per facet area) or the
 tangential traces of H(curl) or vector H1.  One ``InterfaceSpace`` per
 distinct space, shared by the slots on it, decides its trace kind and
-holds its dofs, facet operands, trace mass and quotient norm.
+holds its dofs, facet operands, trace mass and quotient norm.  Its
+parent, the conforming space whose quotient norm measures it, stays on
+the reference cell: it is never numbered over the mesh.
 
 The slot Grams and the facet trace masses integrate two bases on
 affine cells, so each is one contraction of per-cell factors with a
 reference tensor (``reference._contract``), the same as the element
 kernels; only data that vary over a facet are summed point by point.
-A cell Gram depends only on the cell's Jacobian, so the natural Grams
-and the skeleton Schur complements are computed once per class of
-cells with bit-identical Jacobians (the mesh geometry's
-``shape_classes``) and gathered to the cells.
+A cell Gram depends only on the cell's Jacobian, so the natural Grams,
+the parent Schur complements and the quotient Grams are kept as one
+block per class of cells with bit-identical Jacobians (the mesh
+geometry's ``shape_classes``), in local coefficients; ``class_matrix``
+gathers such a stack to the cells, scales it by their dof factors and
+sums it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -134,30 +139,15 @@ class ElementTables:
 # -- dof maps ----------------------------------------------------------
 
 
-class DofMap:
-    """Global numbering for one slot.
-
-    Attributes
-    ----------
-    ndofs : int
-    cell_dofs : ndarray (ncells, nloc) int
-    cell_factors : ndarray (ncells, nloc) float
-        Orientation/scaling factors multiplying the local basis.
-    boundary : ndarray (ndofs,) bool
-        Dofs supported on the domain boundary (candidates for essential
-        conditions).
-    local_functions : None or list of int
-        For skeleton maps, indices of the parent basis functions used
-        per cell (same for every cell); None means all basis functions.
-    """
-
-    def __init__(self, ndofs, cell_dofs, cell_factors, boundary,
-                 local_functions=None):
-        self.ndofs = ndofs
-        self.cell_dofs = cell_dofs
-        self.cell_factors = cell_factors
-        self.boundary = boundary
-        self.local_functions = local_functions
+# Global numbering for one slot: ndofs; per cell, the (ncells, nloc)
+# global dofs cell_dofs and the orientation/scaling factors cell_factors
+# that multiply the local basis; the (ndofs,) mask boundary of the dofs
+# supported on the domain boundary (candidates for essential
+# conditions); and for skeleton maps local_functions, the indices of the
+# basis functions used per cell (the same for every cell; None means
+# all of them).
+DofMap = namedtuple("DofMap", "ndofs cell_dofs cell_factors boundary "
+                    "local_functions", defaults=(None,))
 
 
 def broken_map(mesh, nb):
@@ -169,14 +159,10 @@ def broken_map(mesh, nb):
 
 
 def _local_vertices(dim, kind, loc):
-    """Local vertex tuple of a cell's local entity, None for the interior."""
+    """Local vertex tuple of a cell's local vertex, edge or face."""
     if kind == "vertex":
         return (loc,)
-    if kind == "edge":
-        return local_edges(dim)[loc]
-    if kind == "face":
-        return local_facets(dim)[loc]
-    return None
+    return (local_edges(dim) if kind == "edge" else local_facets(dim))[loc]
 
 
 def _global_entities(mesh):
@@ -284,6 +270,17 @@ def _block_matrix(parts, shape):
     return sparse.coo_matrix((v, (r, c)), shape=shape).tocsc()
 
 
+def class_matrix(M, cls, dofs, factors, n):
+    """Sparse (n, n) sum of a class stack M over the cells: each cell's
+    block M[cls_K], its rows and columns scaled by its (ncells, m)
+    factors, placed at its (ncells, m) dofs.  The blocks are gathered
+    and scaled in place, one per-cell copy of M in all."""
+    blocks = M[cls]
+    blocks *= factors[:, :, None]
+    blocks *= factors[:, None, :]
+    return _block_matrix([(blocks, dofs, dofs)], (n, n))
+
+
 def _accumulate(idx, vals, n):
     """Length-n sums of the values at the integer positions idx (arrays of
     one shape), each position's values added in the order given, as
@@ -320,11 +317,7 @@ def natural_gram(tables, dofmap, include_deriv=True):
     for part in tables.groups(len(reps)):
         M[part] = _cell_grams(tables, reps[part], include_deriv,
                               dofmap.local_functions)
-    blocks = M[cls]
-    blocks *= f[:, :, None]
-    blocks *= f[:, None, :]
-    return _block_matrix([(blocks, dofmap.cell_dofs, dofmap.cell_dofs)],
-                         (dofmap.ndofs, dofmap.ndofs))
+    return class_matrix(M, cls, dofmap.cell_dofs, f, dofmap.ndofs)
 
 
 def facet_owners(mesh):
@@ -333,23 +326,10 @@ def facet_owners(mesh):
     return np.stack([mesh.facet_cells[:, 0], mesh.facet_local[:, 0]], axis=1)
 
 
-def _owner_groups(mesh, tables):
-    """(lf, cells) groups of facets: each facet once, through its owner,
-    the owners seeing it as local facet lf, in groups of bounded size."""
-    owners = facet_owners(mesh)
-    nbytes = max(tables.table("val", lf).nbytes
-                 for lf in range(mesh.dim + 1))
-    for lf in range(mesh.dim + 1):
-        cells = owners[owners[:, 1] == lf, 0]
-        for part in cell_groups(len(cells), nbytes):
-            yield lf, cells[part]
-
-
 # -- interface spaces ------------------------------------------------
 
-# By family of an interface slot: its trace kind (reference.trace_factor),
-# which its parent shares, and the family of the parent, whose quotient
-# norm measures it.
+# By family of an interface slot: its trace kind (reference.trace_factor)
+# and the family of the parent, whose quotient norm measures it.
 _INTERFACE_KINDS = {
     "h1": ("value", "h1"),
     "hdiv": ("normal", "hdiv"),
@@ -357,104 +337,93 @@ _INTERFACE_KINDS = {
     "vec": ("tangential", "hcurl"),
 }
 
+# A conforming basis on a mesh: its tables, its skeleton (non-interior)
+# functions ``use``, and per local facet lf the positions among them of
+# the functions with a trace there, whose entity lies in the facet's
+# closure (``active[lf]``), and the reference operand of their values
+# on lf (``refs[lf]``).
+Skeleton = namedtuple("Skeleton", "tables use active refs")
 
-class TraceField:
-    """Facet traces of the skeleton functions of a conforming space.
+
+def _skeleton(mesh, family, degree, order):
+    """The Skeleton of the conforming space of a family and degree."""
+    dim = mesh.dim
+    tables = ElementTables(mesh, conforming_basis(family, degree, dim), order)
+    ents = tables.basis.dof_entities()
+    use = [k for k, (kind, _, _) in enumerate(ents) if kind != "interior"]
+    verts = [set(_local_vertices(dim, *ents[k][:2])) for k in use]
+    active = [np.array([col for col, v in enumerate(verts) if v <= set(f)],
+                       dtype=int) for f in local_facets(dim)]
+    refs = [tables.reference("val", lf, tuple(use[k] for k in act))
+            for lf, act in enumerate(active)]
+    return Skeleton(tables, use, active, refs)
+
+
+class InterfaceSpace:
+    """The space of the interface slots of one (family, degree): the
+    skeleton traces of that conforming space (its ``Skeleton`` fields,
+    numbered over the mesh by ``dofmap``), measured in the quotient norm
+    of its parent, the conforming space of the family that
+    ``_INTERFACE_KINDS`` gives at ``parent_degree``.
 
     kind is the trace (``reference.trace_factor``) against the canonical
     facet normal: 'value' (scalar families), 'tangential' or 'normal'.
     Normal traces carry one unit of flux per facet area: the dof map's
     factors include the area of each function's facet, so the traces of
     a facet's functions along its canonical normal are the facet modal
-    basis.  Per local facet lf, ``active[lf]`` holds the local positions
-    of the functions with a trace there (a conforming function's entity
-    lies in the facet's closure) and ``refs[lf]`` the reference operand
-    of their values on it.
-    """
+    basis.
 
-    def __init__(self, mesh, family, degree, kind, order):
-        self.mesh, self.kind, self.order = mesh, kind, order
-        dim = mesh.dim
-        basis = conforming_basis(family, degree, dim)
-        self.tables = ElementTables(mesh, basis, order)
-        self.dofmap = conforming_map(mesh, basis, skeleton=True)
-        ents = basis.dof_entities()
-        use = np.asarray(self.dofmap.local_functions)
-        if kind == "normal":
-            # every skeleton function of H(div) lies on one facet
-            lfs = [ents[k][1] for k in use]
-            self.dofmap.cell_factors *= mesh.facet_areas[
-                mesh.cell_facet_ids[:, lfs]]
-        verts = [_local_vertices(dim, *ents[k][:2]) for k in use]
-        self.active, self.refs = [], []
-        for lf, f in enumerate(local_facets(dim)):
-            act = np.array([col for col, v in enumerate(verts)
-                            if v is not None and set(v) <= set(f)], dtype=int)
-            self.active.append(act)
-            self.refs.append(self.tables.reference("val", lf,
-                                                   tuple(use[act].tolist())))
-
-    def facet_trace(self, cells, lf):
-        """Traces on local facet lf of ``cells`` (an index array) of the
-        local functions supported there: a (reference operand, factor)
-        term, and the (F, na) orientation factors and global dofs."""
-        act = self.active[lf]
-        dofs = self.dofmap.cell_dofs[cells][:, act]
-        n = self.mesh.facet_normals[self.mesh.cell_facet_ids[cells, lf]]
-        F = self.tables.factor("val", cells) @ trace_factor(self.kind, n)
-        return ((self.refs[lf], F), self.dofmap.cell_factors[cells][:, act],
-                dofs)
-
-
-class InterfaceSpace(TraceField):
-    """The space of the interface slots of one (family, degree): traces
-    of a parent space, the conforming space of the
-    family that ``_INTERFACE_KINDS`` gives at ``parent_degree``, measured
-    in its quotient norm.  Two conforming extensions differ by cell
-    bubbles, so the norm is a sum over cells: the coefficients E_K of the
-    slot's local functions over the parent skeleton functions
-    (``embedding``) are measured by the Schur complement S_K of the
-    parent graph Gram onto those, Q_K = E_K^T S_K E_K.  The parent
-    traces, E, the Q_K and the facet trace mass with its factorization
-    by ``factor`` (a sparse HPD factorization) are built on first use.
+    Two conforming extensions differ by cell bubbles, so the norm is a
+    sum over cells.  The parent (a Skeleton, never numbered over the
+    mesh), the per-class quotient Grams and the facet trace mass with
+    its factorization by ``factor`` (a sparse HPD factorization) are
+    built on first use.
     """
 
     def __init__(self, mesh, slot, parent_degree, order, factor):
-        kind, self.parent_family = _INTERFACE_KINDS[slot.family]
-        super().__init__(mesh, slot.family, slot.degree, kind, order)
-        self.key = (slot.family, slot.degree)
-        self.parent_degree = parent_degree
+        self.kind, self.parent_family = _INTERFACE_KINDS[slot.family]
+        self.mesh, self.key = mesh, (slot.family, slot.degree)
+        self.parent_degree, self.order = parent_degree, order
         self._factor = factor
-
-    def trace(self, v, n):
-        """The trace of this kind, (P, r), of values v, (P,) or (P, ncomp),
-        at P facet points with canonical facet normals n (P, dim)."""
-        return np.einsum("pc,pcr->pr", np.reshape(v, (len(n), -1)),
-                         trace_factor(self.kind, n))
+        self.tables, self.use, self.active, self.refs = _skeleton(
+            mesh, slot.family, slot.degree, order)
+        dm = conforming_map(mesh, self.tables.basis, skeleton=True)
+        if self.kind == "normal":
+            # every skeleton function of H(div) lies on one facet
+            ents = self.tables.basis.dof_entities()
+            dm = dm._replace(cell_factors=dm.cell_factors * mesh.facet_areas[
+                mesh.cell_facet_ids[:, [ents[k][1] for k in self.use]]])
+        self.dofmap = dm
 
     @cached_property
     def parent(self):
-        """The skeleton traces of the parent space."""
-        return TraceField(self.mesh, self.parent_family,
-                          self.parent_degree, self.kind, self.order)
+        """The parent space's Skeleton."""
+        return _skeleton(self.mesh, self.parent_family, self.parent_degree,
+                         self.order)
 
     @cached_property
     def mass(self):
         """The slot's sparse facet trace mass matrix."""
-        return trace_mass(self.mesh, self.parent.tables, self)
+        return trace_mass(self)
 
     @cached_property
     def mass_lu(self):
         return self._factor(self.mass)
 
     @cached_property
-    def embedding(self):
-        """(np, ni) coefficients E over the parent skeleton functions
-        that reproduce the slot's traces on the reference cell, to 1e-8
-        of their squared norms plus 1e-13, or raise.  A slot's functions
-        are parent functions pushed by the same map and scaled by the
-        same dof factors, so E_K = E on every cell."""
-        ti, tp = _reference_traces(self), _reference_traces(self.parent)
+    def cell_grams(self):
+        """(nclasses, n, n) quotient Grams Q = E^T S E of the slot's local
+        functions, one per shape class, in local coefficients.
+
+        E (np, n) holds the coefficients over the parent skeleton
+        functions that reproduce the slot's traces on the reference
+        cell (to 1e-8 of their squared norms plus 1e-13, or this raises)
+        and on every cell, pushed by the same map.  A cell's Q in global
+        coefficients is f_K Q[cls_K] f_K with its dof factors f_K: a
+        slot's and a parent's functions on one facet carry the same
+        factor, so parent factors F_K would give F_K E = E f_K."""
+        P = self.parent
+        ti, tp = (_reference_traces(t, self.kind) for t in (self, P))
         E = np.linalg.lstsq(tp.T, ti.T, rcond=None)[0]
         r2, tn2 = (np.sum(t ** 2, axis=1) for t in (ti - E.T @ tp, ti))
         j = np.argmax(r2 - 1e-8 * tn2)
@@ -462,52 +431,64 @@ class InterfaceSpace(TraceField):
             raise RuntimeError(
                 f"interface trace not recoverable in the parent space "
                 f"(residual {r2[j]:.3e} vs norm {tn2[j]:.3e})")
-        return E
-
-    @cached_property
-    def cell_grams(self):
-        """(ncells, n, n) per-cell quotient Grams Q_K = E_K^T S_K E_K of
-        the slot's local functions, in global coefficients."""
-        P, E = self.parent, self.embedding
-        Q = E.T @ skeleton_schur(P.tables, P.dofmap) @ E
+        Q = E.T @ skeleton_schur(P.tables, P.use) @ E
         return 0.5 * (Q + np.swapaxes(Q, 1, 2))
 
 
-def _reference_traces(T):
-    """(n, m) traces of a trace field's n local functions on the facets
+def _reference_traces(skel, kind):
+    """(n, m) traces of the kind of a Skeleton's n functions on the facets
     of the reference cell, at the facet rule's points scaled by the
     square roots of its weights: products of rows are facet integrals."""
-    dim = T.mesh.dim
+    dim = skel.tables.mesh.dim
     out = []
     for lf, f in enumerate(local_facets(dim)):
-        tab, w = reference_table(T.refs[lf])
-        tab = tab @ trace_factor(T.kind, facet_outward_normal(dim, f))
-        t = np.zeros((T.dofmap.cell_dofs.shape[1],) + tab.shape[1:])
-        t[T.active[lf]] = tab * np.sqrt(w)[:, None]
+        tab, w = reference_table(skel.refs[lf])
+        tab = tab @ trace_factor(kind, facet_outward_normal(dim, f))
+        t = np.zeros((len(skel.use),) + tab.shape[1:])
+        t[skel.active[lf]] = tab * np.sqrt(w)[:, None]
         out.append(t.reshape(len(t), -1))
     return np.concatenate(out, axis=1)
 
 
-def trace_mass(mesh, tables, A):
-    """Sparse facet-trace mass matrix of a trace field.
+def _facet_traces(A):
+    """The traces of an interface space on each facet once, through its
+    first owning cell, in groups of bounded size of the owners that see
+    it as one local facet lf.  Per group: lf, the owners, the canonical
+    facet normals, the traces of the functions with a trace there as a
+    (reference operand, factor) term, and their (F, na) orientation
+    factors and global dofs."""
+    mesh, tables, dm = A.mesh, A.tables, A.dofmap
+    owners = facet_owners(mesh)
+    nbytes = max(tables.table("val", lf).nbytes
+                 for lf in range(mesh.dim + 1))
+    for lf, act in enumerate(A.active):
+        owned = owners[owners[:, 1] == lf, 0]
+        for part in cell_groups(len(owned), nbytes):
+            cells = owned[part]
+            n = mesh.facet_normals[mesh.cell_facet_ids[cells, lf]]
+            F = tables.factor("val", cells) @ trace_factor(A.kind, n)
+            yield (lf, cells, n, (A.refs[lf], F),
+                   dm.cell_factors[cells][:, act], dm.cell_dofs[cells][:, act])
+
+
+def trace_mass(A):
+    """Sparse facet-trace mass matrix of an interface space.
 
     Entry (i, j) is sum over facets of int tr(phi_i) . tr(phi_j).  Each
-    facet is visited once through its first owning cell, so the field
-    must produce single-valued traces there.  ``tables`` supplies the
-    facet area scales and the owner groups (any tables of the mesh built
-    with the shared facet rule).
+    facet is visited once through its first owning cell, so the space
+    must produce single-valued traces there.
     """
     parts = []
-    for lf, cells in _owner_groups(mesh, tables):
-        x, f, dofs = A.facet_trace(cells, lf)
-        M = _contract([(x, x)], tables.facet_scale(cells, lf))
+    for lf, cells, _, x, f, dofs in _facet_traces(A):
+        M = _contract([(x, x)], A.tables.facet_scale(cells, lf))
         parts.append((M * f[:, :, None] * f[:, None, :], dofs, dofs))
     n = A.dofmap.ndofs
     return _block_matrix(parts, (n, n))
 
 
-def trace_rhs(mesh, tables, A, target):
-    """Projection rhs b_i = sum over facets of int target . conj(tr phi_i).
+def trace_rhs(A, target):
+    """Projection rhs b_i = sum over facets of int target . conj(tr phi_i)
+    of an interface space.
 
     With the real-valued trace basis this is the right-hand side of the
     facet least-squares fit M c = b whose solution represents target.
@@ -515,13 +496,11 @@ def trace_rhs(mesh, tables, A, target):
     facet quadrature points x (P, dim) with canonical facet normals n
     (P, dim).
     """
-    idx, vals = [], []
+    tables, idx, vals = A.tables, [], []
     nq = len(tables.frule.weights)
-    for lf, cells in _owner_groups(mesh, tables):
-        x = tables.physical_facet_points(cells, lf).reshape(-1, mesh.dim)
-        n = mesh.facet_normals[mesh.cell_facet_ids[cells, lf]]
+    for lf, cells, n, term, f, ia in _facet_traces(A):
+        x = tables.physical_facet_points(cells, lf).reshape(-1, n.shape[1])
         t = np.asarray(target(x, np.repeat(n, nq, axis=0)))
-        term, f, ia = A.facet_trace(cells, lf)
         m = _moments(t.reshape(len(cells), nq, -1), term,
                      tables.facet_scale(cells, lf))
         idx.append(ia.ravel())
@@ -530,15 +509,14 @@ def trace_rhs(mesh, tables, A, target):
                        A.dofmap.ndofs)
 
 
-def skeleton_schur(tables, skel_map):
-    """(ncells, ns, ns) Schur complements of the parent graph Grams onto
-    the skeleton functions, interior functions eliminated, in global
-    coefficients (orientation factors applied)."""
-    use = list(skel_map.local_functions)
+def skeleton_schur(tables, use):
+    """(nclasses, ns, ns) Schur complements of the graph Grams of a
+    conforming basis onto its skeleton functions ``use``, interior
+    functions eliminated, one per shape class of the mesh, in local
+    coefficients."""
     interior = [k for k in range(tables.basis.nfuncs) if k not in set(use)]
-    reps, cls = tables.geo.shape_classes
-    f = skel_map.cell_factors
-    S = np.empty((len(reps),) + f.shape[-1:] * 2)
+    reps = tables.geo.shape_classes[0]
+    S = np.empty((len(reps), len(use), len(use)))
     for part in tables.groups(len(reps)):
         M = _cell_grams(tables, reps[part])
         S[part] = M[:, use][:, :, use]
@@ -546,31 +524,32 @@ def skeleton_schur(tables, skel_map):
             Mis = M[:, interior][:, :, use]
             S[part] -= np.swapaxes(Mis, -1, -2) @ np.linalg.solve(
                 M[:, interior][:, :, interior], Mis)
-    out = S[cls]
-    out *= f[:, :, None]
-    out *= f[:, None, :]
-    return out
+    return S
 
 
-def skeleton_quotient_apply(blocks, dofmap, v):
-    """Minimum-energy-extension energy of a coefficient vector v of a
-    slot, from the slot's per-cell quotient Grams ``blocks`` (ncells,
-    n, n) in global coefficients.
+def skeleton_quotient_apply(Q, cls, dofmap, v):
+    """Minimum-energy-extension energy of a coefficient vector v of an
+    interface slot, from the per-class quotient Grams Q of its space
+    (``InterfaceSpace.cell_grams``) and the class cls of every cell.
 
     The parent graph norm is minimized over all interior completions;
     interior dofs are cell-local, so the minimization splits per cell.
     The real part of c^H Q c is x^T Q x + y^T Q y for c = x + iy, so the
-    real stack Q is applied to real vectors only.
+    real stack Q, gathered group by group, meets real vectors only.
     """
-    c = v[dofmap.cell_dofs]
-    energy = sum((float(np.sum(part * (blocks @ part[..., None])[..., 0]))
-                  for part in (c.real, c.imag) if part.any()), 0.0)
+    c = v[dofmap.cell_dofs] * dofmap.cell_factors
+    energy = 0.0
+    for part in (c.real, c.imag):
+        if part.any():
+            Qc = np.empty_like(part)
+            for g in cell_groups(len(part), Q[0].nbytes):
+                Qc[g] = (Q[cls[g]] @ part[g][..., None])[..., 0]
+            energy += float(np.sum(part * Qc))
     return max(energy, 0.0)
 
 
-def skeleton_quotient_gram(blocks, dofmap):
-    """Sparse quotient-norm Gram of a slot: the sum of its per-cell
-    quotient Grams ``blocks`` (as for ``skeleton_quotient_apply``)."""
-    n = dofmap.ndofs
-    return _block_matrix([(blocks, dofmap.cell_dofs, dofmap.cell_dofs)],
-                         (n, n))
+def skeleton_quotient_gram(Q, cls, dofmap):
+    """Sparse quotient-norm Gram of an interface slot: the sum of its
+    cells' quotient Grams (as for ``skeleton_quotient_apply``)."""
+    return class_matrix(Q, cls, dofmap.cell_dofs, dofmap.cell_factors,
+                        dofmap.ndofs)

@@ -26,7 +26,9 @@ stacks are computed once per class of cells on which those are the same
 bit for bit, and each cell keeps only its class index.  B is kept in
 local coefficients; the per-cell orientation factors D of the global
 columns scale it after the gather, B_K = B_class D_K, and are never
-folded into a class.
+folded into a class.  The trial-norm Grams, the interface quotient
+norms among them, take the same layout, and ``spaces.class_matrix``
+sums every class stack into a sparse matrix.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .spaces import (
     ElementTables,
     InterfaceSpace,
     _accumulate,
-    _block_matrix,
     broken_map,
     cell_groups,
+    class_matrix,
     conforming_map,
     natural_gram,
     skeleton_quotient_apply,
@@ -277,12 +279,10 @@ class Discretization:
 
     def _matrix(self):
         """Sparse sum of the condensed element matrices."""
-        st, (dofs, facs) = self.element_stacks, self._columns
+        st = self.element_stacks
         # A = W^H W per class, gathered to the cells
-        vals = (_adjoint(st.W) @ st.W)[st.cls]
-        vals *= facs[:, :, None]
-        vals *= facs[:, None, :]
-        return _block_matrix([(vals, dofs, dofs)], (self.ndof, self.ndof))
+        return class_matrix(_adjoint(st.W) @ st.W, st.cls, st.cols, st.facs,
+                            self.ndof)
 
     def assemble(self, case=None):
         """Hermitian condensed system (A, f), cells in ascending order."""
@@ -406,29 +406,39 @@ class Discretization:
             raise ValueError(f"case {case.name!r} has no exact solution")
         fm.check_case(self.form, case)
         x = self._check_vector("x", x)
-        rtab = self._ref_tables
-        w = rtab.volume_weights(slice(None))
-        pts = rtab.physical_points(slice(None))
-        nc, nq, dim = pts.shape
-        # (slot, 'val' | 'der') -> exact values at every quadrature point
-        exact = {}
-        for s in self.form.trial_slots:
-            for op, name in zip(("val", "der"), fm.measured_names(s)):
-                ex = np.asarray(case.fields[name](pts.reshape(-1, dim)))
-                exact[s.name, op] = ex.reshape(nc, nq, -1)
-        sq = dict.fromkeys(exact, 0.0)
-        for cells in self._groups(nc):
-            for (name, op), ex in exact.items():
-                c = self.field_coefficients(x, name, cells)
-                tab = self._tables[name]
-                X = tab.table(op)
-                vals = (c @ X.reshape(len(X), -1)).reshape(
-                    len(c), nq, -1) @ tab.factor(op, cells)
-                diff = vals - ex[cells]
-                sq[name, op] += float(np.sum(w[cells, :, None]
-                                             * np.abs(diff) ** 2))
+        rtab, dim = self._ref_tables, self.mesh.dim
+        nq = len(rtab.vrule.weights)
+        # (slot, 'val' | 'der') -> the exact field it is measured against
+        fields = {(s.name, op): case.fields[name]
+                  for s in self.form.trial_slots
+                  for op, name in zip(("val", "der"), fm.measured_names(s))}
+        sq = dict.fromkeys(fields, 0.0)
+        # errors are summed per group of the element stacks, exact fields
+        # evaluated on runs of groups sized by their complex values
+        groups = self._groups(self.mesh.ncells)
+        for run in cell_groups(len(groups), 16 * nq * dim * len(fields)
+                               * groups[0].stop):
+            run = groups[run]
+            block = slice(run[0].start, run[-1].stop)
+            pts = rtab.physical_points(block).reshape(-1, dim)
+            w = rtab.volume_weights(block)
+            exact = {key: np.asarray(f(pts)).reshape(len(w), nq, -1)
+                     for key, f in fields.items()}
+            for cells in run:
+                loc = slice(cells.start - block.start,
+                            cells.stop - block.start)
+                for (name, op), ex in exact.items():
+                    c = self.field_coefficients(x, name, cells)
+                    tab = self._tables[name]
+                    X = tab.table(op)
+                    vals = (c @ X.reshape(len(X), -1)).reshape(
+                        len(c), nq, -1) @ tab.factor(op, cells)
+                    diff = vals - ex[loc]
+                    sq[name, op] += float(np.sum(w[loc, :, None]
+                                                 * np.abs(diff) ** 2))
         out = {}
         total2 = 0.0
+        cls = self.mesh.geometry.shape_classes[1]
         for s in self.form.trial_slots:
             e2, d2 = sq[s.name, "val"], sq.get((s.name, "der"), 0.0)
             out[s.name] = {"l2": np.sqrt(e2), "natural": np.sqrt(e2 + d2)}
@@ -439,7 +449,7 @@ class Discretization:
             delta = (self.project_exact(s, case)
                      - x[off:off + space.dofmap.ndofs])
             err = float(np.sqrt(skeleton_quotient_apply(
-                space.cell_grams, space.dofmap, delta)))
+                space.cell_grams, cls, space.dofmap, delta)))
             out[s.name] = {"natural": err}
             total2 += err ** 2
         out["total"] = np.sqrt(total2)
@@ -452,9 +462,11 @@ class Discretization:
         sign, field = fm.exact_interface(self.form, case, slot.name)
 
         def target(x, n):
-            return space.trace(sign * np.asarray(field(x)), n)
+            # the (P, r) traces at P points with canonical normals n
+            v = np.reshape(sign * np.asarray(field(x)), (len(n), -1))
+            return np.einsum("pc,pcr->pr", v, trace_factor(space.kind, n))
 
-        b = trace_rhs(self.mesh, space.parent.tables, space, target)
+        b = trace_rhs(space, target)
         return _lusolve(space.mass_lu, b)
 
     def interface_quotient_gram(self, slot_name):
@@ -465,7 +477,9 @@ class Discretization:
                 f"{slot_name!r} is not an interface slot of {self.form.id}; "
                 f"its interface slots are {names}")
         space = self._interfaces[slot_name]
-        return skeleton_quotient_gram(space.cell_grams, space.dofmap)
+        return skeleton_quotient_gram(space.cell_grams,
+                                      self.mesh.geometry.shape_classes[1],
+                                      space.dofmap)
 
     # -- trial-side norm and the norm of b ---------------------------------
 
@@ -588,21 +602,25 @@ class _ElementStacks:
             self.Linv[part] = Linv
             self.W[part] = Linv @ B
 
-    def _gather_apply(self, M, v):
-        """Per-cell products M[cls] v of a class stack M and (ncells, m)
-        values v, gathered group by group."""
-        out = np.empty(v.shape[:1] + M.shape[1:2], dtype=np.result_type(M, v))
+    def _gather_apply(self, v, adjoint=False):
+        """Per-cell products W_K v_K, or W_K^H v_K when adjoint, with
+        (ncells, m) values v, the class stack W gathered group by group;
+        a group is conjugated after its gather, so that a complex W is
+        never copied whole."""
+        m = self.W.shape[2 if adjoint else 1]
+        out = np.empty((len(v), m), dtype=np.result_type(self.W, v))
         for part in self.parts:
-            out[part] = _matvec(M[self.cls[part]], v[part])
+            W = self.W[self.cls[part]]
+            out[part] = _matvec(_adjoint(W) if adjoint else W, v[part])
         return out
 
     def apply(self, x):
         """W_K x_K per cell for (ncells, nloc) column values x."""
-        return self._gather_apply(self.W, x * self.facs)
+        return self._gather_apply(x * self.facs)
 
     def adjoint_apply(self, e):
         """W_K^H e_K per cell for (ncells, ntest_local) values e."""
-        return self._gather_apply(_adjoint(self.W), e) * self.facs
+        return self._gather_apply(e, adjoint=True) * self.facs
 
 
 class _CellGroup:
@@ -674,5 +692,5 @@ def _smallest_ritz(A):
         val = sparse.linalg.eigsh(H, k=1, which="SM",
                                   return_eigenvectors=False, maxiter=2000)
         return float(val[0])
-    except Exception:
+    except sparse.linalg.ArpackError:
         return float("nan")

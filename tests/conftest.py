@@ -1,10 +1,25 @@
 """Shared fixtures: small meshes and manufactured loads used across suites."""
 
+import os
+
 import numpy as np
 import pytest
 
 from dpgfem.formulations import ManufacturedCase
 from dpgfem.meshes import build_structured
+
+
+def pytest_report_header(config):
+    # the pinned modal bases were recorded with OpenBLAS's default of two
+    # threads, and some differ in their last bits under one
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"OPENBLAS_NUM_THREADS: {threads}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the header, and the recorded tier-1 output is run with -q
+    if config.option.verbose < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture

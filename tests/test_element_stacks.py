@@ -9,13 +9,15 @@ must come out of a Discretization that has already served other cases,
 and assemble and estimate of one case evaluate its load once.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from dpgfem import formulations as fm
 from dpgfem.formulations import make_formulation, manufactured_case
-from dpgfem.meshes import build_structured, refine_marked
+from dpgfem.meshes import build_structured, refine_marked, refine_uniform
 from dpgfem.system import Discretization, condense
 from oracles import cell_columns
 
@@ -137,3 +139,25 @@ def test_load_is_evaluated_once_per_case(eight_tri, monkeypatch):
     assert first > 0 and len(calls) == first
     disc.estimate(x, manufactured_case("poisson_sine_2d"))
     assert len(calls) == 2 * first
+
+
+def test_adjoint_apply_gathers_before_conjugating():
+    """On the complex Maxwell form the adjoint of the whitened blocks is
+    taken group by group: applying it holds far less than the class
+    stack W, and gives W[cls]^H z times the column factors."""
+    mesh = refine_uniform(build_structured("unit-cube", 1))
+    disc = Discretization(make_formulation("maxwell_ultraweak", 1), mesh)
+    st = disc.element_stacks
+    rng = np.random.default_rng(5)
+    z = (rng.standard_normal((mesh.ncells, disc.ntest_local))
+         + 1j * rng.standard_normal((mesh.ncells, disc.ntest_local)))
+    tracemalloc.start()
+    try:
+        got = st.adjoint_apply(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.iscomplexobj(st.W) and peak < st.W.nbytes / 4
+    Wh = np.swapaxes(st.W[st.cls].conj(), 1, 2)
+    want = (Wh @ z[:, :, None])[:, :, 0] * st.facs
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -34,6 +34,7 @@ from scipy.sparse.linalg import eigsh
 from dpgfem import spaces
 from dpgfem.formulations import make_formulation, manufactured_case
 from dpgfem.meshes import build_structured, refine_uniform
+from dpgfem.spaces import conforming_map
 from dpgfem.system import Discretization
 from oracles import power_opnorm
 
@@ -200,3 +201,27 @@ def test_slots_of_one_interface_space_share_it(mode, five_tet, eight_tri):
     dcr = Discretization(make_formulation("ultraweak_dcr", 1), eight_tri)
     assert dcr._interfaces["uhat"] is not dcr._interfaces["sighat"]
     assert dcr.dofmap("uhat") is not dcr.dofmap("sighat")
+
+
+@pytest.mark.parametrize("fid", ["maxwell_ultraweak", "ultraweak_dcr"])
+def test_only_slot_spaces_are_numbered(monkeypatch, five_tet, eight_tri, fid):
+    """Building an interface space's norms numbers the slot's space over
+    the mesh (``conforming_map``) once, and its parent never: the parent
+    stays at the reference level."""
+    numbered = []
+
+    def recorded(mesh, basis, skeleton=False):
+        numbered.append((basis.family, basis.degree))
+        return conforming_map(mesh, basis, skeleton)
+
+    monkeypatch.setattr(spaces, "conforming_map", recorded)
+    maxwell = fid.startswith("maxwell")
+    disc = Discretization(make_formulation(fid, 1),
+                          five_tet if maxwell else eight_tri)
+    case = manufactured_case("maxwell_sine_3d" if maxwell else "dcr_sine_2d")
+    for s in disc.form.interface_slots:
+        disc.interface_quotient_gram(s.name)
+        disc.project_exact(s, case)
+    disc.trial_gram()
+    slots = {(s.family, s.degree) for s in disc.form.interface_slots}
+    assert sorted(numbered) == sorted(slots)

@@ -31,7 +31,7 @@ from dpgfem.formulations import DCR_IDS, MAXWELL_IDS, ManufacturedCase, \
     exact_interface, make_formulation
 from dpgfem.meshes import SimplicialMesh, build_structured
 from dpgfem.reference import _integrate
-from dpgfem.spaces import natural_gram, skeleton_schur
+from dpgfem.spaces import conforming_map, natural_gram, skeleton_schur
 from dpgfem.system import Discretization
 from oracles import cell_columns, facet_weights, pushed_derivs, pushed_values
 
@@ -264,7 +264,10 @@ class _PushedNorm:
         self.kind = _trace_kind(slot)
         self.imap = space.dofmap
         self.itab = space.tables
-        self.ptab, self.pskel = space.parent.tables, space.parent.dofmap
+        # the space keeps its parent at the reference level; the oracle
+        # numbers the parent's skeleton over the mesh
+        self.ptab = space.parent.tables
+        self.pskel = conforming_map(disc.mesh, self.ptab.basis, skeleton=True)
 
     def parent(self, ci, lf):
         return _pushed_traces(self.disc, self.ptab, self.pskel, self.kind,
@@ -394,8 +397,10 @@ def test_interface_norms_match_quadrature(fid, dim, mode, p, kind):
                                         disc.dofmap(s.name)))
     for s in form.interface_slots:
         oracle, space = _PushedNorm(disc, s), disc._interfaces[s.name]
-        _close(skeleton_schur(space.parent.tables, space.parent.dofmap),
-               oracle.schur())
+        S = skeleton_schur(space.parent.tables, space.parent.use)
+        f = oracle.pskel.cell_factors
+        cls = mesh.geometry.shape_classes[1]
+        _close(S[cls] * f[:, :, None] * f[:, None, :], oracle.schur())
         _close(space.mass, oracle.mass())
         _close(disc.interface_quotient_gram(s.name), oracle.quotient_gram())
         _close(disc.project_exact(s, case), oracle.project(case))

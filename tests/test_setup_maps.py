@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from dpgfem.formulations import Slot
 from dpgfem.meshes import build_structured, refine_marked, refine_uniform
 from dpgfem.reference import conforming_basis
 from dpgfem.simplex import facet_measure, local_edges, local_facets
 from dpgfem.spaces import (
     ElementTables,
-    TraceField,
+    InterfaceSpace,
     conforming_map,
     facet_owners,
     natural_gram,
@@ -127,7 +128,8 @@ def test_signs_owners_and_facet_maps_match_reference(mesh_name):
     # the flux: normal traces of the H(div) skeleton of degree k, one
     # block of nb dofs per facet, scaled by the facet area
     for k in (1, 2, 3):
-        flux = TraceField(mesh, "hdiv", k, "normal", 2 * k + 2)
+        flux = InterfaceSpace(mesh, Slot("sighat", "hdiv", k, "skeleton"),
+                              k, 2 * k + 2, None)
         fmap, basis = flux.dofmap, flux.tables.basis
         use = list(fmap.local_functions)
         nb = len(use) // (mesh.dim + 1)

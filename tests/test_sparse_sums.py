@@ -59,7 +59,6 @@ def test_sparse_sums_match_the_64bit_coo_sum(monkeypatch, setup, caller):
         return out
 
     monkeypatch.setattr(spaces, "_block_matrix", record)
-    monkeypatch.setattr(system, "_block_matrix", record)
     M = CALLERS[caller](disc)
     assert len(calls) == 1 and calls[0][2] is M
     parts, shape, _ = calls[0]

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
+from dpgfem import system
 from dpgfem.adaptivity import adaptive_solve
 from dpgfem.formulations import ManufacturedCase, make_formulation, \
     manufactured_case
@@ -453,3 +454,21 @@ def test_solve_matches_default_sparse_lu(fid, case_name, mesh_name, request):
     ref = splu(Aff).solve(f[free])
     assert np.linalg.norm(x[free] - ref) <= 1e-10 * np.linalg.norm(ref)
     assert not x[disc.constrained_dofs()].any()
+
+
+def test_smallest_ritz_is_nan_only_when_arpack_fails(monkeypatch):
+    """Above 3 000 dofs the smallest Ritz value comes from eigsh: an ARPACK
+    failure gives NaN, any other error propagates."""
+    A = sparse.identity(3001, format="csc")
+
+    def no_convergence(*args, **kwargs):
+        raise sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    def broken(*args, **kwargs):
+        raise TypeError("bad argument")
+
+    monkeypatch.setattr(sparse.linalg, "eigsh", no_convergence)
+    assert np.isnan(system._smallest_ritz(A))
+    monkeypatch.setattr(sparse.linalg, "eigsh", broken)
+    with pytest.raises(TypeError, match="bad argument"):
+        system._smallest_ritz(A)
