@@ -4,6 +4,13 @@ Rules are conical products of Gauss-Legendre and Gauss-Jacobi lines mapped
 through the collapsed-coordinate (Duffy) transform.  All weights are
 strictly positive and the rules are exact for polynomials up to the
 requested total degree.
+
+The lines come from a table, ``_gauss_lines.LINES``: the nodes and
+weights on [-1, 1] that ``scipy.special`` 1.17.1 writes, stored as
+``float.hex`` text and parsed once at import.  A table, not a rule
+computed here, keeps every rule bit-identical to the one that scipy's
+lines give, and with it every pinned basis and report; and no dpgfem
+process pays for importing ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+
+from ._gauss_lines import LINES
+from .meshes import _integer
 
 MAX_ORDER = {1: 60, 2: 40, 3: 30}
 
@@ -28,26 +37,39 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+# (alpha, n) -> the nodes and weights of the n-point Gauss line for the
+# weight (1 - x)**alpha on [-1, 1]
+_LINES = {key: tuple(np.array([float.fromhex(h) for h in text.split()])
+                     for text in pair)
+          for key, pair in LINES.items()}
+
+
 def _gauss01(n):
-    x, w = roots_legendre(n)
+    x, w = _LINES[0, n]
     return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _jacobi01(n, alpha):
     # nodes/weights for integral over (0,1) with weight (1-x)**alpha
-    x, w = roots_jacobi(n, alpha, 0.0)
+    x, w = _LINES[alpha, n]
     return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
 
 
-@lru_cache(maxsize=None)
 def simplex_rule(dim, order):
     """Return a positive-weight rule exact to the given total degree."""
-    if dim not in (1, 2, 3):
-        raise ValueError("dim must be 1, 2 or 3")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    if _integer("dim", dim) not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    if _integer("order", order) < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     if order > MAX_ORDER[dim]:
         raise ValueError(f"order {order} exceeds supported maximum {MAX_ORDER[dim]}")
+    return _simplex_rule(int(dim), int(order))
+
+
+@lru_cache(maxsize=None)
+def _simplex_rule(dim, order):
+    # checked and cached apart, so that a float or bool argument that
+    # compares equal to a cached int is rejected, not served
     n = max(1, (order + 2) // 2)
     if dim == 1:
         x, w = _gauss01(n)

@@ -459,8 +459,9 @@ _SUITES = {
 
 
 # the suites by their time in a fresh process with one BLAS thread on a
-# 2-core x86-64 machine, longest first: duality 0.34 s, infsup 0.31 s,
-# fortin 0.08 s, annihilation 0.07 s, stability 0.04 s
+# 2-core x86-64 machine, longest first (medians of seven processes each):
+# duality 0.31 s, infsup 0.30 s, fortin 0.07 s, annihilation 0.06 s,
+# stability 0.02 s
 _LONGEST_FIRST = ("duality", "infsup", "fortin", "annihilation", "stability")
 
 

@@ -1,12 +1,15 @@
 """Quadrature exactness against analytic simplex monomial integrals."""
 
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dpgfem import _gauss_lines
 from dpgfem.fortin import REFERENCE_TET, TET_EDGES, TetQuadrature
 from dpgfem.quadrature import MAX_ORDER, _gauss01, _jacobi01, simplex_rule
+from oracles import gauss_lines
 
 
 def monomial_integral(expo):
@@ -71,6 +74,41 @@ def test_rules_match_point_by_point_construction(dim):
         X, W = _loop_rule(dim, order)
         assert np.array_equal(rule.points, X), order
         assert np.array_equal(rule.weights, W), order
+
+
+def test_gauss_line_table_is_what_scipy_writes():
+    # the committed text, bit for bit: every node and weight as float.hex
+    text = Path(_gauss_lines.__file__).read_text(encoding="utf-8")
+    assert text == gauss_lines()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gauss_line_table_covers_max_order(dim):
+    # simplex_rule takes (order + 2) // 2 points per line; the point by
+    # point construction reads all three lines in every dimension
+    for n in range(1, (MAX_ORDER[dim] + 2) // 2 + 1):
+        for alpha in (0, 1, 2):
+            nodes, weights = (text.split()
+                              for text in _gauss_lines.LINES[alpha, n])
+            assert len(nodes) == len(weights) == n, (alpha, n)
+
+
+@pytest.mark.parametrize("dim,order,name", [
+    (2, 2.5, "order"), (2, 3.0, "order"), (2, True, "order"),
+    (2, "3", "order"), (2, None, "order"), (2.0, 3, "dim"),
+    (True, 3, "dim"), ("2", 3, "dim")])
+def test_non_integer_input_rejected(dim, order, name):
+    # also when an equal int rule is cached
+    simplex_rule(2, 3)
+    simplex_rule(1, 3)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        simplex_rule(dim, order)
+
+
+def test_numpy_integer_input_gives_the_int_rule():
+    rule = simplex_rule(np.int64(2), np.int64(3))
+    assert type(rule.dim) is int and type(rule.order) is int
+    assert rule is simplex_rule(2, 3)
 
 
 def test_x_squared_on_triangle():
