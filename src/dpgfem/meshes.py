@@ -216,10 +216,18 @@ class MeshGeometry:
         return np.linalg.inv(self.J)
 
     @cached_property
+    def metric(self):
+        """J^T J and sign det J of every cell.  Every family is Piola-mapped
+        (``reference.value_factor``), so the products of two pushed tables
+        read J only through these: a cell and its rotation, J and QJ with
+        Q orthogonal and det Q = 1, have the same cell Grams."""
+        return np.swapaxes(self.J, 1, 2) @ self.J, np.sign(self.det)
+
+    @cached_property
     def shape_classes(self):
-        """Classes of cells with the same Jacobian and |det|, on which
-        every cell Gram of a basis is the same (``cell_classes``)."""
-        return cell_classes(self.J, self.absdet)
+        """Classes of cells with the same metric, on which every cell Gram
+        of a basis is the same up to rounding (``cell_classes``)."""
+        return cell_classes(*self.metric)
 
     def map_points(self, ci, ref_points):
         return self.origin[ci][..., None, :] + ref_points @ np.swapaxes(
@@ -232,12 +240,20 @@ class MeshGeometry:
         return sign[..., None] * self.mesh.facet_normals[fid]
 
 
+def class_keys(*values):
+    """The (ncells, k) rows of ``values`` (real arrays with the cells on
+    their first axis), one per cell, with 0.0 added so that -0.0 and
+    +0.0 are the same bytes."""
+    return np.ascontiguousarray(np.concatenate(
+        [np.reshape(v, (len(v), -1)) for v in values], axis=1,
+        dtype=float)) + 0.0
+
+
 def cell_classes(*values):
-    """Classes of cells whose ``values`` (real arrays with the cells on
-    their first axis) are the same bit for bit: the first cell of each
-    class, in ascending order, and the class index of every cell."""
-    key = np.ascontiguousarray(np.concatenate(
-        [np.reshape(v, (len(v), -1)) for v in values], axis=1, dtype=float))
+    """Classes of cells whose ``values`` are the same bit for bit, up to
+    the sign of zero (``class_keys``): the first cell of each class, in
+    ascending order, and the class index of every cell."""
+    key = class_keys(*values)
     first, _, cls = _first_seen(
         key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0])
     return first, cls

@@ -21,12 +21,12 @@ The slot Grams and the facet trace masses integrate two bases on
 affine cells, so each is one contraction of per-cell factors with a
 reference tensor (``reference._contract``), the same as the element
 kernels; only data that vary over a facet are summed point by point.
-A cell Gram depends only on the cell's Jacobian, so the natural Grams,
-the parent Schur complements and the quotient Grams are kept as one
-block per class of cells with bit-identical Jacobians (the mesh
-geometry's ``shape_classes``), in local coefficients; ``class_matrix``
-gathers such a stack to the cells, scales it by their dof factors and
-sums it.
+A cell Gram depends on the cell's Jacobian only through its metric, so
+the natural Grams, the parent Schur complements and the quotient Grams
+are kept as one block per class of cells with the same metric (the
+mesh geometry's ``shape_classes``), in local coefficients;
+``class_matrix`` gathers such a stack to the cells, scales it by their
+dof factors and sums it.
 """
 
 from __future__ import annotations

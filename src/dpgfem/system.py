@@ -19,20 +19,26 @@ eta_K is the norm of L^{-1} l - W x_K = L^H eps_K.  Assembly, the
 estimator, the operator norm and the dense diagnostics read the
 stacks; only the load is evaluated per case.
 
-On an affine cell G and B depend only on the Jacobian and |det|, of
-which the facet areas and outward normals are functions, and on the
-coefficients given per cell.  Meshes repeat a few cell shapes, so the
-stacks are computed once per class of cells on which those are the same
-bit for bit, and each cell keeps only its class index.  B is kept in
-local coefficients; the per-cell orientation factors D of the global
-columns scale it after the gather, B_K = B_class D_K, and are never
-folded into a class.  The trial-norm Grams, the interface quotient
-norms among them, take the same layout, and ``spaces.class_matrix``
+Every family reaches an affine cell through a Piola map, so G and B
+read the Jacobian J only through the metric J^T J and the sign of det J
+(``MeshGeometry.metric``), beta only through J^{-1} beta, and the
+coefficients given per cell.  These make a cell's class key; a mesh
+repeats a few keys, and so do the meshes of a ladder or an adaptive
+run.  The stacks are kept once per class, evaluated on its first cell,
+each cell keeps only its class index, and a process-level table keyed
+by the formulation's content and the class key hands every class to
+each later Discretization that meets it.  The cells of a class agree to
+rounding, not bit for bit.  B is kept in local coefficients; the
+per-cell orientation factors D of the global columns scale it after
+the gather, B_K = B_class D_K, and are never folded into a class.  The
+trial-norm Grams, the interface quotient norms among them, take the
+same layout on the mesh's metric classes, and ``spaces.class_matrix``
 sums every class stack into a sparse matrix.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import cached_property
 
 import numpy as np
@@ -45,7 +51,7 @@ from scipy.linalg import (
 from scipy.sparse.linalg import splu
 
 from . import formulations as fm
-from .meshes import _integer, cell_classes
+from .meshes import _integer, cell_classes, class_keys
 from .reference import conforming_basis, modal_basis, trace_factor
 from .spaces import (
     ElementTables,
@@ -221,16 +227,35 @@ class Discretization:
         itemsize = np.dtype(self.form.dtype).itemsize
         return cell_groups(n, itemsize * nt * (2 * nt + m))
 
+    @cached_property
+    def _class_key(self):
+        """The formulation's content, which names the layout of the class
+        keys, and the cells' class keys (``meshes.class_keys``): the
+        metric J^T J and sign det J, then J^{-1} beta when the form has a
+        beta, then the scalar coefficients given per cell.
+
+        The kernels read beta only dotted with, or multiplied by, pushed
+        tables, so through J^{-1} beta and the metric; the loads, which
+        read the cells' points, stay per cell."""
+        form, geo = self.form, self.mesh.geometry
+        content, values = [], list(geo.metric)
+        for key in sorted(form.params):
+            val = np.asarray(form.params[key], dtype=float)
+            per_cell = val.ndim - (key == "beta") == 1
+            content.append((key, None if per_cell else (val + 0.0).tobytes()))
+            if key == "beta":
+                beta = np.broadcast_to(val, geo.J.shape[:2])
+                values.append((geo.Jinv @ beta[..., None])[..., 0])
+            elif per_cell:
+                values.append(val)
+        return ((form.id, form.dim, form.p, form.delta, form.mode,
+                 tuple(content)), class_keys(*values))
+
     def _cell_classes(self):
         """(first cell, class index of every cell) of the classes of cells
-        with the same Jacobian, |det| and coefficients given per cell, on
-        which the element kernels read the same values."""
-        geo = self.mesh.geometry
-        coefs = [val for key, val in self.form.params.items()
-                 if np.ndim(val) - (key == "beta") == 1]
-        if coefs:
-            return cell_classes(geo.J, geo.absdet, *coefs)
-        return geo.shape_classes
+        with the same class key, on which the element kernels read the
+        same values up to rounding."""
+        return cell_classes(self._class_key[1])
 
     def _evaluate(self, group):
         """(G, B) stacks of a cell group, B in local coefficients."""
@@ -577,30 +602,73 @@ def condense(G, B, l=None):
     return A, _matvec(_adjoint(W), _matvec(Linv, l))
 
 
+# The process's table of class stacks holds at most this many bytes of
+# them; the entries used longest ago leave first.
+_STACK_TABLE_BYTES = 2 ** 26
+
+
+class _StackTable:
+    """The (Linv, W) stacks of one class, by formulation content and class
+    key (``Discretization._class_key``), of every class that a
+    Discretization of this process evaluated: the meshes of a ladder or
+    an adaptive run repeat most of their classes.  Entries are copies,
+    and every Discretization copies its rows out, so neither a caller
+    nor an eviction changes the other's."""
+
+    def __init__(self):
+        self._rows = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key):
+        row = self._rows.get(key)
+        if row is not None:
+            self._rows.move_to_end(key)
+        return row
+
+    def put(self, key, Linv, W):
+        row = self._rows[key] = (Linv.copy(), W.copy())
+        self.nbytes += Linv.nbytes + W.nbytes
+        while self.nbytes > _STACK_TABLE_BYTES:
+            _, old = self._rows.popitem(last=False)
+            self.nbytes -= old[0].nbytes + old[1].nbytes
+        return row
+
+    def clear(self):
+        self._rows.clear()
+        self.nbytes = 0
+
+
+_STACKS = _StackTable()
+
+
 class _ElementStacks:
-    """Case-independent element data of a Discretization, computed once
-    per class of cells (``Discretization._cell_classes``): per class the
+    """Case-independent element data of a Discretization, one entry per
+    class of cells (``Discretization._cell_classes``): per class the
     inverse Cholesky factors Linv = L^{-1} of the test Grams G = L L^H
     and the whitened blocks W = L^{-1} B in local coefficients; per cell
     its class index cls, global columns cols and their orientation
     factors facs.  A cell's whitened block in global coefficients is
-    W[cls] times its factors."""
+    W[cls] times its factors.  The classes that the process's table
+    lacks are evaluated on their first cells and added to it."""
 
     def __init__(self, disc):
         self.cols, self.facs = disc._columns
         self.reps, self.cls = disc._cell_classes()
         # cell groups for gathering class stacks to the cells
         self.parts = disc._groups(disc.mesh.ncells)
-        self.Linv = self.W = None
-        for part in disc._groups(len(self.reps)):
-            G, B = disc._evaluate(_CellGroup(disc, self.reps[part]))
+        content, key = disc._class_key
+        keys = [(content, k.tobytes()) for k in key[self.reps]]
+        rows = [_STACKS.get(k) for k in keys]
+        missing = np.array([i for i, row in enumerate(rows) if row is None],
+                           dtype=int)
+        for part in disc._groups(len(missing)):
+            classes = missing[part]
+            G, B = disc._evaluate(_CellGroup(disc, self.reps[classes]))
             Linv = _inverse_cholesky(G)
-            if self.Linv is None:
-                n = (len(self.reps), len(G[0]))
-                self.Linv = np.empty(n + Linv.shape[2:], dtype=G.dtype)
-                self.W = np.empty(n + B.shape[2:], dtype=B.dtype)
-            self.Linv[part] = Linv
-            self.W[part] = Linv @ B
+            for i, L, W in zip(classes, Linv, Linv @ B):
+                rows[i] = _STACKS.put(keys[i], L, W)
+        self.Linv = np.stack([row[0] for row in rows])
+        self.W = np.stack([row[1] for row in rows])
 
     def _gather_apply(self, v, adjoint=False):
         """Per-cell products W_K v_K, or W_K^H v_K when adjoint, with

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dpgfem import system
 from dpgfem.formulations import ManufacturedCase
 from dpgfem.meshes import build_structured
 
@@ -20,6 +21,16 @@ def pytest_terminal_summary(terminalreporter, config):
     # -q hides the header, and the recorded tier-1 output is run with -q
     if config.option.verbose < 0:
         terminalreporter.write_line(pytest_report_header(config))
+
+
+@pytest.fixture(autouse=True)
+def empty_stack_table():
+    """Every test starts from an empty table of class stacks, so a test
+    that patches or counts the kernels sees them run whatever ran
+    before it."""
+    system._STACKS.clear()
+    yield
+    system._STACKS.clear()
 
 
 @pytest.fixture

@@ -8,15 +8,23 @@ uniform square whose per-cell diffusion differs between congruent
 cells, on a seeded jittered mesh where no two cells are alike, and on a
 locally refined L-shape, the results match references built one cell at
 a time.  Classes are shared where the cells repeat and split where
-they do not.
+they do not.  A class is keyed by the metric J^T J and sign det J, so
+an L-shape turned by a non-right angle, or mirrored, gives the systems
+of the L-shape, and a convection that is not turned with a mesh splits
+the classes it would otherwise share.
 """
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 from dpgfem import meshes
-from dpgfem.formulations import make_formulation, manufactured_case
+from dpgfem.formulations import (
+    ManufacturedCase,
+    make_formulation,
+    manufactured_case,
+)
 from dpgfem.meshes import (
     SimplicialMesh,
     build_structured,
@@ -74,8 +82,13 @@ def test_assemble_and_estimate_match_cell_by_cell(mesh_name, fid):
     # congruent neighbours get different diffusion coefficients
     a = 1.0 + 0.25 * (np.arange(mesh.ncells) % 4)
     form = make_formulation(fid, 1, params=dict(DCR, a=a))
-    case = manufactured_case("dcr_sine_2d")
-    disc = Discretization(form, mesh)
+    _check_cell_by_cell(Discretization(form, mesh),
+                        manufactured_case("dcr_sine_2d"))
+
+
+def _check_cell_by_cell(disc, case):
+    """assemble and estimate against sums of one-cell element systems."""
+    mesh = disc.mesh
     x = _probe(disc)
     A_ref = np.zeros((disc.ndof, disc.ndof))
     f_ref = np.zeros(disc.ndof)
@@ -99,6 +112,110 @@ def test_assemble_and_estimate_match_cell_by_cell(mesh_name, fid):
     assert np.max(np.abs(f - f_ref)) < 1e-11 * np.max(f_abs)
     est = disc.estimate(x, case)
     np.testing.assert_allclose(est.eta_cells, np.sqrt(eta2), rtol=1e-12)
+
+
+def _turned(mesh, R):
+    """The mesh with every vertex mapped by the orthogonal matrix R."""
+    return SimplicialMesh(2, mesh.vertices @ R.T, mesh.cells)
+
+
+def _turned_case(case, R):
+    """A load-only case whose fields at R x are the case's at x."""
+    fields = {name: (lambda x, f=f: f(x @ R)) for name, f in
+              case.fields.items()}
+    return ManufacturedCase(case.name, 2, {}, fields, has_exact=False)
+
+
+def _dof_signs(A, B):
+    """Signs d with B = diag(d) A diag(d) when one exists: d_i d_j is the
+    sign of B_ij / A_ij, read along a breadth-first tree of A's entries
+    above rounding, from d_0 = 1."""
+    S = A.multiply(abs(A) > 1e-8 * abs(A).max()).tocsr()
+    order, pred = breadth_first_order(S, 0, return_predecessors=True)
+    assert len(order) == A.shape[0]
+    d = np.ones(A.shape[0])
+    for j in order[1:]:
+        i = pred[j]
+        d[j] = d[i] * np.sign(A[i, j] * B[i, j])
+    return d
+
+
+_ANGLE = 0.3
+_TURN = np.array([[np.cos(_ANGLE), -np.sin(_ANGLE)],
+                  [np.sin(_ANGLE), np.cos(_ANGLE)]])
+# the turned L-shape mirrored in the y axis
+_MIRROR = np.diag([-1.0, 1.0]) @ _TURN
+
+
+@pytest.mark.parametrize("fid,params", [
+    ("primal_poisson", {}),
+    ("ultraweak_dcr", {"gamma": 0.5}),
+    ("ultraweak_dcr", DCR),
+], ids=["primal_poisson", "ultraweak_dcr", "ultraweak_dcr_beta"])
+@pytest.mark.parametrize("R", [_TURN, _MIRROR], ids=["turned", "mirrored"])
+def test_turned_and_mirrored_meshes_give_the_same_systems(fid, params, R):
+    """Every family is Piola-mapped, so an L-shape turned by a non-right
+    angle, or mirrored, with its convection and load turned alike,
+    gives the system of the L-shape: the same, or on a mirror image the
+    same up to the signs of some dofs, in assemble, estimate and every
+    condensed element system.  The stacks come from the process's table
+    once the first mesh has filled it."""
+    base = _lshape()
+    case = manufactured_case("poisson_sine_2d")
+    discs, loads = [], []
+    for mesh, Q in ((base, np.eye(2)), (_turned(base, R), R)):
+        pr = dict(params)
+        if "beta" in pr:
+            pr["beta"] = Q @ pr["beta"]
+        discs.append(Discretization(
+            make_formulation(fid, 2, params=pr), mesh))
+        loads.append(_turned_case(case, Q))
+    (A0, f0), (A1, f1) = (d.assemble(c) for d, c in zip(discs, loads))
+    d = _dof_signs(A0, A1)
+    assert np.all(d == 1) or np.linalg.det(R) < 0
+    D = sparse.diags(d)
+    assert _rel((D @ A1 @ D).toarray(), A0.toarray()) < 1e-12
+    assert _rel(d * f1, f0) < 1e-12
+    x = _probe(discs[0])
+    e0, e1 = (disc.estimate(y, c)
+              for disc, y, c in zip(discs, (x, d * x), loads))
+    np.testing.assert_allclose(e1.eta_cells, e0.eta_cells, rtol=1e-12)
+    for ci in range(base.ncells):
+        idx = cell_columns(discs[0], ci)[0]
+        (K0, g0), (K1, g1) = (condense(*disc.element_system(ci, c))
+                              for disc, c in zip(discs, loads))
+        dk = d[idx]
+        assert _rel(K1 * dk[:, None] * dk[None, :], K0) < 1e-12
+        assert _rel(g1 * dk, g0) < 1e-12
+
+
+_QUARTER = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("per_cell", [False, True],
+                         ids=["constant", "per_cell"])
+def test_convection_splits_turned_cells(per_cell):
+    """A square turned by a quarter turn has the metric of the square bit
+    for bit, but a convection that is not turned with it meets its cells
+    at other angles: J^{-1} beta enters the class key.  Assembled after
+    the square, whose stacks fill the process's table, the turned square
+    still matches its cells one by one."""
+    square = _square()
+    turned = _turned(square, _QUARTER)
+    for a, b in zip(turned.geometry.metric, square.geometry.metric):
+        assert np.array_equal(a, b)
+    beta = DCR["beta"]
+    if per_cell:
+        beta = beta * (1.0 + 0.5 * (np.arange(square.ncells) % 3))[:, None]
+    form = make_formulation("ultraweak_dcr", 1, params=dict(DCR, beta=beta))
+    Discretization(form, square).element_stacks
+    _check_cell_by_cell(Discretization(form, turned),
+                        manufactured_case("dcr_sine_2d"))
+
+
+def test_signed_zeros_share_a_class():
+    reps, cls = cell_classes(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0]]))
+    assert list(reps) == [0, 2] and list(cls) == [0, 0, 1]
 
 
 def _cell_gram(tables, ci, include_deriv=True):
@@ -169,12 +286,15 @@ def test_uniform_square_shares_a_few_classes():
     while mesh.ncells < 2048:
         mesh = refine_uniform(mesh)
     geo = mesh.geometry
-    reps, cls = cell_classes(geo.J, geo.absdet)
-    assert mesh.ncells == 2048 and len(reps) <= 12
+    reps, cls = geo.shape_classes
+    assert mesh.ncells == 2048 and len(reps) == 6
     # each class is named by its first cell, and its cells share the
-    # Jacobian of that cell
+    # metric of that cell
     assert np.all(np.diff(reps) > 0) and np.all(reps[cls] <= np.arange(2048))
-    assert np.array_equal(geo.J[reps[cls]], geo.J)
+    for value in geo.metric:
+        assert np.array_equal(value[reps[cls]], value)
+    # a class holds the cells turned by a half turn, of other Jacobians
+    assert len(cell_classes(geo.J, geo.absdet)[0]) == 12
     disc = Discretization(make_formulation("ultraweak_dcr", 1), mesh)
     assert len(disc.element_stacks.reps) == len(reps)
 

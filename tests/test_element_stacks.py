@@ -16,8 +16,14 @@ import pytest
 from scipy import sparse
 
 from dpgfem import formulations as fm
+from dpgfem import system
 from dpgfem.formulations import make_formulation, manufactured_case
-from dpgfem.meshes import build_structured, refine_marked, refine_uniform
+from dpgfem.meshes import (
+    SimplicialMesh,
+    build_structured,
+    refine_marked,
+    refine_uniform,
+)
 from dpgfem.system import Discretization, condense
 from oracles import cell_columns
 
@@ -161,3 +167,93 @@ def test_adjoint_apply_gathers_before_conjugating():
     Wh = np.swapaxes(st.W[st.cls].conj(), 1, 2)
     want = (Wh @ z[:, :, None])[:, :, 0] * st.facs
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# -- the process's table of class stacks ---------------------------------
+
+
+def _counted_evaluations(monkeypatch):
+    """The number of classes that ``_evaluate`` is asked for, as a list
+    that grows."""
+    evaluated = []
+    evaluate = Discretization._evaluate
+
+    def counted(disc, group):
+        evaluated.append(group.ncells)
+        return evaluate(disc, group)
+
+    monkeypatch.setattr(Discretization, "_evaluate", counted)
+    return evaluated
+
+
+def test_an_equal_setup_evaluates_no_class(monkeypatch):
+    """An equal formulation, made anew, on an equal mesh, built anew,
+    takes every class from the table: the same stacks bit for bit, and
+    its own copy of them."""
+    evaluated = _counted_evaluations(monkeypatch)
+    stacks = []
+    for _ in range(2):
+        form, mesh, _ = _setup("ultraweak_dcr")
+        stacks.append(Discretization(form, mesh).element_stacks)
+    first, again = stacks
+    assert sum(evaluated) == len(first.reps) > 1
+    for name in ("reps", "cls", "Linv", "W"):
+        assert np.array_equal(getattr(again, name), getattr(first, name))
+    assert not np.shares_memory(again.W, first.W)
+
+
+def test_another_constant_coefficient_evaluates_every_class(monkeypatch):
+    evaluated = _counted_evaluations(monkeypatch)
+    mesh = build_structured("l-shape", 2)
+    counts = []
+    for gamma in (0.5, 0.75):
+        form = make_formulation("ultraweak_dcr", 1,
+                                params=dict(DCR, gamma=gamma))
+        before = sum(evaluated)
+        st = Discretization(form, mesh).element_stacks
+        counts.append((sum(evaluated) - before, len(st.reps)))
+    assert counts[0] == counts[1] and counts[0][0] == counts[0][1]
+
+
+def test_eviction_keeps_the_table_under_its_bound(monkeypatch):
+    """With room for three classes the table drops the oldest, and the
+    Discretizations that read them keep their own stacks."""
+    mesh = refine_uniform(build_structured("l-shape", 2))
+    form = make_formulation("primal_poisson", 2)
+    ref = Discretization(form, mesh)
+    A_ref = ref.assemble()[0]
+    st = ref.element_stacks
+    bound = 3 * (st.Linv[0].nbytes + st.W[0].nbytes)
+    assert len(st.reps) > 3
+    system._STACKS.clear()
+    monkeypatch.setattr(system, "_STACK_TABLE_BYTES", bound)
+    disc = Discretization(form, mesh)
+    assert (disc.assemble()[0] != A_ref).nnz == 0
+    assert 0 < system._STACKS.nbytes <= bound
+    # a second mesh evicts the rows of the first, which keeps its own
+    Discretization(form, build_structured("l-shape", 2)).element_stacks
+    assert system._STACKS.nbytes <= bound
+    assert (disc.assemble()[0] != A_ref).nnz == 0
+
+
+def test_mesh_order_moves_a_at_rounding_level(monkeypatch):
+    """An L-shape and its copy turned by a quarter turn have the same
+    metric classes but other Jacobians, so the stacks of whichever is
+    built first serve both: either order gives A to 1e-13."""
+    base = build_structured("l-shape", 2)
+    base = refine_marked(base, {0, 5, base.ncells - 1})
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    turned = SimplicialMesh(2, base.vertices @ quarter.T, base.cells)
+    form = make_formulation("ultraweak_dcr", 2)
+    evaluated = _counted_evaluations(monkeypatch)
+    built = {}
+    for order in ((base, turned), (turned, base)):
+        system._STACKS.clear()
+        for mesh in order:
+            before = sum(evaluated)
+            built.setdefault(id(mesh), []).append(
+                Discretization(form, mesh).assemble()[0].toarray())
+        # the second mesh evaluated no class
+        assert sum(evaluated) == before
+    for first, second in built.values():
+        assert _rel(second, first) <= 1e-13

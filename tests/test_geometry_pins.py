@@ -92,7 +92,7 @@ MAP_SPACES = [("h1", 2), ("h1", 3), ("hdiv", 1), ("hdiv", 2)]
 CLASS_PINS = {
     "jittered": ("cf81a4900a4d0bcd", "cf81a4900a4d0bcd",
                  "cf81a4900a4d0bcd"),
-    "lshape": ("62411d4cd487e776", "5349a1c34d161776",
+    "lshape": ("de5ea79d96d24cd1", "5349a1c34d161776",
                "62411d4cd487e776"),
     "square": ("ae588b1034ff9886", "21d7d4c126e4fa1d",
                "ae588b1034ff9886"),
