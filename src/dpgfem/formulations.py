@@ -31,7 +31,11 @@ Conventions used throughout:
   H(div), H(curl) or vector H1) and enters through its trace with the
   outward normal: the value of W, its normal component W.n, or its
   tangential part, paired as <W, n x S> = int W . conj(n x S) over
-  each element boundary.
+  each element boundary;
+* every slot has a phase, 1 or i (``_slot_phases``), which the kernels
+  fold into the physical coefficients of the term tables: they return
+  the real D_y^H G D_y and D_y^H B D_x, D the diagonal phase matrices
+  of the test and trial slots, and the load D_y^H l.
 
 The diffusion-convection-reaction operator is
 A(sigma, u) = (alpha sigma - grad u - beta u, div sigma - gamma u)
@@ -102,6 +106,7 @@ class Formulation:
     gram: tuple = ()
     pairings: tuple = ()
     loads: tuple = ()
+    phases: dict = None  # slot name -> 1.0 or 1j (``_slot_phases``)
 
     @property
     def is_complex(self):
@@ -109,6 +114,7 @@ class Formulation:
 
     @property
     def dtype(self):
+        """The dtype of the loads and solutions; matrices are real."""
         return complex if self.is_complex else float
 
     def slot(self, name):
@@ -253,6 +259,10 @@ def make_formulation(id, p, delta=3, dim=None, params=None, mode="guaranteed"):
     trial, interface, test, pieces = _CATALOG[id]
     volume, pairings, loads = (sum((piece[k] for piece in pieces), ())
                                for k in range(3))
+    phases = _slot_phases(
+        id, [s[0] for s in trial + interface + test],
+        [(c, _operand(x)[0], _operand(y)[0]) for c, x, y in volume]
+        + [(c, slot, _trace(trace)[0]) for c, slot, trace, _ in pairings])
     q = p + delta
     trial = tuple(_slot(s, p, dim, mode) for s in trial)
     interface = tuple(_slot(s, p, dim, mode) for s in interface)
@@ -276,7 +286,30 @@ def make_formulation(id, p, delta=3, dim=None, params=None, mode="guaranteed"):
     graph = all(x[1] == "val" for _, x, _, _ in volume)
     return Formulation(id, dim, p, delta, mode, params, trial, interface,
                        test, "graph" if graph else "natural", y0, volume,
-                       _gram(test, trial, volume, graph), pairings, loads)
+                       _gram(test, trial, volume, graph), pairings, loads,
+                       phases)
+
+
+def _slot_phases(id, names, terms):
+    """The phase, 1 or i, of every slot that makes each matrix term
+    (coefficient, trial slot, test slot) real times the trial phase over
+    the test phase: a parity problem on the slot graph.  The first slot
+    of each connected part takes phase 1; the Gram terms, products of
+    volume terms, fold real too."""
+    terms = [(_coef(c)[0], x, y, c) for c, x, y in terms]
+    phase = {}
+    for start in names:
+        phase.setdefault(start, 1.0)
+        for _ in terms:  # each pass reaches at least one more slot
+            for c, x, y, _ in terms:
+                if (x in phase) != (y in phase):
+                    known, new = (x, y) if x in phase else (y, x)
+                    phase[new] = 1j if (c * phase[known]).imag else 1.0
+    for c, x, y, text in terms:
+        if (c * phase[x] * np.conj(phase[y])).imag:
+            raise ValueError(f"{id!r}: no phases 1 or i of the slots make "
+                             f"the term {text!r} on {x!r} and {y!r} real")
+    return phase
 
 
 def _check_params(params, names, dim):
@@ -419,16 +452,23 @@ def _scaled(c, tab):
     return (tab * c).sum(axis=-1, keepdims=True)
 
 
-def _volume(ctx, terms, cols, shape):
-    """The (K,) + shape stack of the terms (cx, x, cy, y), zero ones left
-    out: rows at the test offset of y's slot, columns at cols(x's slot).
-    Consecutive terms of one block are summed before they enter the
-    stack, so a block that several rows add to rounds row by row."""
-    parts = [(_coef_value(ctx, cx), x, _coef_value(ctx, cy), y)
-             for cx, x, cy, y in terms]
+def _fold(form, coef, x, y, d=1.0):
+    """A matrix coefficient times the phase of slot x and conj(d) over
+    that of test slot y, in its constant: real (``_slot_phases``)."""
+    c = coef[0] * form.phases[x] * np.conj(d * form.phases[y])
+    return (float(c.real),) + coef[1:]
+
+
+def _volume(form, ctx, terms, cols, shape):
+    """The real (K,) + shape stack of the phased terms (cx, x, cy, y),
+    zero ones left out: rows at the test offset of y's slot, columns at
+    cols(x's slot).  Consecutive terms of one block are summed before
+    they enter the stack, so a block that several rows add to rounds row
+    by row."""
+    parts = [(_coef_value(ctx, _fold(form, cx, x[0], y[0], cy[0])), x,
+              _coef_value(ctx, (1.0,) + cy[1:]), y) for cx, x, cy, y in terms]
     parts = [t for t in parts if t[0] is not None and t[2] is not None]
-    complex_ = any(np.iscomplexobj(c) for t in parts for c in t[::2])
-    out = np.zeros((ctx.ncells,) + shape, dtype=complex if complex_ else float)
+    out = np.zeros((ctx.ncells,) + shape)
     for (test, trial), block in groupby(parts, lambda t: (t[3][0], t[1][0])):
         part = _contract(((_term(ctx, cx, x), _term(ctx, cy, y))
                           for cx, x, cy, y in block), ctx.absdet)
@@ -443,36 +483,36 @@ def _term(ctx, c, operand):
 
 
 def y_gram(form, ctx):
-    """Hermitian positive definite Grams of the Y inner product, real
-    where its terms are."""
+    """Phased SPD Grams D_y^H G D_y of the Y inner product."""
     n = ctx.ntest_local
-    G = _volume(ctx, form.gram, ctx.test_offset, (n, n))
-    return 0.5 * (G + np.swapaxes(G.conj(), -1, -2))
+    G = _volume(form, ctx, form.gram, ctx.test_offset, (n, n))
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def b0_block(form, ctx):
-    """Volume part of the mixed form: rows test dofs, cols field dofs."""
+    """Phased volume part of b: rows test dofs, cols field dofs."""
     cols, at = {}, 0
     for s in form.trial_slots:
         cols[s.name] = at
         at += ctx.operand((s.name, "val"))[0].basis.nfuncs
-    return _volume(ctx, form.volume, cols.get, (ctx.ntest_local, at))
+    return _volume(form, ctx, form.volume, cols.get, (ctx.ntest_local, at))
 
 
 def bhat_block(form, ctx):
-    """Interface part of the mixed form: rows test dofs, cols interface
-    dofs (local layout per cell).  Orientation factors are applied by
-    the caller through the dof maps."""
+    """Interface part of the mixed form, phased as b0_block's: rows test
+    dofs, cols interface dofs (local layout per cell).  Orientation
+    factors are applied by the caller through the dof maps."""
     cols, at = [], 0
     for pr in form.pairings:
         # per local facet: the traces of the slot's functions with a
         # trace there, as a (reference operand, factor) term, and their
         # columns
         xs, ncols = ctx.interface(pr.slot)
-        cols.append((pr, _coef_value(ctx, pr.coef),
+        cols.append((pr, _coef_value(ctx, _fold(form, pr.coef, pr.slot,
+                                                pr.test)),
                      [(x, at + c) for x, c in xs]))
         at += ncols
-    blk = np.zeros((ctx.ncells, ctx.ntest_local, at), dtype=form.dtype)
+    blk = np.zeros((ctx.ncells, ctx.ntest_local, at))
     for lf in range(form.dim + 1):
         area, n = ctx.facet_scale(lf), ctx.normal(lf)
         for pr, c, xs in cols:
@@ -488,20 +528,19 @@ def bhat_block(form, ctx):
 
 
 def load_vector(form, ctx, case):
-    """Test-slot load functionals from a manufactured case, (K, ntest).
+    """Phased test-slot load functionals D_y^H l of a case, (K, ntest).
 
     The case data vary over the cell, so the load is a quadrature: the
     data at the points, pulled back by the test operand's factor, are
     summed against its reference table."""
-    l = np.zeros((ctx.ncells, ctx.ntest_local), dtype=form.dtype)
-    if case is None:
-        return l
-    x = ctx.points
-    K, nq, dim = x.shape
-    for ld in form.loads:
-        c = _coef_value(ctx, ld.coef)
+    l = np.zeros((ctx.ncells, ctx.ntest_local))
+    for ld in form.loads if case is not None else ():
+        c = _coef_value(ctx, (ld.coef[0] * np.conj(form.phases[ld.test[0]]),)
+                        + ld.coef[1:])
         if c is None:
             continue
+        x = ctx.points
+        K, nq, dim = x.shape
         f = np.asarray(case.fields[ld.field](x.reshape(-1, dim)))
         bad = np.count_nonzero(~np.isfinite(f.reshape(K * nq, -1)).all(1))
         if bad:
@@ -510,6 +549,7 @@ def load_vector(form, ctx, case):
                 f"{bad} of the {K * nq} quadrature points of {K} cells")
         m = _moments(c * f.reshape(K, nq, -1), ctx.operand(ld.test),
                      ctx.absdet)
+        l = l.astype(np.result_type(l, m), copy=False)
         at = ctx.test_offset(ld.test[0])
         l[:, at:at + m.shape[1]] += m
     return l

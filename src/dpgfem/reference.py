@@ -668,29 +668,28 @@ def reference_tensor(x, y):
 
 
 def _contract(pairs, scale):
-    """sum_q w_q x_j . conj(y_i) per cell as a (K, ny, nx) stack, summed
-    in order over pairs (x, y) of (reference operand, factor) terms, with
-    weights scale (K,) times the reference rule's: each pair adds C @ T,
-    C = scale F_x conj(F_y)^T and T their reference tensor."""
+    """sum_q w_q x_j . y_i per cell as a real (K, ny, nx) stack, summed
+    in order over pairs (x, y) of (reference operand, real factor)
+    terms, with weights scale (K,) times the reference rule's: each pair
+    adds C @ T, C = scale F_x F_y^T and T their reference tensor."""
     out = 0.0
     for (xr, Fx), (yr, Fy) in pairs:
         T = reference_tensor(xr, yr)
         r, s, ny, nx = T.shape
-        C = scale[:, None, None] * (Fx @ np.swapaxes(Fy.conj(), -1, -2))
-        C, T = C.reshape(-1, r * s), T.reshape(r * s, -1)
+        C = scale[:, None, None] * (Fx @ np.swapaxes(Fy, -1, -2))
         # unnamed, so that each pair's product is freed once it is added
-        out += (C @ T if np.isrealobj(C)
-                else C.real @ T + 1j * (C.imag @ T)).reshape(-1, ny, nx)
+        out += (C.reshape(-1, r * s) @ T.reshape(r * s, -1)).reshape(
+            -1, ny, nx)
     return out
 
 
 def _moments(values, term, scale):
     """sum_q w_q v_q . conj(x_i,q) per cell, (K, n), of data v (K, nq, d)
-    at the physical points of a rule and a (reference operand, factor)
-    term x, with weights scale (K,) times the rule's: the data, pulled
-    back by the factor, are summed against the reference table."""
+    at the physical points of a rule and a (reference operand, real
+    factor) term x, with weights scale (K,) times the rule's: the data,
+    pulled back by the factor, are summed against the reference table."""
     ref, F = term
     X, w = reference_table(ref)
-    g = values @ np.swapaxes(F.conj(), -1, -2)
+    g = values @ np.swapaxes(F, -1, -2)
     g = g * (scale[:, None, None] * w[:, None])
     return g.reshape(len(g), -1) @ X.reshape(len(X), -1).T

@@ -281,17 +281,40 @@ def class_matrix(M, cls, dofs, factors, n):
     return _block_matrix([(blocks, dofs, dofs)], (n, n))
 
 
+def _by_parts(f, v):
+    """f(v) of a real linear map f; a complex v by its real and imaginary
+    parts, so that f meets real values only."""
+    return f(v.real) + 1j * f(v.imag) if np.iscomplexobj(v) else f(v)
+
+
+def _matvec(M, v, transpose=False):
+    """Stacked matrix-vector products M v, or M^T v when transpose, of
+    (..., n, m) stacks M; a complex v by parts, so that a real M is never
+    cast to complex."""
+    if transpose:
+        M = np.swapaxes(M, -1, -2)
+    return _by_parts(lambda u: (M @ u[..., None])[..., 0], v)
+
+
+def class_apply(M, cls, v, groups, transpose=False):
+    """Per-cell products M[cls_K] v_K, or M[cls_K]^T v_K when transpose,
+    of a class stack M and (ncells, m) values v, the stack gathered to
+    the cells of each of the slices ``groups`` in turn."""
+    out = np.empty((len(v), M.shape[2 if transpose else 1]),
+                   dtype=np.result_type(M, v))
+    for g in groups:
+        # unnamed, so that a group's gather is freed before the next
+        out[g] = _matvec(M[cls[g]], v[g], transpose)
+    return out
+
+
 def _accumulate(idx, vals, n):
     """Length-n sums of the values at the integer positions idx (arrays of
     one shape), each position's values added in the order given, as
     ``np.add.at`` adds them; complex values are summed by parts."""
-    idx, vals = np.ravel(idx), np.ravel(vals)
-    if not np.iscomplexobj(vals):
-        return np.bincount(idx, weights=vals, minlength=n)
-    out = np.empty(n, dtype=vals.dtype)
-    out.real = np.bincount(idx, weights=vals.real, minlength=n)
-    out.imag = np.bincount(idx, weights=vals.imag, minlength=n)
-    return out
+    idx = np.ravel(idx)
+    return _by_parts(lambda v: np.bincount(idx, weights=v, minlength=n),
+                     np.ravel(vals))
 
 
 def _cell_grams(tables, cells, include_deriv=True, use=None):
@@ -534,18 +557,12 @@ def skeleton_quotient_apply(Q, cls, dofmap, v):
 
     The parent graph norm is minimized over all interior completions;
     interior dofs are cell-local, so the minimization splits per cell.
-    The real part of c^H Q c is x^T Q x + y^T Q y for c = x + iy, so the
-    real stack Q, gathered group by group, meets real vectors only.
+    The energy is the real part of c^H Q c, and the real stack Q meets
+    the real and imaginary parts of a complex v apart.
     """
     c = v[dofmap.cell_dofs] * dofmap.cell_factors
-    energy = 0.0
-    for part in (c.real, c.imag):
-        if part.any():
-            Qc = np.empty_like(part)
-            for g in cell_groups(len(part), Q[0].nbytes):
-                Qc[g] = (Q[cls[g]] @ part[g][..., None])[..., 0]
-            energy += float(np.sum(part * Qc))
-    return max(energy, 0.0)
+    Qc = class_apply(Q, cls, c, cell_groups(len(c), Q[0].nbytes))
+    return max(float(np.sum(c.conj() * Qc).real), 0.0)
 
 
 def skeleton_quotient_gram(Q, cls, dofmap):

@@ -6,9 +6,16 @@ vector l.  The trial-side normal equations
 
     A_K = B^H G^{-1} B,    f_K = B^H G^{-1} l
 
-are accumulated into a Hermitian global system.  The same element data
-drives the residual error estimator: with eps_K = G^{-1}(l - B x) the
-local indicator is eta_K^2 = eps_K^H G eps_K.
+are accumulated into a global system.  The same element data drives
+the residual error estimator: with eps_K = G^{-1}(l - B x) the local
+indicator is eta_K^2 = eps_K^H G eps_K.
+
+Every matrix is real: the form kernels fold a phase, 1 or i, per slot
+into the coefficients (``formulations._slot_phases``) and return the
+real D_y^H G D_y and D_y^H B D_x, so A is the real symmetric
+D_x^H A D_x and only loads and solutions are complex.  ``assemble``
+returns this phased system and ``solve`` the physical x = D_x y; the
+other methods take and give physical quantities.
 
 All cells share the local sizes, so the form evaluators work on stacks
 of cells, in groups whose stacks fit a fixed memory budget.  A
@@ -57,8 +64,11 @@ from .spaces import (
     ElementTables,
     InterfaceSpace,
     _accumulate,
+    _by_parts,
+    _matvec,
     broken_map,
     cell_groups,
+    class_apply,
     class_matrix,
     conforming_map,
     natural_gram,
@@ -85,9 +95,9 @@ _LU_PANEL = 16
 
 
 def _factor(A):
-    """Sparse LU of a Hermitian positive definite matrix.
+    """Sparse LU of a symmetric positive definite matrix.
 
-    Every matrix factorized here is HPD by construction, so the
+    Every matrix factorized here is SPD by construction, so the
     diagonal is a stable pivot sequence.  With a symmetric minimum-degree
     ordering of A + A^T and diagonal pivots, L and U each have the
     sparsity of the Cholesky factor under that ordering.
@@ -113,13 +123,6 @@ def _factor(A):
     return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 relax=_LU_RELAX, panel_size=_LU_PANEL,
                 options={"SymmetricMode": True})
-
-
-def _lusolve(lu, b):
-    """Solve with a real LU factorization for a possibly complex rhs."""
-    if np.iscomplexobj(b):
-        return lu.solve(np.real(b)) + 1j * lu.solve(np.imag(b))
-    return lu.solve(b)
 
 
 class SingularSystemError(RuntimeError):
@@ -158,25 +161,31 @@ class Discretization:
         self._interfaces = {}
         self.slot_offset = {}
         self.slot_size = {}
-        offset = 0
+        offset, phases = 0, []
         for s in formulation.trial_slots + formulation.interface_slots:
             dmap = self._build_slot(s)
             self._maps[s.name] = dmap
             self.slot_offset[s.name] = offset
             self.slot_size[s.name] = dmap.ndofs
             offset += dmap.ndofs
+            phases.append(np.full(dmap.ndofs, formulation.phases[s.name]))
         self.ndof = offset
+        # the diagonal of D_x: the phase of every dof
+        self.dof_phases = np.concatenate(phases)
         self.ndof_field = sum(self.slot_size[s.name]
                               for s in formulation.trial_slots)
 
         self._test_offsets = {}
-        at = 0
+        at, phases = 0, []
         for s in formulation.test_slots:
             basis = modal_basis(s.family, s.degree, mesh.dim)
             self._tables[s.name] = ElementTables(mesh, basis, self.order)
             self._test_offsets[s.name] = at
             at += basis.nfuncs
+            phases.append(np.full(basis.nfuncs, formulation.phases[s.name]))
         self.ntest_local = at
+        # the diagonal of D_y on a cell: the phase of every test function
+        self._test_phases = np.concatenate(phases)
         self._ref_tables = self._tables[formulation.test_slots[0].name]
         self._load = None
 
@@ -222,10 +231,9 @@ class Discretization:
 
     def _groups(self, n):
         """Slices of n consecutive cells or classes, each evaluated as one
-        stack, sized by the stacks G, L^{-1} and W that each holds."""
+        stack, sized by the real stacks G, L^{-1} and W that each holds."""
         nt, m = self.ntest_local, self._columns[0].shape[1]
-        itemsize = np.dtype(self.form.dtype).itemsize
-        return cell_groups(n, itemsize * nt * (2 * nt + m))
+        return cell_groups(n, 8 * nt * (2 * nt + m))
 
     @cached_property
     def _class_key(self):
@@ -266,14 +274,18 @@ class Discretization:
         return G, B
 
     def element_system(self, ci, case=None):
-        """(G, B, l) on one cell, trial columns in global coefficients."""
+        """The physical (G, B, l) on one cell, trial columns in global
+        coefficients, from the phased G', B', l' of the kernels."""
         if not 0 <= _integer("ci", ci) < self.mesh.ncells:
             raise ValueError(f"cell index ci={ci} is out of range for "
                              f"ncells={self.mesh.ncells}")
         group = _CellGroup(self, np.array([ci]))
         G, B = self._evaluate(group)
         l = fm.load_vector(self.form, group, case)
-        return G[0], B[0] * self._columns[1][ci], l[0]
+        dy, (dofs, facs) = self._test_phases, self._columns
+        dx = self.dof_phases[dofs[ci]].conj() * facs[ci]
+        return (dy[:, None] * G[0] * dy.conj(), dy[:, None] * B[0] * dx,
+                dy * l[0])
 
     @cached_property
     def element_stacks(self):
@@ -282,17 +294,15 @@ class Discretization:
 
     def _whitened_load(self, case):
         """The (ncells, ntest_local) whitened loads z = L^{-1} l of one
-        case and its assembled load f = sum of W_K^H z_K; those of the
+        case and its assembled load f = sum of W_K^T z_K; those of the
         last case object are kept, for assemble and estimate."""
         if self._load is None or self._load[0] is not case:
             if case is not None:
                 fm.check_case(self.form, case)
-            st, nc = self.element_stacks, self.mesh.ncells
-            z = np.empty((nc, self.ntest_local), dtype=self.form.dtype)
-            for part in st.parts:
-                group = _CellGroup(self, np.arange(nc)[part])
-                z[part] = _matvec(st.Linv[st.cls[part]],
-                                  fm.load_vector(self.form, group, case))
+            st, cells = self.element_stacks, np.arange(self.mesh.ncells)
+            z = np.concatenate([_matvec(st.Linv[st.cls[part]], fm.load_vector(
+                self.form, _CellGroup(self, cells[part]), case))
+                for part in st.parts])
             self._load = (case, z, self._scatter(st.adjoint_apply(z)))
         return self._load[1:]
 
@@ -305,12 +315,13 @@ class Discretization:
     def _matrix(self):
         """Sparse sum of the condensed element matrices."""
         st = self.element_stacks
-        # A = W^H W per class, gathered to the cells
-        return class_matrix(_adjoint(st.W) @ st.W, st.cls, st.cols, st.facs,
-                            self.ndof)
+        # A = W^T W per class, gathered to the cells
+        return class_matrix(np.swapaxes(st.W, 1, 2) @ st.W, st.cls, st.cols,
+                            st.facs, self.ndof)
 
     def assemble(self, case=None):
-        """Hermitian condensed system (A, f), cells in ascending order."""
+        """Phased condensed system (A, f), cells in ascending order: the
+        real symmetric D_x^H A D_x and D_x^H f."""
         # the load first: its temporaries, made after the matrix, would
         # raise the peak memory (by 20 MB of 322 on 320 Maxwell tets); a
         # copy, so that the kept load does not change with the caller's
@@ -328,7 +339,8 @@ class Discretization:
         return mask
 
     def solve(self, A, f):
-        """Direct solve of the reduced system; returns the full vector."""
+        """Direct solve of the reduced phased system A y = f of
+        ``assemble``; returns the full physical vector x = D_x y."""
         free, Aff = self._free_block(A)
         f = self._check_vector("f", f)
         ff = f[free]
@@ -339,14 +351,13 @@ class Discretization:
             raise SingularSystemError(
                 f"condensed system is singular ({exc}); "
                 f"smallest Ritz value {ritz:.3e}", ritz) from exc
-        # a complex matrix takes a complex load whole, a real one by parts
-        xf = lu.solve(ff) if np.iscomplexobj(Aff) else _lusolve(lu, ff)
-        rel = np.linalg.norm(Aff @ xf - ff) / (np.linalg.norm(ff) or 1.0)
+        yf = _by_parts(lu.solve, ff)
+        rel = np.linalg.norm(Aff @ yf - ff) / (np.linalg.norm(ff) or 1.0)
         if not rel <= 1e-10:  # a NaN residual fails too
             raise RuntimeError(
                 f"linear solve residual {rel:.3e} exceeds 1e-10")
-        x = np.zeros(self.ndof, dtype=np.result_type(Aff.dtype, f.dtype))
-        x[free] = xf
+        x = np.zeros(self.ndof, dtype=np.result_type(yf, self.dof_phases))
+        x[free] = yf * self.dof_phases[free]
         return x
 
     def _check_vector(self, name, v):
@@ -360,10 +371,13 @@ class Discretization:
 
     def _free_block(self, A):
         """The dofs that no essential condition removes and the CSC block
-        of a sparse ndof x ndof matrix A on them, or a ValueError."""
+        of a real sparse ndof x ndof matrix A on them, or a ValueError."""
         if not sparse.issparse(A):
             raise ValueError(f"A must be a scipy sparse matrix, not "
                              f"{type(A).__name__}")
+        if np.iscomplexobj(A):
+            raise ValueError(f"A has dtype {A.dtype}, but the condensed "
+                             f"system is real (see assemble)")
         if A.shape != (self.ndof, self.ndof):
             raise ValueError(f"A has shape {A.shape}, but ndof is {self.ndof}")
         free = np.flatnonzero(~self.constrained_dofs())
@@ -383,8 +397,7 @@ class Discretization:
         except RuntimeError:
             return np.inf
         op = sparse.linalg.LinearOperator(
-            Aff.shape, matvec=lu.solve,
-            rmatvec=lambda v: lu.solve(v.conj(), trans="T").conj(),
+            Aff.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, "T"),
             dtype=Aff.dtype)
         # the norm of Aff is exact and the inverse's is Hager's estimate
         # from one start vector, which draws no random numbers, so the
@@ -396,11 +409,12 @@ class Discretization:
     # -- residual estimator ----------------------------------------------
 
     def estimate(self, x, case=None):
-        """Residual error indicators and the Riesz orthogonality check."""
-        x = self._check_vector("x", x)
+        """Residual error indicators and the Riesz orthogonality check of
+        a physical solution x."""
+        y = self._check_vector("x", x) * self.dof_phases.conj()
         st = self.element_stacks
         z, fvec = self._whitened_load(case)
-        e = z - st.apply(x[self._columns[0]])
+        e = z - st.apply(y[self._columns[0]])
         eta2 = np.sum(np.abs(e) ** 2, axis=1)
         resid = self._scatter(st.adjoint_apply(e))
         free = ~self.constrained_dofs()
@@ -492,7 +506,7 @@ class Discretization:
             return np.einsum("pc,pcr->pr", v, trace_factor(space.kind, n))
 
         b = trace_rhs(space, target)
-        return _lusolve(space.mass_lu, b)
+        return _by_parts(space.mass_lu.solve, b)
 
     def interface_quotient_gram(self, slot_name):
         """Sparse minimum-energy-extension Gram of one interface slot."""
@@ -536,25 +550,22 @@ class Discretization:
         Gx = self.trial_gram()
         lu = _factor(Gx)
         A = self._matrix()
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.ndof)
-        if self.form.is_complex:
-            v = v + 1j * rng.standard_normal(self.ndof)
+        v = np.random.default_rng(seed).standard_normal(self.ndof)
         # the G_X-orthonormal Lanczos vectors, one per row
-        Q = np.zeros((min(_OPNORM_STEPS, self.ndof), self.ndof), v.dtype)
-        Q[0] = v / np.sqrt(np.real(np.vdot(v, Gx @ v)))
+        Q = np.zeros((min(_OPNORM_STEPS, self.ndof), self.ndof))
+        Q[0] = v / np.sqrt(v @ (Gx @ v))
         alpha, beta = [], []
         val = 0.0
         for k in range(len(Q)):
             # w = G_X^{-1} A q_k, G_X-orthogonalized against q_0..q_k
             # (two classical Gram-Schmidt passes); G_X w = A q_k at first
             Aq = A @ Q[k]
-            alpha.append(np.real(np.vdot(Q[k], Aq)))
-            w, Gw = _lusolve(lu, Aq), Aq
+            alpha.append(Q[k] @ Aq)
+            w, Gw = lu.solve(Aq), Aq
             for _ in range(2):
-                w -= (Q[:k + 1].conj() @ Gw) @ Q[:k + 1]
+                w -= (Q[:k + 1] @ Gw) @ Q[:k + 1]
                 Gw = Gx @ w
-            beta.append(np.sqrt(max(np.real(np.vdot(w, Gw)), 0.0)))
+            beta.append(np.sqrt(max(w @ Gw, 0.0)))
             top = eigh_tridiagonal(alpha, beta[:-1], eigvals_only=True,
                                    select="i", select_range=(k, k))[0]
             new = np.sqrt(max(top, 0.0))
@@ -572,15 +583,6 @@ class EstimateResult:
         self.orthogonality = orthogonality
 
 
-def _adjoint(M):
-    return np.swapaxes(M.conj(), -1, -2)
-
-
-def _matvec(M, v):
-    """Stacked matrix-vector products: (..., n, m) times (..., m)."""
-    return (M @ v[..., None])[..., 0]
-
-
 def _lower_inverse(L):
     """Inverse of one lower triangular matrix or a stack."""
     return inv(L, assume_a="lower triangular", check_finite=False)
@@ -596,10 +598,10 @@ def condense(G, B, l=None):
     """Element normal equations: A = B^H G^{-1} B, f = B^H G^{-1} l."""
     Linv = _inverse_cholesky(G)
     W = Linv @ B
-    A = _adjoint(W) @ W
+    Wh = np.swapaxes(W.conj(), -1, -2)
     if l is None:
-        return A
-    return A, _matvec(_adjoint(W), _matvec(Linv, l))
+        return Wh @ W
+    return Wh @ W, _matvec(Wh, _matvec(Linv, l))
 
 
 # The process's table of class stacks holds at most this many bytes of
@@ -670,25 +672,13 @@ class _ElementStacks:
         self.Linv = np.stack([row[0] for row in rows])
         self.W = np.stack([row[1] for row in rows])
 
-    def _gather_apply(self, v, adjoint=False):
-        """Per-cell products W_K v_K, or W_K^H v_K when adjoint, with
-        (ncells, m) values v, the class stack W gathered group by group;
-        a group is conjugated after its gather, so that a complex W is
-        never copied whole."""
-        m = self.W.shape[2 if adjoint else 1]
-        out = np.empty((len(v), m), dtype=np.result_type(self.W, v))
-        for part in self.parts:
-            W = self.W[self.cls[part]]
-            out[part] = _matvec(_adjoint(W) if adjoint else W, v[part])
-        return out
-
     def apply(self, x):
         """W_K x_K per cell for (ncells, nloc) column values x."""
-        return self._gather_apply(x * self.facs)
+        return class_apply(self.W, self.cls, x * self.facs, self.parts)
 
     def adjoint_apply(self, e):
-        """W_K^H e_K per cell for (ncells, ntest_local) values e."""
-        return self._gather_apply(e, adjoint=True) * self.facs
+        """W_K^T e_K per cell for (ncells, ntest_local) values e."""
+        return class_apply(self.W, self.cls, e, self.parts, True) * self.facs
 
 
 class _CellGroup:
@@ -748,11 +738,11 @@ class _CellGroup:
 
 
 def _smallest_ritz(A):
-    """Smallest-magnitude eigenvalue estimate of a Hermitian matrix."""
+    """Smallest-magnitude eigenvalue estimate of a symmetric matrix."""
     n = A.shape[0]
     if n == 0:
         return 0.0
-    H = 0.5 * (A + A.conj().T)
+    H = 0.5 * (A + A.T)
     if n <= 3000:
         vals = np.linalg.eigvalsh(np.asarray(H.todense()))
         return float(vals[np.argmin(np.abs(vals))])

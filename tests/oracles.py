@@ -27,7 +27,8 @@ from dpgfem.quadrature import MAX_ORDER, simplex_rule
 from dpgfem.reference import _RANK_TOL, _independent, _integrate, _inv_sqrt, \
     facet_outward_normal, facet_points, modal_basis, push_derivs, push_values
 from dpgfem.simplex import facet_parametrization, local_facets
-from dpgfem.system import _factor, _lusolve
+from dpgfem.spaces import _by_parts
+from dpgfem.system import _factor
 from dpgfem.verification import _MODES, _PAIRINGS
 
 
@@ -262,7 +263,7 @@ def power_opnorm(disc, seed=0, steps=120, tol=1e-11):
         # y-residual application: A v = sum over cells B^H G^{-1} B v
         w = A @ v
         new = np.sqrt(max(float(np.real(np.vdot(v, w))), 0.0))
-        v = _lusolve(lu, w)
+        v = _by_parts(lu.solve, w)
         nv = np.sqrt(np.real(np.vdot(v, Gx @ v)))
         if nv == 0:
             return 0.0

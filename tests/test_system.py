@@ -10,6 +10,7 @@ from dpgfem.adaptivity import adaptive_solve
 from dpgfem.formulations import ManufacturedCase, make_formulation, \
     manufactured_case
 from dpgfem.meshes import build_structured, refine_marked, refine_uniform
+from dpgfem.spaces import _by_parts
 from dpgfem.system import Discretization, SingularSystemError, _factor, \
     condense
 from oracles import cell_columns, pg_assemble
@@ -161,17 +162,18 @@ def test_dense_matrix_rejected_by_name(eight_tri):
         disc.conditioning(A.toarray())
 
 
-def test_complex_system_keeps_the_imaginary_part_of_a_real_load(five_tet):
-    """A complex matrix with a real load gives a complex solution, the
-    one of the same load given as complex."""
+def test_solve_and_conditioning_reject_a_complex_matrix(five_tet):
+    """The condensed system is real for every formulation, so a complex
+    matrix has no path: solve and conditioning name its dtype."""
     form = make_formulation("maxwell_primal_E", 2, delta=2, mode="economy")
     disc = Discretization(form, five_tet)
     A, f = disc.assemble(manufactured_case("maxwell_sine_3d"))
-    assert np.iscomplexobj(A.data)
-    x = disc.solve(A, f.real)
-    ref = disc.solve(A, f.real + 0j)
-    assert x.dtype == complex and np.abs(x.imag).max() > 0
-    assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert A.dtype == np.float64 and np.iscomplexobj(f)
+    message = "A has dtype complex128, but the condensed system is real"
+    with pytest.raises(ValueError, match=message):
+        disc.solve(A.astype(complex), f)
+    with pytest.raises(ValueError, match=message):
+        disc.conditioning(A.astype(complex))
 
 
 def test_error_decreases_under_refinement(two_tri):
@@ -319,13 +321,13 @@ def test_factor_settings_keep_accuracy_and_fill(name):
     """With its supernode settings _factor solves the reduced condensed
     system to a relative residual of 1e-12 and keeps the fill of
     SuperLU's defaults to 0.1 %: on a uniform 2D mesh, a graded
-    adaptive one and a complex 3D system."""
+    adaptive one and a 3D Maxwell system, whose load is complex."""
     disc, case = _factor_setup(name)
     A, f = disc.assemble(case)
     free = np.flatnonzero(~disc.constrained_dofs())
     Aff, ff = A[np.ix_(free, free)].tocsc(), f[free]
     lu = _factor(Aff)
-    x = lu.solve(ff)
+    x = _by_parts(lu.solve, ff)
     assert np.linalg.norm(Aff @ x - ff) <= 1e-12 * np.linalg.norm(ff)
     ref = splu(Aff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                options={"SymmetricMode": True})
@@ -447,11 +449,12 @@ def test_solve_matches_default_sparse_lu(fid, case_name, mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
     disc = Discretization(make_formulation(fid, 2), mesh)
     A, f = disc.assemble(manufactured_case(case_name))
-    assert np.iscomplexobj(A.data) == fid.startswith("maxwell")
+    assert A.dtype == np.float64
     x = disc.solve(A, f)
     free = np.flatnonzero(~disc.constrained_dofs())
-    Aff = A[np.ix_(free, free)].tocsc()
-    ref = splu(Aff).solve(f[free])
+    Aff = A[np.ix_(free, free)].tocsc().astype(f.dtype)
+    # solve returns the physical x = D_x y of the phased system's y
+    ref = disc.dof_phases[free] * splu(Aff).solve(f[free])
     assert np.linalg.norm(x[free] - ref) <= 1e-10 * np.linalg.norm(ref)
     assert not x[disc.constrained_dofs()].any()
 
