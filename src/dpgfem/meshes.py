@@ -88,7 +88,7 @@ class SimplicialMesh:
         local facets; each has one (boundary) or two (cell, local facet)."""
         nlf = self.dim + 1
         keys = self.cells[:, local_facets(self.dim)].reshape(-1, self.dim)
-        first, count, fid = _first_seen(keys)
+        first, count, fid = _first_seen(_row_codes(keys))
         if np.any(count > 2):
             bad = keys[first[np.argmax(count > 2)]]
             raise ValueError(f"non-manifold facet {tuple(bad.tolist())}")
@@ -260,27 +260,47 @@ def cell_classes(*values):
 
 
 def _first_seen(keys):
-    """Number the distinct rows of ``keys`` in order of first appearance.
+    """Number the distinct entries of the 1-D ``keys`` in order of first
+    appearance.
 
-    Returns the first row of each, how often each occurs, and the number
-    of every row.
+    Returns the first index of each, how often each occurs, and the
+    number of every entry.
     """
-    _, first, inverse, count = np.unique(keys, axis=0, return_index=True,
+    _, first, inverse, count = np.unique(keys, return_index=True,
                                          return_inverse=True, return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return first[order], count[order], rank[inverse.ravel()]
+    return first[order], count[order], rank[inverse]
+
+
+def _row_codes(rows):
+    """One int64 per row of a nonnegative (m, k) integer array: the row
+    read as k digits in base max + 1, so that the codes are equal and
+    ordered as the rows are.  Where one more digit could overflow, the
+    codes so far are first replaced by their ranks, which keeps every
+    code below m * (max + 1)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    base = int(rows.max(initial=0)) + 1
+    code = rows[:, 0]
+    for digit in rows.T[1:]:
+        if (int(code.max(initial=0)) + 1) * base > np.iinfo(np.int64).max:
+            code = np.unique(code, return_inverse=True)[1]
+        code = code * base + digit
+    return code
 
 
 def _find_rows(table, rows):
-    """Index of each of ``rows`` in ``table`` (distinct rows), -1 if absent."""
-    _, inverse = np.unique(np.concatenate([table, rows]), axis=0,
+    """Index of each of ``rows`` in ``table`` (distinct rows of
+    nonnegative integers), -1 if absent."""
+    inside = np.all((rows >= 0) & (rows <= table.max(initial=-1)), axis=1)
+    _, inverse = np.unique(_row_codes(np.concatenate([table, rows[inside]])),
                            return_inverse=True)
-    inverse = inverse.ravel()
     where = np.full(len(inverse), -1)
     where[inverse[:len(table)]] = np.arange(len(table))
-    return where[inverse[len(table):]]
+    found = np.full(len(rows), -1)
+    found[inside] = where[inverse[len(table):]]
+    return found
 
 
 def _longest_edges(vertices, cells):
@@ -431,7 +451,7 @@ def refine_uniform(mesh):
     dim, nv, nc = mesh.dim, mesh.nvertices, mesh.ncells
     ends = mesh.cells[:, np.array(local_edges(dim))]
     # midpoints numbered in order of first appearance
-    first, _, mid_id = _first_seen(ends.reshape(-1, 2))
+    first, _, mid_id = _first_seen(_row_codes(ends.reshape(-1, 2)))
     parent = ends.reshape(-1, 2)[first]
     mids = mesh.vertices[parent]
     verts = np.concatenate([mesh.vertices, 0.5 * (mids[:, 0] + mids[:, 1])])

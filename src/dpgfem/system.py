@@ -352,10 +352,17 @@ class Discretization:
                 f"condensed system is singular ({exc}); "
                 f"smallest Ritz value {ritz:.3e}", ritz) from exc
         yf = _by_parts(lu.solve, ff)
-        rel = np.linalg.norm(Aff @ yf - ff) / (np.linalg.norm(ff) or 1.0)
-        if not rel <= 1e-10:  # a NaN residual fails too
+        # the normwise backward error |r| / (|A| |y| + |f|) in the max
+        # norm, with |A| taken as A's largest entry: for SPD A that is its
+        # largest diagonal entry, an O(n) scale.  Unlike |r| / |f|, it
+        # stays at rounding level however ill-conditioned A is.
+        scale = (Aff.diagonal().max(initial=0.0) * np.abs(yf).max(initial=0.0)
+                 + np.abs(ff).max(initial=0.0))
+        err = np.abs(Aff @ yf - ff).max(initial=0.0) / (scale or 1.0)
+        if not err <= 1e-10:  # a NaN residual fails too
             raise RuntimeError(
-                f"linear solve residual {rel:.3e} exceeds 1e-10")
+                f"linear solve residual {err:.3e} exceeds 1e-10 "
+                f"(normwise backward error)")
         x = np.zeros(self.ndof, dtype=np.result_type(yf, self.dof_phases))
         x[free] = yf * self.dof_phases[free]
         return x

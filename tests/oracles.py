@@ -8,14 +8,10 @@ exact sequence check probe the reference bases; the pushed tables, the
 per-cell columns and the explicit Petrov-Galerkin assembly give the
 tests a second route to what the library computes by contraction and
 condensation; the 64-bit COO sum is the sparse sum that the library's
-32-bit index triples must reproduce; the power iteration is the lower bound of ||b|| that
-``Discretization.opnorm`` must not fall below; the Gauss lines are the
-source of ``dpgfem/_gauss_lines.py``, written from ``scipy.special``,
-which the library no longer imports; nothing in the library calls any
-of them.
+32-bit index triples must reproduce; and the power iteration is the
+lower bound of ||b|| that ``Discretization.opnorm`` must not fall
+below.  Nothing in the library calls any of them.
 """
-
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -23,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 
 from dpgfem.fortin import REFERENCE_TET, TetQuadrature
 from dpgfem.polynomials import space_dimension, trace_dimension
-from dpgfem.quadrature import MAX_ORDER, simplex_rule
+from dpgfem.quadrature import simplex_rule
 from dpgfem.reference import _RANK_TOL, _independent, _integrate, _inv_sqrt, \
     facet_outward_normal, facet_points, modal_basis, push_derivs, push_values
 from dpgfem.simplex import facet_parametrization, local_facets
@@ -273,50 +269,3 @@ def power_opnorm(disc, seed=0, steps=120, tol=1e-11):
             break
         val = new
     return float(val)
-
-
-_GAUSS_LINES_DOC = '''"""Gauss lines on [-1, 1], as ``scipy.special`` 1.17.1 writes them.
-
-``LINES[alpha, n]`` holds the n nodes, then the n weights, of the n-point
-Gauss rule for the weight (1 - x)**alpha on [-1, 1], each as ``float.hex``:
-``roots_legendre(n)`` for alpha 0 and ``roots_jacobi(n, alpha, 0)`` for
-alpha 1 and 2.  n runs from 1 to ``(max(MAX_ORDER.values()) + 2) // 2``
-of ``dpgfem.quadrature``, which parses the table once at import.
-
-Generated by ``tests/oracles.py::gauss_lines``; do not edit.  After a
-change to ``MAX_ORDER``, regenerate it from the repository root with
-
-    PYTHONPATH=src python3 tests/oracles.py
-"""
-
-LINES = {'''
-
-
-def gauss_lines():
-    """The source of ``dpgfem/_gauss_lines.py``: for alpha 0, 1 and 2 and
-    every line count n that ``simplex_rule`` takes up to ``MAX_ORDER``,
-    the nodes and weights that ``scipy.special`` writes, three to a
-    line of text."""
-    from scipy.special import roots_jacobi, roots_legendre
-    top = max((order + 2) // 2 for order in MAX_ORDER.values())
-    out = [_GAUSS_LINES_DOC]
-    for alpha in (0, 1, 2):
-        for n in range(1, top + 1):
-            line = roots_legendre(n) if alpha == 0 else \
-                roots_jacobi(n, float(alpha), 0.0)
-            out.append(f"    ({alpha}, {n}): (")
-            for values in line:
-                hexes = [v.hex() for v in values.tolist()]
-                rows = [" ".join(hexes[i:i + 3])
-                        for i in range(0, n, 3)]
-                out += [f'        "{row} "' for row in rows[:-1]]
-                out.append(f'        "{rows[-1]}",')
-            out[-1] = out[-1][:-1] + "),"
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-if __name__ == "__main__":
-    Path(__file__).resolve().parents[1].joinpath(
-        "src", "dpgfem", "_gauss_lines.py").write_text(gauss_lines(),
-                                                       encoding="utf-8")

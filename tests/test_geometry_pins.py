@@ -39,19 +39,19 @@ QUAD_PINS = {
     "Jinv": "c72ecbfda174645b",
     "h": "205846e2a25abc2b",
     "centroid": "179ee6d13062b8a3",
-    "vol_ref": "40c4fd08fdd931be",
-    "vol_points": "29e1190675f0e556",
-    "vol_weights": "3aadd8efa49c245c",
-    "face_params": "14e4946ded3693de",
-    "face_ref": "5c94cc75ff39e95f",
-    "face_points": "2cf26fe31ec6d648",
-    "face_weights": "c0846f9df27dabbb",
+    "vol_ref": "d339e425b6e8a63a",
+    "vol_points": "9c1a746999dc8a29",
+    "vol_weights": "55edea4de1e65311",
+    "face_params": "0490ca798c32bafd",
+    "face_ref": "6a081a96ca5f0094",
+    "face_points": "e316e3e7d33d1a6b",
+    "face_weights": "cb74a8224df94e74",
     "face_normals": "e398aa0fa92a8ac1",
-    "face_basis": "c4c267b987a7b644",
+    "face_basis": "5a7d56f7ed6aba3d",
     "frame": "cd464abef0a74ea5",
-    "edge_params": "f3a190c5c42cda84",
-    "edge_ref": "cf6d979e9a8d4e8e",
-    "edge_weights": "994cdb807df6f346",
+    "edge_params": "757e73a26352c697",
+    "edge_ref": "53c1d3a2dfede773",
+    "edge_weights": "8a7514f0de9d7196",
     "edge_tangents": "a38d84a75353bdfa",
 }
 

@@ -1,9 +1,11 @@
 """A dpgfem process loads no scipy subpackage that it does not use.
 
 ``scipy.special`` alone costs a fresh process about 3.7 MB of resident
-memory and 35 ms; the quadrature lines that once came from it are now a
-table (``dpgfem/_gauss_lines.py``).  The check runs in a fresh
-interpreter, since the test session itself imports ``scipy.special``.
+memory and 35 ms; the quadrature lines that once came from it are now
+computed from the eigenvalues of a Jacobi matrix (Golub and Welsch,
+1969) by ``scipy.linalg``, which the solver loads anyway.  The check
+runs in a fresh interpreter, since the test session itself imports
+``scipy.special``.
 """
 
 import os

@@ -9,6 +9,7 @@ import pytest
 from dpgfem.fortin import REFERENCE_TET, TetQuadrature
 from dpgfem.meshes import (
     SimplicialMesh,
+    _row_codes,
     build_structured,
     check_conforming,
     read_mesh,
@@ -304,6 +305,31 @@ def test_read_mesh_rejects_tag_on_no_facet(eight_tri):
     buf.seek(0)
     with pytest.raises(ValueError, match=r"no facet: \[0, 8\]"):
         read_mesh(buf)
+
+
+@pytest.mark.parametrize("tag,key", [("tag -1 0 1", "[-1, 0]"),
+                                     ("tag 0 9 1", "[0, 9]")])
+def test_read_mesh_rejects_tag_on_vertex_ids_out_of_range(eight_tri, tag, key):
+    buf = io.StringIO()
+    write_mesh(eight_tri, buf)
+    buf.write(tag + "\n")
+    buf.seek(0)
+    with pytest.raises(ValueError, match=re.escape(f"no facet: {key}")):
+        read_mesh(buf)
+
+
+@pytest.mark.parametrize("top", [8, 2 ** 21 + 5, 2 ** 40])
+def test_row_codes_are_equal_and_ordered_as_the_rows(top):
+    # face triples of vertex ids up to 2**40 would overflow int64 as
+    # three base-(top + 1) digits; the codes must still stay exact
+    rng = np.random.default_rng(7)
+    rows = np.sort(rng.integers(0, top + 1, (400, 3)), axis=1)
+    rows = np.concatenate([rows, rows[::3], [[top, top, top], [0, 0, 0]]])
+    codes = _row_codes(rows)
+    assert codes.dtype == np.int64
+    _, by_row = np.unique(rows, axis=0, return_inverse=True)
+    _, by_code = np.unique(codes, return_inverse=True)
+    assert np.array_equal(by_row.ravel(), by_code)
 
 
 # -- boundary tags through refinement -----------------------------------

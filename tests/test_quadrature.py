@@ -1,15 +1,15 @@
 """Quadrature exactness against analytic simplex monomial integrals."""
 
+from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
-from dpgfem import _gauss_lines
 from dpgfem.fortin import REFERENCE_TET, TET_EDGES, TetQuadrature
-from dpgfem.quadrature import MAX_ORDER, _gauss01, _jacobi01, simplex_rule
-from oracles import gauss_lines
+from dpgfem.quadrature import MAX_ORDER, _gauss01, _gauss_line, _jacobi01, \
+    simplex_rule
 
 
 def monomial_integral(expo):
@@ -76,21 +76,55 @@ def test_rules_match_point_by_point_construction(dim):
         assert np.array_equal(rule.weights, W), order
 
 
-def test_gauss_line_table_is_what_scipy_writes():
-    # the committed text, bit for bit: every node and weight as float.hex
-    text = Path(_gauss_lines.__file__).read_text(encoding="utf-8")
-    assert text == gauss_lines()
+def _lines(dim):
+    """(n, alpha) of every line that a rule in ``dim`` up to
+    ``MAX_ORDER`` can read: simplex_rule takes (order + 2) // 2 points
+    per line, and the point by point construction above reads all three
+    lines in every dimension."""
+    return [(n, alpha) for alpha in (0, 1, 2)
+            for n in range(1, (MAX_ORDER[dim] + 2) // 2 + 1)]
+
+
+def _moment_errors(x, w, alpha):
+    """Relative errors of the line's integrals of t**j (1 - t)**alpha on
+    [0, 1], t = (x + 1) / 2, for j < 2n: its nodes and weights are taken
+    as the exact binary fractions they are, and summed in exact integer
+    arithmetic over the common denominators 2**K and 2**L."""
+    t = [(Fraction(v) + 1) / 2 for v in x.tolist()]
+    wf = [Fraction(v) / 2 ** (alpha + 1) for v in w.tolist()]
+    K = max(f.denominator for f in t).bit_length() - 1
+    L = max(f.denominator for f in wf).bit_length() - 1
+    T = [f.numerator << (K - f.denominator.bit_length() + 1) for f in t]
+    P = [f.numerator << (L - f.denominator.bit_length() + 1) for f in wf]
+    errors = []
+    for j in range(2 * len(t)):
+        num = factorial(j) * factorial(alpha)
+        den = factorial(j + alpha + 1)
+        scale = 1 << (L + K * j)
+        errors.append(abs(sum(P) * den - num * scale) / (num * scale))
+        P = [p * ti for p, ti in zip(P, T)]
+    return errors
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_gauss_line_table_covers_max_order(dim):
-    # simplex_rule takes (order + 2) // 2 points per line; the point by
-    # point construction reads all three lines in every dimension
-    for n in range(1, (MAX_ORDER[dim] + 2) // 2 + 1):
-        for alpha in (0, 1, 2):
-            nodes, weights = (text.split()
-                              for text in _gauss_lines.LINES[alpha, n])
-            assert len(nodes) == len(weights) == n, (alpha, n)
+def test_gauss_lines_integrate_the_exact_moments(dim):
+    # 5e-15 is about the rounding of the nodes near 1 amplified by
+    # j < 62; scipy.special's lines miss it by 3x or more (1.6e-13,
+    # 1.8e-14 and 1.6e-14 for alpha 0, 1 and 2)
+    for n, alpha in _lines(dim):
+        x, w = _gauss_line(n, alpha)
+        assert x.shape == w.shape == (n,) and np.all(w > 0), (n, alpha)
+        assert np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1
+        assert max(_moment_errors(x, w, alpha)) < 5e-15, (n, alpha)
+
+
+def test_gauss_lines_match_scipy_special():
+    # the 1D rules read the longest lines, so these are all of them
+    for n, alpha in _lines(1):
+        ref = roots_legendre(n) if alpha == 0 else \
+            roots_jacobi(n, float(alpha), 0.0)
+        for got, want in zip(_gauss_line(n, alpha), ref):
+            assert np.allclose(got, want, rtol=1.2e-12, atol=0), (n, alpha)
 
 
 @pytest.mark.parametrize("dim,order,name", [

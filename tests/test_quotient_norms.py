@@ -128,9 +128,9 @@ PINNED = {
 def converged_opnorm(disc):
     """||b||: the square root of the top eigenvalue of (A, G_X), with
     A the assembled DPG matrix and G_X the block trial-norm Gram."""
-    Gx = disc.trial_gram().astype(disc.form.dtype)
-    v0 = np.random.default_rng(0).standard_normal(disc.ndof).astype(
-        disc.form.dtype)
+    # A and G_X are real for every formulation, so is the start vector
+    Gx = disc.trial_gram()
+    v0 = np.random.default_rng(0).standard_normal(disc.ndof)
     lam = eigsh(disc._matrix(), k=1, M=Gx, which="LA", tol=0, v0=v0,
                 return_eigenvectors=False)
     return float(np.sqrt(lam[0]))

@@ -439,6 +439,26 @@ def test_solve_rejects_a_non_finite_right_hand_side(eight_tri):
         disc.solve(A, f)
 
 
+def test_solve_accepts_any_right_hand_side_of_an_ill_conditioned_system():
+    """The adaptive L-shape loop to 4 000 dofs ends on a graded mesh
+    whose reduced matrix has a condition number near 1e12.  A random
+    load solves there to a relative residual of about 2e-7, but to a
+    backward error at rounding level, which is what the solve judges."""
+    case = manufactured_case("poisson_lshape_singular")
+    _, state = adaptive_solve(make_formulation("primal_poisson", 2),
+                              build_structured("l-shape", 2), case, 0.5,
+                              max_dofs=4000)
+    disc = state.disc
+    A, _ = disc.assemble(case)
+    g = np.random.default_rng(0).standard_normal(disc.ndof)
+    x = disc.solve(A, g)
+    free = np.flatnonzero(~disc.constrained_dofs())
+    Aff = A[np.ix_(free, free)]
+    r = np.abs(Aff @ x[free] - g[free]).max()
+    assert r <= 1e-15 * (abs(Aff).sum(axis=1).max() * np.abs(x).max())
+    assert np.linalg.norm(Aff @ x[free] - g[free]) > 1e-10 * np.linalg.norm(g[free])
+
+
 @pytest.mark.parametrize("fid,case_name,mesh_name", [
     ("maxwell_primal_E", "maxwell_sine_3d", "five_tet"),
     ("ultraweak_dcr", "dcr_sine_2d", "eight_tri"),
