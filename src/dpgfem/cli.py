@@ -96,7 +96,9 @@ def _coerce(key, raw):
 
 
 def parse_config(path, overrides=None):
-    values = {}
+    """The file's keys, each given once, then the command-line overrides
+    (``--mode``, ``--out``, ``--seed``) that are not None."""
+    values, seen = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -106,6 +108,11 @@ def parse_config(path, overrides=None):
                 raise ConfigError(
                     f"{path}:{lineno}: expected key=value, got {text!r}")
             key, raw = (s.strip() for s in text.split("=", 1))
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} "
+                                  f"is given again (first on line "
+                                  f"{seen[key]})")
+            seen[key] = lineno
             values[key] = _coerce(key, raw)
     for key, raw in (overrides or {}).items():
         if raw is not None:

@@ -3,7 +3,9 @@
 Meshes are immutable.  Cells store ascending global vertex ids; facet
 orientation is derived from geometry (a canonical normal fixed by the
 sorted facet vertices), so the two cells sharing a facet always see
-opposite orientation signs.
+opposite orientation signs.  Marked refinement bisects the longest edge
+in 2D and 3D alike, so a mesh, and the file it is written to, fixes
+every later refinement.
 """
 
 from __future__ import annotations
@@ -37,13 +39,12 @@ class SimplicialMesh:
         Facet id to integer tag, boundary facets only.
     parents : array_like, optional
         For refined meshes, the generating cell id in the previous mesh.
-    refinement_edges : array_like, optional
-        Per-cell bisection edge as a sorted global vertex pair (2D only);
-        defaults to each cell's longest edge.
+
+    A mesh carries no refinement state: ``refine_marked`` bisects by
+    geometry alone, so the vertices and cells fix every later refinement.
     """
 
-    def __init__(self, dim, vertices, cells, boundary_tags=None, parents=None,
-                 refinement_edges=None):
+    def __init__(self, dim, vertices, cells, boundary_tags=None, parents=None):
         if dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
         self.dim = dim
@@ -74,11 +75,6 @@ class SimplicialMesh:
         if parents is None:
             parents = np.arange(len(self.cells))
         self.parents = np.asarray(parents, dtype=int)
-        if refinement_edges is not None:
-            refinement_edges = np.asarray(refinement_edges, dtype=int)
-        elif dim == 2:
-            refinement_edges = _longest_edges(self.vertices, self.cells)
-        self.refinement_edges = refinement_edges
         for arr in (self.vertices, self.cells, self.facets, self.facet_cells,
                     self.facet_local, self.cell_facet_ids, self.parents):
             arr.flags.writeable = False
@@ -106,8 +102,10 @@ class SimplicialMesh:
     def _set_tags(self, tags):
         """Attach boundary tags; called once, while the mesh is built."""
         fids = np.fromiter(tags, dtype=int, count=len(tags))
-        if np.any(self.facet_cells[fids, 1] != -1):
-            raise ValueError("tag on interior facet")
+        inner = fids[self.facet_cells[fids, 1] != -1]
+        if len(inner):
+            raise ValueError(f"tag on interior facet {inner[0]} with vertices "
+                             f"{self.facets[inner[0]].tolist()}")
         self.boundary_tags = dict(tags)
 
     # -- basic counts -------------------------------------------------
@@ -478,10 +476,15 @@ def refine_uniform(mesh):
 def refine_marked(mesh, marked):
     """Bisect the marked cells and close the mesh so it stays conforming.
 
-    2D uses newest-vertex bisection; 3D bisects the longest edge.  The
-    closure sweeps the live cells in order, bisecting each one that has
-    an edge with a midpoint, until a sweep bisects none; an edge-to-cells
-    map finds the cells that a new midpoint leaves hanging.
+    Every cell, in 2D and 3D, is bisected at its longest edge (Rivara
+    1984), ties going to the lexicographically smallest vertex pair, so
+    the bisection is a function of the geometry alone.  On the
+    right-isosceles triangles of ``build_structured``, ``refine_uniform``
+    and bisection itself this is the hypotenuse, the edge newest-vertex
+    bisection would pick.  The closure sweeps the live cells in order,
+    bisecting each one that has an edge with a midpoint, until a sweep
+    bisects none; an edge-to-cells map finds the cells that a new
+    midpoint leaves hanging.
     """
     ids = set()
     for m in marked:
@@ -506,10 +509,10 @@ def refine_marked(mesh, marked):
     by_code = np.argsort(codes, kind="stable")
     codes = codes[by_code]
 
-    # working cells: vertices, root parent, refinement edge
-    edges = (mesh.refinement_edges.tolist() if mesh.refinement_edges is not None
-             else [None] * mesh.ncells)
-    work = [(tuple(cell), ci, None if edge is None else tuple(edge))
+    # working cells: vertices, root parent, longest edge (a new cell's is
+    # found when it is bisected)
+    edges = _longest_edges(mesh.vertices, mesh.cells).tolist()
+    work = [(tuple(cell), ci, tuple(edge))
             for ci, (cell, edge) in enumerate(zip(mesh.cells.tolist(), edges))]
     alive = [True] * len(work)
     # a closure sweep bisects, in index order, the hanging cells in
@@ -545,9 +548,9 @@ def refine_marked(mesh, marked):
                 hang(idx)
         return m
 
-    def add(vs, root_cell, edge):
+    def add(vs, root_cell):
         idx = len(work)
-        work.append((vs, root_cell, edge))
+        work.append((vs, root_cell, None))
         alive.append(True)
         edges = [(vs[i], vs[j]) for i, j in pairs]
         for e in edges:
@@ -566,13 +569,8 @@ def refine_marked(mesh, marked):
         alive[idx] = False
         later.discard(idx)
         m = mid(u, v)
-        if dim == 2:
-            w = others[0]
-            add(tuple(sorted((u, w, m))), root_cell, tuple(sorted((u, w))))
-            add(tuple(sorted((v, w, m))), root_cell, tuple(sorted((v, w))))
-        else:
-            add(tuple(sorted((u, m) + others)), root_cell, None)
-            add(tuple(sorted((v, m) + others)), root_cell, None)
+        add(tuple(sorted((u, m) + others)), root_cell)
+        add(tuple(sorted((v, m) + others)), root_cell)
 
     for ci in marked:
         bisect(ci)
@@ -592,8 +590,7 @@ def refine_marked(mesh, marked):
     live = [rec for rec, on in zip(work, alive) if on]
     new_mesh = SimplicialMesh(
         dim, np.concatenate([mesh.vertices, np.reshape(points, (-1, dim))]),
-        [vs for vs, _, _ in live], parents=[r for _, r, _ in live],
-        refinement_edges=[e for _, _, e in live] if dim == 2 else None)
+        [vs for vs, _, _ in live], parents=[r for _, r, _ in live])
     width = max(len(r) for r in roots)
     table = np.full((new_mesh.nvertices, width), -1)
     table[:nv, 0] = np.arange(nv)
@@ -735,5 +732,11 @@ def read_mesh(path):
     if np.any(fids < 0):
         raise ValueError(f"tag on a vertex set that is no facet: "
                          f"{keys[int(np.argmax(fids < 0))]}")
-    mesh._set_tags(dict(zip(fids.tolist(), tags)))
+    tagged = {}
+    for key, fid, tag in zip(keys, fids.tolist(), tags):
+        if fid in tagged:
+            raise ValueError(f"facet {key} is tagged twice: {tagged[fid]} "
+                             f"and {tag}")
+        tagged[fid] = tag
+    mesh._set_tags(tagged)
     return mesh

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dpgfem.cli import main
+from dpgfem.cli import main, parse_config
 from dpgfem.formulations import make_formulation, manufactured_case
 from dpgfem.meshes import build_structured
 from dpgfem.reports import fitted_rate, write_report
@@ -100,6 +100,27 @@ def test_malformed_line_is_located(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "mode verify\n")
     assert main([cfg]) == 2
     assert "key=value" in capsys.readouterr().err
+
+
+def test_key_given_twice_is_rejected(tmp_path, capsys):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    cfg = _write_cfg(tmp_path, f"mode = verify\nout = {first}\n# again\n"
+                               f"out = {second}\n")
+    assert main([cfg]) == 2
+    assert (f"{cfg}:4: config key 'out' is given again (first on line 2)"
+            in capsys.readouterr().err)
+    assert not first.exists() and not second.exists()
+
+
+def test_command_line_overrides_the_file(tmp_path):
+    cfg = _write_cfg(tmp_path, "mode = describe\nformulation = primal_poisson"
+                               "\nout = a.json\nseed = 1\n")
+    got = parse_config(cfg, overrides={"mode": "verify", "out": "b.jsonl",
+                                       "seed": 2})
+    assert (got.mode, got.out, got.seed) == ("verify", "b.jsonl", 2)
+    kept = parse_config(cfg, overrides={"mode": None, "out": None,
+                                        "seed": None})
+    assert (kept.mode, kept.out, kept.seed) == ("describe", "a.json", 1)
 
 
 def test_integer_key_rejects_text(tmp_path, capsys):

@@ -122,6 +122,40 @@ def test_marked_refinement_3d_conformity(five_tet, rng):
     assert abs(mesh.cell_volumes.sum() - 1.0) < 1e-13
 
 
+def test_scalene_triangle_and_its_children_bisect_their_longest_edge():
+    mesh = SimplicialMesh(2, [(0, 0), (10, 0), (3, 1)], [(0, 1, 2)])
+    once = refine_marked(mesh, [0])
+    assert once.vertices[3:].tolist() == [[5, 0]]
+    # the longest edge of the child (0, 2, 3) is the half (0, 3) of its
+    # parent's, not (0, 2), which newest-vertex bisection would cut
+    twice = refine_marked(once, range(once.ncells))
+    assert sorted(twice.vertices[4:].tolist()) == [[2.5, 0], [6.5, 0.5]]
+    assert twice.ncells == 4
+    check_conforming(twice)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_refinement_survives_the_mesh_file(seed):
+    """A mesh read back from its file refines as the mesh itself does,
+    also where its triangles are not right-isosceles."""
+    rng = np.random.default_rng(seed)
+    mesh = build_structured("unit-square", 3)
+    verts = mesh.vertices.copy()
+    inner = np.all((verts > 0) & (verts < 1), axis=1)
+    verts[inner] += rng.uniform(-0.1, 0.1, (inner.sum(), 2))
+    mesh = SimplicialMesh(2, verts, mesh.cells,
+                          boundary_tags=mesh.boundary_tags)
+    for _ in range(3):
+        mesh = refine_marked(mesh, rng.choice(mesh.ncells, 5, replace=False))
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    buf.seek(0)
+    back = read_mesh(buf)
+    fine, fine_back = (refine_marked(m, range(m.ncells)) for m in (mesh, back))
+    assert np.array_equal(fine_back.vertices, fine.vertices)
+    assert np.array_equal(fine_back.cells, fine.cells)
+
+
 def test_marked_out_of_range_rejected(two_tri):
     with pytest.raises(ValueError):
         refine_marked(two_tri, {5})
@@ -230,7 +264,9 @@ def test_small_cell_is_not_flat():
 
 def test_tag_on_interior_facet_rejected(eight_tri):
     fid = int(interior_facets(eight_tri)[0])
-    with pytest.raises(ValueError, match="tag on interior facet"):
+    ends = eight_tri.facets[fid].tolist()
+    with pytest.raises(ValueError, match=re.escape(
+            f"tag on interior facet {fid} with vertices {ends}")):
         SimplicialMesh(2, eight_tri.vertices, eight_tri.cells,
                        boundary_tags={fid: 1})
 
@@ -316,6 +352,21 @@ def test_read_mesh_rejects_tag_on_vertex_ids_out_of_range(eight_tri, tag, key):
     buf.seek(0)
     with pytest.raises(ValueError, match=re.escape(f"no facet: {key}")):
         read_mesh(buf)
+
+
+def test_read_mesh_rejects_a_facet_tagged_twice(eight_tri):
+    buf = io.StringIO()
+    write_mesh(eight_tri, buf)
+    text = buf.getvalue()
+    for line in text.splitlines():
+        if line.startswith("tag "):
+            _, a, b, tag = line.split()
+            break
+    # the same facet again, its vertices in the other order
+    text += f"tag {b} {a} {int(tag) + 3}\n"
+    with pytest.raises(ValueError, match=re.escape(
+            f"facet [{a}, {b}] is tagged twice: {tag} and {int(tag) + 3}")):
+        read_mesh(io.StringIO(text))
 
 
 @pytest.mark.parametrize("top", [8, 2 ** 21 + 5, 2 ** 40])
