@@ -4,7 +4,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .meshes import refine_marked
+from .meshes import _integer, refine_marked
 from .system import Discretization
 
 AdaptiveState = namedtuple("AdaptiveState", "mesh disc x estimate")
@@ -100,7 +100,7 @@ def adaptive_solve(formulation, mesh0, case, theta, max_iterations=None,
         raise ValueError("need a stopping rule: max_iterations or max_dofs")
     for name, limit in (("max_iterations", max_iterations),
                         ("max_dofs", max_dofs)):
-        if limit is not None and limit < 1:
+        if limit is not None and _integer(name, limit) < 1:
             raise ValueError(f"{name} must be at least 1, got {limit}")
     history = AdaptiveHistory()
     mesh = mesh0

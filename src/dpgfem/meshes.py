@@ -100,7 +100,13 @@ class SimplicialMesh:
         self.facet_local = np.where(side >= 0, side % nlf, -1)
 
     def _set_tags(self, tags):
-        """Attach boundary tags; called once, while the mesh is built."""
+        """Attach boundary tags, facet id to tag: the constructor's, then
+        those that each builder derives after construction."""
+        for fid in tags:
+            if (isinstance(fid, bool) or not isinstance(fid, numbers.Integral)
+                    or not 0 <= fid < self.nfacets):
+                raise ValueError(f"tag on facet id {fid!r}, not in 0 to "
+                                 f"nfacets - 1 = {self.nfacets - 1}")
         fids = np.fromiter(tags, dtype=int, count=len(tags))
         inner = fids[self.facet_cells[fids, 1] != -1]
         if len(inner):
@@ -148,22 +154,24 @@ class SimplicialMesh:
         return np.linalg.norm(d, axis=-1).max(axis=1)
 
     @cached_property
-    def facet_areas(self):
+    def _facet_normal(self):
+        """Canonical normals fixed by the sorted facet vertices, each of
+        length (dim - 1)! times its facet's area."""
         v = self.vertices[self.facets]
+        e = v[:, 1:] - v[:, :1]
         if self.dim == 2:
-            return np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-        cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        return 0.5 * np.linalg.norm(cross, axis=1)
+            return np.stack([e[:, 0, 1], -e[:, 0, 0]], axis=1)
+        return np.cross(e[:, 0], e[:, 1])
+
+    @cached_property
+    def facet_areas(self):
+        return (np.linalg.norm(self._facet_normal, axis=1)
+                / math.factorial(self.dim - 1))
 
     @cached_property
     def facet_normals(self):
         """Canonical unit normals fixed by the sorted facet vertices."""
-        v = self.vertices[self.facets]
-        if self.dim == 2:
-            t = v[:, 1] - v[:, 0]
-            n = np.stack([t[:, 1], -t[:, 0]], axis=1)
-        else:
-            n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+        n = self._facet_normal
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     @cached_property
@@ -605,41 +613,32 @@ def check_conforming(mesh, tol=1e-10):
 
     Facet multiplicity (1 or 2 cells) is enforced at construction; the
     remaining failure mode is a vertex other than its own sitting on a
-    once-counted facet, inside it or (3D) on one of its edges, which
-    this check detects geometrically.  All
-    (boundary facet, vertex) pairs are tested at once, in blocks of
-    facets; the error names the first offender in facet, then vertex,
-    order.
+    once-counted facet, inside it or on its boundary, which this check
+    detects geometrically.  All (boundary facet, vertex) pairs are
+    tested at once, in blocks of facets; the error names the first
+    offender in facet, then vertex, order.
     """
     scale = mesh.mesh_size
     verts = mesh.vertices
     fids = mesh.boundary_facets
     size = max(1, 2 ** 16 // mesh.nvertices)
     for start in range(0, len(fids), size):
-        fv = mesh.facets[fids[start:start + size]]
+        block = fids[start:start + size]
+        fv = mesh.facets[block]
         a = verts[fv[:, 0]]
         d = verts - a[:, None, :]  # (facets, vertices, dim)
         e = verts[fv[:, 1:]] - a[:, None, :]  # (facets, dim - 1, dim)
-        if mesh.dim == 2:
-            t = e[:, 0]
-            s = np.einsum("fvd,fd->fv", d, t) / np.sum(t * t, axis=1)[:, None]
-            dist = np.linalg.norm(d - s[..., None] * t[:, None, :], axis=-1)
-            bad = (s > tol) & (s < 1 - tol) & (dist < tol * scale)
-        else:
-            n = np.cross(e[:, 0], e[:, 1])
-            n /= np.linalg.norm(n, axis=1)[:, None]
-            # barycentric (u, v) of the projection onto the facet plane,
-            # tested on the closed triangle
-            et = np.swapaxes(e, 1, 2)
-            uv = np.einsum("fij,fvj->fvi", np.linalg.inv(e @ et), d @ et)
-            u, v = uv[..., 0], uv[..., 1]
-            bad = ((np.abs(np.einsum("fvd,fd->fv", d, n)) <= tol * scale)
-                   & (u > -tol) & (v > -tol) & (u + v < 1 + tol))
+        # barycentric coordinates (but the first) of the projection onto
+        # the facet's line or plane, tested on the closed facet
+        et = np.swapaxes(e, 1, 2)
+        lam = np.einsum("fij,fvj->fvi", np.linalg.inv(e @ et), d @ et)
+        height = np.einsum("fvd,fd->fv", d, mesh.facet_normals[block])
+        bad = ((np.abs(height) <= tol * scale) & np.all(lam > -tol, axis=-1)
+               & (lam.sum(axis=-1) < 1 + tol))
         bad[np.arange(len(fv))[:, None], fv] = False
         if bad.any():
             i, vid = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ValueError(f"hanging vertex {vid} on facet "
-                             f"{fids[start + i]}")
+            raise ValueError(f"hanging vertex {vid} on facet {block[i]}")
     return True
 
 

@@ -13,6 +13,8 @@ gives the dimensions of the spaces and of their traces on a tetrahedron.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # (a, b) of each component of a 3D curl or cross product: u_a v_b - u_b v_a
@@ -203,20 +205,14 @@ def space_dimension(family, degree, dim):
     """Exact dimension of the polynomial space a family spans."""
     p = degree
     if family in ("h1", "l2"):
-        if dim == 1:
-            return p + 1
-        if dim == 2:
-            return (p + 1) * (p + 2) // 2
-        return (p + 1) * (p + 2) * (p + 3) // 6
+        return math.comb(p + dim, dim)
     if family == "vec":
         return dim * space_dimension("h1", p, dim)
-    if family == "hdiv":
-        if dim == 2:
-            return p * (p + 2)
-        return p * (p + 1) * (p + 3) // 2
+    if family == "hdiv" or (family == "hcurl" and dim == 2):
+        # P_{p-1}^dim plus x times homogeneous P_{p-1}; 2D hcurl rotates it
+        return (dim * space_dimension("h1", p - 1, dim)
+                + math.comb(p + dim - 2, dim - 1))
     if family == "hcurl":
-        if dim == 2:
-            return p * (p + 2)
         return p * (p + 2) * (p + 3) // 2
     raise ValueError(f"unknown family {family!r}")
 

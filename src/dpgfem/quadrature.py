@@ -103,25 +103,19 @@ def _simplex_rule(dim, order):
     # checked and cached apart, so that a float or bool argument that
     # compares equal to a cached int is rejected, not served
     n = max(1, (order + 2) // 2)
-    if dim == 1:
-        x, w = _gauss01(n)
-        return QuadratureRule(1, order, x.reshape(-1, 1), w)
-    # the conical product grid with xi varying fastest; each coordinate
-    # and weight is a product taken left to right
-    xi, wxi = _gauss01(n)
-    eta, weta = _jacobi01(n, 1.0)
-    if dim == 2:
-        X = np.stack([(xi * (1.0 - eta)[:, None]).ravel(),
-                      np.repeat(eta, n)], axis=1)
-        return QuadratureRule(2, order, X, (wxi * weta[:, None]).ravel())
-    zeta, wzeta = _jacobi01(n, 2.0)
-    z = (1.0 - zeta)[:, None, None]
-    shape = (n, n, n)
-    X = np.stack([xi * (1.0 - eta)[:, None] * z,
-                  np.broadcast_to(eta[:, None] * z, shape),
-                  np.broadcast_to(zeta[:, None, None], shape)], axis=-1)
-    W = wxi * weta[:, None] * wzeta[:, None, None]
-    return QuadratureRule(3, order, X.reshape(-1, 3), W.ravel())
+    # the conical product grid: each collapsed coordinate t, of weight
+    # (1 - t)**k, varies slowest and scales the earlier ones by 1 - t;
+    # each coordinate and weight is a product taken left to right
+    x, w = _gauss01(n)
+    X = x.reshape(-1, 1)
+    for k in range(1, dim):
+        t, wt = _jacobi01(n, float(k))
+        X = np.concatenate(
+            [X * (1.0 - t)[:, None, None],
+             np.broadcast_to(t[:, None, None], (n, len(X), 1))],
+            axis=-1).reshape(-1, k + 1)
+        w = (w * wt[:, None]).ravel()
+    return QuadratureRule(dim, order, X, w)
 
 
 def reference_volume(dim):

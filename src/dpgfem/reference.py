@@ -144,6 +144,15 @@ class ModalBasis:
         hcurl/vec (scalar in 2D).  Shape (nfuncs, npts, k)."""
         return self._eval("der", np.asarray(points, dtype=float))
 
+    @property
+    def coeffs(self):
+        """The functions over themselves, as ``ConformingBasis.coeffs``."""
+        return np.eye(self.nfuncs)
+
+    def dof_entities(self):
+        """As ``ConformingBasis.dof_entities``: every function is interior."""
+        return [("interior", 0, i) for i in range(self.nfuncs)]
+
 
 def _integrate(x, y, w):
     """sum_q w_q x_j . conj(y_i), (ny, nx) or per cell (K, ny, nx), of
@@ -283,14 +292,10 @@ def _orthonormal_nullspace(C):
     the unique projector) are picked in coordinate order and
     orthonormalized symmetrically.
     """
-    n = C.shape[1]
-    if C.shape[0] == 0:
-        null = np.eye(n)
-    else:
-        _, sv, Vt = np.linalg.svd(C, full_matrices=True)
-        null = Vt[_rank(sv):]
+    _, sv, Vt = np.linalg.svd(C, full_matrices=True)
+    null = Vt[_rank(sv):]
     P = null.T @ null
-    keep = _independent(P, np.full(n, _RANK_TOL))
+    keep = _independent(P, np.full(len(P), _RANK_TOL))
     return _inv_sqrt(P[np.ix_(keep, keep)]) @ P[keep]
 
 
@@ -302,7 +307,7 @@ class ConformingBasis:
 
     ``coeffs`` expresses each conforming function over the modal basis.
     ``entity_dofs`` lists (kind, local_entity_index, count) groups in
-    function order; kinds are 'vertex', 'edge', 'face' and 'interior'.
+    function order; kinds are 'vertex', 'edge', 'facet' and 'interior'.
     """
 
     def __init__(self, family, degree, dim, coeffs, entity_dofs):
@@ -483,7 +488,7 @@ def _build_h1(degree, dim):
         bvals = _tri_scalar_bubble(k) @ tri.values(frule.points)[:, :, 0]
         for lf_index in range(4 if len(bvals) else 0):
             data.extend(_on_facet(4, lf_index, bvals))
-            entity.append(("face", lf_index, len(bvals)))
+            entity.append(("facet", lf_index, len(bvals)))
     return _finish_conforming("h1", k, dim, C, head, data, entity)
 
 
@@ -512,7 +517,7 @@ def _build_tangential(family, degree):
     bvals = np.tensordot(_tri_vector_bubble(family, k), tri_vals, axes=1)
     for lf_index in range(4 if len(bvals) else 0):
         data.extend(_on_facet(4, lf_index, bvals))
-        entity.append(("face", lf_index, len(bvals)))
+        entity.append(("facet", lf_index, len(bvals)))
     return _finish_conforming(family, k, 3, C, np.zeros((0, modal.nfuncs)),
                               data, entity)
 
@@ -524,10 +529,9 @@ def _build_hdiv(degree, dim):
     tr = modal_basis("l2", k - 1, dim - 1)
     tvals = tr.values(frule.points)[:, :, 0]
     data, entity = [], []
-    kind = "edge" if dim == 2 else "face"
     for lf_index in range(dim + 1):
         data.extend(_on_facet(dim + 1, lf_index, tvals))
-        entity.append((kind, lf_index, tr.nfuncs))
+        entity.append(("facet", lf_index, tr.nfuncs))
     return _finish_conforming("hdiv", k, dim, C, np.zeros((0, modal.nfuncs)),
                               data, entity)
 

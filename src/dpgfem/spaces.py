@@ -2,10 +2,10 @@
 
 A slot (one field or interface variable of a formulation) is realized
 by a dof map that knows, per cell, which global dofs its local basis
-functions touch and with what orientation factor.  Three continuity
-kinds exist:
+functions touch and with what orientation factor, numbered by one
+entity rule (``conforming_map``) for all three continuity kinds:
 
-* ``broken``       -- modal basis per cell, no coupling;
+* ``broken``       -- modal basis, every function a cell interior one;
 * ``conforming``   -- entity-glued basis (H1, H(curl), H(div) families);
 * ``skeleton``     -- boundary traces of a conforming space.
 
@@ -150,16 +150,8 @@ DofMap = namedtuple("DofMap", "ndofs cell_dofs cell_factors boundary "
                     "local_functions", defaults=(None,))
 
 
-def broken_map(mesh, nb):
-    nc = mesh.ncells
-    cell_dofs = np.arange(nc * nb, dtype=int).reshape(nc, nb)
-    factors = np.ones((nc, nb))
-    boundary = np.zeros(nc * nb, dtype=bool)
-    return DofMap(nc * nb, cell_dofs, factors, boundary)
-
-
 def _local_vertices(dim, kind, loc):
-    """Local vertex tuple of a cell's local vertex, edge or face."""
+    """Local vertex tuple of a cell's local vertex, edge or facet."""
     if kind == "vertex":
         return (loc,)
     return (local_edges(dim) if kind == "edge" else local_facets(dim))[loc]
@@ -173,21 +165,19 @@ def _global_entities(mesh):
     bfacets = mesh.facets[mesh.boundary_facets]
     bverts = np.zeros(nv, dtype=bool)
     bverts[bfacets.ravel()] = True
-    faces = (mesh.cell_facet_ids, mesh.facet_cells[:, 1] < 0)
-    if dim == 2:
-        # a triangle's edges are its facets, in the same local order
-        edges = faces
-    else:
-        # edges are keyed by their sorted vertex pair
-        ledges = np.array(local_edges(dim))
-        ekeys, eids = np.unique(mesh.cells[:, ledges[:, 0]] * nv
-                                + mesh.cells[:, ledges[:, 1]],
-                                return_inverse=True)
-        fedges = np.array(local_edges(dim - 1))
-        edges = (eids.reshape(nc, len(ledges)),
-                 np.isin(ekeys, bfacets[:, fedges[:, 0]] * nv
-                         + bfacets[:, fedges[:, 1]]))
-    return {"vertex": (mesh.cells, bverts), "edge": edges, "face": faces,
+    # edges are keyed by their sorted vertex pair, a boundary facet's
+    # edges among them
+    ledges = np.array(local_edges(dim))
+    ekeys, eids = np.unique(mesh.cells[:, ledges[:, 0]] * nv
+                            + mesh.cells[:, ledges[:, 1]],
+                            return_inverse=True)
+    fedges = np.array(local_edges(dim - 1))
+    bedges = np.zeros(len(ekeys), dtype=bool)
+    bedges[np.searchsorted(ekeys, bfacets[:, fedges[:, 0]] * nv
+                           + bfacets[:, fedges[:, 1]])] = True
+    return {"vertex": (mesh.cells, bverts),
+            "edge": (eids.reshape(nc, len(ledges)), bedges),
+            "facet": (mesh.cell_facet_ids, mesh.facet_cells[:, 1] < 0),
             "interior": (np.arange(nc)[:, None], np.zeros(nc, dtype=bool))}
 
 
@@ -196,11 +186,10 @@ def _hdiv_factors(mesh, ents):
     sign(det) on every function, times the facet sign over the reference
     facet measure on facet functions."""
     dim = mesh.dim
-    facet_kind = "edge" if dim == 2 else "face"
     measure = np.array([facet_measure(dim, f) for f in local_facets(dim)])
     sdet = np.sign(mesh.geometry.det)
     out = np.repeat(sdet[:, None], len(ents), axis=1)
-    cols = [col for col, (kind, _, _) in enumerate(ents) if kind == facet_kind]
+    cols = [col for col, (kind, _, _) in enumerate(ents) if kind == "facet"]
     loc = [ents[col][1] for col in cols]
     out[:, cols] = (mesh.cell_facet_signs[:, loc] * sdet[:, None]
                     / measure[loc])

@@ -66,7 +66,6 @@ from .spaces import (
     _accumulate,
     _by_parts,
     _matvec,
-    broken_map,
     cell_groups,
     class_apply,
     class_matrix,
@@ -192,7 +191,7 @@ class Discretization:
     # -- space construction -------------------------------------------
 
     def _build_slot(self, s):
-        mesh, dim = self.mesh, self.mesh.dim
+        mesh = self.mesh
         if s.continuity == "skeleton":
             key = (s.family, s.degree)
             space = next((sp for sp in self._interfaces.values()
@@ -202,13 +201,10 @@ class Discretization:
                                        self.order, _factor)
             self._interfaces[s.name] = space
             return space.dofmap
-        if s.continuity == "conforming":
-            basis = conforming_basis(s.family, s.degree, dim)
-        else:
-            basis = modal_basis(s.family, s.degree, dim)
+        # a modal basis is all interior: its cells stay uncoupled
+        basis = (conforming_basis if s.continuity == "conforming"
+                 else modal_basis)(s.family, s.degree, mesh.dim)
         self._tables[s.name] = ElementTables(mesh, basis, self.order)
-        if s.continuity == "broken":
-            return broken_map(mesh, basis.nfuncs)
         return conforming_map(mesh, basis)
 
     def dofmap(self, name):
@@ -425,11 +421,8 @@ class Discretization:
         eta2 = np.sum(np.abs(e) ** 2, axis=1)
         resid = self._scatter(st.adjoint_apply(e))
         free = ~self.constrained_dofs()
-        scale = np.max(np.abs(fvec[free])) if np.any(free) else 0.0
-        if scale == 0.0:
-            ortho = float(np.max(np.abs(resid[free]))) if np.any(free) else 0.0
-        else:
-            ortho = float(np.max(np.abs(resid[free])) / scale)
+        scale = np.abs(fvec[free]).max(initial=0.0)
+        ortho = float(np.abs(resid[free]).max(initial=0.0) / (scale or 1.0))
         return EstimateResult(np.sqrt(eta2), float(np.sqrt(eta2.sum())), ortho)
 
     # -- errors against manufactured solutions ----------------------------

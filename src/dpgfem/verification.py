@@ -269,16 +269,11 @@ def conforming_test_embedding(disc):
     ny = nt * mesh.ncells
     pieces = []
     for s, zero_b in zip(disc.form.test_slots, disc.form.y0_rule):
-        nb = disc._tables[s.name].basis.nfuncs
+        basis_c = (disc._tables[s.name].basis if zero_b is None
+                   else conforming_basis(s.family, s.degree, mesh.dim))
         # each cell's rows of the slot's broken functions
         rows = (np.arange(mesh.ncells)[:, None] * nt
-                + disc.test_offset(s.name) + np.arange(nb))
-        if zero_b is None:
-            C = np.zeros((ny, rows.size))
-            C[rows, np.arange(rows.size).reshape(rows.shape)] = 1.0
-            pieces.append(C)
-            continue
-        basis_c = conforming_basis(s.family, s.degree, mesh.dim)
+                + disc.test_offset(s.name) + np.arange(basis_c.nfuncs))
         cmap = conforming_map(mesh, basis_c)
         C = np.zeros((ny, cmap.ndofs))
         C[rows[:, :, None], cmap.cell_dofs[:, None, :]] = \
@@ -305,20 +300,24 @@ def annihilation_check(formulation, mesh, p, delta=3, mode="guaranteed"):
     Conforming pairings must vanish; restricting one conforming
     function to a single cell must produce a visible pairing, showing
     the form detects nonconformity.  Pairings are normalized by the
-    broken Riesz norm of the functional and the test norm.
+    broken Riesz norm of the functional and the test norm.  Only the
+    interface dofs that no essential condition removes are paired.
     """
     form = make_formulation(formulation, p=p, delta=delta, mode=mode)
     disc = Discretization(form, mesh)
     if not form.interface_slots:
         raise ValueError("formulation has no interface unknowns")
-    T, _ = _whitened_system(disc)
+    T, free = _whitened_system(disc)
     That = T[:, disc.ndof_field:]
+    # the free interface columns are picked after the products, so that
+    # these round the same whichever dofs are constrained
+    keep = free[free >= disc.ndof_field] - disc.ndof_field
     dualnorm = np.maximum(np.linalg.norm(That, axis=0), 1e-300)
     C = conforming_test_embedding(disc)
     Z = _whiten_tests(disc, C)
     ynorm = np.maximum(np.linalg.norm(Z, axis=0), 1e-300)
-    P = np.abs(Z.T @ That)
-    conforming_max = float((P / ynorm[:, None] / dualnorm[None, :]).max())
+    P = np.abs(Z.T @ That) / ynorm[:, None] / dualnorm[None, :]
+    conforming_max = float(P[:, keep].max())
 
     # every conforming function supported on two or more cells, restricted
     # to one of its cells
@@ -327,7 +326,8 @@ def annihilation_check(formulation, mesh, p, delta=3, mode="guaranteed"):
     support = (C.reshape(nc, nt, -1) != 0).any(axis=1)
     yn = np.linalg.norm(Zc, axis=1)
     use = support & (support.sum(axis=0) >= 2) & (yn >= 1e-14)
-    pair = (np.abs(np.swapaxes(Zc, 1, 2) @ Tc) / dualnorm).max(axis=2)
+    pair = (np.abs(np.swapaxes(Zc, 1, 2) @ Tc) / dualnorm)[..., keep].max(
+        axis=2)
     witness = float((pair[use] / yn[use]).max(initial=0.0))
     return AnnihilationResult(form.id, conforming_max, witness)
 

@@ -1,5 +1,7 @@
 """Dorfler marking and the adaptive refinement loop."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ def test_adaptive_solve_rejects_limits_below_one(lshape, limits):
     name = "max_dofs" if "max_dofs" in limits else "max_iterations"
     with pytest.raises(ValueError, match=f"{name} must be at least 1"):
         adaptive_solve(form, lshape, case, 0.5, **limits)
+
+
+@pytest.mark.parametrize("name,value", [("max_iterations", 2.5),
+                                        ("max_iterations", True),
+                                        ("max_dofs", 50.5),
+                                        ("max_dofs", "3")])
+def test_adaptive_solve_rejects_limits_that_are_not_integers(lshape, name,
+                                                             value):
+    form = make_formulation("primal_poisson", 1)
+    case = manufactured_case("poisson_lshape_singular")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be an integer, got {value!r}")):
+        adaptive_solve(form, lshape, case, 0.5, **{name: value})
 
 
 def test_adaptive_solve_single_iteration_at_dof_cap(lshape):

@@ -134,6 +134,18 @@ def test_scalene_triangle_and_its_children_bisect_their_longest_edge():
     check_conforming(twice)
 
 
+@pytest.mark.parametrize("domain", ["unit-square", "unit-cube"])
+def test_vertex_at_a_facet_end_hangs_in_2d_and_3d(domain):
+    """A vertex at a boundary facet's end that is not the facet's own,
+    here an unreferenced copy of vertex 1, hangs in either dimension."""
+    mesh = build_structured(domain, 1)
+    copy = SimplicialMesh(mesh.dim, np.concatenate(
+        [mesh.vertices, mesh.vertices[1:2]]), mesh.cells)
+    with pytest.raises(ValueError,
+                       match=f"hanging vertex {mesh.nvertices} on facet"):
+        check_conforming(copy)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_refinement_survives_the_mesh_file(seed):
     """A mesh read back from its file refines as the mesh itself does,
@@ -269,6 +281,15 @@ def test_tag_on_interior_facet_rejected(eight_tri):
             f"tag on interior facet {fid} with vertices {ends}")):
         SimplicialMesh(2, eight_tri.vertices, eight_tri.cells,
                        boundary_tags={fid: 1})
+
+
+@pytest.mark.parametrize("fid", [-1, 16, 99, 1.0, True, "0"])
+def test_tag_on_a_facet_id_out_of_range_rejected(eight_tri, fid):
+    assert eight_tri.nfacets == 16
+    with pytest.raises(ValueError, match=re.escape(
+            f"tag on facet id {fid!r}, not in 0 to nfacets - 1 = 15")):
+        SimplicialMesh(2, eight_tri.vertices, eight_tri.cells,
+                       boundary_tags={fid: 5})
 
 
 @pytest.mark.parametrize("domain,n", [("l-shape", 2), ("unit-cube", 1)])

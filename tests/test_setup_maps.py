@@ -86,7 +86,7 @@ def _reference_numbering(mesh, basis, use):
                    "edge": {(f[a], f[b]) for f in bfacets
                             for a, b in local_edges(dim - 1)}
                    if dim == 3 else set(bfacets),
-                   "face": set(bfacets), "interior": set()}
+                   "facet": set(bfacets), "interior": set()}
     ents = basis.dof_entities()
     numbering, boundary = {}, []
     cell_dofs = np.zeros((mesh.ncells, len(use)), dtype=int)
@@ -95,7 +95,7 @@ def _reference_numbering(mesh, basis, use):
             kind, loc, j = ents[k]
             verts = {"vertex": lambda: (loc,),
                      "edge": lambda: local_edges(dim)[loc],
-                     "face": lambda: local_facets(dim)[loc]}.get(kind)
+                     "facet": lambda: local_facets(dim)[loc]}.get(kind)
             ent = (tuple(int(cell[v]) for v in verts()) if verts
                    else (ci,))
             if (kind, ent, j) not in numbering:
@@ -107,14 +107,13 @@ def _reference_numbering(mesh, basis, use):
 
 def _reference_hdiv_factors(mesh, basis, use):
     det = mesh.geometry.det
-    facet_kind = "edge" if mesh.dim == 2 else "face"
     ents = basis.dof_entities()
     out = np.ones((mesh.ncells, len(use)))
     for ci in range(mesh.ncells):
         for col, k in enumerate(use):
             kind, loc, _ = ents[k]
             out[ci, col] = float(np.sign(det[ci]))
-            if kind == facet_kind:
+            if kind == "facet":
                 out[ci, col] *= mesh.cell_facet_signs[ci, loc] / facet_measure(
                     mesh.dim, local_facets(mesh.dim)[loc])
     return out

@@ -7,10 +7,9 @@ import pytest
 
 from dpgfem.formulations import make_formulation
 from dpgfem.meshes import build_structured, refine_uniform
-from dpgfem.reference import conforming_basis
+from dpgfem.reference import conforming_basis, modal_basis
 from dpgfem.spaces import (
     ElementTables,
-    broken_map,
     conforming_map,
     natural_gram,
 )
@@ -26,8 +25,12 @@ def test_h1_conforming_count_on_two_triangles(two_tri):
 
 
 def test_broken_and_facet_maps(eight_tri):
-    bm = broken_map(eight_tri, 6)
+    bm = conforming_map(eight_tri, modal_basis("l2", 2, 2))
     assert bm.ndofs == 6 * eight_tri.ncells
+    assert np.array_equal(bm.cell_dofs,
+                          np.arange(bm.ndofs).reshape(eight_tri.ncells, 6))
+    assert np.array_equal(bm.cell_factors, np.ones((eight_tri.ncells, 6)))
+    assert not bm.boundary.any()
 
 
 @pytest.mark.parametrize("family,degree", [("h1", 2), ("hdiv", 1)])

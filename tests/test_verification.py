@@ -10,7 +10,8 @@ from dpgfem.verification import INFSUP_DCR_IDS, annihilation_check, \
     broken_stability_bound, duality_gap, duality_suite, infsup_survey, \
     verify_records
 from dpgfem import verification
-from dpgfem.formulations import MAXWELL_IDS
+from dpgfem.formulations import FORMULATION_IDS, MAXWELL_IDS, \
+    make_formulation
 
 _SUITE = {}
 
@@ -61,6 +62,16 @@ def test_unattainable_trace_is_rejected():
 def test_conforming_tests_annihilate_interface_terms(fid, domain):
     mesh = build_structured(domain, 1)
     res = annihilation_check(fid, mesh, p=1)
+    assert res.conforming_max < 1e-12
+    assert res.witness > 1e-3
+
+
+# five of the ten constrain some interface dofs, which are not paired
+@pytest.mark.parametrize("fid", [
+    f for f in FORMULATION_IDS if make_formulation(f, 1).interface_slots])
+def test_every_interface_form_annihilates(fid):
+    domain = "unit-cube" if fid in MAXWELL_IDS else "unit-square"
+    res = annihilation_check(fid, build_structured(domain, 1), p=1)
     assert res.conforming_max < 1e-12
     assert res.witness > 1e-3
 
